@@ -186,6 +186,8 @@ def _random_trial(ident: str, dim: int, seed: int, terms: int, r: int, mode: str
 def _cmd_random_check(args) -> int:
     dim = args.dim
     ident = args.identity
+    if args.n < 1:
+        raise ValueError(f"-n must be >= 1, got {args.n}")
     if ident not in IDENTITY_IDS:
         raise ValueError(f"unknown identity {ident!r}")
     if ident in ("patterson", "weyl-patterson"):

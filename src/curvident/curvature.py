@@ -147,21 +147,40 @@ class InvariantReport:
         }
 
 
+# the five cubic contractions of the module docstring
+_R_CHECK = "iuvj,abcu,abcv->ij"
+_R_HAT2 = "ibcd,jbuv,cduv->ij"
+_R_RING2 = "ibcd,jucv,budv->ij"
+_R_HAT0 = "abcd,abuv,cduv->"
+_R_RING0 = "abcd,aucv,budv->"
+
+
+def _pieces(R: CurvatureTensor):
+    """(R, g, rho, tau, t_check, ||R||^2), the quadratic-and-lower pieces
+    every identity is assembled from."""
+    t = R.tensor
+    g = Tensor.identity(t.dim)
+    ricci = ein("iaaj->ij", t)
+    tau = ein("ii->", ricci).to_scalar()
+    tt = ein("iabc,jabc->ij", t, t)
+    rn2 = ein("ijkl,ijkl->", t, t).to_scalar()
+    return t, g, ricci, tau, tt, rn2
+
+
+def _cubic_pieces(R: CurvatureTensor):
+    """(r_check, r_hat2, r_ring2, r_hat0, r_ring0)."""
+    t = R.tensor
+    r_check, r_hat2, r_ring2 = (ein(s, t, t, t) for s in (_R_CHECK, _R_HAT2, _R_RING2))
+    r_hat0, r_ring0 = (ein(s, t, t, t).to_scalar() for s in (_R_HAT0, _R_RING0))
+    return r_check, r_hat2, r_ring2, r_hat0, r_ring0
+
+
 def invariants(R: CurvatureTensor) -> InvariantReport:
     """All scalar and rank-2 invariants of one curvature tensor."""
-    t = R.tensor
+    t, g, ricci, tau, t_check, r_norm_sq = _pieces(R)
     m = t.dim
-    g = Tensor.identity(m)
-    ricci = ein("iaaj->ij", t)
-    tau = ein("iaai->", t).to_scalar()
-    t_check = ein("iabc,jabc->ij", t, t)
-    r_norm_sq = ein("ijkl,ijkl->", t, t).to_scalar()
     ricci_norm_sq = ein("ij,ij->", ricci, ricci).to_scalar()
-    r_check = ein("iuvj,abcu,abcv->ij", t, t, t)
-    r_hat2 = ein("ibcd,jbuv,cduv->ij", t, t, t)
-    r_ring2 = ein("ibcd,jucv,budv->ij", t, t, t)
-    r_hat0 = ein("abcd,abuv,cduv->", t, t, t).to_scalar()
-    r_ring0 = ein("abcd,aucv,budv->", t, t, t).to_scalar()
+    r_check, r_hat2, r_ring2, r_hat0, r_ring0 = _cubic_pieces(R)
     einstein = ricci.scale(m) == g.scale(tau)
     super_einstein = einstein and t_check.scale(m) == g.scale(r_norm_sq)
     return InvariantReport(

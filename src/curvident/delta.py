@@ -30,6 +30,7 @@ from .tensor import (
     _LETTERS,
     _SAFETY,
     _einsum_path_for,
+    _fold_points,
     ContractionSpecError,
     ShapeError,
     Tensor,
@@ -315,7 +316,7 @@ def generalized_delta_contract(
         eye = eye.astype(object)
 
     if n_ops:
-        ints, iden, pts = _INTERP[n_ops]
+        pts = _INTERP[n_ops][2]
         evals = [
             {x: t._eval_at(x, use_object) for x in pts} for t in operands
         ]
@@ -325,39 +326,18 @@ def generalized_delta_contract(
             shapes = tuple((dim,) * r for r in op_ranks)
             if plan.path is None:
                 plan.path = _einsum_path_for(plan.subscripts, shapes)
-            point_vals = [
-                np.asarray(
-                    np.einsum(
-                        plan.subscripts,
-                        *[evals[i][x] for i in range(n_ops)],
-                        optimize=plan.path,
+            p_rat, p_irr = _fold_points(
+                [
+                    np.asarray(
+                        np.einsum(
+                            plan.subscripts,
+                            *[evals[i][x] for i in range(n_ops)],
+                            optimize=plan.path,
+                        )
                     )
-                )
-                for x in pts
-            ]
-            if n_ops == 1:
-                # linear in the operand: interpolation is trivial
-                p_rat = point_vals[0]
-                p_irr = point_vals[1] - point_vals[0]
-            else:
-                coeffs = []
-                for j in range(n_ops + 1):
-                    acc = None
-                    for i, pv in enumerate(point_vals):
-                        k = ints[j][i]
-                        if k == 0:
-                            continue
-                        acc = k * pv if acc is None else acc + k * pv
-                    coeffs.append(np.asarray(acc // iden if iden != 1 else acc))
-                p_rat = coeffs[0]
-                p_irr = coeffs[1]
-                p3 = 3
-                for j in range(2, n_ops + 1):
-                    if j % 2 == 0:
-                        p_rat = np.asarray(p_rat + p3 * coeffs[j])
-                    else:
-                        p_irr = np.asarray(p_irr + p3 * coeffs[j])
-                        p3 *= 3
+                    for x in pts
+                ]
+            )
         else:
             p_rat = np.ones((), dtype)
             p_irr = np.zeros((), dtype)
@@ -405,7 +385,16 @@ def generalized_delta_contract(
 # reference evaluation: per-component determinant, the independent slow path
 # ---------------------------------------------------------------------------
 
-_PERM_TABLE = {n: [(p, _perm_sign(p)) for p in permutations(range(n))] for n in range(1, 9)}
+# signed permutations per order n, built on the oracle's first use of n
+_PERM_TABLE: dict = {}
+
+
+def _signed_permutations(n: int) -> list:
+    table = _PERM_TABLE.get(n)
+    if table is None:
+        table = [(p, _perm_sign(p)) for p in permutations(range(n))]
+        _PERM_TABLE[n] = table
+    return table
 
 
 def _delta_value(i_tuple, j_tuple, memo) -> int:
@@ -422,7 +411,7 @@ def _delta_value(i_tuple, j_tuple, memo) -> int:
     if val is None:
         n = len(i_tuple)
         val = 0
-        for p, sign in _PERM_TABLE[n]:
+        for p, sign in _signed_permutations(n):
             prod_ = 1
             for r in range(n):
                 if i_tuple[r] != j_tuple[p[r]]:

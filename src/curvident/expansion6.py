@@ -9,10 +9,12 @@ the 34 simplified groups equals 8 times the assembled rank-6 identity
 form.  Both facts are exercised by the test suite and the "appendix34"
 identity id.
 
-All nine quadratic-times-metric groups share one rank-4 kernel, all
-eighteen norm-type groups one rank-2 kernel, and the six pure-metric
-groups one scalar kernel, so the transcription below stays close to the
-displayed term tables.
+The groups follow the four sign tables of ``identities``: items 1-6 are
+the metric triples, items 7-24 the two halves of each norm row, items
+25-33 the F rows and item 34 the A rows plus a rho/metric tail over the
+F rows.  All nine quadratic-times-metric groups share one rank-4 kernel,
+all eighteen norm-type groups one rank-2 kernel, and the six pure-metric
+groups one scalar kernel.
 """
 
 from __future__ import annotations
@@ -20,88 +22,27 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalar import Scalar
-from .tensor import Tensor, ShapeError, ein
-from .curvature import CurvatureTensor
-from .identities import einstein6_residual
-
-# (sign, g-pair labels) for the six pure-metric groups, items 1-6
-_ITEMS_G = (
-    (1, ("ij", "hk", "lm")),
-    (-1, ("ij", "hm", "lk")),
-    (-1, ("ik", "hj", "lm")),
-    (1, ("ik", "hm", "lj")),
-    (1, ("im", "hj", "lk")),
-    (-1, ("im", "hk", "lj")),
-)
-
-# (sign, kernel labels, g labels, g labels) for items 7-24
-_ITEMS_K2 = (
-    (1, "ij", "hk", "lm"),
-    (-1, "ij", "hm", "lk"),
-    (-1, "ik", "hj", "lm"),
-    (1, "ik", "hm", "lj"),
-    (1, "im", "hj", "lk"),
-    (-1, "im", "hk", "lj"),
-    (-1, "hj", "ik", "lm"),
-    (1, "hj", "im", "lk"),
-    (1, "hk", "ij", "lm"),
-    (-1, "hk", "im", "lj"),
-    (-1, "hm", "ij", "lk"),
-    (1, "hm", "ik", "lj"),
-    (1, "lj", "ik", "hm"),
-    (-1, "lj", "im", "hk"),
-    (-1, "lk", "ij", "hm"),
-    (1, "lk", "im", "hj"),
-    (1, "lm", "ij", "hk"),
-    (-1, "lm", "ik", "hj"),
-)
-
-# (sign, kernel labels, g labels) for items 25-33
-_ITEMS_K4 = (
-    (1, "ihjk", "lm"),
-    (-1, "iljk", "hm"),
-    (-1, "ihjm", "lk"),
-    (1, "iljm", "hk"),
-    (1, "ihkm", "lj"),
-    (-1, "ilkm", "hj"),
-    (-1, "hljm", "ik"),
-    (1, "hljk", "im"),
-    (1, "hlkm", "ij"),
-)
-
-# item 34: (sign, A labels) with A_pqrstu = R_apqr R_astu, and
-# (sign, R labels, partner labels) for the rho/metric tail
-_ITEM34_A = (
-    (1, "hjkmil"),
-    (-1, "ljkmih"),
-    (-1, "ijkmhl"),
-    (1, "ijmkhl"),
-    (-1, "hjmkil"),
-    (1, "ljmkih"),
-    (-1, "ikmjhl"),
-    (1, "hkmjil"),
-    (-1, "lkmjih"),
-)
-_ITEM34_TAIL = (
-    (-1, "ilkm", "hj"),
-    (1, "iljm", "hk"),
-    (1, "hljk", "im"),
-    (1, "ihjk", "lm"),
-    (1, "ihkm", "lj"),
-    (-1, "ihjm", "lk"),
-    (-1, "iljk", "hm"),
-    (1, "hlkm", "ij"),
-    (-1, "hljm", "ik"),
+from .tensor import ShapeError, ein
+from .curvature import CurvatureTensor, _pieces
+from .identities import (
+    _F_ROWS,
+    _G3_ROWS,
+    _TT_ROWS,
+    _a_block,
+    _f_block,
+    _f_term,
+    _g3_term,
+    _signed,
+    _sum,
+    _t_part,
+    einstein6_residual,
+    tsa,
 )
 
 
 def _kernels(R: CurvatureTensor):
-    t = R.tensor
-    g = Tensor.identity(6)
-    ricci = ein("iaaj->ij", t)
-    tau = ein("ii->", ricci).to_scalar()
-    tt = ein("xabc,yabc->xy", t, t)
-    rn2 = ein("ijkl,ijkl->", t, t).to_scalar()
+    t, g, ricci, tau, tt, rn2 = _pieces(R)
+    dec = tsa(R)
     rho2 = ein("ij,ij->", ricci, ricci).to_scalar()
 
     k0 = rn2 - Scalar(4) * rho2 + tau * tau
@@ -115,11 +56,7 @@ def _kernels(R: CurvatureTensor):
     )
     k2r = tt.scale(-4) + g.scale(tau * tau * Fraction(-2, 9))
 
-    quad = (
-        ein("pabr,sabq->pqrs", t, t).scale(-8)
-        + ein("pabs,rabq->pqrs", t, t).scale(8)
-        + ein("abpq,abrs->pqrs", t, t).scale(4)
-    )
+    quad = _t_part(dec).scale(8) + dec.s.scale(4)
     k4 = (
         quad
         + ein("aprs,aq->pqrs", t, ricci).scale(-8)
@@ -137,7 +74,7 @@ def _kernels(R: CurvatureTensor):
             tau * tau * Fraction(2, 9)
         )
     )
-    return t, g, ricci, tau, k0, k0r, k2, k2r, k4, k4r
+    return t, g, ricci, tau, dec, k0, k0r, k2, k2r, k4, k4r
 
 
 def term_groups(R: CurvatureTensor) -> list:
@@ -145,41 +82,25 @@ def term_groups(R: CurvatureTensor) -> list:
     free indices ordered (i,h,j,k,l,m)."""
     if R.dim != 6:
         raise ShapeError("the term-group expansion needs dim 6")
-    t, g, ricci, tau, k0, k0r, k2, k2r, k4, k4r = _kernels(R)
+    t, g, ricci, tau, dec, k0, k0r, k2, k2r, k4, k4r = _kernels(R)
     groups = []
 
-    for sign, (p1, p2, p3) in _ITEMS_G:
-        base = ein(f"{p1},{p2},{p3}->ihjklm", g, g, g)
-        if sign < 0:
-            base = -base
+    for row in _G3_ROWS:
+        base = _g3_term(g, row)
         groups.append((base.scale(k0), base.scale(k0r)))
 
-    for sign, xy, a, b in _ITEMS_K2:
-        lhs = ein(f"{xy},{a},{b}->ihjklm", k2, g, g)
-        rhs = ein(f"{xy},{a},{b}->ihjklm", k2r, g, g)
-        groups.append((lhs, rhs) if sign > 0 else (-lhs, -rhs))
+    for sign, xy, a, b, c, d in _TT_ROWS:
+        for half_sign, p, q in ((sign, a, b), (-sign, c, d)):
+            lhs = ein(f"{xy},{p},{q}->ihjklm", k2, g, g)
+            rhs = ein(f"{xy},{p},{q}->ihjklm", k2r, g, g)
+            groups.append((_signed(half_sign, lhs), _signed(half_sign, rhs)))
 
-    for sign, pqrs, xy in _ITEMS_K4:
-        lhs = ein(f"{pqrs},{xy}->ihjklm", k4, g)
-        rhs = ein(f"{pqrs},{xy}->ihjklm", k4r, g)
-        groups.append((lhs, rhs) if sign > 0 else (-lhs, -rhs))
+    for row in _F_ROWS:
+        groups.append((_f_term(k4, g, row), _f_term(k4r, g, row)))
 
-    rr_sum = None
-    for sign, labels in _ITEM34_A:
-        term = ein(f"a{labels[:3]},a{labels[3:]}->ihjklm", t, t)
-        term = term if sign > 0 else -term
-        rr_sum = term if rr_sum is None else rr_sum + term
-    rho_tail = None
-    tau_tail = None
-    for sign, rl, pl in _ITEM34_TAIL:
-        tr = ein(f"{rl},{pl}->ihjklm", t, ricci)
-        tg = ein(f"{rl},{pl}->ihjklm", t, g)
-        if sign < 0:
-            tr, tg = -tr, -tg
-        rho_tail = tr if rho_tail is None else rho_tail + tr
-        tau_tail = tg if tau_tail is None else tau_tail + tg
-    lhs34 = (rr_sum + rho_tail).scale(8)
-    rhs34 = rr_sum.scale(8) + tau_tail.scale(tau * Fraction(4, 3))
+    rr_sum = _a_block(dec.a)
+    lhs34 = (rr_sum + _f_block(t, ricci)).scale(8)
+    rhs34 = rr_sum.scale(8) + _f_block(t, g).scale(tau * Fraction(4, 3))
     groups.append((lhs34, rhs34))
 
     return [(i + 1, lhs, rhs) for i, (lhs, rhs) in enumerate(groups)]
@@ -191,9 +112,7 @@ def group_sum_check(R: CurvatureTensor, groups=None, residual_form=None):
     groups / residual may be passed to avoid recomputation."""
     if groups is None:
         groups = term_groups(R)
-    total = groups[0][2]
-    for _, _, rhs in groups[1:]:
-        total = total + rhs
+    total = _sum([rhs for _, _, rhs in groups])
     if residual_form is None:
         residual_form = einstein6_residual(R).residual
     return total, residual_form.scale(8)

@@ -42,7 +42,16 @@ from typing import Optional
 from .scalar import Scalar
 from .tensor import Tensor, ShapeError, ein
 from .delta import DeltaBinding, generalized_delta_contract
-from .curvature import CurvatureTensor, weyl
+from .curvature import (
+    _R_CHECK,
+    _R_HAT0,
+    _R_HAT2,
+    _R_RING2,
+    CurvatureTensor,
+    _cubic_pieces,
+    _pieces,
+    weyl,
+)
 
 
 @dataclass(frozen=True)
@@ -149,126 +158,36 @@ def weyl_patterson_residual(
 
 
 # ---------------------------------------------------------------------------
-# explicit term-by-term forms of the W-identity at r=2 (dims 5 and 6);
-# independent of the delta engine, cross-checked against it
-# ---------------------------------------------------------------------------
-
-
-def weyl_identity_blocks(W: CurvatureTensor) -> list:
-    """The explicit blocks of the r=2 identity for a trace-free curvature
-    tensor, as rank-4 ('ijkl', dim 5) or rank-6 ('ihjklm', dim 6) tensors.
-    Their sum must equal the delta-engine residual (identically zero)."""
-    t = W.tensor
-    m = t.dim
-    g = Tensor.identity(m)
-    tw = ein("abcx,abcy->xy", t, t)  # W_abcx W_abcy
-    w2 = ein("abcd,abcd->", t, t).to_scalar()  # ||W||^2
-    if m == 5:
-        b0 = (ein("ik,jl->ijkl", g, g) - ein("il,jk->ijkl", g, g)).scale(w2)
-        inner = (
-            ein("jl,ik->ijkl", tw, g)
-            - ein("jk,il->ijkl", tw, g)
-            + ein("ik,jl->ijkl", tw, g)
-            - ein("il,jk->ijkl", tw, g)
-            - ein("iabl,kabj->ijkl", t, t).scale(2)
-            + ein("iabk,labj->ijkl", t, t).scale(2)
-            - ein("abij,abkl->ijkl", t, t)
-        )
-        return [b0, inner.scale(-4)]
-    if m == 6:
-        blk_a = (
-            ein("ij,hk,lm->ihjklm", g, g, g)
-            + ein("ik,hm,lj->ihjklm", g, g, g)
-            + ein("im,hj,lk->ihjklm", g, g, g)
-            - ein("ik,hj,lm->ihjklm", g, g, g)
-            - ein("ij,hm,lk->ihjklm", g, g, g)
-            - ein("im,hk,lj->ihjklm", g, g, g)
-        ).scale(w2)
-        blk_b = (
-            ein("ij,hk,lm->ihjklm", tw, g, g)
-            + ein("ik,hm,lj->ihjklm", tw, g, g)
-            + ein("im,hj,lk->ihjklm", tw, g, g)
-            - ein("ik,hj,lm->ihjklm", tw, g, g)
-            - ein("ij,hm,lk->ihjklm", tw, g, g)
-            - ein("im,hk,lj->ihjklm", tw, g, g)
-            - ein("hj,ik,lm->ihjklm", tw, g, g)
-            - ein("hk,im,lj->ihjklm", tw, g, g)
-            - ein("hm,ij,lk->ihjklm", tw, g, g)
-            + ein("hk,ij,lm->ihjklm", tw, g, g)
-            + ein("hj,im,lk->ihjklm", tw, g, g)
-            + ein("hm,ik,lj->ihjklm", tw, g, g)
-            # the third norm-term family appears with these signs (the
-            # printed display's opposite choice contradicts both the
-            # delta-engine result and the rank-6 Einstein identity)
-            - ein("lj,hk,im->ihjklm", tw, g, g)
-            - ein("lk,hm,ij->ihjklm", tw, g, g)
-            - ein("lm,hj,ik->ihjklm", tw, g, g)
-            + ein("lk,hj,im->ihjklm", tw, g, g)
-            + ein("lj,hm,ik->ihjklm", tw, g, g)
-            + ein("lm,hk,ij->ihjklm", tw, g, g)
-        ).scale(-4)
-
-        def ww(sub):
-            return ein(sub + "->ihjklm", t, t)
-
-        blk_c = (
-            (ein("iabj,kabh,lm->ihjklm", t, t, g) - ein("iabk,jabh,lm->ihjklm", t, t, g))
-            - (ein("iabj,mabh,lk->ihjklm", t, t, g) - ein("iabm,jabh,lk->ihjklm", t, t, g))
-            + (ein("iabk,mabh,lj->ihjklm", t, t, g) - ein("iabm,kabh,lj->ihjklm", t, t, g))
-            - (ein("iabj,kabl,hm->ihjklm", t, t, g) - ein("iabk,jabl,hm->ihjklm", t, t, g))
-            + (ein("iabj,mabl,hk->ihjklm", t, t, g) - ein("iabm,jabl,hk->ihjklm", t, t, g))
-            - (ein("iabk,mabl,hj->ihjklm", t, t, g) - ein("iabm,kabl,hj->ihjklm", t, t, g))
-            + (ein("habj,kabl,im->ihjklm", t, t, g) - ein("habk,jabl,im->ihjklm", t, t, g))
-            - (ein("habj,mabl,ik->ihjklm", t, t, g) - ein("habm,jabl,ik->ihjklm", t, t, g))
-            + (ein("habk,mabl,ij->ihjklm", t, t, g) - ein("habm,kabl,ij->ihjklm", t, t, g))
-        ).scale(-8)
-        blk_d = (
-            ein("abih,abjk,lm->ihjklm", t, t, g)
-            - ein("abih,abjm,lk->ihjklm", t, t, g)
-            + ein("abih,abkm,lj->ihjklm", t, t, g)
-            - ein("abil,abjk,hm->ihjklm", t, t, g)
-            + ein("abil,abjm,hk->ihjklm", t, t, g)
-            - ein("abil,abkm,hj->ihjklm", t, t, g)
-            + ein("abhl,abjk,im->ihjklm", t, t, g)
-            - ein("abhl,abjm,ik->ihjklm", t, t, g)
-            + ein("abhl,abkm,ij->ihjklm", t, t, g)
-        ).scale(4)
-        blk_e = (
-            ww("ahjk,amil")
-            - ww("aljk,amih")
-            - ww("ajhl,aikm")
-            - ww("aijk,amhl")
-            + ww("ajih,almk")
-            + ww("ajil,ahkm")
-            - ww("ahjm,akil")
-            + ww("aljm,akih")
-            + ww("aijm,akhl")
-        ).scale(8)
-        return [blk_a, blk_b, blk_c, blk_d, blk_e]
-    raise ShapeError("explicit W-identity blocks exist for dims 5 and 6 only")
-
-
-def weyl_expansion_residual(R: CurvatureTensor) -> ResidualReport:
-    blocks = weyl_identity_blocks(weyl(R))
-    total = blocks[0]
-    for b in blocks[1:]:
-        total = total + b
-    return make_report("weyl-expansion[r=2]", "universal", total)
-
-
-# ---------------------------------------------------------------------------
 # dimension 5
 # ---------------------------------------------------------------------------
 
 
-def _pieces(R: CurvatureTensor):
-    t = R.tensor
-    g = Tensor.identity(t.dim)
-    ricci = ein("iaaj->ij", t)
-    tau = ein("ii->", ricci).to_scalar()
-    tt = ein("iabc,jabc->ij", t, t)
-    rn2 = ein("ijkl,ijkl->", t, t).to_scalar()
-    return t, g, ricci, tau, tt, rn2
+def _sum(tensors) -> Tensor:
+    acc = tensors[0]
+    for x in tensors[1:]:
+        acc = acc + x
+    return acc
+
+
+def _gg4(g: Tensor) -> Tensor:
+    return ein("ik,jl->ijkl", g, g) - ein("il,jk->ijkl", g, g)
+
+
+def _tt4(tt: Tensor, g: Tensor) -> Tensor:
+    return (
+        ein("ik,jl->ijkl", tt, g)
+        + ein("jl,ik->ijkl", tt, g)
+        - ein("il,jk->ijkl", tt, g)
+        - ein("jk,il->ijkl", tt, g)
+    )
+
+
+def _quad4(t: Tensor) -> Tensor:
+    return ein("iabl,kabj->ijkl", t, t) - ein("iabk,labj->ijkl", t, t)
+
+
+def _pair4(t: Tensor) -> Tensor:
+    return ein("abij,abkl->ijkl", t, t)
 
 
 def einstein5_residual(R: CurvatureTensor) -> ResidualReport:
@@ -282,18 +201,11 @@ def einstein5_residual(R: CurvatureTensor) -> ResidualReport:
     if R.dim != 5:
         raise ShapeError("lemma5 needs dim 5")
     t, g, ricci, tau, tt, rn2 = _pieces(R)
-    b_gg = ein("ik,jl->ijkl", g, g) - ein("il,jk->ijkl", g, g)
-    tt_block = (
-        ein("ik,jl->ijkl", tt, g)
-        + ein("jl,ik->ijkl", tt, g)
-        - ein("il,jk->ijkl", tt, g)
-        - ein("jk,il->ijkl", tt, g)
-    )
     res = (
-        b_gg.scale(rn2 + tau * tau * Fraction(1, 5))
-        - tt_block.scale(4)
-        + (ein("iabl,kabj->ijkl", t, t) - ein("iabk,labj->ijkl", t, t)).scale(8)
-        + ein("abij,abkl->ijkl", t, t).scale(4)
+        _gg4(g).scale(rn2 + tau * tau * Fraction(1, 5))
+        - _tt4(tt, g).scale(4)
+        + _quad4(t).scale(8)
+        + _pair4(t).scale(4)
         + t.scale(tau * Fraction(12, 5))
     )
     return make_report("lemma5", "einstein", res)
@@ -308,9 +220,7 @@ def einstein5_trace_residual(R: CurvatureTensor) -> ResidualReport:
     if R.dim != 5:
         raise ShapeError("thmA-a needs dim 5")
     t, g, ricci, tau, tt, rn2 = _pieces(R)
-    r_check = ein("iuvj,abcu,abcv->ij", t, t, t)
-    r_hat2 = ein("ibcd,jbuv,cduv->ij", t, t, t)
-    r_ring2 = ein("ibcd,jucv,budv->ij", t, t, t)
+    r_check, r_hat2, r_ring2 = (ein(s, t, t, t) for s in (_R_CHECK, _R_HAT2, _R_RING2))
     lhs = tt.scale(tau * 2) + r_check.scale(4) + r_hat2.scale(4) - r_ring2.scale(8)
     rhs = g.scale(tau * rn2 * Fraction(1, 5) + tau * tau * tau * Fraction(1, 25))
     return make_report("thmA-a", "einstein", lhs - rhs)
@@ -325,13 +235,8 @@ def super5_residual(R: CurvatureTensor) -> ResidualReport:
     if R.dim != 5:
         raise ShapeError("pa5 needs dim 5")
     t, g, ricci, tau, tt, rn2 = _pieces(R)
-    b_gg = ein("ik,jl->ijkl", g, g) - ein("il,jk->ijkl", g, g)
-    lhs = (
-        ein("ijab,abkl->ijkl", t, t)
-        + (ein("iabl,kabj->ijkl", t, t) - ein("iabk,labj->ijkl", t, t)).scale(2)
-        + t.scale(tau * Fraction(3, 5))
-    )
-    rhs = b_gg.scale(rn2 * Fraction(3, 20) - tau * tau * Fraction(1, 20))
+    lhs = _pair4(t) + _quad4(t).scale(2) + t.scale(tau * Fraction(3, 5))
+    rhs = _gg4(g).scale(rn2 * Fraction(3, 20) - tau * tau * Fraction(1, 20))
     return make_report("pa5", "super_einstein", lhs - rhs)
 
 
@@ -343,7 +248,7 @@ def super5_blocks(R: CurvatureTensor, idx=(0, 1, 2, 3)) -> list:
         raise ShapeError("super5_blocks needs dim 5")
     t, g, ricci, tau, tt, rn2 = _pieces(R)
     i, j, k, l = idx
-    b1 = ein("ijab,abkl->ijkl", t, t).item(i, j, k, l)
+    b1 = _pair4(t).item(i, j, k, l)
     b2 = ein("iabl,kabj->ijkl", t, t).scale(2).item(i, j, k, l)
     b3 = ein("iabk,labj->ijkl", t, t).scale(-2).item(i, j, k, l)
     b4 = t.scale(tau * Fraction(3, 5)).item(i, j, k, l)
@@ -358,8 +263,7 @@ def super5_trace_residual(R: CurvatureTensor) -> ResidualReport:
     if R.dim != 5:
         raise ShapeError("thmA-b needs dim 5")
     t, g, ricci, tau, tt, rn2 = _pieces(R)
-    r_hat2 = ein("ibcd,jbuv,cduv->ij", t, t, t)
-    r_ring2 = ein("ibcd,jucv,budv->ij", t, t, t)
+    r_hat2, r_ring2 = (ein(s, t, t, t) for s in (_R_HAT2, _R_RING2))
     lhs = r_ring2.scale(4) - r_hat2.scale(2)
     rhs = g.scale(
         tau * rn2 * Fraction(9, 50) - tau * tau * tau * Fraction(1, 50)
@@ -394,24 +298,37 @@ def tsa(R: CurvatureTensor) -> TSADecomposition:
     )
 
 
-def _ggg(g: Tensor, p1: str, p2: str, p3: str) -> Tensor:
-    return ein(f"{p1},{p2},{p3}->ihjklm", g, g, g)
+# The four sign tables of the rank-6 identities.  Every explicit dim-6
+# form is assembled from them: lemma6, eq42, the transvection rows, the
+# 34 term groups and the W-identity blocks.
+
+
+def _signed(sign: int, term: Tensor) -> Tensor:
+    return term if sign > 0 else -term
+
+
+# first block: signed metric triples g_a g_b g_c
+_G3_ROWS = (
+    (1, "ij", "hk", "lm"),
+    (-1, "ij", "hm", "lk"),
+    (-1, "ik", "hj", "lm"),
+    (1, "ik", "hm", "lj"),
+    (1, "im", "hj", "lk"),
+    (-1, "im", "hk", "lj"),
+)
+
+
+def _g3_term(g: Tensor, row) -> Tensor:
+    sign, a, b, c = row
+    return _signed(sign, ein(f"{a},{b},{c}->ihjklm", g, g, g))
 
 
 def _g3_block(g: Tensor) -> Tensor:
-    # g_ij g_hk g_lm - g_ij g_hm g_lk - g_ik g_hj g_lm + g_ik g_hm g_lj
-    #   + g_im g_hj g_lk - g_im g_hk g_lj
-    return (
-        _ggg(g, "ij", "hk", "lm")
-        - _ggg(g, "ij", "hm", "lk")
-        - _ggg(g, "ik", "hj", "lm")
-        + _ggg(g, "ik", "hm", "lj")
-        + _ggg(g, "im", "hj", "lk")
-        - _ggg(g, "im", "hk", "lj")
-    )
+    return _sum([_g3_term(g, row) for row in _G3_ROWS])
 
 
-# second block: rows of sign * tt_xy (g_a g_b - g_c g_d), overall -1/2
+# second block: rows of sign * X_xy (g_a g_b - g_c g_d) for the norm
+# contraction X = tt; the rank-6 identity carries them with factor -1/2
 _TT_ROWS = (
     (1, "ij", "hk", "lm", "hm", "lk"),
     (-1, "ik", "hj", "lm", "hm", "lj"),
@@ -419,21 +336,24 @@ _TT_ROWS = (
     (-1, "hj", "ik", "lm", "im", "lk"),
     (1, "hk", "ij", "lm", "im", "lj"),
     (-1, "hm", "ij", "lk", "ik", "lj"),
+    # the third family carries these signs; the opposite choice printed
+    # in the W-identity display contradicts both the delta-engine result
+    # and the rank-6 Einstein identity
     (1, "lj", "ik", "hm", "im", "hk"),
     (-1, "lk", "ij", "hm", "im", "hj"),
     (1, "lm", "ij", "hk", "ik", "hj"),
 )
 
 
-def _tt_term(tt: Tensor, g: Tensor, row) -> Tensor:
+def _tt_term(x: Tensor, g: Tensor, row) -> Tensor:
     sign, xy, a, b, c, d = row
-    term = ein(f"{xy},{a},{b}->ihjklm", tt, g, g) - ein(
-        f"{xy},{c},{d}->ihjklm", tt, g, g
+    term = ein(f"{xy},{a},{b}->ihjklm", x, g, g) - ein(
+        f"{xy},{c},{d}->ihjklm", x, g, g
     )
-    return term.scale(Fraction(-sign, 2))
+    return _signed(sign, term)
 
 
-# third block: rows of sign * F(p,q,r,s) g_xy with
+# third block: rows of sign * X_pqrs Y_xy, with Y = g and X = F,
 # F_pqrs = -T_prsq + T_psrq + (1/2) S_pqrs + (tau/3) R_pqrs
 _F_ROWS = (
     (1, "ihjk", "lm"),
@@ -448,19 +368,23 @@ _F_ROWS = (
 )
 
 
+def _t_part(dec: TSADecomposition) -> Tensor:
+    return -ein("prsq->pqrs", dec.t) + ein("psrq->pqrs", dec.t)
+
+
 def _f_tensor(dec: TSADecomposition, tau: Scalar, r4: Tensor) -> Tensor:
     return (
-        -ein("prsq->pqrs", dec.t)
-        + ein("psrq->pqrs", dec.t)
-        + dec.s.scale(Fraction(1, 2))
-        + r4.scale(tau * Fraction(1, 3))
+        _t_part(dec) + dec.s.scale(Fraction(1, 2)) + r4.scale(tau * Fraction(1, 3))
     )
 
 
-def _f_term(f4: Tensor, g: Tensor, row) -> Tensor:
+def _f_term(x4: Tensor, y2: Tensor, row) -> Tensor:
     sign, pqrs, xy = row
-    term = ein(f"{pqrs},{xy}->ihjklm", f4, g)
-    return term if sign > 0 else -term
+    return _signed(sign, ein(f"{pqrs},{xy}->ihjklm", x4, y2))
+
+
+def _f_block(x4: Tensor, y2: Tensor) -> Tensor:
+    return _sum([_f_term(x4, y2, row) for row in _F_ROWS])
 
 
 # A block: signed axis labels of A_pqrstu
@@ -479,8 +403,11 @@ _A_ROWS = (
 
 def _a_term(a6: Tensor, row) -> Tensor:
     sign, labels = row
-    term = ein(f"{labels}->ihjklm", a6)
-    return term if sign > 0 else -term
+    return _signed(sign, ein(f"{labels}->ihjklm", a6))
+
+
+def _a_block(a6: Tensor) -> Tensor:
+    return _sum([_a_term(a6, row) for row in _A_ROWS])
 
 
 def einstein6_blocks(R: CurvatureTensor):
@@ -493,18 +420,11 @@ def einstein6_blocks(R: CurvatureTensor):
     b1 = _g3_block(g).scale(
         (rn2 + tau * tau * Fraction(1, 3)) * Fraction(1, 8)
     )
-    tt_terms = [_tt_term(tt, g, row) for row in _TT_ROWS]
+    tt_terms = [_tt_term(tt, g, row).scale(Fraction(-1, 2)) for row in _TT_ROWS]
     f4 = _f_tensor(dec, tau, t)
     f_terms = [_f_term(f4, g, row) for row in _F_ROWS]
     a_terms = [_a_term(dec.a, row) for row in _A_ROWS]
     return b1, tt_terms, f_terms, a_terms
-
-
-def _sum(tensors) -> Tensor:
-    acc = tensors[0]
-    for x in tensors[1:]:
-        acc = acc + x
-    return acc
 
 
 def einstein6_residual(R: CurvatureTensor) -> ResidualReport:
@@ -526,22 +446,8 @@ def super6_residual(R: CurvatureTensor) -> ResidualReport:
         (rn2 - tau * tau * Fraction(1, 3)) * Fraction(-1, 8)
     )
     f4 = _f_tensor(dec, tau, t)
-    res = (
-        b1
-        + _sum([_f_term(f4, g, row) for row in _F_ROWS])
-        + _sum([_a_term(dec.a, row) for row in _A_ROWS])
-    )
+    res = b1 + _f_block(f4, g) + _a_block(dec.a)
     return make_report("eq42", "super_einstein", res)
-
-
-def _cubic_pieces(R: CurvatureTensor):
-    t = R.tensor
-    r_check = ein("iuvj,abcu,abcv->ij", t, t, t)
-    r_hat2 = ein("ibcd,jbuv,cduv->ij", t, t, t)
-    r_ring2 = ein("ibcd,jucv,budv->ij", t, t, t)
-    r_hat0 = ein("abcd,abuv,cduv->", t, t, t).to_scalar()
-    r_ring0 = ein("abcd,aucv,budv->", t, t, t).to_scalar()
-    return r_check, r_hat2, r_ring2, r_hat0, r_ring0
 
 
 def einstein6_trace_residual(R: CurvatureTensor) -> ResidualReport:
@@ -609,16 +515,13 @@ def gauss_bonnet_integrand_6(R: CurvatureTensor) -> Scalar:
     """
     if R.dim != 6:
         raise ShapeError("the Euler integrand bracket needs dim 6")
-    t = R.tensor
-    ricci = ein("iaaj->ij", t)
-    tau = ein("ii->", ricci).to_scalar()
+    t, g, ricci, tau, tt, rn2 = _pieces(R)
     rho2 = ein("ij,ij->", ricci, ricci).to_scalar()
-    rn2 = ein("ijkl,ijkl->", t, t).to_scalar()
     rho3 = ein("ab,ac,bc->", ricci, ricci, ricci).to_scalar()
     rho_rho_r = ein("ab,cd,acbd->", ricci, ricci, t).to_scalar()
-    rho_tt = ein("uv,abcu,abcv->", ricci, t, t).to_scalar()
+    rho_tt = ein("uv,uv->", ricci, tt).to_scalar()  # rho_uv R_abcu R_abcv
     cubic1 = ein("abcd,aucv,bvdu->", t, t, t).to_scalar()
-    cubic2 = ein("abcd,abuv,cduv->", t, t, t).to_scalar()
+    cubic2 = ein(_R_HAT0, t, t, t).to_scalar()
     return (
         tau * tau * tau
         - Scalar(12) * tau * rho2
@@ -629,6 +532,37 @@ def gauss_bonnet_integrand_6(R: CurvatureTensor) -> Scalar:
         + Scalar(8) * cubic1
         - Scalar(2) * cubic2
     )
+
+
+# ---------------------------------------------------------------------------
+# explicit term-by-term forms of the W-identity at r=2 (dims 5 and 6);
+# independent of the delta engine, cross-checked against it
+# ---------------------------------------------------------------------------
+
+
+def weyl_identity_blocks(W: CurvatureTensor) -> list:
+    """The explicit blocks of the r=2 identity for a trace-free curvature
+    tensor, as rank-4 ('ijkl', dim 5) or rank-6 ('ihjklm', dim 6) tensors.
+    Their sum must equal the delta-engine residual (identically zero)."""
+    if W.dim not in (5, 6):
+        raise ShapeError("explicit W-identity blocks exist for dims 5 and 6 only")
+    t, g, _, _, tw, w2 = _pieces(W)
+    if W.dim == 5:
+        inner = _tt4(tw, g) - _quad4(t).scale(2) - _pair4(t)
+        return [_gg4(g).scale(w2), inner.scale(-4)]
+    dec = tsa(W)
+    return [
+        _g3_block(g).scale(w2),
+        _sum([_tt_term(tw, g, row) for row in _TT_ROWS]).scale(-4),
+        _f_block(_t_part(dec).scale(8), g),
+        _f_block(dec.s.scale(4), g),
+        _a_block(dec.a).scale(8),
+    ]
+
+
+def weyl_expansion_residual(R: CurvatureTensor) -> ResidualReport:
+    total = _sum(weyl_identity_blocks(weyl(R)))
+    return make_report("weyl-expansion[r=2]", "universal", total)
 
 
 # ---------------------------------------------------------------------------
@@ -656,31 +590,20 @@ def trace_subidentities_5(R: CurvatureTensor) -> list:
         raise ShapeError("trace_subidentities_5 needs dim 5")
     t, g, ricci, tau, tt, rn2 = _pieces(R)
     r_check, r_hat2, r_ring2, r_hat0, r_ring0 = _cubic_pieces(R)
-    b_gg = ein("ik,jl->ijkl", g, g) - ein("il,jk->ijkl", g, g)
-    tt_block = (
-        ein("ik,jl->ijkl", tt, g)
-        + ein("jl,ik->ijkl", tt, g)
-        - ein("il,jk->ijkl", tt, g)
-        - ein("jk,il->ijkl", tt, g)
-    )
     c1 = rn2 + tau * tau * Fraction(1, 5)
     terms = [
-        ("g-block", b_gg.scale(c1), g.scale(-c1 * tau * Fraction(2, 5))),
+        ("g-block", _gg4(g).scale(c1), g.scale(-c1 * tau * Fraction(2, 5))),
         (
             "tt-block",
-            tt_block.scale(-4),
+            _tt4(tt, g).scale(-4),
             tt.scale(tau * Fraction(8, 5)) + r_check.scale(8),
         ),
         (
             "quad-block",
-            (ein("iabl,kabj->ijkl", t, t) - ein("iabk,labj->ijkl", t, t)).scale(8),
+            _quad4(t).scale(8),
             r_ring2.scale(-16) + r_hat2.scale(4),
         ),
-        (
-            "pair-block",
-            ein("abij,abkl->ijkl", t, t).scale(4),
-            r_hat2.scale(4),
-        ),
+        ("pair-block", _pair4(t).scale(4), r_hat2.scale(4)),
         (
             "tau-block",
             t.scale(tau * Fraction(12, 5)),

@@ -169,6 +169,11 @@ _REQUIRED = {
 
 
 def _require_params(spec: ModelSpec, pointer: str = ""):
+    # every parameter of a kind is required, so the required set is also
+    # the allowed one
+    for key in spec.params:
+        if key not in _REQUIRED[spec.kind]:
+            raise ModelSpecError(f"{pointer}/params/{key}", "unknown parameter")
     for key in _REQUIRED[spec.kind]:
         if key not in spec.params:
             raise ModelSpecError(f"{pointer}/params/{key}", "missing required parameter")

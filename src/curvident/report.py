@@ -115,11 +115,12 @@ def run_identity(ident: str, R: CurvatureTensor) -> list:
     if ident == "appendix34":
         from .expansion6 import term_groups, group_sum_check
 
+        groups = term_groups(R)
         reports = [
             make_report(f"appendix34[{k}]", "einstein", lhs - rhs)
-            for k, lhs, rhs in term_groups(R)
+            for k, lhs, rhs in groups
         ]
-        total, eight = group_sum_check(R)
+        total, eight = group_sum_check(R, groups=groups)
         reports.append(make_report("appendix34[sum]", "einstein", total - eight))
         return reports
     raise ValueError(f"unknown identity id {ident!r}")

@@ -89,6 +89,34 @@ _SAFETY = {
 }
 
 
+def _fold_points(point_vals):
+    """(rat, irr) integer parts of an n-operand sqrt(3)-split product from
+    its einsum values at the first n+1 interpolation points: the inverse
+    Vandermonde combination recovers the coefficients of the degree-n
+    polynomial in t, and t**2 = 3 folds them back to two parts."""
+    n = len(point_vals) - 1
+    ints, den, _ = _INTERP[n]
+    coeffs = []
+    for j in range(n + 1):
+        acc = None
+        for i, p in enumerate(point_vals):
+            k = ints[j][i]
+            if k == 0:
+                continue
+            acc = k * p if acc is None else acc + k * p
+        # 0-d results decay to Python scalars under arithmetic; rewrap
+        coeffs.append(np.asarray(acc // den if den != 1 else acc))
+    rat, irr = coeffs[0], coeffs[1]
+    p3 = 3
+    for j in range(2, n + 1):
+        if j % 2 == 0:
+            rat = np.asarray(rat + p3 * coeffs[j])
+        else:
+            irr = np.asarray(irr + p3 * coeffs[j])
+            p3 *= 3
+    return rat, irr
+
+
 def _as_int_array(arr, use_object: bool):
     if use_object:
         # astype(object) boxes integers as Python ints, so arithmetic is exact
@@ -432,35 +460,16 @@ def raw_einsum(subscripts: str, parts: Sequence, dim: int, n_sum_letters: int):
         irr = np.einsum(subscripts, b, optimize=path)
         return np.asarray(rat), np.asarray(irr), bound
 
-    ints, den, pts = _INTERP[n]
     evals = []
-    for x in pts:
+    for x in _INTERP[n][2]:
         ops = []
         for a, b, _ in parts:
             a = _as_int_array(a, use_object)
             b = _as_int_array(b, use_object)
             ops.append(a if x == 0 else a + x * b)
         evals.append(np.asarray(np.einsum(subscripts, *ops, optimize=path)))
-    coeffs = []
-    for j in range(n + 1):
-        acc = None
-        for i, p in enumerate(evals):
-            k = ints[j][i]
-            if k == 0:
-                continue
-            acc = k * p if acc is None else acc + k * p
-        # 0-d results decay to Python scalars under arithmetic; rewrap
-        coeffs.append(np.asarray(acc // den if den != 1 else acc))
-    rat = coeffs[0].copy()
-    irr = coeffs[1].copy()
-    p3 = 3
-    for j in range(2, n + 1):
-        if j % 2 == 0:
-            rat = np.asarray(rat + p3 * coeffs[j])
-        else:
-            irr = np.asarray(irr + p3 * coeffs[j])
-            p3 *= 3
-    return np.asarray(rat), np.asarray(irr), bound
+    rat, irr = _fold_points(evals)
+    return rat, irr, bound
 
 
 def ein(subscripts: str, *tensors: Tensor) -> Tensor:

@@ -163,3 +163,21 @@ def test_entry_point_subprocess():
 
 def test_threads_argument_validation():
     assert main(["--threads", "0", "invariants", "--model", "sl3so3"]) == 2
+
+
+def test_random_check_without_trials_exit2(capsys):
+    for n in ("0", "-3"):
+        rc = run_cli(
+            "random-check", "--dim", "4", "--identity", "patterson", "-n", n
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "trials:" not in captured.out
+        assert "-n must be >= 1" in captured.err
+
+
+def test_model_file_unknown_param_exit2(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"kind": "sl3_so3", "params": {"dim": 6, "kk": "7"}}))
+    assert run_cli("verify", "--model", str(path), "--set", "all") == 2
+    assert "/params/dim: unknown parameter" in capsys.readouterr().err

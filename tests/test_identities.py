@@ -1,15 +1,22 @@
 """Identity evaluators: worked-example values, randomized hypotheses,
 negative controls, transvection derivations, scaling covariance."""
 
+import hashlib
+import json
 from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
 
 from curvident.scalar import Scalar
-from curvident.tensor import ShapeError, ein
+from curvident.tensor import ShapeError, Tensor, ein
 from curvident.curvature import CurvatureTensor, invariants, weyl
-from curvident.delta import reference_delta_contract
+from curvident.delta import (
+    DeltaBinding,
+    generalized_delta_contract,
+    reference_delta_contract,
+)
+from curvident.expansion6 import term_groups
 from curvident.identities import (
     _patterson_binding,
     einstein5_residual,
@@ -30,6 +37,7 @@ from curvident.identities import (
     transvect_rank6,
     tsa,
     weyl_expansion_residual,
+    weyl_identity_blocks,
     weyl_patterson_residual,
 )
 from curvident.models import (
@@ -423,3 +431,113 @@ def test_gauss_bonnet_reassembly_from_invariants():
 def test_gauss_bonnet_wrong_dim():
     with pytest.raises(ShapeError):
         gauss_bonnet_integrand_6(flat(5))
+
+
+# -- golden digests of the explicit transcriptions ------------------------------------
+# sha256 of the sparse entries of non-zero outputs; they pin the explicit
+# dim-5/6 forms, the term groups and the derived pieces component by
+# component, so a restructuring of the transcriptions must reproduce them.
+
+
+def _digest(tensors) -> str:
+    payload = json.dumps([t.to_entries() for t in tensors], separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _flat(triples):
+    return [t for _, lhs, rhs in triples for t in (lhs, rhs)]
+
+
+def _mixed5():
+    # non-Einstein, with sqrt(3) parts
+    return CurvatureTensor(sl3_so3().tensor + random_curvature(5, 7, 4).tensor)
+
+
+def _invariant_tensors(R):
+    inv = invariants(R)
+    scalars = (inv.tau, inv.ricci_norm_sq, inv.r_norm_sq, inv.r_hat0, inv.r_ring0)
+    return [inv.ricci, inv.t_check, inv.r_check, inv.r_hat2, inv.r_ring2] + [
+        Tensor.from_scalar(R.dim, s) for s in scalars
+    ]
+
+
+def _delta_outputs(R):
+    one = DeltaBinding.make(
+        3, {0: (0, 0), 1: (0, 1)}, {0: (0, 2), 1: (0, 3)}, out=[("U", 2), ("L", 2)]
+    )
+    lower = {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)}
+    upper = {0: (0, 2), 1: (0, 3), 2: (1, 2), 3: (1, 3)}
+    two = DeltaBinding.make(5, lower, upper, out=[("U", 4), ("L", 4)])
+    t = R.tensor
+    return [
+        generalized_delta_contract(3, R.dim, [t], one),
+        generalized_delta_contract(5, R.dim, [t, t], two),
+    ]
+
+
+_GOLDEN = {
+    "weyl-blocks-5": (
+        lambda: weyl_identity_blocks(weyl(random_curvature(5, 3, 4))),
+        "66760e252bb03a666d27b2d529b5a39418dda15fb2b65b19e4cc9d8cb93c941e",
+    ),
+    "weyl-blocks-6": (
+        lambda: weyl_identity_blocks(weyl(random_curvature(6, 3, 4))),
+        "f6cc5a14f2997cd1f7b8dc314981610ec998930f7921758bfd257fea5240be0e",
+    ),
+    "dim5-residuals": (
+        lambda: [
+            f(R).residual
+            for R in (random_curvature(5, 4, 4), _mixed5())
+            for f in (
+                einstein5_residual,
+                super5_residual,
+                einstein5_trace_residual,
+                super5_trace_residual,
+            )
+        ],
+        "4d34826aa698704741da6a3fd990f7db9d003f941713531e7c13c84a38ffb5bf",
+    ),
+    "dim6-residuals": (
+        lambda: [
+            f(random_curvature(6, 5, 4)).residual
+            for f in (
+                einstein6_residual,
+                super6_residual,
+                einstein6_trace_residual,
+                einstein6_trace_residual_alt,
+                super6_trace_residual,
+            )
+        ],
+        "1b1348203a9660b892f6ea18731b043b95f755b0afdc5b24d34f494baceb09ae",
+    ),
+    "term-groups": (
+        lambda: _flat(term_groups(random_curvature(6, 6, 4))),
+        "16ca737967b503ccdd2614b2673a7261fd12e446669cab154716bc39a2976e29",
+    ),
+    "trace-subidentities-5": (
+        lambda: _flat(trace_subidentities_5(_einstein(5, seed=7))),
+        "4ed6f9ec5a406c7d5e14eb08c8d61c748cdc136a4621a4ec8bb28a7dcc851464",
+    ),
+    "trace-subidentities-6": (
+        lambda: _flat(trace_subidentities_6(_einstein(6, seed=7))),
+        "a9006ae315a90878e4442f90e9e9aca94156177b0aa10a7017067cdc7234c866",
+    ),
+    "invariants": (
+        lambda: _invariant_tensors(_mixed5())
+        + _invariant_tensors(random_curvature(6, 8, 4))
+        + [Tensor.from_scalar(6, gauss_bonnet_integrand_6(random_curvature(6, 8, 4)))],
+        "e578891cec89ae195e3f7f8b7ec17acdcb8943180dc28cd83684aee0f920f917",
+    ),
+    "delta-sqrt3": (
+        lambda: _delta_outputs(_mixed5()),
+        "8d37b48af4c905736d18977a6afa29ac12475a80d9f224d85125e4a85023fd50",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_golden_digests(name):
+    build, expected = _GOLDEN[name]
+    outputs = build()
+    assert all(not t.is_zero() for t in outputs)
+    assert _digest(outputs) == expected

@@ -193,3 +193,20 @@ def test_load_model_bad_json(tmp_path):
     p.write_text("{not json")
     with pytest.raises(ModelSpecError):
         load_model(p)
+
+
+def test_unknown_params_rejected_with_pointer():
+    with pytest.raises(ModelSpecError) as err:
+        ModelSpec.from_json({"kind": "sl3_so3", "params": {"kk": "7"}})
+    assert "/params/kk" in str(err.value)
+    with pytest.raises(ModelSpecError) as err:
+        ModelSpec.from_json(
+            {"kind": "product", "factors": [
+                {"kind": "example_5d", "params": {"k": "1"}},
+                {"kind": "constant_curvature", "params": {"dim": 2, "k": "1", "n": 3}},
+            ]}
+        )
+    assert "/factors/1/params/n" in str(err.value)
+    with pytest.raises(ModelSpecError) as err:
+        build(ModelSpec("example_6d", {"k": Scalar(1), "alpha": Scalar(2)}))
+    assert "/params/alpha" in str(err.value)
