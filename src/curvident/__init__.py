@@ -19,6 +19,7 @@ from .tensor import (
 )
 from .delta import (
     DeltaBinding,
+    EngineInvariantError,
     generalized_delta_contract,
     reference_delta_contract,
 )
@@ -55,6 +56,7 @@ from .models import (
     sl3_so3,
 )
 from .identities import (
+    IdentityArgumentError,
     ResidualReport,
     TSADecomposition,
     einstein5_residual,

@@ -8,7 +8,8 @@ Subcommands::
     curvident random-check --dim 6 --identity patterson --r 2 -n 100 --seed 7
     curvident export       --model sl3so3 --out report.json
 
-Exit codes: 0 pass, 1 identity failure, 2 usage or input error.  The
+Exit codes: 0 pass, 1 identity failure, 2 usage or input error, 3 internal
+error (a defect of curvident, reported with its traceback).  The
 ``--threads`` option (default from CURVIDENT_THREADS) changes wall time
 only, never any output byte.
 """
@@ -41,6 +42,7 @@ from .report import (
     _patterson_mode,
 )
 from .identities import (
+    IdentityArgumentError,
     max_r,
     patterson_residual,
     weyl_patterson_residual,
@@ -53,8 +55,8 @@ _INPUT_ERRORS = (
     ShapeError,
     ContractionSpecError,
     CurvatureValidationError,
+    IdentityArgumentError,
     OSError,
-    ValueError,
 )
 
 _CATALOG = ("flat", "constant", "example5d", "example6d", "sl3so3", "nikolayevsky", "random-einstein")
@@ -124,7 +126,7 @@ def _identity_set(arg: str, dim: int) -> list:
     ids = [s.strip() for s in arg.split(",") if s.strip()]
     for ident in ids:
         if ident not in IDENTITY_IDS:
-            raise ValueError(
+            raise IdentityArgumentError(
                 f"unknown identity {ident!r}; choose from {', '.join(IDENTITY_IDS)} or 'all'"
             )
     return ids
@@ -149,7 +151,7 @@ def _cmd_verify(args) -> int:
     expect_fail = tuple(args.expect_fail or ())
     for e in expect_fail:
         if e not in IDENTITY_IDS:
-            raise ValueError(f"unknown identity in --expect-fail: {e!r}")
+            raise IdentityArgumentError(f"unknown identity in --expect-fail: {e!r}")
     started = time.monotonic()
     run = evaluate_model(
         spec, R, identity_set=idents, expect_fail=expect_fail, threads=args.threads
@@ -187,14 +189,20 @@ def _cmd_random_check(args) -> int:
     dim = args.dim
     ident = args.identity
     if args.n < 1:
-        raise ValueError(f"-n must be >= 1, got {args.n}")
+        raise IdentityArgumentError(f"-n must be >= 1, got {args.n}")
     if ident not in IDENTITY_IDS:
-        raise ValueError(f"unknown identity {ident!r}")
+        raise IdentityArgumentError(f"unknown identity {ident!r}")
     if ident in ("patterson", "weyl-patterson"):
         r = args.r if args.r is not None else min(2, max_r(dim))
         if not 1 <= r <= max_r(dim):
-            raise ValueError(f"--r {r} out of range 1..{max_r(dim)} for dim {dim}")
+            raise IdentityArgumentError(
+                f"--r {r} out of range 1..{max_r(dim)} for dim {dim}"
+            )
         mode = args.mode if args.mode != "auto" else _patterson_mode(dim, r)
+    elif args.r is not None or args.mode != "auto":
+        raise IdentityArgumentError(
+            f"--r and --mode apply to patterson and weyl-patterson, not {ident!r}"
+        )
     else:
         r, mode = 0, "free"  # dim/identity mismatches surface as input errors
 
@@ -310,6 +318,12 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        import traceback  # only on this path: keeps it out of every start
+
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

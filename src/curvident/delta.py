@@ -11,6 +11,16 @@ dimension the result is identically zero as a tensor identity, which is
 exactly what the curvature identities exploit; the engine discovers this
 zero by exact cancellation, never by shortcut.
 
+The delta is antisymmetric in its upper slots and in its lower slots, so
+the free output axes split into an upper and a lower antisymmetric group.
+Each permutation term is accumulated only at one representative per
+orbit: the non-decreasing index tuples of each group.  Representatives
+with a repeated index are evaluated too and must cancel to exactly zero
+(an engine invariant, checked on every call; with N above the dimension
+they are all there is); each distinct-index representative is then
+written to every permuted position with the product of the two
+permutation signs.
+
 ``reference_delta_contract`` is the independent slow path: it evaluates
 the determinant definition per component and is used by the test suite to
 certify the engine.
@@ -20,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 
@@ -29,7 +39,7 @@ from .tensor import (
     _INTERP,
     _LETTERS,
     _SAFETY,
-    _einsum_path_for,
+    _einsum_exact,
     _fold_points,
     ContractionSpecError,
     ShapeError,
@@ -113,19 +123,112 @@ def _validate(n: int, dim: int, operands, binding: DeltaBinding):
         )
 
 
+class EngineInvariantError(RuntimeError):
+    """The engine's result broke a property every correct evaluation has;
+    a defect of the engine, never of its input."""
+
+
 # one compiled, merged permutation expansion per structural key
 _PLAN_CACHE: dict = {}
+# one orbit-representative layout per (dim, output slots)
+_LAYOUT_CACHE: dict = {}
 
 
 class _Plan:
-    __slots__ = ("subscripts", "n_out_letters", "records", "path", "n_sum_letters")
+    __slots__ = ("subscripts", "records", "n_sum_letters")
 
-    def __init__(self, subscripts, n_out_letters, n_sum_letters):
+    def __init__(self, subscripts, n_sum_letters):
         self.subscripts = subscripts
-        self.n_out_letters = n_out_letters
         self.n_sum_letters = n_sum_letters
         self.records = {}
-        self.path = None
+
+
+def _strides(dim: int, k: int):
+    return dim ** np.arange(k - 1, -1, -1, dtype=np.intp)
+
+
+def _group_orbits(dim: int, k: int, strides):
+    """One antisymmetric group of ``k`` output axes: its non-decreasing
+    value tuples, whether each is strictly increasing, and per tuple the
+    flat output offsets of all its permutations, with their signs."""
+    tuples = list(combinations_with_replacement(range(dim), k))
+    reps = np.array(tuples, np.intp).reshape(len(tuples), k)
+    table = _signed_permutations(k)
+    perms = np.array([p for p, _ in table], np.intp).reshape(len(table), k)
+    signs = np.array([sg for _, sg in table], np.int64)
+    distinct = np.all(np.diff(reps, axis=1) > 0, axis=1)
+    return reps, distinct, reps[:, perms] @ strides, signs
+
+
+class _Layout:
+    """Representatives of the antisymmetry orbits of the free output axes.
+
+    Row ``r`` of ``idx`` is one output index tuple whose upper-group values
+    and lower-group values are each non-decreasing.  ``repeated`` lists the
+    rows with a repeated index inside a group (their value must be zero);
+    every other row ``src`` is scattered to the flat output position
+    ``target`` as ``value[src] * sign``.  Gathers are shared by every
+    record with the same output assignment and diagonal pairs.
+    """
+
+    __slots__ = ("dim", "shape", "idx", "repeated", "src", "sign", "target", "gathers")
+
+    def __init__(self, dim: int, out: tuple):
+        self.dim = dim
+        self.shape = (dim,) * len(out)
+        self.gathers = {}
+        strides = _strides(dim, len(out))
+        ax_u = [a for a, (side, _) in enumerate(out) if side == "U"]
+        ax_l = [a for a, (side, _) in enumerate(out) if side == "L"]
+        g_u, d_u, off_u, s_u = _group_orbits(dim, len(ax_u), strides[ax_u])
+        g_l, d_l, off_l, s_l = _group_orbits(dim, len(ax_l), strides[ax_l])
+        # row r pairs upper tuple r // len(g_l) with lower tuple r % len(g_l)
+        self.idx = np.empty((len(g_u) * len(g_l), len(out)), np.intp)
+        self.idx[:, ax_u] = np.repeat(g_u, len(g_l), axis=0)
+        self.idx[:, ax_l] = np.tile(g_l, (len(g_u), 1))
+        distinct = np.outer(d_u, d_l)
+        self.repeated = np.flatnonzero(~distinct)
+        iu, il = np.nonzero(distinct)
+        self.src = np.repeat(iu * len(g_l) + il, len(s_u) * len(s_l))
+        self.target = (off_u[iu][:, :, None] + off_l[il][:, None, :]).reshape(-1)
+        self.sign = np.tile(np.outer(s_u, s_l).reshape(-1), len(iu))
+
+    def gather(self, out_assign: tuple, diag_pairs: tuple):
+        """(rows, flat) for one record: the representative rows where the
+        record's diagonal pairs hold, and the flat positions of the plan's
+        einsum result that feed those rows."""
+        key = (out_assign, diag_pairs)
+        cached = self.gathers.get(key)
+        if cached is None:
+            rows = slice(None)
+            if diag_pairs:
+                mask = np.ones(len(self.idx), bool)
+                for a1, a2 in diag_pairs:
+                    mask &= self.idx[:, a1] == self.idx[:, a2]
+                rows = np.flatnonzero(mask)
+            flat = self.idx[rows][:, list(out_assign)] @ _strides(self.dim, len(out_assign))
+            # int32 halves the cached positions; 6**8 fits easily
+            cached = self.gathers[key] = (rows, flat.astype(np.int32))
+        return cached
+
+    def expand(self, acc):
+        """The dense output array from the accumulated representative values."""
+        if np.any(acc[self.repeated] != 0):
+            raise EngineInvariantError(
+                "delta contraction is nonzero at a representative with a "
+                "repeated antisymmetric index"
+            )
+        dense = np.zeros(math.prod(self.shape), acc.dtype)
+        dense[self.target] = acc[self.src] * self.sign
+        return dense.reshape(self.shape)
+
+
+def _layout(dim: int, out: tuple) -> _Layout:
+    key = (dim, out)
+    layout = _LAYOUT_CACHE.get(key)
+    if layout is None:
+        layout = _LAYOUT_CACHE[key] = _Layout(dim, out)
+    return layout
 
 
 def _group_permutations(groups):
@@ -159,7 +262,19 @@ def _perm_sign(p) -> int:
     return sign
 
 
-def _compile_plans(n, dim, binding, op_groups, op_ranks):
+# signed permutations per order n, built on first use of n
+_PERM_TABLE: dict = {}
+
+
+def _signed_permutations(n: int) -> list:
+    table = _PERM_TABLE.get(n)
+    if table is None:
+        table = [(p, _perm_sign(p)) for p in permutations(range(n))]
+        _PERM_TABLE[n] = table
+    return table
+
+
+def _compile_plans(n, dim, binding, op_groups, op_ranks, layout):
     lower = dict(binding.lower)
     upper = dict(binding.upper)
     traced = set(binding.traced)
@@ -256,7 +371,7 @@ def _compile_plans(n, dim, binding, op_groups, op_ranks):
         key = (subscripts,)
         plan = plans.get(key)
         if plan is None:
-            plan = _Plan(subscripts, len(out_letters), n_sum_letters)
+            plan = _Plan(subscripts, n_sum_letters)
             plans[key] = plan
         rec_key = (tuple(out_assign), diag_pairs)
         coeff = sign * dim ** cycles
@@ -264,7 +379,11 @@ def _compile_plans(n, dim, binding, op_groups, op_ranks):
 
     compiled = []
     for plan in plans.values():
-        plan.records = {k: v for k, v in plan.records.items() if v != 0}
+        plan.records = [
+            layout.gather(out_assign, diag_pairs) + (coeff,)
+            for (out_assign, diag_pairs), coeff in plan.records.items()
+            if coeff != 0
+        ]
         if plan.records:
             compiled.append(plan)
     return compiled
@@ -290,10 +409,11 @@ def generalized_delta_contract(
         groups.append(seen_ids.setdefault(id(t), len(seen_ids)))
     op_ranks = tuple(t.rank for t in operands)
 
+    layout = _layout(dim, binding.out)
     cache_key = (n, dim, binding, tuple(groups), op_ranks)
     plans = _PLAN_CACHE.get(cache_key)
     if plans is None:
-        plans = _compile_plans(n, dim, binding, tuple(groups), op_ranks)
+        plans = _compile_plans(n, dim, binding, tuple(groups), op_ranks, layout)
         _PLAN_CACHE[cache_key] = plans
 
     n_ops = len(operands)
@@ -308,12 +428,8 @@ def generalized_delta_contract(
     use_object = bound >= _INT64_LIMIT
     dtype = object if use_object else np.int64
 
-    out_shape = (dim,) * len(binding.out)
-    acc_rat = np.zeros(out_shape, dtype)
-    acc_irr = np.zeros(out_shape, dtype)
-    eye = np.eye(dim, dtype=np.int64)
-    if use_object:
-        eye = eye.astype(object)
+    acc_rat = np.zeros(len(layout.idx), dtype)
+    acc_irr = np.zeros(len(layout.idx), dtype)
 
     if n_ops:
         pts = _INTERP[n_ops][2]
@@ -323,78 +439,28 @@ def generalized_delta_contract(
 
     for plan in plans:
         if n_ops:
-            shapes = tuple((dim,) * r for r in op_ranks)
-            if plan.path is None:
-                plan.path = _einsum_path_for(plan.subscripts, shapes)
             p_rat, p_irr = _fold_points(
                 [
-                    np.asarray(
-                        np.einsum(
-                            plan.subscripts,
-                            *[evals[i][x] for i in range(n_ops)],
-                            optimize=plan.path,
-                        )
-                    )
+                    _einsum_exact(plan.subscripts, [evals[i][x] for i in range(n_ops)])
                     for x in pts
                 ]
             )
+            parts = ((acc_rat, p_rat.reshape(-1)), (acc_irr, p_irr.reshape(-1)))
         else:
-            p_rat = np.ones((), dtype)
-            p_irr = np.zeros((), dtype)
-
-        # the eye-embedded product depends only on the number of diagonal
-        # pairs, so share it across records and transpose per record
-        by_ndiag: dict = {}
-        for key, coeff in plan.records.items():
-            by_ndiag.setdefault(len(key[1]), []).append((key, coeff))
-        for ndiag, recs in by_ndiag.items():
-            emb = [p_rat, p_irr]
-            for _ in range(ndiag):
-                emb[0] = np.einsum("...,ij->...ij", emb[0], eye)
-                if n_ops:
-                    emb[1] = np.einsum("...,ij->...ij", emb[1], eye)
-            for (out_assign, diag_pairs), coeff in recs:
-                axis_targets = list(out_assign)
-                for (a1, a2) in diag_pairs:
-                    axis_targets.extend((a1, a2))
-                order = None
-                if axis_targets:
-                    order = [0] * len(axis_targets)
-                    for src, dst in enumerate(axis_targets):
-                        order[dst] = src
-                for part_idx, acc in ((0, acc_rat), (1, acc_irr)):
-                    if part_idx == 1 and not n_ops:
-                        break  # pure delta has no sqrt(3) part
-                    term = emb[part_idx]
-                    if order is not None:
-                        term = np.transpose(term, order)
-                    if coeff == 1:
-                        np.add(acc, term, out=acc)
-                    elif coeff == -1:
-                        np.subtract(acc, term, out=acc)
-                    else:
-                        acc += coeff * term
+            parts = ((acc_rat, np.ones(1, dtype)),)  # pure delta has no sqrt(3) part
+        for rows, flat, coeff in plan.records:
+            for acc, vals in parts:
+                acc[rows] += coeff * vals[flat]
 
     den = 1
     for t in operands:
         den *= t._den
-    return Tensor(dim, acc_rat, acc_irr, den)
+    return Tensor(dim, layout.expand(acc_rat), layout.expand(acc_irr), den)
 
 
 # ---------------------------------------------------------------------------
 # reference evaluation: per-component determinant, the independent slow path
 # ---------------------------------------------------------------------------
-
-# signed permutations per order n, built on the oracle's first use of n
-_PERM_TABLE: dict = {}
-
-
-def _signed_permutations(n: int) -> list:
-    table = _PERM_TABLE.get(n)
-    if table is None:
-        table = [(p, _perm_sign(p)) for p in permutations(range(n))]
-        _PERM_TABLE[n] = table
-    return table
 
 
 def _delta_value(i_tuple, j_tuple, memo) -> int:

@@ -54,6 +54,11 @@ from .curvature import (
 )
 
 
+class IdentityArgumentError(ValueError):
+    """An identity id, curvature-factor count, mode or trial count outside
+    its documented range: an input error, never an identity failure."""
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     identity: str
@@ -122,7 +127,7 @@ def _patterson_binding(m: int, r: int, mode: str) -> DeltaBinding:
         for s in leftover:
             out.extend((("U", s), ("L", s)))
         return DeltaBinding.make(n, lower, upper, out=out)
-    raise ValueError(f"mode must be 'free' or 'traced', got {mode!r}")
+    raise IdentityArgumentError(f"mode must be 'free' or 'traced', got {mode!r}")
 
 
 def max_r(m: int) -> int:
@@ -137,7 +142,7 @@ def patterson_residual(
     explicit dim-5/6 forms) or are traced pairwise with mode='traced'."""
     m = R.dim
     if not 1 <= r <= max_r(m):
-        raise ValueError(f"r={r} out of range 1..{max_r(m)} for dim {m}")
+        raise IdentityArgumentError(f"r={r} out of range 1..{max_r(m)} for dim {m}")
     binding = _patterson_binding(m, r, mode)
     residual = generalized_delta_contract(
         m + 1, m, [R.tensor] * r, binding
@@ -150,7 +155,7 @@ def weyl_patterson_residual(
 ) -> ResidualReport:
     m = R.dim
     if not 1 <= r <= max_r(m):
-        raise ValueError(f"r={r} out of range 1..{max_r(m)} for dim {m}")
+        raise IdentityArgumentError(f"r={r} out of range 1..{max_r(m)} for dim {m}")
     w = weyl(R)
     binding = _patterson_binding(m, r, mode)
     residual = generalized_delta_contract(m + 1, m, [w.tensor] * r, binding)

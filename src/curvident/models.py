@@ -361,7 +361,7 @@ def random_curvature(dim: int, seed: int, n_terms: int = 4) -> CurvatureTensor:
     integer matrices (entries in -3..3) drawn from splitmix64(seed).
     Same seed gives a bit-identical tensor on every platform."""
     if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
+        raise ModelSpecError("/params/n_terms", "n_terms must be >= 1")
     rng = SplitMix64(seed)
     total = Tensor.zeros(dim, 4)
     for _ in range(n_terms):
@@ -440,9 +440,13 @@ def save_model(spec: ModelSpec, path):
 
 
 def load_model(path) -> ModelSpec:
+    """A ModelSpec from a model JSON file, or from an exported RunReport,
+    whose ``model`` object is the model resolved to explicit components."""
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelSpecError("/", f"not valid JSON: {exc}") from None
+    if isinstance(data, dict) and "kind" not in data and "model" in data:
+        return ModelSpec.from_json(data["model"], "/model")
     return ModelSpec.from_json(data)

@@ -23,6 +23,7 @@ from .curvature import (
     two_stein_check,
 )
 from .identities import (
+    IdentityArgumentError,
     ResidualReport,
     einstein5_residual,
     einstein5_trace_residual,
@@ -123,7 +124,7 @@ def run_identity(ident: str, R: CurvatureTensor) -> list:
         total, eight = group_sum_check(R, groups=groups)
         reports.append(make_report("appendix34[sum]", "einstein", total - eight))
         return reports
-    raise ValueError(f"unknown identity id {ident!r}")
+    raise IdentityArgumentError(f"unknown identity id {ident!r}")
 
 
 @dataclass

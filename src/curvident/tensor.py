@@ -426,14 +426,53 @@ def is_zero(a: Tensor) -> bool:
 _PATH_CACHE: dict = {}
 
 
-def _einsum_path_for(subscripts: str, shapes: tuple):
-    key = (subscripts, shapes)
-    path = _PATH_CACHE.get(key)
-    if path is None:
-        dummies = [np.zeros(s, np.int8) for s in shapes]
-        path = np.einsum_path(subscripts, *dummies, optimize="optimal")[0]
-        _PATH_CACHE[key] = path
-    return path
+def _reduce_private(step: str):
+    """Split a multi-operand path step into per-operand reductions of the
+    letters only that operand carries (diagonals and sums nothing else
+    needs) and the contraction of the reduced operands.  Plain einsum
+    would otherwise loop over those letters inside the product."""
+    lhs, out = step.split("->")
+    tokens = lhs.split(",")
+    if len(tokens) == 1:
+        return (None,), step
+    pre, kept = [], []
+    for i, tok in enumerate(tokens):
+        needed = out + "".join(t for j, t in enumerate(tokens) if j != i)
+        keep = "".join(dict.fromkeys(c for c in tok if c in needed))
+        pre.append(None if keep == tok else f"{tok}->{keep}")
+        kept.append(keep)
+    return tuple(pre), ",".join(kept) + "->" + out
+
+
+def _einsum_exact(subscripts: str, ops: Sequence):
+    """``np.einsum(subscripts, *ops)`` along the cached optimal contraction
+    path, one plain einsum call per path step (and per operand reduction,
+    see ``_reduce_private``).
+
+    numpy's own path executor sends two-operand steps through a matmul
+    kernel that hands back int64 for object operands reducing to scalars,
+    so Python-int products silently wrap; plain einsum keeps object
+    arithmetic exact, and every object result is re-wrapped as an object
+    array so the next step stays on Python ints."""
+    key = (subscripts, tuple(op.shape for op in ops))
+    steps = _PATH_CACHE.get(key)
+    if steps is None:
+        dummies = [np.zeros(s, np.int8) for s in key[1]]
+        contraction_list = np.einsum_path(
+            subscripts, *dummies, optimize="optimal", einsum_call=True
+        )[1]
+        steps = [(inds,) + _reduce_private(step) for inds, step, _ in contraction_list]
+        _PATH_CACHE[key] = steps
+    dtype = object if any(op.dtype == object for op in ops) else None
+    ops = list(ops)
+    for inds, pre, step in steps:
+        args = [ops.pop(i) for i in inds]
+        args = [
+            a if p is None else np.asarray(np.einsum(p, a), dtype)
+            for p, a in zip(pre, args)
+        ]
+        ops.append(np.asarray(np.einsum(step, *args), dtype))
+    return ops[0]
 
 
 def raw_einsum(subscripts: str, parts: Sequence, dim: int, n_sum_letters: int):
@@ -449,16 +488,12 @@ def raw_einsum(subscripts: str, parts: Sequence, dim: int, n_sum_letters: int):
     for _, _, m in parts:
         bound *= max(m, 1)
     use_object = bound >= _INT64_LIMIT
-    shapes = tuple(p[0].shape for p in parts)
-    path = _einsum_path_for(subscripts, shapes)
 
     if n == 1:
         a, b, _ = parts[0]
-        a = _as_int_array(a, use_object)
-        b = _as_int_array(b, use_object)
-        rat = np.einsum(subscripts, a, optimize=path)
-        irr = np.einsum(subscripts, b, optimize=path)
-        return np.asarray(rat), np.asarray(irr), bound
+        rat = _einsum_exact(subscripts, [_as_int_array(a, use_object)])
+        irr = _einsum_exact(subscripts, [_as_int_array(b, use_object)])
+        return rat, irr, bound
 
     evals = []
     for x in _INTERP[n][2]:
@@ -467,7 +502,7 @@ def raw_einsum(subscripts: str, parts: Sequence, dim: int, n_sum_letters: int):
             a = _as_int_array(a, use_object)
             b = _as_int_array(b, use_object)
             ops.append(a if x == 0 else a + x * b)
-        evals.append(np.asarray(np.einsum(subscripts, *ops, optimize=path)))
+        evals.append(_einsum_exact(subscripts, ops))
     rat, irr = _fold_points(evals)
     return rat, irr, bound
 

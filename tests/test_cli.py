@@ -4,7 +4,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from curvident import cli
 from curvident.cli import main
+from curvident.delta import EngineInvariantError
 from curvident.models import ModelSpec, save_model
 from curvident.scalar import Scalar
 
@@ -181,3 +185,39 @@ def test_model_file_unknown_param_exit2(tmp_path, capsys):
     path.write_text(json.dumps({"kind": "sl3_so3", "params": {"dim": 6, "kk": "7"}}))
     assert run_cli("verify", "--model", str(path), "--set", "all") == 2
     assert "/params/dim: unknown parameter" in capsys.readouterr().err
+
+
+def test_verify_exported_report_file(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert run_cli(
+        "export", "--model", "sl3so3", "--set", "patterson,thmA-b", "--out", str(report)
+    ) == 0
+    capsys.readouterr()
+    assert run_cli(
+        "verify", "--model", str(report), "--set", "patterson,thmA-b", "--json"
+    ) == 0
+    assert capsys.readouterr().out.encode() == report.read_bytes()
+
+
+def test_bad_delta_arguments_exit2(capsys):
+    cases = [
+        (("--identity", "patterson", "--r", "3"), "--r 3 out of range"),
+        (("--identity", "lemma5", "--r", "2"), "--r and --mode apply to"),
+        (("--identity", "lemma5", "--mode", "free"), "--r and --mode apply to"),
+    ]
+    for extra, message in cases:
+        assert run_cli("random-check", "--dim", "5", *extra, "-n", "1") == 2
+        captured = capsys.readouterr()
+        assert "trials:" not in captured.out
+        assert message in captured.err
+
+
+@pytest.mark.parametrize("exc", [EngineInvariantError("broken"), ValueError("broken")])
+def test_internal_error_exit3(monkeypatch, capsys, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "patterson_residual", fail)
+    rc = run_cli("random-check", "--dim", "4", "--identity", "patterson", "-n", "1")
+    assert rc == 3
+    assert "internal error: " in capsys.readouterr().err

@@ -9,6 +9,8 @@ from curvident.scalar import Scalar
 from curvident.tensor import ContractionSpecError, ShapeError, Tensor
 from curvident.delta import (
     DeltaBinding,
+    EngineInvariantError,
+    _layout,
     generalized_delta_contract,
     reference_delta_contract,
 )
@@ -134,3 +136,65 @@ def test_engine_deterministic_across_calls():
     a = generalized_delta_contract(6, 5, [R], b)
     c = generalized_delta_contract(6, 5, [R], b)
     assert a == c
+
+
+# certification with N <= dim, so engine and oracle agree on a nonzero result
+
+
+def test_engine_matches_oracle_rank4_operand_nonzero():
+    t = random_curvature(4, 5, 2).tensor
+    b = DeltaBinding.make(
+        4,
+        {0: (0, 0), 1: (0, 1)},
+        {0: (0, 2), 1: (0, 3)},
+        out=[("U", 2), ("L", 2), ("U", 3), ("L", 3)],
+    )
+    eng = generalized_delta_contract(4, 4, [t], b)
+    assert not eng.is_zero()
+    assert eng == reference_delta_contract(4, 4, [t], b)
+
+
+@pytest.mark.parametrize("offset", [0, 2 ** 40])
+@pytest.mark.parametrize("traced", [False, True])
+def test_engine_matches_oracle_two_sqrt3_operands(offset, traced):
+    """Two sqrt(3)-valued rank-2 operands; entries near 2**40 push the
+    engine's magnitude bound past int64 onto Python-int object arrays."""
+    rng = np.random.default_rng(5)
+    a, c = (
+        Tensor(
+            4,
+            rng.integers(-9, 10, (4, 4)) + offset,
+            rng.integers(-9, 10, (4, 4)),
+            2,
+        )
+        for _ in range(2)
+    )
+    lower, upper = {0: (0, 0), 1: (1, 0)}, {0: (0, 1), 1: (1, 1)}
+    if traced:
+        b = DeltaBinding.make(4, lower, upper, traced=(3,), out=[("U", 2), ("L", 2)])
+    else:
+        b = DeltaBinding.make(
+            4, lower, upper, out=[("U", 2), ("L", 2), ("U", 3), ("L", 3)]
+        )
+    eng = generalized_delta_contract(4, 4, [a, c], b)
+    assert not eng.is_zero()
+    assert eng == reference_delta_contract(4, 4, [a, c], b)
+
+
+def test_engine_matches_oracle_rank0_output():
+    t = random_curvature(3, 2, 2).tensor
+    b = DeltaBinding.make(2, {0: (0, 0), 1: (0, 1)}, {0: (0, 2), 1: (0, 3)}, out=[])
+    eng = generalized_delta_contract(2, 3, [t], b)
+    assert eng.rank == 0 and not eng.is_zero()
+    assert eng == reference_delta_contract(2, 3, [t], b)
+    pure = DeltaBinding.make(2, {}, {}, traced=(0, 1), out=[])
+    assert generalized_delta_contract(2, 3, [], pure).to_scalar() == Scalar(6)
+
+
+def test_expansion_rejects_nonzero_repeated_representative():
+    layout = _layout(3, (("U", 0), ("L", 0), ("U", 1), ("L", 1)))
+    acc = np.zeros(len(layout.idx), np.int64)
+    acc[layout.repeated[-1]] = 1
+    with pytest.raises(EngineInvariantError):
+        layout.expand(acc)
+    assert not issubclass(EngineInvariantError, ValueError)

@@ -97,6 +97,12 @@ def test_exactness_with_big_numbers():
     assert out.to_scalar() == Scalar(big) * Scalar(big) + Scalar(1, 1) * Scalar(1, 1)
 
 
+def test_exactness_when_pairwise_steps_reduce_to_scalars():
+    # each operand traces to 3 * 2**40 on its own; the product needs 84 bits
+    a = Tensor.from_components(3, 2, {(i, i): Scalar(2 ** 40) for i in range(3)})
+    assert ein("aa,bb->", a, a).to_scalar() == Scalar(9 * 2 ** 80)
+
+
 def test_denominator_canonicalization():
     a = Tensor.from_components(2, 1, {(0,): Scalar(Fraction(2, 4))})
     b = Tensor.from_components(2, 1, {(0,): Scalar(Fraction(1, 2))})
