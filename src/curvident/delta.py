@@ -6,10 +6,16 @@ operand tensors it is evaluated here by expanding the determinant as a
 signed sum over the N! permutations; each permutation term becomes an
 ordinary contraction plan (an einsum) of the operands, and terms whose
 plans coincide after canonical relabelling (including exchange of
-identical operands) are merged with multiplicity.  With N exceeding the
-dimension the result is identically zero as a tensor identity, which is
-exactly what the curvature identities exploit; the engine discovers this
-zero by exact cancellation, never by shortcut.
+identical operands) are merged with multiplicity.  A term's structure is
+a set of paths between untraced delta slots and of cycles of traced
+slots; the compile finds them for all N! permutations at once with numpy
+(see ``_compile_plans``).  With N exceeding the dimension the result is
+identically zero as a tensor identity, which is exactly what the
+curvature identities exploit; the engine discovers this zero by exact
+cancellation, never by shortcut.
+
+Each plan is one einsum when no operand has a sqrt(3) part, and one per
+interpolation point otherwise (``tensor._eval_points``).
 
 The delta is antisymmetric in its upper slots and in its lower slots, so
 the free output axes split into an upper and a lower antisymmetric group.
@@ -21,8 +27,9 @@ they are all there is); each distinct-index representative is then
 written to every permuted position with the product of the two
 permutation signs.
 
-``reference_delta_contract`` is the independent slow path: it evaluates
-the determinant definition per component and is used by the test suite to
+``reference_delta_contract`` is the independent slow path: it sums the
+determinant definition over the delta's support (a distinct lower index
+tuple and a permutation of it above) and is used by the test suite to
 certify the engine.
 """
 
@@ -36,10 +43,10 @@ import numpy as np
 
 from .tensor import (
     _INT64_LIMIT,
-    _INTERP,
     _LETTERS,
     _SAFETY,
     _einsum_exact,
+    _eval_points,
     _fold_points,
     ContractionSpecError,
     ShapeError,
@@ -140,7 +147,7 @@ class _Plan:
     def __init__(self, subscripts, n_sum_letters):
         self.subscripts = subscripts
         self.n_sum_letters = n_sum_letters
-        self.records = {}
+        self.records = []
 
 
 def _strides(dim: int, k: int):
@@ -274,119 +281,112 @@ def _signed_permutations(n: int) -> list:
     return table
 
 
+def _sum_rows(keys, weights):
+    """The distinct rows of ``keys`` and the summed weights of each."""
+    rows, inverse = np.unique(keys, axis=0, return_inverse=True)
+    sums = np.zeros(len(rows), np.int64)
+    np.add.at(sums, inverse.reshape(-1), weights)
+    return rows, sums
+
+
 def _compile_plans(n, dim, binding, op_groups, op_ranks, layout):
-    lower = dict(binding.lower)
-    upper = dict(binding.upper)
-    traced = set(binding.traced)
+    """Merge the N! permutation terms of the delta into plans.
+
+    Every delta node (side, slot) has one delta edge, plus one traced edge
+    when its slot is traced, so each component of a term is either a path
+    between two untraced nodes or a cycle of traced slots (a factor
+    ``dim``).  Splicing the traced slots out of sigma leaves, per untraced
+    slot s, the path from ('L', s) to ('U', tau(s)).  Its two ends are
+    operand slots (a contracted letter), an operand slot and an output axis
+    (an output letter) or two output axes (a diagonal pair).  Letters are
+    numbered by first occurrence under every ordering of identical
+    operands and the least labelling is kept, so terms of one plan meet
+    under one key.  All of it runs vectorised over the permutations with
+    one sigma(0) at a time.
+    """
+    lower, upper = dict(binding.lower), dict(binding.upper)
+    offsets = np.cumsum((0,) + op_ranks)
+    n_slots, n_out = int(offsets[-1]), len(binding.out)
     out_axis = {slot: ax for ax, slot in enumerate(binding.out)}
-    n_ops = len(op_ranks)
-    group_perms = list(_group_permutations(op_groups)) if n_ops else [()]
-    plans: dict = {}
 
-    for sigma in permutations(range(n)):
-        sign = _perm_sign(sigma)
-        # union-find over delta slots: ('L', s) and ('U', s)
-        parent = {}
+    def end(side, bind, s):
+        # path ends: operand slots are 0..n_slots-1, output axis a is n_slots + a
+        if s in bind:
+            op, k = bind[s]
+            return offsets[op] + k
+        return n_slots + out_axis[(side, s)]
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    untraced = [s for s in range(n) if s not in binding.traced]
+    l_end = np.array([end("L", lower, s) for s in untraced], np.int8)
+    u_end = np.zeros(n, np.int8)
+    u_end[untraced] = [end("U", upper, s) for s in untraced]
+    scans = []  # per ordering of identical operands: scanned slots, scan position of each end
+    for gp in _group_permutations(op_groups):
+        order = np.array([k for o in gp for k in range(offsets[o], offsets[o + 1])], np.intp)
+        pos = np.full(n_slots + n_out, n_slots, np.int8)  # output ends sort after every slot
+        pos[order] = np.arange(n_slots)
+        scans.append((order, pos))
 
-        for s in range(n):
-            parent[("L", s)] = ("L", s)
-            parent[("U", s)] = ("U", s)
-        for s in range(n):
-            a, b = find(("L", s)), find(("U", sigma[s]))
-            if a != b:
-                parent[a] = b
-        for t in traced:
-            a, b = find(("L", t)), find(("U", t))
-            if a != b:
-                parent[a] = b
-
-        comps: dict = {}
-        for s in range(n):
-            for node in (("L", s), ("U", s)):
-                comps.setdefault(find(node), []).append(node)
-
-        cycles = 0
-        op_comp = {}  # (op, opslot) -> component root
-        comp_out = {}  # root -> list of output axes
-        comp_ops = {}  # root -> list of (op, opslot)
-        for root, nodes in comps.items():
-            ops, outs = [], []
-            for side, s in nodes:
-                bind = lower if side == "L" else upper
-                if s in bind:
-                    ops.append(bind[s])
-                elif s not in traced:
-                    outs.append(out_axis[(side, s)])
-            if not ops and not outs:
-                cycles += 1
-            comp_ops[root] = ops
-            comp_out[root] = outs
-            for akey in ops:
-                op_comp[akey] = root
-
-        diag_pairs = tuple(
-            sorted(
-                tuple(sorted(outs))
-                for root, outs in comp_out.items()
-                if not comp_ops[root] and len(outs) > 1
-            )
-        )
+    table = _signed_permutations(n - 1)
+    rest = np.array([p for p, _ in table], np.int8).reshape(len(table), n - 1)
+    rest_sign = np.array([sg for _, sg in table], np.int64)
+    rows = np.arange(len(table))[:, None]
+    scan_pos = np.arange(n_slots)
+    chunks = []
+    for first in range(n):
+        # the permutations with sigma(0) = first, in lexicographic order
+        sigma = np.column_stack((np.full(len(table), first, np.int8), rest + (rest >= first)))
+        weight = rest_sign * (-1) ** first
+        for t in binding.traced:
+            # splice t out of sigma; t mapping to itself closes a traced cycle
+            weight = np.where(sigma[:, t] == t, weight * dim, weight)
+            sigma = np.where(sigma == t, sigma[:, t : t + 1], sigma)
+        far = u_end[sigma[:, untraced]]
+        # other[:, e] is the far end of the path that ends at e
+        other = np.empty((len(table), n_slots + n_out), np.int8)
+        other[rows, l_end] = far
+        other[rows, far] = l_end
+        ends = other[:, n_slots:]
+        diag = np.where(ends >= n_slots, ends - n_slots, -1)
 
         best = None
-        for gp in group_perms:
-            # operand at feed position p contributes the binding of operand gp[p]
-            letter_of = {}
-            tokens = []
-            out_letters = []
-            out_assign = []
-            for p in range(n_ops):
-                src = gp[p]
-                tok = []
-                for k in range(op_ranks[src]):
-                    root = op_comp[(src, k)]
-                    if root not in letter_of:
-                        letter_of[root] = _LETTERS[len(letter_of)]
-                        if comp_out[root]:
-                            out_letters.append(letter_of[root])
-                            out_assign.append(comp_out[root][0])
-                    tok.append(letter_of[root])
-                tokens.append("".join(tok))
-            cand = (tuple(tokens), tuple(out_letters), tuple(out_assign))
-            if best is None or cand[:2] < best[:2] or (
-                cand[:2] == best[:2] and cand < best
-            ):
-                best = cand
-        tokens, out_letters, out_assign = best if best else ((), (), ())
+        for order, pos in scans:
+            o = other[:, order]
+            partner = pos[o]
+            is_first = partner > scan_pos
+            seen = np.cumsum(is_first, axis=1, dtype=np.int8) - 1
+            # per scanned slot: its letter, then the output axis it feeds or -1
+            label = np.where(is_first, seen, seen[rows, np.minimum(partner, n_slots - 1)])
+            key = np.concatenate((label, np.where(o >= n_slots, o - n_slots, -1)), axis=1)
+            if best is None:
+                best = key
+                continue
+            # keep the lexicographically least key of each permutation
+            col = (key != best).argmax(axis=1)[:, None]
+            less = (key[rows, col] < best[rows, col])[:, 0]
+            best[less] = key[less]
 
-        subscripts = ",".join(tokens) + "->" + "".join(out_letters)
-        n_sum_letters = (
-            len({c for tok in tokens for c in tok}) - len(out_letters) if n_ops else 0
-        )
-        key = (subscripts,)
-        plan = plans.get(key)
+        chunks.append(_sum_rows(np.concatenate((best, diag), axis=1), weight))
+
+    keys, totals = _sum_rows(*(np.concatenate(c) for c in zip(*chunks)))
+    nonzero = totals != 0
+    bounds = offsets.tolist()
+    plans: dict = {}
+    for key, coeff in zip(keys[nonzero], totals[nonzero].tolist()):
+        key = key.tolist()
+        letters = [_LETTERS[c] for c in key[:n_slots]]
+        out_axes = key[n_slots : 2 * n_slots]
+        out_pos = [q for q, a in enumerate(out_axes) if a >= 0]
+        tokens = ["".join(letters[a:b]) for a, b in zip(bounds, bounds[1:])]
+        subscripts = ",".join(tokens) + "->" + "".join(letters[q] for q in out_pos)
+        out_assign = tuple(out_axes[q] for q in out_pos)
+        diag_pairs = tuple((a, b) for a, b in enumerate(key[2 * n_slots :]) if a < b)
+        plan = plans.get(subscripts)
         if plan is None:
-            plan = _Plan(subscripts, n_sum_letters)
-            plans[key] = plan
-        rec_key = (tuple(out_assign), diag_pairs)
-        coeff = sign * dim ** cycles
-        plan.records[rec_key] = plan.records.get(rec_key, 0) + coeff
-
-    compiled = []
-    for plan in plans.values():
-        plan.records = [
-            layout.gather(out_assign, diag_pairs) + (coeff,)
-            for (out_assign, diag_pairs), coeff in plan.records.items()
-            if coeff != 0
-        ]
-        if plan.records:
-            compiled.append(plan)
-    return compiled
+            n_letters = max(key[:n_slots]) + 1 if n_slots else 0
+            plan = plans[subscripts] = _Plan(subscripts, n_letters - len(out_pos))
+        plan.records.append(layout.gather(out_assign, diag_pairs) + (coeff,))
+    return list(plans.values())
 
 
 def generalized_delta_contract(
@@ -400,6 +400,7 @@ def generalized_delta_contract(
     """
     operands = list(operands)
     _validate(n_upper, dim, operands, binding)
+    pts = _eval_points([t._irr for t in operands])
     n = n_upper
 
     # identical operands (same object) may be exchanged during plan merging
@@ -431,26 +432,17 @@ def generalized_delta_contract(
     acc_rat = np.zeros(len(layout.idx), dtype)
     acc_irr = np.zeros(len(layout.idx), dtype)
 
-    if n_ops:
-        pts = _INTERP[n_ops][2]
-        evals = [
-            {x: t._eval_at(x, use_object) for x in pts} for t in operands
-        ]
-
+    evals = [[t._eval_at(x, use_object) for t in operands] for x in pts]
     for plan in plans:
         if n_ops:
-            p_rat, p_irr = _fold_points(
-                [
-                    _einsum_exact(plan.subscripts, [evals[i][x] for i in range(n_ops)])
-                    for x in pts
-                ]
-            )
-            parts = ((acc_rat, p_rat.reshape(-1)), (acc_irr, p_irr.reshape(-1)))
+            vals = [_einsum_exact(plan.subscripts, ops).reshape(-1) for ops in evals]
         else:
-            parts = ((acc_rat, np.ones(1, dtype)),)  # pure delta has no sqrt(3) part
+            vals = [np.ones(1, dtype)]  # the pure delta
+        # one point: the product is rational and acc_irr stays zero
+        parts = list(zip((acc_rat, acc_irr), _fold_points(vals) if len(vals) > 1 else vals))
         for rows, flat, coeff in plan.records:
-            for acc, vals in parts:
-                acc[rows] += coeff * vals[flat]
+            for acc, v in parts:
+                acc[rows] += coeff * v[flat]
 
     den = 1
     for t in operands:
@@ -459,101 +451,64 @@ def generalized_delta_contract(
 
 
 # ---------------------------------------------------------------------------
-# reference evaluation: per-component determinant, the independent slow path
+# reference evaluation: the determinant summed over its support, the
+# independent slow path
 # ---------------------------------------------------------------------------
-
-
-def _delta_value(i_tuple, j_tuple, memo) -> int:
-    """delta^{j}_{i} by the determinant's Leibniz expansion, memoized on the
-    equality pattern of the index tuples."""
-    relabel = {}
-    key = []
-    for v in i_tuple + j_tuple:
-        if v not in relabel:
-            relabel[v] = len(relabel)
-        key.append(relabel[v])
-    key = tuple(key)
-    val = memo.get(key)
-    if val is None:
-        n = len(i_tuple)
-        val = 0
-        for p, sign in _signed_permutations(n):
-            prod_ = 1
-            for r in range(n):
-                if i_tuple[r] != j_tuple[p[r]]:
-                    prod_ = 0
-                    break
-            val += sign * prod_
-        memo[key] = val
-    return val
 
 
 def reference_delta_contract(
     n_upper: int, dim: int, operands, binding: DeltaBinding, out_indices=None
 ) -> Tensor:
-    """Brute-force oracle: sum the determinant definition over all bound
-    index assignments.  Exponentially slow; for certification only.
-    ``out_indices`` restricts evaluation to the given output tuples
-    (other components stay zero in the returned tensor)."""
+    """Brute-force oracle: sum the determinant definition over the delta's
+    support.  delta^{j}_{i} is nonzero only when the lower tuple i is
+    distinct and the upper tuple j is a permutation of it (j[p[r]] = i[r]),
+    where it is sign(p); every such assignment whose traced slots agree
+    adds sign(p) times the operand entries it selects.  Exponentially slow;
+    for certification only.  ``out_indices`` restricts evaluation to the
+    given output tuples (other components stay zero in the returned
+    tensor)."""
     operands = list(operands)
     _validate(n_upper, dim, operands, binding)
     n = n_upper
-    lower = dict(binding.lower)
-    upper = dict(binding.upper)
-    traced = list(binding.traced)
-    out = list(binding.out)
+    traced = binding.traced
+    out = binding.out
+    # per operand, the delta node bound to each of its slots
+    op_nodes = [[None] * t.rank for t in operands]
+    for side, bind in (("L", binding.lower), ("U", binding.upper)):
+        for s, (op, k) in bind:
+            op_nodes[op][k] = (side, s)
 
-    # integer views of operands with a common denominator handled at the end
-    op_rat = [t._rat for t in operands]
-    op_irr = [t._irr for t in operands]
     den = 1
     for t in operands:
         den *= t._den
 
-    bound_slots = [("L", s) for s in sorted(lower)] + [("U", s) for s in sorted(upper)]
-    memo: dict = {}
+    wanted = None if out_indices is None else {tuple(v) for v in out_indices}
     out_shape = (dim,) * len(out)
     acc_rat = np.zeros(out_shape, dtype=object)
     acc_irr = np.zeros(out_shape, dtype=object)
 
-    if out_indices is None:
-        out_indices = product(range(dim), repeat=len(out))
-    for out_vals in out_indices:
-        out_vals = tuple(out_vals)
-        slot_val = {}
-        for (side, s), v in zip(out, out_vals):
-            slot_val[(side, s)] = v
-        tot_rat, tot_irr = 0, 0
-        for tr_vals in product(range(dim), repeat=len(traced)):
-            for t, v in zip(traced, tr_vals):
-                slot_val[("L", t)] = v
-                slot_val[("U", t)] = v
-            for b_vals in product(range(dim), repeat=len(bound_slots)):
-                for bs, v in zip(bound_slots, b_vals):
-                    slot_val[bs] = v
-                i_tuple = tuple(slot_val[("L", s)] for s in range(n))
-                j_tuple = tuple(slot_val[("U", s)] for s in range(n))
-                d = _delta_value(i_tuple, j_tuple, memo)
-                if d == 0:
-                    continue
-                prod_rat, prod_irr = d, 0
-                for op, t in enumerate(operands):
-                    idx = [0] * t.rank
-                    for s, (o, k) in lower.items():
-                        if o == op:
-                            idx[k] = slot_val[("L", s)]
-                    for s, (o, k) in upper.items():
-                        if o == op:
-                            idx[k] = slot_val[("U", s)]
-                    a = int(op_rat[op][tuple(idx)])
-                    b = int(op_irr[op][tuple(idx)])
-                    prod_rat, prod_irr = (
-                        prod_rat * a + 3 * prod_irr * b,
-                        prod_rat * b + prod_irr * a,
-                    )
-                tot_rat += prod_rat
-                tot_irr += prod_irr
-        acc_rat[out_vals] = tot_rat
-        acc_irr[out_vals] = tot_irr
+    # its own sign table, shared with nothing the engine compiles from
+    signed = [(p, _perm_sign(p)) for p in permutations(range(n))]
+    for i_tuple in permutations(range(dim), n):
+        for p, sign in signed:
+            j_tuple = [0] * n
+            for r in range(n):
+                j_tuple[p[r]] = i_tuple[r]
+            if any(i_tuple[t] != j_tuple[t] for t in traced):
+                continue
+            val = {"L": i_tuple, "U": j_tuple}
+            out_vals = tuple(val[side][s] for side, s in out)
+            if wanted is not None and out_vals not in wanted:
+                continue
+            prod_rat, prod_irr = sign, 0
+            for t, nodes in zip(operands, op_nodes):
+                idx = tuple(val[side][s] for side, s in nodes)
+                a, b = int(t._rat[idx]), int(t._irr[idx])
+                prod_rat, prod_irr = (
+                    prod_rat * a + 3 * prod_irr * b,
+                    prod_rat * b + prod_irr * a,
+                )
+            acc_rat[out_vals] += prod_rat
+            acc_irr[out_vals] += prod_irr
 
     return Tensor(dim, acc_rat, acc_irr, den)

@@ -12,7 +12,8 @@ Products of several sqrt(3)-split operands are recovered from integer
 einsum evaluations of (A_k + x*B_k) at small integer points x followed by
 exact polynomial interpolation (t**2 = 3 folds the coefficients back to
 two parts).  This keeps an n-operand contraction at n+1 einsum calls
-instead of 2**n.
+instead of 2**n, and at one call (x = 0) when no operand has a sqrt(3)
+part.  A contraction takes at most six operands.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ def _interp_table(n: int):
     return ints, den, pts
 
 
-_INTERP = {n: _interp_table(n) for n in range(1, 7)}
+_MAX_OPERANDS = 6
+_INTERP = {n: _interp_table(n) for n in range(1, _MAX_OPERANDS + 1)}
 
 # conservative multiplier covering interpolation combinations and the
 # 3**k fold-back, per operand count
@@ -87,6 +89,20 @@ _SAFETY = {
     * (n + 2)
     for n, tab in _INTERP.items()
 }
+
+
+def _eval_points(irr_parts) -> list:
+    """The points x at which a product of the operands with these sqrt(3)
+    parts is evaluated: x = 0 alone when every sqrt(3) part is zero (the
+    product is then rational), else the first n+1 interpolation points."""
+    n = len(irr_parts)
+    if n > _MAX_OPERANDS:
+        raise ContractionSpecError(
+            f"at most {_MAX_OPERANDS} operands per contraction, got {n}"
+        )
+    if not any(b.any() for b in irr_parts):
+        return _POINTS[:1]
+    return _INTERP[n][2]
 
 
 def _fold_points(point_vals):
@@ -153,8 +169,9 @@ def _gcd_reduce_arrays(rat, irr, den: int):
         )
         g = math.gcd(g, den)
     if g > 1:
-        rat = rat // g
-        irr = irr // g
+        # 0-d object arithmetic decays to a Python int; keep the array
+        rat = np.asarray(rat // g, rat.dtype)
+        irr = np.asarray(irr // g, irr.dtype)
         den //= g
     return rat, irr, den
 
@@ -482,27 +499,25 @@ def raw_einsum(subscripts: str, parts: Sequence, dim: int, n_sum_letters: int):
     Returns (rat, irr, max_bound) integer arrays for the contraction of
     the sqrt(3)-split operands, with NO denominator handling.
     """
-    n = len(parts)
+    pts = _eval_points([b for _, b, _ in parts])
     terms = dim ** n_sum_letters
-    bound = _SAFETY[n] * terms
+    bound = _SAFETY[len(parts)] * terms
     for _, _, m in parts:
         bound *= max(m, 1)
     use_object = bound >= _INT64_LIMIT
 
-    if n == 1:
-        a, b, _ = parts[0]
-        rat = _einsum_exact(subscripts, [_as_int_array(a, use_object)])
-        irr = _einsum_exact(subscripts, [_as_int_array(b, use_object)])
-        return rat, irr, bound
-
     evals = []
-    for x in _INTERP[n][2]:
+    for x in pts:
         ops = []
         for a, b, _ in parts:
             a = _as_int_array(a, use_object)
-            b = _as_int_array(b, use_object)
-            ops.append(a if x == 0 else a + x * b)
+            ops.append(a if x == 0 else a + x * _as_int_array(b, use_object))
         evals.append(_einsum_exact(subscripts, ops))
+    if len(evals) == 1:
+        # a rational product: its sqrt(3) part is one zero, broadcast, so
+        # that no memory is spent on it (einsum's own result may be a view)
+        rat = evals[0]
+        return rat, np.broadcast_to(np.zeros((), rat.dtype), rat.shape), bound
     rat, irr = _fold_points(evals)
     return rat, irr, bound
 

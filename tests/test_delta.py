@@ -1,19 +1,24 @@
 """Generalized Kronecker delta: engine vs the per-component determinant
 oracle, and the dimension-exceeding vanishing that drives everything."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import curvident.delta as delta_mod
 from curvident.scalar import Scalar
 from curvident.tensor import ContractionSpecError, ShapeError, Tensor
 from curvident.delta import (
     DeltaBinding,
     EngineInvariantError,
+    _compile_plans,
     _layout,
     generalized_delta_contract,
     reference_delta_contract,
 )
+from curvident.identities import _patterson_binding, max_r
 from curvident.models import random_curvature
 
 
@@ -181,6 +186,41 @@ def test_engine_matches_oracle_two_sqrt3_operands(offset, traced):
     assert eng == reference_delta_contract(4, 4, [a, c], b)
 
 
+@pytest.mark.parametrize("sqrt3", [False, True])
+def test_engine_matches_oracle_three_operands(monkeypatch, sqrt3):
+    """Three rank-2 operands, two of them one object (so plans merge over
+    their exchange), N = dim.  The same rational parts with and without
+    sqrt(3) parts certify both evaluation branches; rational operands take
+    one einsum per plan."""
+    rng = np.random.default_rng(11)
+    a, c = (
+        Tensor(4, rng.integers(-9, 10, (4, 4)), rng.integers(-9, 10, (4, 4)) * sqrt3, 2)
+        for _ in range(2)
+    )
+    b = DeltaBinding.make(
+        4, {0: (0, 0), 1: (1, 0), 2: (2, 0)}, {0: (0, 1), 1: (1, 1), 2: (2, 1)},
+        out=[("U", 3), ("L", 3)],
+    )
+    calls = []
+    real = delta_mod._einsum_exact
+    monkeypatch.setattr(
+        delta_mod, "_einsum_exact", lambda s, ops: calls.append(s) or real(s, ops)
+    )
+    eng = generalized_delta_contract(4, 4, [a, a, c], b)
+    assert not eng.is_zero() and bool(np.any(eng._irr)) == sqrt3
+    assert eng == reference_delta_contract(4, 4, [a, a, c], b)
+    if not sqrt3:
+        plans = _compile_plans(4, 4, b, (0, 0, 1), (2, 2, 2), _layout(4, b.out))
+        assert len(calls) == len(plans)
+
+
+def test_more_than_six_operands_rejected():
+    vectors = [Tensor(3, np.arange(3) + k, np.zeros(3, np.int64)) for k in range(7)]
+    b = DeltaBinding.make(7, {s: (s, 0) for s in range(7)}, {})
+    with pytest.raises(ContractionSpecError, match="at most 6 operands"):
+        generalized_delta_contract(7, 3, vectors, b)
+
+
 def test_engine_matches_oracle_rank0_output():
     t = random_curvature(3, 2, 2).tensor
     b = DeltaBinding.make(2, {0: (0, 0), 1: (0, 1)}, {0: (0, 2), 1: (0, 3)}, out=[])
@@ -198,3 +238,96 @@ def test_expansion_rejects_nonzero_repeated_representative():
     with pytest.raises(EngineInvariantError):
         layout.expand(acc)
     assert not issubclass(EngineInvariantError, ValueError)
+
+
+# -- golden digests of the compiled plans -------------------------------------
+# sha256 of every merged plan (sorted by subscripts) with its sum-letter count
+# and each record's (rows, flat, coeff), records in canonical order; a new
+# compile must reproduce the permutation expansion's merged plans exactly.
+
+
+def _plan_digest(n, dim, binding, groups, ranks) -> str:
+    layout = _layout(dim, binding.out)
+    plans = _compile_plans(n, dim, binding, groups, ranks, layout)
+    h = hashlib.sha256()
+    for plan in sorted(plans, key=lambda p: p.subscripts):
+        h.update(f"{plan.subscripts};{plan.n_sum_letters};{len(plan.records)}\n".encode())
+        records = []
+        for rows, flat, coeff in plan.records:
+            rows_b = b"all" if isinstance(rows, slice) else np.asarray(rows, np.int64).tobytes()
+            records.append((rows_b, np.asarray(flat, np.int64).tobytes(), int(coeff)))
+        for rows_b, flat_b, coeff in sorted(records):
+            h.update(b"%d:%s%d:%s%d\n" % (len(rows_b), rows_b, len(flat_b), flat_b, coeff))
+    return h.hexdigest()
+
+
+def _golden_bindings():
+    cases = {}
+    for dim in (4, 5, 6):
+        for r in range(1, max_r(dim) + 1):
+            for mode in ("free", "traced"):
+                if mode == "free" and 2 + 2 * (dim - 2 * r) > Tensor.MAX_RANK:
+                    continue
+                cases[f"patterson-{dim}-{r}-{mode}"] = (
+                    dim + 1, dim, _patterson_binding(dim, r, mode), (0,) * r, (4,) * r
+                )
+    cases["chained-traced"] = (
+        5, 5, DeltaBinding.make(5, {0: (0, 0)}, {1: (0, 1)}, traced=(2, 3, 4)), (0,), (2,)
+    )
+    cases["two-groups"] = (
+        5,
+        5,
+        DeltaBinding.make(
+            5, {0: (0, 0), 1: (1, 0), 2: (2, 0)}, {0: (0, 1), 1: (1, 1), 3: (2, 1)},
+            traced=(4,),
+        ),
+        (0, 1, 0),
+        (2, 2, 2),
+    )
+    cases["mixed-ranks-traced"] = (
+        6,
+        6,
+        DeltaBinding.make(
+            6, {1: (0, 0), 2: (0, 1), 3: (1, 0), 4: (2, 0)},
+            {1: (0, 2), 2: (0, 3), 3: (2, 1), 5: (1, 1)},
+            traced=(0,),
+        ),
+        (0, 1, 1),
+        (4, 2, 2),
+    )
+    cases["operand-with-diagonals"] = (
+        4, 4, DeltaBinding.make(4, {0: (0, 0)}, {1: (0, 1)}, traced=(3,)), (0,), (2,)
+    )
+    cases["no-operands-free"] = (4, 3, _all_free(4), (), ())
+    cases["no-operands-traced"] = (
+        4, 5, DeltaBinding.make(4, {}, {}, traced=(1, 2, 3), out=[("U", 0), ("L", 0)]), (), ()
+    )
+    return cases
+
+
+_GOLDEN_PLANS = {
+    "chained-traced": "bf1be886b94b871f7057aaf2277034d4732a67010ee7256fb1a18b15448206e1",
+    "mixed-ranks-traced": "7ddccba7784313e8c8252b296ba42b9c5fced71422e24d0807b3e1ac8c456afc",
+    "no-operands-free": "862c3e5c220c1dd9326c02d44398c53f19f41399e194edeb4c50181c8b0e3127",
+    "no-operands-traced": "e6d037fbe9becff8ab621635582eb35d9912ef10fd85cba50982891e20184f31",
+    "operand-with-diagonals": "879295f6e36932cd23ec9dc32fc1398a785865ca1aaf8f141b6cba3665d07697",
+    "patterson-4-1-free": "65abac61a020b6bd18dbe9850a89e31e0853994fd98eec4f86922eb833623718",
+    "patterson-4-1-traced": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "patterson-4-2-free": "b2380f39df9e2fb66a8deaa4b3e4fcd2533e71a2fc8b864b02db0a1c5a988012",
+    "patterson-4-2-traced": "b2380f39df9e2fb66a8deaa4b3e4fcd2533e71a2fc8b864b02db0a1c5a988012",
+    "patterson-5-1-free": "747af4739b652c9610467ff818feeb1136c90883dab30b68176ea80845ece5da",
+    "patterson-5-1-traced": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "patterson-5-2-free": "e0678b71ca4bd755aab93f3c38e0ccbd4d855cee851c59e45c3c55e451c5259e",
+    "patterson-5-2-traced": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "patterson-6-1-traced": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "patterson-6-2-free": "8ec736ca8a85973de0de3272df58c0c1fec8ddae5b04d46e3308da61d265d647",
+    "patterson-6-2-traced": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "patterson-6-3-free": "d3758a717a9f5db3e9c25717c9fa8536680b0fe0467f377975ea5259670a6c2e",
+    "patterson-6-3-traced": "d3758a717a9f5db3e9c25717c9fa8536680b0fe0467f377975ea5259670a6c2e",
+    "two-groups": "1f6345bccaeb8f1eccfcd38ee6f16ef4d32cb83ee3e61de781c881674c15daaa",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_golden_bindings()))
+def test_golden_plan_digests(name):
+    assert _plan_digest(*_golden_bindings()[name]) == _GOLDEN_PLANS[name]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import curvident.tensor as tensor_mod
 from curvident.scalar import Scalar
 from curvident.tensor import (
     ContractionSpec,
@@ -101,6 +102,36 @@ def test_exactness_when_pairwise_steps_reduce_to_scalars():
     # each operand traces to 3 * 2**40 on its own; the product needs 84 bits
     a = Tensor.from_components(3, 2, {(i, i): Scalar(2 ** 40) for i in range(3)})
     assert ein("aa,bb->", a, a).to_scalar() == Scalar(9 * 2 ** 80)
+
+
+def test_scalar_result_on_object_arrays_reduces_with_denominator():
+    # trace(a) = 2**62 on Python ints; the 0-d result shares the factor 3
+    a = Tensor.from_components(3, 2, {(i, i): Scalar(Fraction(2 ** 62, 3)) for i in range(3)})
+    assert ein("aa,bb->", a, a).to_scalar() == Scalar(2 ** 124)
+
+
+def test_more_than_six_operands_rejected():
+    R = random_curvature(3, 1, 2).tensor
+    with pytest.raises(ContractionSpecError, match="at most 6 operands"):
+        ein("abcd," * 6 + "abcd->", *[R] * 7)
+
+
+@pytest.mark.parametrize("sqrt3,evaluations", [(False, 1), (True, 3)])
+def test_rational_operands_are_contracted_once(monkeypatch, sqrt3, evaluations):
+    """No operand with a sqrt(3) part: one einsum at t = 0; otherwise one
+    per interpolation point.  The value is exact either way."""
+    a = Tensor.from_components(2, 2, {(0, 0): Scalar(2), (0, 1): Scalar(3, sqrt3)})
+    b = Tensor.from_components(2, 2, {(1, 0): Scalar(Fraction(1, 2)), (1, 1): Scalar(5)})
+    calls = []
+    real = tensor_mod._einsum_exact
+    monkeypatch.setattr(
+        tensor_mod, "_einsum_exact", lambda s, ops: calls.append(s) or real(s, ops)
+    )
+    out = ein("ab,bc->ac", a, b)
+    assert len(calls) == evaluations
+    assert out.item(0, 0) == Scalar(3, sqrt3) * Scalar(Fraction(1, 2))
+    assert out.item(0, 1) == Scalar(3, sqrt3) * Scalar(5)
+    assert out.item(1, 0) == Scalar(0)
 
 
 def test_denominator_canonicalization():
