@@ -48,6 +48,7 @@ from .tensor import (
     _einsum_exact,
     _eval_points,
     _fold_points,
+    _zero_part,
     ContractionSpecError,
     ShapeError,
     Tensor,
@@ -429,8 +430,9 @@ def generalized_delta_contract(
     use_object = bound >= _INT64_LIMIT
     dtype = object if use_object else np.int64
 
-    acc_rat = np.zeros(len(layout.idx), dtype)
-    acc_irr = np.zeros(len(layout.idx), dtype)
+    # accumulators for the rational part and, unless the product is
+    # rational (one point), the sqrt(3) part
+    accs = [np.zeros(len(layout.idx), dtype) for _ in pts[:2]]
 
     evals = [[t._eval_at(x, use_object) for t in operands] for x in pts]
     for plan in plans:
@@ -438,8 +440,7 @@ def generalized_delta_contract(
             vals = [_einsum_exact(plan.subscripts, ops).reshape(-1) for ops in evals]
         else:
             vals = [np.ones(1, dtype)]  # the pure delta
-        # one point: the product is rational and acc_irr stays zero
-        parts = list(zip((acc_rat, acc_irr), _fold_points(vals) if len(vals) > 1 else vals))
+        parts = list(zip(accs, _fold_points(vals) if len(vals) > 1 else vals))
         for rows, flat, coeff in plan.records:
             for acc, v in parts:
                 acc[rows] += coeff * v[flat]
@@ -447,7 +448,9 @@ def generalized_delta_contract(
     den = 1
     for t in operands:
         den *= t._den
-    return Tensor(dim, layout.expand(acc_rat), layout.expand(acc_irr), den)
+    rat = layout.expand(accs[0])
+    irr = layout.expand(accs[1]) if len(accs) > 1 else _zero_part(rat.shape, dtype)
+    return Tensor(dim, rat, irr, den)
 
 
 # ---------------------------------------------------------------------------

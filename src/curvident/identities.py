@@ -39,8 +39,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .scalar import Scalar
-from .tensor import Tensor, ShapeError, ein
+from .tensor import Tensor, ShapeError, _is_zero_part, ein
 from .delta import DeltaBinding, generalized_delta_contract
 from .curvature import (
     _R_CHECK,
@@ -80,6 +82,16 @@ class ResidualReport:
 
 
 def _witness(residual: Tensor):
+    """The first entry (in index order) of largest absolute value of a
+    non-zero residual, 1-based, with its value."""
+    if _is_zero_part(residual._irr):
+        # rational: |value| orders as |numerator| (one shared denominator),
+        # and argmax returns the first maximum in C order; exact on int64
+        # and on Python ints
+        rat = residual._rat
+        idx = np.unravel_index(int(np.argmax(np.abs(rat))), rat.shape)
+        idx = tuple(int(i) for i in idx)
+        return (tuple(i + 1 for i in idx), residual.item(idx))
     best_idx, best_val = None, None
     for idx in residual.nonzero_indices():
         v = residual.item(idx)

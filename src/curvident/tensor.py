@@ -3,7 +3,11 @@
 A Tensor of rank r in dimension d holds d**r components, each an element
 a + b*sqrt(3) of Q(sqrt 3).  Storage is three pieces: two integer numpy
 arrays (the rational and sqrt(3) numerators) plus one shared positive
-denominator, kept gcd-reduced.  All contractions run through numpy
+denominator, kept gcd-reduced.  An all-zero sqrt(3) part, the case of
+every rational tensor, is stored as one zero broadcast to the tensor's
+shape: it holds one element of memory, and no operation computes,
+reduces or scans it.  The gcd reduction starts from the denominator and
+stops as soon as the gcd reaches 1.  All contractions run through numpy
 integer einsum, so results are exact and independent of summation order;
 when a conservative magnitude bound says int64 could overflow, the same
 code runs on object arrays of Python ints.
@@ -100,7 +104,7 @@ def _eval_points(irr_parts) -> list:
         raise ContractionSpecError(
             f"at most {_MAX_OPERANDS} operands per contraction, got {n}"
         )
-    if not any(b.any() for b in irr_parts):
+    if all(_is_zero_part(b) for b in irr_parts):
         return _POINTS[:1]
     return _INTERP[n][2]
 
@@ -133,45 +137,78 @@ def _fold_points(point_vals):
     return rat, irr
 
 
+def _zero_part(shape, dtype):
+    """An exactly zero part: one zero broadcast to ``shape``, which holds a
+    single element of memory whatever the rank."""
+    return np.broadcast_to(np.zeros((), dtype), shape)
+
+
+def _is_zero_part(arr) -> bool:
+    """Whether ``arr`` is a part stored as ``_zero_part`` stores it.  A
+    Tensor keeps every all-zero sqrt(3) part that way, so this is also the
+    test for a rational Tensor."""
+    # with every stride 0, all elements are the first one
+    return not any(arr.strides) and not arr.flat[0]
+
+
+def _combine(*terms):
+    """The sum of ``k * part`` over the ``(part, k)`` terms, leaving out zero
+    parts and zero coefficients: a zero part when no term is left."""
+    acc = None
+    for part, k in terms:
+        if k and not _is_zero_part(part):
+            v = part if k == 1 else k * part
+            acc = v if acc is None else acc + v
+    if acc is None:
+        part = terms[0][0]
+        return part if _is_zero_part(part) else _zero_part(part.shape, part.dtype)
+    return acc
+
+
 def _as_int_array(arr, use_object: bool):
-    if use_object:
-        # astype(object) boxes integers as Python ints, so arithmetic is exact
-        return arr if arr.dtype == object else arr.astype(object)
-    return arr if arr.dtype == np.int64 else arr.astype(np.int64)
+    dtype = object if use_object else np.int64
+    if arr.dtype == dtype:
+        return arr
+    if _is_zero_part(arr):
+        return _zero_part(arr.shape, dtype)
+    # astype(object) boxes integers as Python ints, so arithmetic is exact
+    return arr.astype(dtype)
 
 
 def _max_abs(arr) -> int:
-    if arr.size == 0:
-        return 0
     if arr.dtype == object:
         return max((abs(int(x)) for x in arr.flat), default=0)
-    return int(np.abs(arr).max())
+    return max(int(arr.max()), -int(arr.min()))
 
 
 def _gcd_reduce_arrays(rat, irr, den: int):
+    """Divide both parts and ``den`` by their gcd.  The gcd divides ``den``,
+    so the scan starts from it and stops once it reaches 1 (at once when
+    ``den`` is 1); zero parts cannot lower it and are skipped."""
     if den <= 0:
         raise ValueError("denominator must be positive")
-    if rat.dtype == object or irr.dtype == object:
-        g = den
-        for x in rat.flat:
-            g = math.gcd(g, int(x))
-            if g == 1:
-                break
-        if g > 1:
-            for x in irr.flat:
+    g = den
+    for part in (rat, irr):
+        if g == 1:
+            break
+        if _is_zero_part(part):
+            continue
+        if part.dtype == object:
+            for x in part.flat:
                 g = math.gcd(g, int(x))
                 if g == 1:
                     break
-    else:
-        g = math.gcd(
-            int(np.gcd.reduce(np.abs(rat), axis=None)),
-            int(np.gcd.reduce(np.abs(irr), axis=None)),
-        )
-        g = math.gcd(g, den)
+        else:
+            # one block per index of the first axis; np.gcd is non-negative
+            for block in part if part.ndim > 1 else (part,):
+                g = math.gcd(g, int(np.gcd.reduce(block, axis=None)))
+                if g == 1:
+                    break
     if g > 1:
         # 0-d object arithmetic decays to a Python int; keep the array
-        rat = np.asarray(rat // g, rat.dtype)
-        irr = np.asarray(irr // g, irr.dtype)
+        rat, irr = (
+            p if _is_zero_part(p) else np.asarray(p // g, p.dtype) for p in (rat, irr)
+        )
         den //= g
     return rat, irr, den
 
@@ -181,7 +218,10 @@ class Tensor:
 
     A rank-0 Tensor is a single scalar, so scalars and tensors unify.
     Components are exposed as :class:`Scalar` through :meth:`item`; the
-    integer-decomposed storage is an implementation detail.
+    integer-decomposed storage is an implementation detail.  It is
+    canonical: gcd-reduced with a positive denominator, int64 parts while
+    every numerator is below 2**62 and Python-int object parts otherwise,
+    and an all-zero sqrt(3) part always a zero part (``_zero_part``).
     """
 
     __slots__ = ("dim", "rank", "_rat", "_irr", "_den", "_max", "_evals")
@@ -200,13 +240,15 @@ class Tensor:
         if any(s != dim for s in rat.shape):
             raise ShapeError(f"array shape {rat.shape} does not match dim {dim}")
         if _reduce:
+            if not _is_zero_part(irr) and not irr.any():
+                irr = _zero_part(irr.shape, irr.dtype)
             rat, irr, den = _gcd_reduce_arrays(rat, irr, int(den))
-            m = max(_max_abs(rat), _max_abs(irr))
-            if rat.dtype == object and m < _INT64_LIMIT:
-                rat = rat.astype(np.int64)
-                irr = irr.astype(np.int64)
-        else:
-            m = max(_max_abs(rat), _max_abs(irr))
+        m = max((_max_abs(p) for p in (rat, irr) if not _is_zero_part(p)), default=0)
+        # both parts hold Python ints exactly when m reaches the int64 bound
+        # (0-d arithmetic decays to scalars that np.asarray wraps as either)
+        use_object = m >= _INT64_LIMIT
+        rat = _as_int_array(rat, use_object)
+        irr = _as_int_array(irr, use_object)
         for arr in (rat, irr):
             arr.setflags(write=False)
         object.__setattr__(self, "dim", dim)
@@ -224,13 +266,15 @@ class Tensor:
 
     @classmethod
     def zeros(cls, dim: int, rank: int) -> "Tensor":
-        shape = (dim,) * rank
-        return cls(dim, np.zeros(shape, np.int64), np.zeros(shape, np.int64), 1)
+        zero = _zero_part((dim,) * rank, np.int64)
+        return cls(dim, zero, zero, 1)
 
     @classmethod
     def identity(cls, dim: int) -> "Tensor":
         """The metric g in an orthonormal frame: the identity matrix."""
-        return cls(dim, np.eye(dim, dtype=np.int64), np.zeros((dim, dim), np.int64), 1)
+        return cls(
+            dim, np.eye(dim, dtype=np.int64), _zero_part((dim, dim), np.int64), 1
+        )
 
     @classmethod
     def from_scalar(cls, dim: int, value) -> "Tensor":
@@ -262,12 +306,14 @@ class Tensor:
         )
         dtype = object if big else np.int64
         rat = np.zeros(shape, dtype)
-        irr = np.zeros(shape, dtype)
+        rational = not any(s.irr for s in vals.values())
+        irr = _zero_part(shape, dtype) if rational else np.zeros(shape, dtype)
         for idx, s in vals.items():
             if len(idx) != rank or any(not 0 <= i < dim for i in idx):
                 raise ShapeError(f"index {idx} out of range for dim {dim} rank {rank}")
             rat[idx] = int(s.rat * den)
-            irr[idx] = int(s.irr * den)
+            if not rational:
+                irr[idx] = int(s.irr * den)
         return cls(dim, rat, irr, den)
 
     # -- component access ----------------------------------------------------
@@ -291,17 +337,16 @@ class Tensor:
         return self.item()
 
     def nonzero_indices(self):
-        mask = (self._rat != 0) | (self._irr != 0)
+        mask = self._rat != 0
+        if not _is_zero_part(self._irr):
+            mask |= self._irr != 0
         return [tuple(int(i) for i in idx) for idx in np.argwhere(mask)]
 
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self._rat.dtype == object:
-            return all(int(x) == 0 for x in self._rat.flat) and all(
-                int(x) == 0 for x in self._irr.flat
-            )
-        return not self._rat.any() and not self._irr.any()
+        # exact on Python ints too; an all-zero sqrt(3) part is a zero part
+        return _is_zero_part(self._irr) and not self._rat.any()
 
     def equals(self, other: "Tensor") -> bool:
         if not isinstance(other, Tensor):
@@ -311,11 +356,14 @@ class Tensor:
                 f"shape mismatch: dim {self.dim} rank {self.rank} vs "
                 f"dim {other.dim} rank {other.rank}"
             )
-        # storage is canonical (gcd-reduced, positive den), so compare directly
+        # storage is canonical (gcd-reduced, positive den, all-zero sqrt(3)
+        # parts as zero parts), so compare directly
+        rational = _is_zero_part(self._irr)
         return (
             self._den == other._den
+            and rational == _is_zero_part(other._irr)
             and bool(np.array_equal(self._rat, other._rat))
-            and bool(np.array_equal(self._irr, other._irr))
+            and (rational or bool(np.array_equal(self._irr, other._irr)))
         )
 
     def __eq__(self, other):
@@ -338,13 +386,21 @@ class Tensor:
         big = (self._max * f1 + other._max * f2) >= _INT64_LIMIT
         a1, b1 = self._parts(big)
         a2, b2 = other._parts(big)
-        return Tensor(self.dim, a1 * f1 + a2 * f2, b1 * f1 + b2 * f2, l)
+        return Tensor(
+            self.dim, _combine((a1, f1), (a2, f2)), _combine((b1, f1), (b2, f2)), l
+        )
 
     def __sub__(self, other: "Tensor") -> "Tensor":
         return self + (-other)
 
     def __neg__(self) -> "Tensor":
-        return Tensor(self.dim, -self._rat, -self._irr, self._den, _reduce=False)
+        return Tensor(
+            self.dim,
+            _combine((self._rat, -1)),
+            _combine((self._irr, -1)),
+            self._den,
+            _reduce=False,
+        )
 
     def scale(self, value) -> "Tensor":
         """Multiply every component by a Scalar/Fraction/int, exactly."""
@@ -355,7 +411,9 @@ class Tensor:
         x, y = int(s.rat * pd), int(s.irr * pd)
         big = self._max * (abs(x) + 3 * abs(y)) >= _INT64_LIMIT
         a, b = self._parts(big)
-        return Tensor(self.dim, a * x + 3 * (b * y), a * y + b * x, self._den * pd)
+        return Tensor(
+            self.dim, _combine((a, x), (b, 3 * y)), _combine((a, y), (b, x)), self._den * pd
+        )
 
     def __mul__(self, value):
         return self.scale(value)
@@ -374,8 +432,9 @@ class Tensor:
         key = (x, use_object)
         cached = self._evals.get(key)
         if cached is None:
-            a, b = self._parts(use_object)
-            cached = a if x == 0 else a + x * b
+            cached, b = self._parts(use_object)
+            if x and not _is_zero_part(b):
+                cached = np.asarray(cached + x * b, cached.dtype)
             cached.setflags(write=False)
             self._evals[key] = cached
         return cached
@@ -511,13 +570,14 @@ def raw_einsum(subscripts: str, parts: Sequence, dim: int, n_sum_letters: int):
         ops = []
         for a, b, _ in parts:
             a = _as_int_array(a, use_object)
-            ops.append(a if x == 0 else a + x * _as_int_array(b, use_object))
+            if x and not _is_zero_part(b):
+                # 0-d object arithmetic decays to a Python int; keep the array
+                a = np.asarray(a + x * _as_int_array(b, use_object), a.dtype)
+            ops.append(a)
         evals.append(_einsum_exact(subscripts, ops))
     if len(evals) == 1:
-        # a rational product: its sqrt(3) part is one zero, broadcast, so
-        # that no memory is spent on it (einsum's own result may be a view)
         rat = evals[0]
-        return rat, np.broadcast_to(np.zeros((), rat.dtype), rat.shape), bound
+        return rat, _zero_part(rat.shape, rat.dtype), bound
     rat, irr = _fold_points(evals)
     return rat, irr, bound
 

@@ -19,7 +19,7 @@ from curvident.delta import (
     reference_delta_contract,
 )
 from curvident.identities import _patterson_binding, max_r
-from curvident.models import random_curvature
+from curvident.models import random_curvature, sl3_so3
 
 
 def _all_free(n):
@@ -229,6 +229,20 @@ def test_engine_matches_oracle_rank0_output():
     assert eng == reference_delta_contract(2, 3, [t], b)
     pure = DeltaBinding.make(2, {}, {}, traced=(0, 1), out=[])
     assert generalized_delta_contract(2, 3, [], pure).to_scalar() == Scalar(6)
+
+
+@pytest.mark.parametrize("r,mode", [(2, "free"), (2, "traced"), (1, "traced"), (1, "free")])
+def test_engine_matches_oracle_sl3so3_order_dim(r, mode):
+    """The order-5 delta in dimension 5 has support, so on the sqrt(3)-valued
+    sl3so3 curvature the oracle evaluates every operand entry it needs: the
+    engine must equal it on the whole output.  At m = 4, r = 2 no slot is
+    left over, so both modes bind the same delta; r = 1 traces two slots or
+    frees them."""
+    R = sl3_so3().tensor
+    b = _patterson_binding(4, r, mode)
+    eng = generalized_delta_contract(5, 5, [R] * r, b)
+    assert not eng.is_zero()
+    assert eng == reference_delta_contract(5, 5, [R] * r, b)
 
 
 def test_expansion_rejects_nonzero_repeated_representative():

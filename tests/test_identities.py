@@ -19,6 +19,7 @@ from curvident.delta import (
 from curvident.expansion6 import term_groups
 from curvident.identities import (
     _patterson_binding,
+    _witness,
     einstein5_residual,
     einstein5_trace_residual,
     einstein6_residual,
@@ -541,3 +542,32 @@ def test_golden_digests(name):
     outputs = build()
     assert all(not t.is_zero() for t in outputs)
     assert _digest(outputs) == expected
+
+
+def _loop_witness(residual):
+    """The exact Scalar scan: the first strict maximum of |value| over the
+    non-zero entries in index order."""
+    best_idx, best_val = None, None
+    for idx in residual.nonzero_indices():
+        v = residual.item(idx)
+        if best_val is None or abs(v) > abs(best_val):
+            best_idx, best_val = idx, v
+    return (tuple(i + 1 for i in best_idx), best_val)
+
+
+@pytest.mark.parametrize(
+    "rank,entries",
+    [
+        (2, {(0, 0): 1, (0, 1): 5, (1, 0): -5, (2, 2): 5}),  # ties
+        (2, {(0, 0): -3, (1, 2): -7, (2, 1): 6}),  # negatives
+        (2, {(0, 0): Fraction(7, 3), (1, 1): Fraction(-5, 2), (2, 0): Fraction(5, 2)}),
+        (3, {(0, 1, 2): 2 ** 70, (1, 0, 0): -(2 ** 70), (2, 2, 2): 2 ** 70 - 1}),
+        (2, {(0, 1): Fraction(-(2 ** 70), 3), (1, 0): Fraction(2 ** 70, 3)}),
+        (2, {(0, 0): Scalar(1, 1), (1, 1): Scalar(-3), (0, 2): Scalar(0, -2)}),
+        (2, {(0, 0): Scalar(-2), (1, 1): Scalar(1, 1), (2, 1): Scalar(2)}),
+        (0, {(): Fraction(-4, 3)}),
+    ],
+)
+def test_witness_matches_exact_scan(rank, entries):
+    t = Tensor.from_components(3, rank, entries)
+    assert _witness(t) == _loop_witness(t)

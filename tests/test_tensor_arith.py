@@ -1,0 +1,191 @@
+"""Tensor arithmetic against an entrywise Scalar reference.
+
+Every operation's result must carry exactly the canonical storage the
+reference values imply (denominator, magnitude bound, int64/object dtype),
+hash and compare like a tensor built from explicit arrays, and list the
+same entries.  The inputs cover rational and sqrt(3)-valued components,
+denominators 1 and > 1, magnitudes at the int64/object boundary and
+rank 0.
+"""
+
+import math
+import random
+from fractions import Fraction
+from itertools import product
+
+import numpy as np
+import pytest
+
+from curvident.delta import DeltaBinding, generalized_delta_contract
+from curvident.scalar import Scalar
+from curvident.tensor import Tensor, ein
+
+DIM = 3
+LIMIT = 2 ** 62
+
+KINDS = ("int", "frac", "sqrt3", "big", "bigfrac", "bigsqrt3")
+# (kind, kind) pairs for the binary operations: every kind meets itself and
+# a rational small kind, and the two sides of the boundary meet
+PAIRS = [(k, k) for k in KINDS] + [(k, "frac") for k in KINDS if k != "frac"] + [
+    ("big", "bigfrac"),
+    ("sqrt3", "big"),
+]
+SCALES = [
+    Scalar(3),
+    Scalar(Fraction(-2, 3)),
+    Scalar(0, 1),
+    Scalar(Fraction(1, 2), Fraction(-1, 3)),
+    Scalar(0),
+]
+
+
+def _value(rng, kind):
+    small = rng.randint(-9, 9)
+    if kind == "int":
+        return Scalar(small)
+    if kind == "frac":
+        return Scalar(Fraction(small, rng.choice([1, 2, 3, 4, 6])))
+    if kind == "sqrt3":
+        return Scalar(Fraction(small, rng.choice([1, 2])), Fraction(rng.randint(-5, 5), 3))
+    sign = rng.choice([-1, 1])
+    if kind == "big":  # just below the int64 bound: sums cross it
+        return Scalar(sign * (LIMIT - rng.randint(1, 9)))
+    if kind == "bigfrac":  # numerators above the bound, denominator 3
+        return Scalar(Fraction(sign * (LIMIT + 3 * rng.randint(0, 9) + 1), 3))
+    return Scalar(small, sign * (LIMIT + rng.randint(0, 9)))  # "bigsqrt3"
+
+
+def _ref(kind, rank, seed):
+    """A dense {index: Scalar} reference; a few entries stay zero."""
+    rng = random.Random(f"{kind}-{rank}-{seed}")
+    return {
+        idx: Scalar(0) if rng.random() < 0.2 else _value(rng, kind)
+        for idx in product(range(DIM), repeat=rank)
+    }
+
+
+def _build(ref, rank):
+    return Tensor.from_components(DIM, rank, ref)
+
+
+def _storage(a) -> int:
+    """Elements of memory behind array ``a`` (a view counts its base)."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a.size
+
+
+def _check(t, ref, rank):
+    """``t`` holds exactly the reference values in canonical storage."""
+    assert t.dim == DIM and t.rank == rank
+    den = 1
+    for v in ref.values():
+        for q in (v.rat.denominator, v.irr.denominator):
+            den = den * q // math.gcd(den, q)
+    rat = [int(v.rat * den) for v in ref.values()]
+    irr = [int(v.irr * den) for v in ref.values()]
+    m = max(abs(x) for x in rat + irr)
+    dtype = object if m >= LIMIT else np.int64
+    shape = (DIM,) * rank
+    irr_arr = np.array(irr, dtype).reshape(shape) if any(irr) else np.zeros(shape, dtype)
+    explicit = Tensor(DIM, np.array(rat, dtype).reshape(shape), irr_arr, den)
+
+    assert t._den == den and t._max == m
+    assert (t._rat.dtype == object) == (m >= LIMIT)
+    assert t == explicit and explicit == t
+    assert hash(t) == hash(explicit)
+    assert t.is_zero() == (m == 0)
+    assert t.to_entries() == [
+        {"idx": [i + 1 for i in idx], "val": v.format()}
+        for idx, v in sorted(ref.items())
+        if not v.is_zero()
+    ]
+
+
+def _ref_ein(subscripts, *refs):
+    lhs, out = subscripts.split("->")
+    tokens = lhs.split(",")
+    letters = sorted(set(lhs) - {","})
+    res = {idx: Scalar(0) for idx in product(range(DIM), repeat=len(out))}
+    for vals in product(range(DIM), repeat=len(letters)):
+        env = dict(zip(letters, vals))
+        p = Scalar(1)
+        for tok, r in zip(tokens, refs):
+            p = p * r[tuple(env[c] for c in tok)]
+        key = tuple(env[c] for c in out)
+        res[key] = res[key] + p
+    return res
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+@pytest.mark.parametrize("kind", KINDS)
+def test_from_components_and_unary_ops(kind, rank):
+    ref = _ref(kind, rank, 0)
+    t = _build(ref, rank)
+    _check(t, ref, rank)
+    _check(-t, {i: -v for i, v in ref.items()}, rank)
+    for s in SCALES:
+        _check(t.scale(s), {i: v * s for i, v in ref.items()}, rank)
+    axes = tuple(reversed(range(rank)))
+    _check(
+        t.transpose(axes),
+        {i: ref[tuple(i[axes.index(k)] for k in range(rank))] for i in ref},
+        rank,
+    )
+
+
+@pytest.mark.parametrize("rank", [0, 2])
+@pytest.mark.parametrize("ka,kb", PAIRS)
+def test_add_and_sub(ka, kb, rank):
+    ra, rb = _ref(ka, rank, 1), _ref(kb, rank, 2)
+    a, b = _build(ra, rank), _build(rb, rank)
+    _check(a + b, {i: ra[i] + rb[i] for i in ra}, rank)
+    _check(a - b, {i: ra[i] - rb[i] for i in ra}, rank)
+    _check(a - a, {i: Scalar(0) for i in ra}, rank)
+
+
+@pytest.mark.parametrize(
+    "subscripts", ["ab,bc->ac", "ab,ba->", "a,b->ab", "aa->", "ab,->ba", "ab,bc,c->a"]
+)
+@pytest.mark.parametrize("ka,kb", [("int", "frac"), ("frac", "sqrt3"), ("bigfrac", "big"), ("bigsqrt3", "int")])
+def test_ein(ka, kb, subscripts):
+    tokens = subscripts.split("->")[0].split(",")
+    refs = [_ref((ka, kb)[i % 2], len(tok), 3 + i) for i, tok in enumerate(tokens)]
+    t = ein(subscripts, *[_build(r, len(tok)) for r, tok in zip(refs, tokens)])
+    _check(t, _ref_ein(subscripts, *refs), len(subscripts.split("->")[1]))
+
+
+def _delta_result(R):
+    b = DeltaBinding.make(2, {1: (0, 0)}, {1: (0, 1)}, out=[("U", 0), ("L", 0)])
+    return generalized_delta_contract(2, DIM, [R], b)
+
+
+_RATIONAL_RESULTS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "neg": lambda a, b: -a,
+    "scale": lambda a, b: a.scale(Fraction(-2, 3)),
+    "transpose": lambda a, b: a.transpose((1, 0)),
+    "from_components": lambda a, b: Tensor.from_components(DIM, 2, {(0, 1): 5}),
+    "zeros": lambda a, b: Tensor.zeros(DIM, 2),
+    "identity": lambda a, b: Tensor.identity(DIM),
+    "ein": lambda a, b: ein("ab,bc->ac", a, b),
+    "delta": lambda a, b: _delta_result(a),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_RATIONAL_RESULTS))
+def test_rational_result_stores_one_sqrt3_element(op):
+    a = _build(_ref("frac", 2, 4), 2)
+    b = _build(_ref("int", 2, 5), 2)
+    t = _RATIONAL_RESULTS[op](a, b)
+    assert not t._irr.any()
+    assert _storage(t._irr) <= 1
+
+
+def test_is_zero_on_python_ints():
+    big = Tensor.from_components(DIM, 2, {(1, 2): 2 ** 70, (2, 1): Scalar(0, 2 ** 70)})
+    assert big._rat.dtype == object and not big.is_zero()
+    assert not (big - Tensor.from_components(DIM, 2, {(1, 2): 2 ** 70})).is_zero()
+    assert (big - big).is_zero()
+    assert Tensor(DIM, np.zeros((DIM,), object), np.zeros((DIM,), object)).is_zero()
