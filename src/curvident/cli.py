@@ -76,6 +76,22 @@ def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--terms", type=int, default=4, help="generator term count")
 
 
+_SCALAR_OPTIONS = ("--k", "--alpha", "--beta")
+
+
+def _attach_scalar_values(argv: list) -> list:
+    """``--k -2/3`` as ``--k=-2/3``: argparse reads a separate word starting
+    with '-' as an option unless it looks like a plain negative number, and
+    scalar text such as -2/3 or -1+1*sqrt(3) does not."""
+    out = []
+    for word in argv:
+        if out and out[-1] in _SCALAR_OPTIONS and word[:1] == "-" and word[:2] != "--":
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def _resolve_spec(args) -> ModelSpec:
     name = args.model
     if os.sep in name or name.endswith(".json") or os.path.isfile(name):
@@ -309,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_attach_scalar_values(sys.argv[1:] if argv is None else argv))
     if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2

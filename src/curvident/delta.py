@@ -14,8 +14,10 @@ identically zero as a tensor identity, which is exactly what the
 curvature identities exploit; the engine discovers this zero by exact
 cancellation, never by shortcut.
 
-Each plan is one einsum when no operand has a sqrt(3) part, and one per
-interpolation point otherwise (``tensor._eval_points``).
+Each plan is contracted like ``tensor.ein`` contracts a product: one
+einsum per term of the expanded product of the operands' rational and
+sqrt(3) parts (``tensor._contract_terms``), so one einsum when no operand
+has a sqrt(3) part.  The term list is built once per call.
 
 The delta is antisymmetric in its upper slots and in its lower slots, so
 the free output axes split into an upper and a lower antisymmetric group.
@@ -44,10 +46,9 @@ import numpy as np
 from .tensor import (
     _INT64_LIMIT,
     _LETTERS,
-    _SAFETY,
-    _einsum_exact,
-    _eval_points,
-    _fold_points,
+    _contract_terms,
+    _product_bound,
+    _product_terms,
     _zero_part,
     ContractionSpecError,
     ShapeError,
@@ -401,7 +402,7 @@ def generalized_delta_contract(
     """
     operands = list(operands)
     _validate(n_upper, dim, operands, binding)
-    pts = _eval_points([t._irr for t in operands])
+    terms = _product_terms(operands)
     n = n_upper
 
     # identical operands (same object) may be exchanged during plan merging
@@ -418,38 +419,36 @@ def generalized_delta_contract(
         plans = _compile_plans(n, dim, binding, tuple(groups), op_ranks, layout)
         _PLAN_CACHE[cache_key] = plans
 
-    n_ops = len(operands)
     max_sum_letters = max((p.n_sum_letters for p in plans), default=0)
     bound = (
         math.factorial(n)
         * dim ** (max_sum_letters + len(binding.traced))
-        * _SAFETY[max(n_ops, 1)]
+        * _product_bound(operands)
     )
-    for t in operands:
-        bound *= max(t._max, 1)
     use_object = bound >= _INT64_LIMIT
     dtype = object if use_object else np.int64
 
-    # accumulators for the rational part and, unless the product is
-    # rational (one point), the sqrt(3) part
-    accs = [np.zeros(len(layout.idx), dtype) for _ in pts[:2]]
+    # accumulators for the rational part and, unless every term of the
+    # product is rational, the sqrt(3) part
+    sqrt3 = any(side for _, _, side in terms)
+    accs = [np.zeros(len(layout.idx), dtype) for _ in range(1 + sqrt3)]
 
-    evals = [[t._eval_at(x, use_object) for t in operands] for x in pts]
+    parts = [t._parts(use_object) for t in operands]
     for plan in plans:
-        if n_ops:
-            vals = [_einsum_exact(plan.subscripts, ops).reshape(-1) for ops in evals]
+        if operands:
+            vals = _contract_terms(plan.subscripts, parts, terms)
         else:
-            vals = [np.ones(1, dtype)]  # the pure delta
-        parts = list(zip(accs, _fold_points(vals) if len(vals) > 1 else vals))
-        for rows, flat, coeff in plan.records:
-            for acc, v in parts:
+            vals = (np.ones(1, dtype),)  # the pure delta
+        for acc, v in zip(accs, vals):
+            v = v.reshape(-1)
+            for rows, flat, coeff in plan.records:
                 acc[rows] += coeff * v[flat]
 
     den = 1
     for t in operands:
         den *= t._den
     rat = layout.expand(accs[0])
-    irr = layout.expand(accs[1]) if len(accs) > 1 else _zero_part(rat.shape, dtype)
+    irr = layout.expand(accs[1]) if sqrt3 else _zero_part(rat.shape, dtype)
     return Tensor(dim, rat, irr, den)
 
 

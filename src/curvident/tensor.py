@@ -12,12 +12,13 @@ integer einsum, so results are exact and independent of summation order;
 when a conservative magnitude bound says int64 could overflow, the same
 code runs on object arrays of Python ints.
 
-Products of several sqrt(3)-split operands are recovered from integer
-einsum evaluations of (A_k + x*B_k) at small integer points x followed by
-exact polynomial interpolation (t**2 = 3 folds the coefficients back to
-two parts).  This keeps an n-operand contraction at n+1 einsum calls
-instead of 2**n, and at one call (x = 0) when no operand has a sqrt(3)
-part.  A contraction takes at most six operands.
+A contraction of sqrt(3)-split operands expands the product
+prod_k (a_k + b_k*sqrt 3) into one integer einsum per choice of a non-zero
+part of each operand, weighted by the power of 3 its sqrt(3) factors fold
+to and summed into the rational or the sqrt(3) side (``_product_terms``,
+``_contract_terms``).  A rational product is one einsum; a product of n
+sqrt(3)-valued operands takes 2**n.  A contraction takes at most six
+operands.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,97 +46,29 @@ class ContractionSpecError(ValueError):
     """A contraction specification does not match its operands."""
 
 
-# ---------------------------------------------------------------------------
-# interpolation tables: recover polynomial coefficients from evaluations at
-# integer points 0, 1, -1, 2, -2, ...  For n operands the part-product is a
-# degree-n polynomial in t (t = sqrt 3), needing n+1 evaluations.
-# ---------------------------------------------------------------------------
-
-_POINTS = [0, 1, -1, 2, -2, 3, -3, 4]
-
-
-def _interp_table(n: int):
-    pts = _POINTS[: n + 1]
-    size = n + 1
-    v = [[Fraction(p) ** j for j in range(size)] for p in pts]
-    # invert the Vandermonde exactly
-    inv = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
-    m = [row[:] for row in v]
-    for col in range(size):
-        piv = next(r for r in range(col, size) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        f = m[col][col]
-        m[col] = [x / f for x in m[col]]
-        inv[col] = [x / f for x in inv[col]]
-        for r in range(size):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    # c_j = sum_i inv[j][i] * P_i ; scale to integers
-    den = 1
-    for row in inv:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [[int(x * den) for x in row] for row in inv]
-    return ints, den, pts
-
-
 _MAX_OPERANDS = 6
-_INTERP = {n: _interp_table(n) for n in range(1, _MAX_OPERANDS + 1)}
-
-# conservative multiplier covering interpolation combinations and the
-# 3**k fold-back, per operand count
-_SAFETY = {
-    n: (max(sum(abs(k) for k in row) for row in tab[0]) // tab[1] + 1)
-    * (max(abs(p) for p in tab[2]) + 1) ** n
-    * (3 ** (n // 2 + 1))
-    * (n + 2)
-    for n, tab in _INTERP.items()
-}
 
 
-def _eval_points(irr_parts) -> list:
-    """The points x at which a product of the operands with these sqrt(3)
-    parts is evaluated: x = 0 alone when every sqrt(3) part is zero (the
-    product is then rational), else the first n+1 interpolation points."""
-    n = len(irr_parts)
-    if n > _MAX_OPERANDS:
+def _product_terms(tensors) -> list:
+    """The terms of the product prod_k (a_k + b_k*sqrt 3) of the operands'
+    rational parts a_k and sqrt(3) parts b_k, as (choice, weight, side)
+    triples: one term per choice of a non-zero part of each operand
+    (``choice[k]`` is 0 for a_k, 1 for b_k).  With j sqrt(3) parts chosen,
+    sqrt(3)**j = 3**(j // 2) * sqrt(3)**(j % 2), so the term adds
+    ``weight`` = 3**(j // 2) times its product to the rational side
+    (``side`` 0) for even j and to the sqrt(3) side (1) for odd j.  A
+    rational operand contributes one choice, so a rational product is one
+    term; an all-zero operand keeps its zero rational part, so the product
+    still has its shape."""
+    if len(tensors) > _MAX_OPERANDS:
         raise ContractionSpecError(
-            f"at most {_MAX_OPERANDS} operands per contraction, got {n}"
+            f"at most {_MAX_OPERANDS} operands per contraction, got {len(tensors)}"
         )
-    if all(_is_zero_part(b) for b in irr_parts):
-        return _POINTS[:1]
-    return _INTERP[n][2]
-
-
-def _fold_points(point_vals):
-    """(rat, irr) integer parts of an n-operand sqrt(3)-split product from
-    its einsum values at the first n+1 interpolation points: the inverse
-    Vandermonde combination recovers the coefficients of the degree-n
-    polynomial in t, and t**2 = 3 folds them back to two parts."""
-    n = len(point_vals) - 1
-    ints, den, _ = _INTERP[n]
-    coeffs = []
-    for j in range(n + 1):
-        acc = None
-        for i, p in enumerate(point_vals):
-            k = ints[j][i]
-            if k == 0:
-                continue
-            acc = k * p if acc is None else acc + k * p
-        # 0-d results decay to Python scalars under arithmetic; rewrap
-        coeffs.append(np.asarray(acc // den if den != 1 else acc))
-    rat, irr = coeffs[0], coeffs[1]
-    p3 = 3
-    for j in range(2, n + 1):
-        if j % 2 == 0:
-            rat = np.asarray(rat + p3 * coeffs[j])
-        else:
-            irr = np.asarray(irr + p3 * coeffs[j])
-            p3 *= 3
-    return rat, irr
+    options = [
+        [c for c, p in enumerate((t._rat, t._irr)) if not _is_zero_part(p)] or [0]
+        for t in tensors
+    ]
+    return [(c, 3 ** (sum(c) // 2), sum(c) % 2) for c in product(*options)]
 
 
 def _zero_part(shape, dtype):
@@ -224,7 +158,7 @@ class Tensor:
     and an all-zero sqrt(3) part always a zero part (``_zero_part``).
     """
 
-    __slots__ = ("dim", "rank", "_rat", "_irr", "_den", "_max", "_evals")
+    __slots__ = ("dim", "rank", "_rat", "_irr", "_den", "_max")
 
     MAX_RANK = 8
 
@@ -257,7 +191,6 @@ class Tensor:
         object.__setattr__(self, "_irr", irr)
         object.__setattr__(self, "_den", int(den))
         object.__setattr__(self, "_max", m)
-        object.__setattr__(self, "_evals", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
@@ -428,17 +361,6 @@ class Tensor:
             _as_int_array(self._irr, use_object),
         )
 
-    def _eval_at(self, x: int, use_object: bool):
-        key = (x, use_object)
-        cached = self._evals.get(key)
-        if cached is None:
-            cached, b = self._parts(use_object)
-            if x and not _is_zero_part(b):
-                cached = np.asarray(cached + x * b, cached.dtype)
-            cached.setflags(write=False)
-            self._evals[key] = cached
-        return cached
-
     def transpose(self, axes) -> "Tensor":
         """Reorder axes; exact and cheap (no renormalization needed)."""
         axes = tuple(axes)
@@ -551,35 +473,39 @@ def _einsum_exact(subscripts: str, ops: Sequence):
     return ops[0]
 
 
-def raw_einsum(subscripts: str, parts: Sequence, dim: int, n_sum_letters: int):
-    """Exact einsum on integer-part operands.
+def _product_bound(tensors) -> int:
+    """A bound on the magnitude of either side of one entrywise product of
+    the operands, summed over its ``_product_terms``: prod_k max(_max_k, 1)
+    times 3 for every operand with a sqrt(3) part.  Every term's product is
+    at most prod_k max(_max_k, 1), and with m operands having a sqrt(3) part
+    the weights of all terms add up to
+    sum_j C(m, j) 3**(j // 2) <= sum_j C(m, j) sqrt(3)**j = (1 + sqrt 3)**m,
+    which is below 3**m.  So every partial sum of a contraction's path
+    steps and of its terms stays within dim**(summed letters) times this
+    bound."""
+    bound = 1
+    for t in tensors:
+        bound *= max(t._max, 1) * (1 if _is_zero_part(t._irr) else 3)
+    return bound
 
-    ``parts`` is a sequence of (rat_array, irr_array, max_abs) triples.
-    Returns (rat, irr, max_bound) integer arrays for the contraction of
-    the sqrt(3)-split operands, with NO denominator handling.
-    """
-    pts = _eval_points([b for _, b, _ in parts])
-    terms = dim ** n_sum_letters
-    bound = _SAFETY[len(parts)] * terms
-    for _, _, m in parts:
-        bound *= max(m, 1)
-    use_object = bound >= _INT64_LIMIT
 
-    evals = []
-    for x in pts:
-        ops = []
-        for a, b, _ in parts:
-            a = _as_int_array(a, use_object)
-            if x and not _is_zero_part(b):
-                # 0-d object arithmetic decays to a Python int; keep the array
-                a = np.asarray(a + x * _as_int_array(b, use_object), a.dtype)
-            ops.append(a)
-        evals.append(_einsum_exact(subscripts, ops))
-    if len(evals) == 1:
-        rat = evals[0]
-        return rat, _zero_part(rat.shape, rat.dtype), bound
-    rat, irr = _fold_points(evals)
-    return rat, irr, bound
+def _contract_terms(subscripts: str, parts: Sequence, terms: list):
+    """(rat, irr) integer arrays of the contraction of a product of
+    sqrt(3)-split operands: one ``_einsum_exact`` per term of ``terms``
+    (from ``_product_terms``) on the chosen parts, ``parts[k]`` being operand
+    k's (rat, irr) pair in one dtype, weighted and summed per side.  A side
+    no term reaches is a zero part."""
+    sides = [None, None]
+    for choice, weight, side in terms:
+        v = _einsum_exact(subscripts, [p[c] for p, c in zip(parts, choice)])
+        shape, dtype = v.shape, v.dtype
+        if weight != 1:
+            v = weight * v
+        sides[side] = v if sides[side] is None else sides[side] + v
+    # 0-d arithmetic decays to scalars; keep arrays of the einsum's dtype
+    return tuple(
+        _zero_part(shape, dtype) if v is None else np.asarray(v, dtype) for v in sides
+    )
 
 
 def ein(subscripts: str, *tensors: Tensor) -> Tensor:
@@ -608,8 +534,10 @@ def ein(subscripts: str, *tensors: Tensor) -> Tensor:
     if len(set(out)) != len(out) or not set(out) <= letters:
         raise ContractionSpecError(f"bad output subscript {out!r}")
     n_sum = len(letters - set(out))
-    parts = [(t._rat, t._irr, t._max) for t in tensors]
-    rat, irr, _ = raw_einsum(subscripts, parts, dim, n_sum)
+    terms = _product_terms(tensors)
+    use_object = dim ** n_sum * _product_bound(tensors) >= _INT64_LIMIT
+    parts = [t._parts(use_object) for t in tensors]
+    rat, irr = _contract_terms(subscripts, parts, terms)
     den = 1
     for t in tensors:
         den *= t._den

@@ -221,3 +221,20 @@ def test_internal_error_exit3(monkeypatch, capsys, exc):
     rc = run_cli("random-check", "--dim", "4", "--identity", "patterson", "-n", "1")
     assert rc == 3
     assert "internal error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["--model", "constant", "--dim", "6", "--k", "-2/3"],
+        ["--model", "nikolayevsky", "--alpha", "-1-1*sqrt(3)", "--beta", "-1/2"],
+    ],
+)
+def test_negative_scalar_option_as_separate_word(capsys, options):
+    """Scalar text starting with '-' is an option's value as a separate word,
+    exactly as after '='."""
+    joined = [f"{o}={v}" for o, v in zip(options[::2], options[1::2])]
+    assert run_cli("invariants", *options, "--json") == 0
+    separate = json.loads(capsys.readouterr().out)
+    assert run_cli("invariants", *joined, "--json") == 0
+    assert json.loads(capsys.readouterr().out) == separate

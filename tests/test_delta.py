@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import curvident.delta as delta_mod
+import curvident.tensor as tensor_mod
 from curvident.scalar import Scalar
 from curvident.tensor import ContractionSpecError, ShapeError, Tensor
 from curvident.delta import (
@@ -202,9 +202,9 @@ def test_engine_matches_oracle_three_operands(monkeypatch, sqrt3):
         out=[("U", 3), ("L", 3)],
     )
     calls = []
-    real = delta_mod._einsum_exact
+    real = tensor_mod._einsum_exact
     monkeypatch.setattr(
-        delta_mod, "_einsum_exact", lambda s, ops: calls.append(s) or real(s, ops)
+        tensor_mod, "_einsum_exact", lambda s, ops: calls.append(s) or real(s, ops)
     )
     eng = generalized_delta_contract(4, 4, [a, a, c], b)
     assert not eng.is_zero() and bool(np.any(eng._irr)) == sqrt3
@@ -212,6 +212,28 @@ def test_engine_matches_oracle_three_operands(monkeypatch, sqrt3):
     if not sqrt3:
         plans = _compile_plans(4, 4, b, (0, 0, 1), (2, 2, 2), _layout(4, b.out))
         assert len(calls) == len(plans)
+
+
+@pytest.mark.parametrize("m,dtype", [(2 ** 29 - 1, np.int64), (2 ** 29, object)])
+def test_engine_int64_bound_edge(monkeypatch, m, dtype):
+    """delta^{i j}_{k j} u_i v^k, slot 1 traced, in dim 2: one plan
+    'a,a->' with one summed letter, so the bound n! * dim**(1 + 1) *
+    _max(u) * _max(v) = 8 * 2**30 * m sits just below 2**62 (int64 operands)
+    or exactly at it (Python ints).  The oracle agrees either way."""
+    u = Tensor(2, np.array([2 ** 30, -(2 ** 30) + 3]), np.zeros(2, int))
+    v = Tensor(2, np.array([m, m - 1]), np.zeros(2, int))
+    b = DeltaBinding.make(2, {0: (0, 0)}, {0: (1, 0)}, traced=(1,), out=[])
+    dtypes = []
+    real = tensor_mod._einsum_exact
+    monkeypatch.setattr(
+        tensor_mod,
+        "_einsum_exact",
+        lambda s, ops: dtypes.append({op.dtype for op in ops}) or real(s, ops),
+    )
+    eng = generalized_delta_contract(2, 2, [u, v], b)
+    assert dtypes and all(d == {np.dtype(dtype)} for d in dtypes)
+    assert eng == reference_delta_contract(2, 2, [u, v], b)
+    assert eng.to_scalar() == Scalar(2 ** 30 * m + (3 - 2 ** 30) * (m - 1))
 
 
 def test_more_than_six_operands_rejected():

@@ -1,7 +1,9 @@
 """Dense exact tensors: contraction, products, equality, wire format."""
 
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -116,10 +118,11 @@ def test_more_than_six_operands_rejected():
         ein("abcd," * 6 + "abcd->", *[R] * 7)
 
 
-@pytest.mark.parametrize("sqrt3,evaluations", [(False, 1), (True, 3)])
+@pytest.mark.parametrize("sqrt3,evaluations", [(False, 1), (True, 2)])
 def test_rational_operands_are_contracted_once(monkeypatch, sqrt3, evaluations):
-    """No operand with a sqrt(3) part: one einsum at t = 0; otherwise one
-    per interpolation point.  The value is exact either way."""
+    """No operand with a sqrt(3) part: one einsum; otherwise one per choice
+    of a non-zero part of each operand (here a's two parts, b's rational
+    part).  The value is exact either way."""
     a = Tensor.from_components(2, 2, {(0, 0): Scalar(2), (0, 1): Scalar(3, sqrt3)})
     b = Tensor.from_components(2, 2, {(1, 0): Scalar(Fraction(1, 2)), (1, 1): Scalar(5)})
     calls = []
@@ -132,6 +135,63 @@ def test_rational_operands_are_contracted_once(monkeypatch, sqrt3, evaluations):
     assert out.item(0, 0) == Scalar(3, sqrt3) * Scalar(Fraction(1, 2))
     assert out.item(0, 1) == Scalar(3, sqrt3) * Scalar(5)
     assert out.item(1, 0) == Scalar(0)
+
+
+def _record_einsum_dtypes(monkeypatch) -> list:
+    """Patch ``tensor._einsum_exact`` to record its operands' dtypes per call."""
+    dtypes = []
+    real = tensor_mod._einsum_exact
+    monkeypatch.setattr(
+        tensor_mod,
+        "_einsum_exact",
+        lambda s, ops: dtypes.append({op.dtype for op in ops}) or real(s, ops),
+    )
+    return dtypes
+
+
+@pytest.mark.parametrize("m,dtype", [(2 ** 30 - 1, np.int64), (2 ** 30, object)])
+def test_ein_int64_bound_edge(monkeypatch, m, dtype):
+    """The bound dim * _max(a) * _max(b) = 2 * 2**31 * m sits just below
+    2**62 (int64 operands) or exactly at it (Python ints); the (0, 0) entry
+    reaches the bound itself.  Exact either way."""
+    a = Tensor(2, np.array([[2 ** 31, -(2 ** 31)], [2 ** 31 - 5, 7]]), np.zeros((2, 2), int))
+    b = Tensor(2, np.array([[m, m], [-m, m - 3]]), np.zeros((2, 2), int))
+    dtypes = _record_einsum_dtypes(monkeypatch)
+    out = ein("ab,bc->ac", a, b)
+    assert dtypes == [{np.dtype(dtype)}]
+    assert out.item(0, 0) == Scalar(4 * m * 2 ** 30)
+    for i, k in itertools.product(range(2), repeat=2):
+        assert out.item(i, k) == a.item(i, 0) * b.item(0, k) + a.item(i, 1) * b.item(1, k)
+
+
+def test_ein_sqrt3_bound_counts_the_folded_threes(monkeypatch):
+    """Entries m + m*sqrt(3) with dim * m**2 in (2**61, 2**62): each result
+    entry is dim * m**2 * (4 + 2*sqrt(3)), whose rational part exceeds
+    2**63, so the bound must count a factor 3 per sqrt(3)-valued operand
+    (9 * dim * m**2 >= 2**62) to leave int64."""
+    m = 2 ** 30 + 2 ** 28
+    assert 2 ** 61 < 2 * m * m < 2 ** 62 and 8 * m * m > 2 ** 63
+    A = Tensor(2, np.full((2, 2), m), np.full((2, 2), m))
+    dtypes = _record_einsum_dtypes(monkeypatch)
+    out = ein("ab,bc->ac", A, A)
+    assert dtypes and all(d == {np.dtype(object)} for d in dtypes)
+    entry = Scalar(m, m)
+    for i, k in itertools.product(range(2), repeat=2):
+        assert out.item(i, k) == entry * entry + entry * entry == Scalar(8 * m * m, 4 * m * m)
+
+
+def test_sqrt3_only_operand_contributes_one_part(monkeypatch):
+    """A tensor scaled by sqrt(3) stores its rational part as a zero part, so
+    it enters each product with its sqrt(3) part alone: one einsum per
+    contraction, on the sqrt(3) side for one such operand and folded by 3
+    to the rational side for two."""
+    R = random_curvature(3, 5, 2).tensor
+    S = R.scale(Scalar(0, 1))
+    norm = ein("abcd,abcd->", R, R)
+    calls = _record_einsum_dtypes(monkeypatch)
+    assert ein("abcd,abcd->", S, R) == norm.scale(Scalar(0, 1))
+    assert ein("abcd,abcd->", S, S) == norm.scale(3)
+    assert len(calls) == 2
 
 
 def test_denominator_canonicalization():

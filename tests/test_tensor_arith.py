@@ -145,9 +145,17 @@ def test_add_and_sub(ka, kb, rank):
 
 
 @pytest.mark.parametrize(
-    "subscripts", ["ab,bc->ac", "ab,ba->", "a,b->ab", "aa->", "ab,->ba", "ab,bc,c->a"]
+    "subscripts",
+    [
+        "ab,bc->ac", "ab,ba->", "a,b->ab", "aa->", "ab,->ba", "ab,bc,c->a",
+        # four to six operands: up to 2**6 terms of the expanded product
+        "ab,bc,cd,da->", "a,ab,bc,c,cd->d", "ab,bc,ca,a,b,c->",
+    ],
 )
-@pytest.mark.parametrize("ka,kb", [("int", "frac"), ("frac", "sqrt3"), ("bigfrac", "big"), ("bigsqrt3", "int")])
+@pytest.mark.parametrize(
+    "ka,kb",
+    [("int", "frac"), ("frac", "sqrt3"), ("bigfrac", "big"), ("bigsqrt3", "int"), ("sqrt3", "bigsqrt3")],
+)
 def test_ein(ka, kb, subscripts):
     tokens = subscripts.split("->")[0].split(",")
     refs = [_ref((ka, kb)[i % 2], len(tok), 3 + i) for i, tok in enumerate(tokens)]
