@@ -9,9 +9,7 @@ Subcommands::
     curvident export       --model sl3so3 --out report.json
 
 Exit codes: 0 pass, 1 identity failure, 2 usage or input error, 3 internal
-error (a defect of curvident, reported with its traceback).  The
-``--threads`` option (default from CURVIDENT_THREADS) changes wall time
-only, never any output byte.
+error (a defect of curvident, reported with its traceback).
 """
 
 from __future__ import annotations
@@ -140,6 +138,8 @@ def _identity_set(arg: str, dim: int) -> list:
     if arg is None or arg == "all":
         return applicable_identities(dim)
     ids = [s.strip() for s in arg.split(",") if s.strip()]
+    if not ids:
+        raise IdentityArgumentError(f"--set {arg!r} names no identity")
     for ident in ids:
         if ident not in IDENTITY_IDS:
             raise IdentityArgumentError(
@@ -151,7 +151,7 @@ def _identity_set(arg: str, dim: int) -> list:
 def _cmd_invariants(args) -> int:
     spec = _resolve_spec(args)
     R = build(spec)
-    run = evaluate_model(spec, R, identity_set=(), threads=1)
+    run = evaluate_model(spec, R, identity_set=())
     if args.json:
         sys.stdout.write(dump_json(run.to_json()))
     else:
@@ -168,10 +168,12 @@ def _cmd_verify(args) -> int:
     for e in expect_fail:
         if e not in IDENTITY_IDS:
             raise IdentityArgumentError(f"unknown identity in --expect-fail: {e!r}")
+        if e not in idents:
+            raise IdentityArgumentError(
+                f"--expect-fail {e} names an identity outside --set {','.join(idents)}"
+            )
     started = time.monotonic()
-    run = evaluate_model(
-        spec, R, identity_set=idents, expect_fail=expect_fail, threads=args.threads
-    )
+    run = evaluate_model(spec, R, identity_set=idents, expect_fail=expect_fail)
     run.elapsed_ms = int((time.monotonic() - started) * 1000)
     if args.json:
         sys.stdout.write(dump_json(run.to_json()))
@@ -223,17 +225,7 @@ def _cmd_random_check(args) -> int:
         r, mode = 0, "free"  # dim/identity mismatches surface as input errors
 
     seeds = [args.seed + i for i in range(args.n)]
-
-    def trial(seed):
-        return _random_trial(ident, dim, seed, args.terms, r, mode)
-
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            all_reports = list(pool.map(trial, seeds))
-    else:
-        all_reports = [trial(s) for s in seeds]
+    all_reports = [_random_trial(ident, dim, s, args.terms, r, mode) for s in seeds]
 
     n_zero = 0
     failures = []
@@ -260,7 +252,7 @@ def _cmd_export(args) -> int:
     spec = _resolve_spec(args)
     R = build(spec)
     idents = _identity_set(args.set, R.dim)
-    run = evaluate_model(spec, R, identity_set=idents, threads=args.threads)
+    run = evaluate_model(spec, R, identity_set=idents)
     payload = dump_json(run.to_json())
     try:
         with open(args.out, "w") as fh:
@@ -276,12 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="curvident",
         description="exact curvature-tensor invariants and identity verification",
-    )
-    ap.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("CURVIDENT_THREADS", "1")),
-        help="worker threads (outputs are byte-identical for any value)",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -326,9 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(_attach_scalar_values(sys.argv[1:] if argv is None else argv))
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:

@@ -129,7 +129,7 @@ def run_identity(ident: str, R: CurvatureTensor) -> list:
 
 @dataclass
 class RunReport:
-    model: ModelSpec
+    model: ModelSpec  # resolved to explicit components, see evaluate_model
     invariants: InvariantReport
     two_stein: TwoSteinReport
     gauss_bonnet: Optional[Scalar]
@@ -158,7 +158,7 @@ class RunReport:
 
     def to_json(self) -> dict:
         out = {
-            "model": explicit_spec_of(self.model),
+            "model": self.model.to_json(),
             "invariants": self.invariants.to_json(),
             "two_stein": self.two_stein.to_json(),
         }
@@ -171,37 +171,18 @@ class RunReport:
         return out
 
 
-def explicit_spec_of(model: ModelSpec) -> dict:
-    """Serialized model resolved to explicit components, so an exported
-    report can be re-verified from the file alone."""
-    from .models import build
-
-    if model.kind == "explicit":
-        return model.to_json()
-    return explicit_spec(build(model)).to_json()
-
-
 def evaluate_model(
-    model: ModelSpec,
-    R: CurvatureTensor,
-    identity_set,
-    expect_fail=(),
-    threads: int = 1,
+    model: ModelSpec, R: CurvatureTensor, identity_set, expect_fail=()
 ) -> RunReport:
+    """The report of ``R``, the curvature tensor of ``model``.  The report
+    carries ``R`` as explicit components (an explicit ``model`` as given),
+    so an exported report can be re-verified from the file alone."""
     inv = invariants(R)
     ts = two_stein_check(R)
     gb = gauss_bonnet_integrand_6(R) if R.dim == 6 else None
-    idents = list(identity_set)
-    if threads > 1 and len(idents) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda i: run_identity(i, R), idents))
-    else:
-        chunks = [run_identity(i, R) for i in idents]
-    residuals = [rep for chunk in chunks for rep in chunk]
+    residuals = [rep for ident in identity_set for rep in run_identity(ident, R)]
     return RunReport(
-        model=model,
+        model=model if model.kind == "explicit" else explicit_spec(R),
         invariants=inv,
         two_stein=ts,
         gauss_bonnet=gb,

@@ -234,16 +234,16 @@ def test_criterion_9_determinism():
     from curvident.models import build
 
     R = build(spec)
-    payloads = []
-    for threads in (1, 3):
-        run = evaluate_model(
-            spec, R, identity_set=("patterson", "lemma5", "thmA-a"), threads=threads
+    payloads = [
+        dump_json(
+            evaluate_model(spec, R, identity_set=("patterson", "lemma5", "thmA-a")).to_json()
         )
-        payloads.append(dump_json(run.to_json()))
+        for _ in range(2)
+    ]
     assert payloads[0] == payloads[1]
-    # rerun from scratch: byte-identical again
+    # rerun from a freshly built model: byte-identical again
     run = evaluate_model(
-        spec, R, identity_set=("patterson", "lemma5", "thmA-a"), threads=2
+        spec, build(spec), identity_set=("patterson", "lemma5", "thmA-a")
     )
     assert dump_json(run.to_json()) == payloads[0]
     # randomized campaign with fixed seeds is reproducible too
@@ -256,4 +256,4 @@ def test_criterion_9_determinism():
         for i in range(5)
     ]
     assert a == b == [True] * 5
-    print("PASS criterion 9: byte-identical reports across reruns and thread counts")
+    print("PASS criterion 9: byte-identical reports across reruns")

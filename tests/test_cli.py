@@ -1,8 +1,10 @@
 """CLI surface: exit codes, verify semantics, export determinism."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +73,37 @@ def test_verify_expect_fail_inverts(capsys):
     assert rc == 1
 
 
+def test_expect_fail_outside_set_exit2(capsys):
+    """A negative control for an identity that is not evaluated is an input
+    error, not a silent pass."""
+    rc = run_cli(
+        "verify", "--model", "example5d", "--set", "lemma5", "--expect-fail", "thmA-b"
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "--expect-fail thmA-b" in captured.err
+    assert "verdict" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["verify", "export"])
+@pytest.mark.parametrize("ids", [",", ""], ids=["comma", "empty"])
+def test_empty_identity_set_exit2(tmp_path, capsys, command, ids):
+    """A --set naming no identity would pass without evaluating a residual."""
+    out = tmp_path / "r.json"
+    extra = ["--out", str(out)] if command == "export" else []
+    assert run_cli(command, "--model", "sl3so3", "--set", ids, *extra) == 2
+    assert "names no identity" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unparsable_thread_variable_ignored(monkeypatch, capsys):
+    """No environment variable is read by the parser, so an unparsable
+    CURVIDENT_THREADS cannot turn a pass into exit code 1."""
+    monkeypatch.setenv("CURVIDENT_THREADS", "two")
+    assert main(["invariants", "--model", "sl3so3"]) == 0
+    assert "tau:            -15" in capsys.readouterr().out
+
+
 def test_verify_unknown_identity_exit2():
     assert run_cli("verify", "--model", "sl3so3", "--set", "nonsense") == 2
 
@@ -129,18 +162,6 @@ def test_export_roundtrip(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_export_byte_identical_across_threads(tmp_path):
-    outs = []
-    for i, threads in enumerate(("1", "4")):
-        p = tmp_path / f"t{i}.json"
-        assert run_cli(
-            "--threads", threads, "export", "--model", "example5d",
-            "--set", "thmA-a,pa5", "--out", str(p),
-        ) == 0
-        outs.append(p.read_bytes())
-    assert outs[0] == outs[1]
-
-
 def test_export_unwritable_path_exit2(tmp_path):
     assert run_cli(
         "export", "--model", "sl3so3", "--set", "thmA-b",
@@ -163,10 +184,6 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "gauss_bonnet:   0" in proc.stdout
-
-
-def test_threads_argument_validation():
-    assert main(["--threads", "0", "invariants", "--model", "sl3so3"]) == 2
 
 
 def test_random_check_without_trials_exit2(capsys):
@@ -238,3 +255,15 @@ def test_negative_scalar_option_as_separate_word(capsys, options):
     separate = json.loads(capsys.readouterr().out)
     assert run_cli("invariants", *joined, "--json") == 0
     assert json.loads(capsys.readouterr().out) == separate
+
+
+def test_readme_cli_examples_parse():
+    """Every usage line of the README parses: an option removed from the
+    parser cannot linger in the examples."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```sh\n")[1:]]
+    lines = [ln for b in blocks for ln in b.splitlines() if ln.startswith("curvident ")]
+    assert len(lines) >= 5
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(cli._attach_scalar_values(shlex.split(line)[1:]))
