@@ -37,15 +37,9 @@ from .report import (
     evaluate_model,
     report_to_text,
     run_identity,
-    _patterson_mode,
+    _resolve,
 )
-from .identities import (
-    IdentityArgumentError,
-    max_r,
-    patterson_residual,
-    weyl_patterson_residual,
-    weyl_expansion_residual,
-)
+from .identities import IdentityArgumentError
 
 _INPUT_ERRORS = (
     ModelSpecError,
@@ -134,6 +128,12 @@ def _resolve_spec(args) -> ModelSpec:
     raise ModelSpecError("/kind", f"unknown model {name!r}")
 
 
+def _repeated(ids, option: str):
+    for ident in ids:
+        if ids.count(ident) > 1:
+            raise IdentityArgumentError(f"{option} names {ident!r} more than once")
+
+
 def _identity_set(arg: str, dim: int) -> list:
     if arg is None or arg == "all":
         return applicable_identities(dim)
@@ -145,6 +145,8 @@ def _identity_set(arg: str, dim: int) -> list:
             raise IdentityArgumentError(
                 f"unknown identity {ident!r}; choose from {', '.join(IDENTITY_IDS)} or 'all'"
             )
+        _resolve(ident, dim)  # raises for a dim the id does not apply to
+    _repeated(ids, "--set")
     return ids
 
 
@@ -165,6 +167,7 @@ def _cmd_verify(args) -> int:
     R = build(spec)
     idents = _identity_set(args.set, R.dim)
     expect_fail = tuple(args.expect_fail or ())
+    _repeated(expect_fail, "--expect-fail")
     for e in expect_fail:
         if e not in IDENTITY_IDS:
             raise IdentityArgumentError(f"unknown identity in --expect-fail: {e!r}")
@@ -183,69 +186,41 @@ def _cmd_verify(args) -> int:
     return 0 if run.verdict == "pass" else 1
 
 
-_EINSTEIN_IDS = {"lemma5", "thmA-a", "lemma6", "thmB-a", "appendix34"}
-_SUPER_IDS = {"pa5", "thmA-b", "eq42", "thmB-b"}
-
-
-def _random_trial(ident: str, dim: int, seed: int, terms: int, r: int, mode: str):
-    raw = random_curvature(dim, seed, terms)
-    if ident in _EINSTEIN_IDS or ident in _SUPER_IDS:
-        R = einsteinize(raw, Scalar(1))
-    else:
-        R = raw
-    if ident == "patterson":
-        return [patterson_residual(R, r, mode)]
-    if ident == "weyl-patterson":
-        reports = [weyl_patterson_residual(R, r, mode)]
-        if dim in (5, 6) and r == 2:
-            reports.append(weyl_expansion_residual(R))
-        return reports
-    return run_identity(ident, R)
-
-
 def _cmd_random_check(args) -> int:
     dim = args.dim
     ident = args.identity
     if args.n < 1:
         raise IdentityArgumentError(f"-n must be >= 1, got {args.n}")
-    if ident not in IDENTITY_IDS:
-        raise IdentityArgumentError(f"unknown identity {ident!r}")
-    if ident in ("patterson", "weyl-patterson"):
-        r = args.r if args.r is not None else min(2, max_r(dim))
-        if not 1 <= r <= max_r(dim):
-            raise IdentityArgumentError(
-                f"--r {r} out of range 1..{max_r(dim)} for dim {dim}"
-            )
-        mode = args.mode if args.mode != "auto" else _patterson_mode(dim, r)
-    elif args.r is not None or args.mode != "auto":
-        raise IdentityArgumentError(
-            f"--r and --mode apply to patterson and weyl-patterson, not {ident!r}"
-        )
-    else:
-        r, mode = 0, "free"  # dim/identity mismatches surface as input errors
-
-    seeds = [args.seed + i for i in range(args.n)]
-    all_reports = [_random_trial(ident, dim, s, args.terms, r, mode) for s in seeds]
+    mode = None if args.mode == "auto" else args.mode
+    entry, runs = _resolve(ident, dim, args.r, mode)
+    r, label = None, ""
+    if runs:
+        # --r defaults to 2, or to 1 where the dimension allows no more
+        r, mode = runs[min(2, len(runs)) - 1]
+        label = f"[r={r},{mode}]"
 
     n_zero = 0
-    failures = []
-    for seed, reports in zip(seeds, all_reports):
-        if all(rep.is_zero for rep in reports):
+    failure = None  # (seed, nonzero reports) of the first failing trial
+    for seed in range(args.seed, args.seed + args.n):
+        R = random_curvature(dim, seed, args.terms)
+        if entry.hypothesis != "universal":
+            R = einsteinize(R, Scalar(1))
+        nonzero = [rep for rep in run_identity(ident, R, r, mode) if not rep.is_zero]
+        if not nonzero:
             n_zero += 1
-        else:
-            failures.append((seed, [rep for rep in reports if not rep.is_zero]))
+        elif failure is None:
+            failure = (seed, nonzero)
     print(
-        f"identity: {ident}"
-        + (f"[r={r},{mode}]" if ident in ("patterson", "weyl-patterson") else "")
-        + f"  dim: {dim}  trials: {args.n}  zero: {n_zero}  nonzero: {len(failures)}"
+        f"identity: {ident}{label}  dim: {dim}  trials: {args.n}"
+        f"  zero: {n_zero}  nonzero: {args.n - n_zero}"
     )
-    if failures:
-        first_seed, reps = failures[0]
+    if failure:
+        first_seed, reps = failure
         print(f"first failing seed: {first_seed}")
         for rep in reps:
             idx, val = rep.witness
             print(f"  {rep.identity}: witness {list(idx)} = {val.format()}")
-    return 0 if not failures else 1
+    return 0 if failure is None else 1
 
 
 def _cmd_export(args) -> int:

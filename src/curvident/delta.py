@@ -440,6 +440,8 @@ def generalized_delta_contract(
         else:
             vals = (np.ones(1, dtype),)  # the pure delta
         for acc, v in zip(accs, vals):
+            if v is None:
+                continue
             v = v.reshape(-1)
             for rows, flat, coeff in plan.records:
                 acc[rows] += coeff * v[flat]

@@ -8,29 +8,29 @@ Evaluators accept inputs that do not satisfy their hypothesis (the
 hypothesis is recorded in the report), so negative controls are
 first-class.
 
-Identity ids used across the CLI and reports:
+Identity ids used across the CLI and reports; the dimensions each id
+applies to and the hypothesis its inputs need are stated once, in
+``report._IDENTITIES``:
 
-====================  ====  ===============  =======================================
-id                    dim   hypothesis       residual
-====================  ====  ===============  =======================================
-patterson             any   universal        order-(m+1) delta contracted with r
-                                             copies of R (rank 2+2(m-2r) free, or
-                                             rank 2 traced)
-weyl-patterson        >=3   universal        the same for the Weyl part W
-weyl-expansion        5,6   universal        explicit term-by-term form of the
-                                             W-identity at r=2 (must equal the
-                                             delta-engine result)
-lemma5                5     einstein         rank-4 identity
-thmA-a                5     einstein         rank-2 trace identity
-pa5                   5     super_einstein   rank-4 identity
-thmA-b                5     super_einstein   rank-2 trace identity
-lemma6                6     einstein         rank-6 identity
-thmB-a                6     einstein         rank-2 trace identity
-eq42                  6     super_einstein   rank-6 identity
-thmB-b                6     super_einstein   rank-2 trace identity
-appendix34            6     einstein         34 term-group equalities plus the sum
-                                             check against 8x the lemma6 form
-====================  ====  ===============  =======================================
+====================  =======================================================
+id                    residual
+====================  =======================================================
+patterson             order-(m+1) delta contracted with r copies of R (rank
+                      2+2(m-2r) free, or rank 2 traced)
+weyl-patterson        the same for the Weyl part W
+weyl-expansion        explicit term-by-term form of the W-identity at r=2,
+                      dims 5 and 6 (must equal the delta-engine result)
+lemma5                rank-4 identity
+thmA-a                rank-2 trace identity
+pa5                   rank-4 identity
+thmA-b                rank-2 trace identity
+lemma6                rank-6 identity
+thmB-a                rank-2 trace identity
+eq42                  rank-6 identity
+thmB-b                rank-2 trace identity
+appendix34            34 term-group equalities plus the sum check against 8x
+                      the lemma6 form
+====================  =======================================================
 """
 
 from __future__ import annotations
@@ -143,7 +143,18 @@ def _patterson_binding(m: int, r: int, mode: str) -> DeltaBinding:
 
 
 def max_r(m: int) -> int:
-    return m // 2 if m % 2 == 0 else (m - 1) // 2
+    return m // 2
+
+
+def _delta_residual(name: str, R: CurvatureTensor, r: int, mode: str, part):
+    """The order-(m+1) delta contracted with r copies of ``part(R)``."""
+    m = R.dim
+    if not 1 <= r <= max_r(m):
+        raise IdentityArgumentError(f"r={r} out of range 1..{max_r(m)} for dim {m}")
+    t = part(R)
+    binding = _patterson_binding(m, r, mode)
+    residual = generalized_delta_contract(m + 1, m, [t] * r, binding)
+    return make_report(f"{name}[r={r},{mode}]", "universal", residual)
 
 
 def patterson_residual(
@@ -152,26 +163,14 @@ def patterson_residual(
     """Delta-engine evaluation of the universal identity; the remaining
     m-2r index pairs stay free by default (matching the rank of the
     explicit dim-5/6 forms) or are traced pairwise with mode='traced'."""
-    m = R.dim
-    if not 1 <= r <= max_r(m):
-        raise IdentityArgumentError(f"r={r} out of range 1..{max_r(m)} for dim {m}")
-    binding = _patterson_binding(m, r, mode)
-    residual = generalized_delta_contract(
-        m + 1, m, [R.tensor] * r, binding
-    )
-    return make_report(f"patterson[r={r},{mode}]", "universal", residual)
+    return _delta_residual("patterson", R, r, mode, lambda R: R.tensor)
 
 
 def weyl_patterson_residual(
     R: CurvatureTensor, r: int, mode: str = "free"
 ) -> ResidualReport:
-    m = R.dim
-    if not 1 <= r <= max_r(m):
-        raise IdentityArgumentError(f"r={r} out of range 1..{max_r(m)} for dim {m}")
-    w = weyl(R)
-    binding = _patterson_binding(m, r, mode)
-    residual = generalized_delta_contract(m + 1, m, [w.tensor] * r, binding)
-    return make_report(f"weyl-patterson[r={r},{mode}]", "universal", residual)
+    """The universal identity for the Weyl part W of R."""
+    return _delta_residual("weyl-patterson", R, r, mode, lambda R: weyl(R).tensor)
 
 
 # ---------------------------------------------------------------------------

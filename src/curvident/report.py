@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .scalar import Scalar
 from .curvature import (
@@ -44,87 +44,107 @@ from .identities import (
 from .models import ModelSpec, explicit_spec
 from .tensor import Tensor
 
-IDENTITY_IDS = (
-    "patterson",
-    "weyl-patterson",
-    "lemma5",
-    "thmA-a",
-    "pa5",
-    "thmA-b",
-    "lemma6",
-    "thmB-a",
-    "eq42",
-    "thmB-b",
-    "appendix34",
-)
-
-
-def applicable_identities(dim: int) -> list:
-    ids = ["patterson"]
-    if dim >= 3:
-        ids.append("weyl-patterson")
-    if dim == 5:
-        ids += ["lemma5", "thmA-a", "pa5", "thmA-b"]
-    if dim == 6:
-        ids += ["lemma6", "thmB-a", "eq42", "thmB-b", "appendix34"]
-    return ids
-
 
 def _patterson_mode(dim: int, r: int) -> str:
     free_rank = 2 + 2 * (dim - 2 * r)
     return "free" if free_rank <= Tensor.MAX_RANK else "traced"
 
 
-def run_identity(ident: str, R: CurvatureTensor) -> list:
-    """Evaluate one identity id on a curvature tensor; returns the list of
-    ResidualReports it expands to."""
-    dim = R.dim
-    if ident == "patterson":
-        return [
-            patterson_residual(R, r, _patterson_mode(dim, r))
-            for r in range(1, max_r(dim) + 1)
-        ]
-    if ident == "weyl-patterson":
-        reports = [
-            weyl_patterson_residual(R, r, _patterson_mode(dim, r))
-            for r in range(1, max_r(dim) + 1)
-        ]
-        if dim in (5, 6):
-            reports.append(weyl_expansion_residual(R))
-        return reports
-    if ident == "lemma5":
-        return [einstein5_residual(R)]
-    if ident == "thmA-a":
-        return [einstein5_trace_residual(R)]
-    if ident == "pa5":
-        return [super5_residual(R)]
-    if ident == "thmA-b":
-        return [super5_trace_residual(R)]
-    if ident == "lemma6":
-        return [einstein6_residual(R)]
-    if ident == "thmB-a":
-        a = einstein6_trace_residual(R)
-        alt = einstein6_trace_residual_alt(R)
-        same = make_report(
-            "thmB-a-vs-thm22", "universal", a.residual - alt.residual
-        )
-        return [a, alt, same]
-    if ident == "eq42":
-        return [super6_residual(R)]
-    if ident == "thmB-b":
-        return [super6_trace_residual(R)]
-    if ident == "appendix34":
-        from .expansion6 import term_groups, group_sum_check
+class _Identity(NamedTuple):
+    """An id's dimensions, the hypothesis its random inputs need, and its
+    evaluator: R -> reports, or (R, (r, mode) runs) -> reports if ``delta``."""
 
-        groups = term_groups(R)
-        reports = [
-            make_report(f"appendix34[{k}]", "einstein", lhs - rhs)
-            for k, lhs, rhs in groups
-        ]
-        total, eight = group_sum_check(R, groups=groups)
-        reports.append(make_report("appendix34[sum]", "einstein", total - eight))
-        return reports
-    raise IdentityArgumentError(f"unknown identity id {ident!r}")
+    dims: range
+    hypothesis: str  # universal | einstein | super_einstein
+    evaluate: Callable
+    delta: bool = False
+
+
+def _patterson(R: CurvatureTensor, runs) -> list:
+    return [patterson_residual(R, r, mode) for r, mode in runs]
+
+
+def _weyl_patterson(R: CurvatureTensor, runs) -> list:
+    reports = [weyl_patterson_residual(R, r, mode) for r, mode in runs]
+    if R.dim in (5, 6) and any(r == 2 for r, _ in runs):
+        reports.append(weyl_expansion_residual(R))
+    return reports
+
+
+def _thm_b_a(R: CurvatureTensor) -> list:
+    a = einstein6_trace_residual(R)
+    alt = einstein6_trace_residual_alt(R)
+    same = make_report("thmB-a-vs-thm22", "universal", a.residual - alt.residual)
+    return [a, alt, same]
+
+
+def _appendix34(R: CurvatureTensor) -> list:
+    from .expansion6 import term_groups, group_sum_check
+
+    groups = term_groups(R)
+    reports = [
+        make_report(f"appendix34[{k}]", "einstein", lhs - rhs)
+        for k, lhs, rhs in groups
+    ]
+    total, eight = group_sum_check(R, groups=groups)
+    reports.append(make_report("appendix34[sum]", "einstein", total - eight))
+    return reports
+
+
+# evaluators are looked up as module globals at call time, so a patched or
+# wrapped ``*_residual`` function is the one that runs
+_IDENTITIES = {
+    "patterson": _Identity(range(2, 7), "universal", _patterson, delta=True),
+    "weyl-patterson": _Identity(range(3, 7), "universal", _weyl_patterson, delta=True),
+    "lemma5": _Identity(range(5, 6), "einstein", lambda R: [einstein5_residual(R)]),
+    "thmA-a": _Identity(range(5, 6), "einstein", lambda R: [einstein5_trace_residual(R)]),
+    "pa5": _Identity(range(5, 6), "super_einstein", lambda R: [super5_residual(R)]),
+    "thmA-b": _Identity(range(5, 6), "super_einstein", lambda R: [super5_trace_residual(R)]),
+    "lemma6": _Identity(range(6, 7), "einstein", lambda R: [einstein6_residual(R)]),
+    "thmB-a": _Identity(range(6, 7), "einstein", _thm_b_a),
+    "eq42": _Identity(range(6, 7), "super_einstein", lambda R: [super6_residual(R)]),
+    "thmB-b": _Identity(range(6, 7), "super_einstein", lambda R: [super6_trace_residual(R)]),
+    "appendix34": _Identity(range(6, 7), "einstein", _appendix34),
+}
+
+IDENTITY_IDS = tuple(_IDENTITIES)
+
+
+def applicable_identities(dim: int) -> list:
+    return [ident for ident, entry in _IDENTITIES.items() if dim in entry.dims]
+
+
+def _resolve(ident: str, dim: int, r=None, mode=None):
+    """The table entry of ``ident`` and, for a delta id, its (r, mode) runs in
+    ``dim`` (see run_identity); IdentityArgumentError for an unknown id, a
+    dim the id does not apply to, an r out of range, or an r or mode given
+    to an id that takes none."""
+    entry = _IDENTITIES.get(ident)
+    if entry is None:
+        raise IdentityArgumentError(f"unknown identity {ident!r}")
+    dims = entry.dims
+    if dim not in dims:
+        span = f"{dims[0]}" if len(dims) == 1 else f"{dims[0]}..{dims[-1]}"
+        raise IdentityArgumentError(f"{ident} applies to dim {span}, not {dim}")
+    if not entry.delta:
+        if r is not None or mode is not None:
+            raise IdentityArgumentError(
+                f"--r and --mode apply to patterson and weyl-patterson, not {ident!r}"
+            )
+        return entry, []
+    if r is not None and not 1 <= r <= max_r(dim):
+        raise IdentityArgumentError(f"--r {r} out of range 1..{max_r(dim)} for dim {dim}")
+    rs = range(1, max_r(dim) + 1) if r is None else [r]
+    return entry, [(k, mode or _patterson_mode(dim, k)) for k in rs]
+
+
+def run_identity(ident: str, R: CurvatureTensor, r=None, mode=None) -> list:
+    """Evaluate one identity id on a curvature tensor; returns the list of
+    ResidualReports it expands to.  A delta identity (patterson,
+    weyl-patterson) runs at ``r`` or, with r=None, at every valid r; its
+    mode is ``mode`` or, with mode=None, the one each r's free rank allows."""
+    entry, runs = _resolve(ident, R.dim, r, mode)
+    return entry.evaluate(R, runs) if entry.delta else entry.evaluate(R)
 
 
 @dataclass

@@ -489,23 +489,21 @@ def _product_bound(tensors) -> int:
     return bound
 
 
-def _contract_terms(subscripts: str, parts: Sequence, terms: list):
-    """(rat, irr) integer arrays of the contraction of a product of
+def _contract_terms(subscripts: str, parts: Sequence, terms: list) -> list:
+    """[rat, irr] integer arrays of the contraction of a product of
     sqrt(3)-split operands: one ``_einsum_exact`` per term of ``terms``
     (from ``_product_terms``) on the chosen parts, ``parts[k]`` being operand
     k's (rat, irr) pair in one dtype, weighted and summed per side.  A side
-    no term reaches is a zero part."""
+    no term reaches is None."""
     sides = [None, None]
     for choice, weight, side in terms:
         v = _einsum_exact(subscripts, [p[c] for p, c in zip(parts, choice)])
-        shape, dtype = v.shape, v.dtype
+        dtype = v.dtype
         if weight != 1:
             v = weight * v
         sides[side] = v if sides[side] is None else sides[side] + v
     # 0-d arithmetic decays to scalars; keep arrays of the einsum's dtype
-    return tuple(
-        _zero_part(shape, dtype) if v is None else np.asarray(v, dtype) for v in sides
-    )
+    return [None if v is None else np.asarray(v, dtype) for v in sides]
 
 
 def ein(subscripts: str, *tensors: Tensor) -> Tensor:
@@ -537,7 +535,11 @@ def ein(subscripts: str, *tensors: Tensor) -> Tensor:
     terms = _product_terms(tensors)
     use_object = dim ** n_sum * _product_bound(tensors) >= _INT64_LIMIT
     parts = [t._parts(use_object) for t in tensors]
-    rat, irr = _contract_terms(subscripts, parts, terms)
+    shape = (dim,) * len(out)
+    rat, irr = (
+        _zero_part(shape, object if use_object else np.int64) if v is None else v
+        for v in _contract_terms(subscripts, parts, terms)
+    )
     den = 1
     for t in tensors:
         den *= t._den

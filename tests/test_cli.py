@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from curvident import cli
+from curvident import cli, identities, report
 from curvident.cli import main
 from curvident.delta import EngineInvariantError
 from curvident.models import ModelSpec, save_model
@@ -116,8 +116,36 @@ def test_verify_missing_file_exit2():
     assert run_cli("verify", "--model", "/nonexistent/m.json", "--set", "all") == 2
 
 
-def test_verify_wrong_dim_identity_exit2():
+def test_verify_wrong_dim_identity_exit2(capsys):
     assert run_cli("verify", "--model", "example5d", "--set", "lemma6") == 2
+    assert "lemma6 applies to dim 6, not 5" in capsys.readouterr().err
+
+
+def test_random_check_wrong_dim_identity_exit2(capsys):
+    """The identity's own dimension is checked before any trial is built."""
+    assert run_cli("random-check", "--dim", "3", "--identity", "lemma5", "-n", "1") == 2
+    captured = capsys.readouterr()
+    assert "trials:" not in captured.out
+    assert "lemma5 applies to dim 5, not 3" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--set", "patterson,patterson"],
+        ["export", "--set", "thmA-b, thmA-b", "--out", "r.json"],
+        ["verify", "--set", "thmA-b", "--expect-fail", "thmA-b", "--expect-fail", "thmA-b"],
+    ],
+    ids=["verify-set", "export-set", "expect-fail"],
+)
+def test_repeated_identity_exit2(tmp_path, monkeypatch, capsys, argv):
+    """A repeated id would evaluate, print and export its residuals twice."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv[0], "--model", "sl3so3", *argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert "more than once" in captured.err
+    assert "verdict" not in captured.out
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_random_check_universal(capsys):
@@ -234,7 +262,7 @@ def test_internal_error_exit3(monkeypatch, capsys, exc):
     def fail(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, "patterson_residual", fail)
+    monkeypatch.setattr(identities, "generalized_delta_contract", fail)
     rc = run_cli("random-check", "--dim", "4", "--identity", "patterson", "-n", "1")
     assert rc == 3
     assert "internal error: " in capsys.readouterr().err
@@ -255,6 +283,21 @@ def test_negative_scalar_option_as_separate_word(capsys, options):
     separate = json.loads(capsys.readouterr().out)
     assert run_cli("invariants", *joined, "--json") == 0
     assert json.loads(capsys.readouterr().out) == separate
+
+
+def test_readme_identity_table():
+    """The README's identity table states each id's dimensions and
+    hypothesis exactly as the code table does."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Identity ids for `--set` / `--identity`:", 1)[1]
+    rows = [ln.split("|")[1:4] for ln in table.split("\n\n", 2)[1].splitlines()[2:]]
+    documented = [tuple(cell.strip() for cell in row) for row in rows]
+
+    def dims(d):
+        return str(d[0]) if len(d) == 1 else f"{d[0]}–{d[-1]}"
+
+    expected = [(i, dims(e.dims), e.hypothesis) for i, e in report._IDENTITIES.items()]
+    assert documented == expected
 
 
 def test_readme_cli_examples_parse():

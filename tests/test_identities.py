@@ -18,6 +18,7 @@ from curvident.delta import (
 )
 from curvident.expansion6 import term_groups
 from curvident.identities import (
+    IdentityArgumentError,
     _patterson_binding,
     _witness,
     einstein5_residual,
@@ -51,6 +52,7 @@ from curvident.models import (
     random_curvature,
     sl3_so3,
 )
+from curvident.report import _IDENTITIES, applicable_identities, run_identity
 
 
 def _einstein(dim, seed, k=1):
@@ -571,3 +573,25 @@ def _loop_witness(residual):
 def test_witness_matches_exact_scan(rank, entries):
     t = Tensor.from_components(3, rank, entries)
     assert _witness(t) == _loop_witness(t)
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_identity_table_consistency(dim):
+    """Every id runs exactly in the dimensions its table entry names, and
+    its first report carries the entry's hypothesis."""
+    R = constant_curvature(dim, Scalar(1))
+    applied = []
+    for ident, entry in _IDENTITIES.items():
+        if dim not in entry.dims:
+            with pytest.raises(IdentityArgumentError, match=f"{ident} applies to dim"):
+                run_identity(ident, R)
+            continue
+        applied.append(ident)
+        reports = run_identity(ident, R)
+        assert reports[0].hypothesis == entry.hypothesis
+        assert all(rep.is_zero for rep in reports)
+        if not entry.delta:
+            for extra in ({"r": 1}, {"mode": "free"}):
+                with pytest.raises(IdentityArgumentError, match="apply to patterson"):
+                    run_identity(ident, R, **extra)
+    assert applied == applicable_identities(dim)
