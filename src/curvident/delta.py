@@ -14,6 +14,22 @@ identically zero as a tensor identity, which is exactly what the
 curvature identities exploit; the engine discovers this zero by exact
 cancellation, never by shortcut.
 
+The merged terms are then folded modulo the operands' slot symmetries,
+in the manner of Butler-Portugal canonicalization.  Each distinct
+operand's symmetries are read from its data on every call: a
+transposition or double transposition p of its slots, with a sign s, is
+used only when ``np.transpose(part, p) == s * part`` holds exactly for
+its rational and its sqrt(3) part (``_slot_symmetries``), so nothing is
+taken from the caller and the Bianchi identity, which is not a slot
+permutation, is never assumed.  The verified symmetries are part of the
+plan cache key.  Terms that such a relabelling (or an exchange of
+identical operands) carries into each other have equal values up to the
+sign, so each class is contracted once, at one representative, with the
+signed sum of its members' coefficients; a class that maps to its own
+negative is exactly zero and is dropped.  For a curvature tensor R the
+order-7 delta against three copies in dimension 6 goes from 870 merged
+terms to 26 classes.
+
 Each plan is contracted like ``tensor.ein`` contracts a product: one
 einsum per term of the expanded product of the operands' rational and
 sqrt(3) parts (``tensor._contract_terms``), so one einsum when no operand
@@ -39,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import numpy as np
 
@@ -47,6 +63,7 @@ from .tensor import (
     _INT64_LIMIT,
     _LETTERS,
     _contract_terms,
+    _is_zero_part,
     _product_bound,
     _product_terms,
     _zero_part,
@@ -283,15 +300,55 @@ def _signed_permutations(n: int) -> list:
     return table
 
 
-def _sum_rows(keys, weights):
-    """The distinct rows of ``keys`` and the summed weights of each."""
-    rows, inverse = np.unique(keys, axis=0, return_inverse=True)
-    sums = np.zeros(len(rows), np.int64)
-    np.add.at(sums, inverse.reshape(-1), weights)
-    return rows, sums
+def _slot_involutions(rank: int) -> list:
+    """The transpositions and double transpositions of ``rank`` slots."""
+    swaps = [((a, b),) for a, b in combinations(range(rank), 2)]
+    for a, b, c, d in combinations(range(rank), 4):
+        swaps += [((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))]
+    perms = []
+    for pairs in swaps:
+        perm = list(range(rank))
+        for a, b in pairs:
+            perm[a], perm[b] = b, a
+        perms.append(tuple(perm))
+    return perms
 
 
-def _compile_plans(n, dim, binding, op_groups, op_ranks, layout):
+def _slot_symmetries(t: Tensor) -> tuple:
+    """The slot symmetries of ``t`` read from its data: each transposition
+    or double transposition ``perm`` of its slots, with a sign s, such that
+    ``np.transpose(part, perm) == s * part`` holds exactly for its rational
+    and its sqrt(3) part.  Nothing else is assumed of an operand."""
+    parts = [p for p in (t._rat, t._irr) if not _is_zero_part(p)]
+    negated = [-p for p in parts]
+    found = []
+    for perm in _slot_involutions(t.rank):
+        moved = [np.transpose(p, perm) for p in parts]
+        for sign, targets in ((1, parts), (-1, negated)):
+            if all(np.array_equal(m, q) for m, q in zip(moved, targets)):
+                found.append((perm, sign))
+    return tuple(found)
+
+
+def _row_ids(keys):
+    """One bytes id per row of a key array (entries -1..254), ordered as
+    the rows are ordered lexicographically, so that sorts and lookups of
+    rows run as one-dimensional ones."""
+    raw = np.zeros((len(keys), keys.shape[1] + 1), np.uint8)
+    raw[:, 1:] = keys + 1
+    return raw.view(np.dtype((np.void, raw.shape[1]))).reshape(-1)
+
+
+def _sum_rows(keys, weights, terms):
+    """The distinct rows of ``keys`` in lexicographic order, the summed
+    weights of each and the first of ``terms`` that has it."""
+    _, first, inverse = np.unique(_row_ids(keys), return_index=True, return_inverse=True)
+    sums = np.zeros(len(first), np.int64)
+    np.add.at(sums, inverse, weights)
+    return keys[first], sums, terms[first]
+
+
+def _compile_plans(n, dim, binding, op_groups, op_ranks, layout, symmetries=()):
     """Merge the N! permutation terms of the delta into plans.
 
     Every delta node (side, slot) has one delta edge, plus one traced edge
@@ -305,6 +362,13 @@ def _compile_plans(n, dim, binding, op_groups, op_ranks, layout):
     operands and the least labelling is kept, so terms of one plan meet
     under one key.  All of it runs vectorised over the permutations with
     one sigma(0) at a time.
+
+    ``symmetries[g]`` lists the verified slot symmetries of the operands
+    of group g as (perm, sign) pairs (``_slot_symmetries``).  When there
+    are any, the merged terms are folded further: terms that one of them
+    relabels into each other join one class (``_fold_classes``), which is
+    evaluated once, at its least key, with the signed sum of its members'
+    coefficients.  With none, the plans are exactly the merged terms.
     """
     lower, upper = dict(binding.lower), dict(binding.upper)
     offsets = np.cumsum((0,) + op_ranks)
@@ -328,29 +392,13 @@ def _compile_plans(n, dim, binding, op_groups, op_ranks, layout):
         pos = np.full(n_slots + n_out, n_slots, np.int8)  # output ends sort after every slot
         pos[order] = np.arange(n_slots)
         scans.append((order, pos))
-
-    table = _signed_permutations(n - 1)
-    rest = np.array([p for p, _ in table], np.int8).reshape(len(table), n - 1)
-    rest_sign = np.array([sg for _, sg in table], np.int64)
-    rows = np.arange(len(table))[:, None]
     scan_pos = np.arange(n_slots)
-    chunks = []
-    for first in range(n):
-        # the permutations with sigma(0) = first, in lexicographic order
-        sigma = np.column_stack((np.full(len(table), first, np.int8), rest + (rest >= first)))
-        weight = rest_sign * (-1) ** first
-        for t in binding.traced:
-            # splice t out of sigma; t mapping to itself closes a traced cycle
-            weight = np.where(sigma[:, t] == t, weight * dim, weight)
-            sigma = np.where(sigma == t, sigma[:, t : t + 1], sigma)
-        far = u_end[sigma[:, untraced]]
-        # other[:, e] is the far end of the path that ends at e
-        other = np.empty((len(table), n_slots + n_out), np.int8)
-        other[rows, l_end] = far
-        other[rows, far] = l_end
-        ends = other[:, n_slots:]
-        diag = np.where(ends >= n_slots, ends - n_slots, -1)
 
+    def canonical(other):
+        """The key of each term: ``other[:, e]`` is the far end of the path
+        that ends at e; the least labelling over the scans, with the output
+        axis each slot feeds and the diagonal partner of each output axis."""
+        rows = np.arange(len(other))[:, None]
         best = None
         for order, pos in scans:
             o = other[:, order]
@@ -367,10 +415,38 @@ def _compile_plans(n, dim, binding, op_groups, op_ranks, layout):
             col = (key != best).argmax(axis=1)[:, None]
             less = (key[rows, col] < best[rows, col])[:, 0]
             best[less] = key[less]
+        ends = other[:, n_slots:]
+        return np.concatenate((best, np.where(ends >= n_slots, ends - n_slots, -1)), axis=1)
 
-        chunks.append(_sum_rows(np.concatenate((best, diag), axis=1), weight))
+    table = _signed_permutations(n - 1)
+    rest = np.array([p for p, _ in table], np.int8).reshape(len(table), n - 1)
+    rest_sign = np.array([sg for _, sg in table], np.int64)
+    rows = np.arange(len(table))[:, None]
+    chunks = []
+    for first in range(n):
+        # the permutations with sigma(0) = first, in lexicographic order
+        sigma = np.column_stack((np.full(len(table), first, np.int8), rest + (rest >= first)))
+        weight = rest_sign * (-1) ** first
+        for t in binding.traced:
+            # splice t out of sigma; t mapping to itself closes a traced cycle
+            weight = np.where(sigma[:, t] == t, weight * dim, weight)
+            sigma = np.where(sigma == t, sigma[:, t : t + 1], sigma)
+        far = u_end[sigma[:, untraced]]
+        other = np.empty((len(table), n_slots + n_out), np.int8)
+        other[rows, l_end] = far
+        other[rows, far] = l_end
+        chunks.append(_sum_rows(canonical(other), weight, other))
 
-    keys, totals = _sum_rows(*(np.concatenate(c) for c in zip(*chunks)))
+    keys, totals, terms = _sum_rows(*(np.concatenate(c) for c in zip(*chunks)))
+    relabels = []
+    for o, g in enumerate(op_groups if symmetries else ()):
+        for perm, sign in symmetries[g]:
+            # the relabelling of all path ends that applies perm to operand o's slots
+            move = np.arange(n_slots + n_out, dtype=np.int8)
+            move[offsets[o] : offsets[o + 1]] = offsets[o] + np.array(perm)
+            relabels.append((canonical(move[terms[:, move]]), sign))
+    if relabels:
+        totals = _fold_classes(keys, totals, relabels)
     nonzero = totals != 0
     bounds = offsets.tolist()
     plans: dict = {}
@@ -391,6 +467,56 @@ def _compile_plans(n, dim, binding, op_groups, op_ranks, layout):
     return list(plans.values())
 
 
+def _fold_classes(keys, totals, relabels):
+    """Fold the merged terms into classes under operand slot symmetries.
+
+    ``keys`` are distinct term keys, sorted as ``_sum_rows`` returns
+    them, with coefficients ``totals``; each relabel is (images, sign):
+    ``images[i]``, the key of term i with one operand's slots permuted by
+    a verified symmetry, has value ``sign`` times term i's.  Each link to
+    a listed key joins two classes; a union-find, vectorised over the
+    links, hooks the larger root under the smaller and tracks each term's
+    sign against its root.  A class whose links disagree on a sign equals
+    its own negative, so it is exactly zero and dropped; every other class
+    keeps its least key with the signed sum of its members' totals.
+    """
+    n_keys = len(keys)
+    ids = _row_ids(keys)
+    src, dst, link_sign = [], [], []
+    for images, s in relabels:
+        image_ids = _row_ids(images)
+        hit = np.minimum(np.searchsorted(ids, image_ids), n_keys - 1)
+        listed = np.flatnonzero(ids[hit] == image_ids)
+        src.append(listed)
+        dst.append(hit[listed])
+        link_sign.append(np.full(len(listed), s, np.int64))
+    src, dst, link_sign = (np.concatenate(x) for x in (src, dst, link_sign))
+
+    # term i has value sign[i] times its parent's; roots are their own parent
+    parent = np.arange(n_keys)
+    sign = np.ones(n_keys, np.int64)
+    while True:
+        while np.any(parent[parent] != parent):
+            sign = sign * sign[parent]
+            parent = parent[parent]
+        cross = parent[src] != parent[dst]
+        if not cross.any():
+            break
+        a, b = parent[src[cross]], parent[dst[cross]]
+        hi, lo = np.maximum(a, b), np.minimum(a, b)
+        flip = sign[src[cross]] * link_sign[cross] * sign[dst[cross]] < 0
+        # one assignment per root, so parent and sign come from one link
+        hook = np.zeros(n_keys, np.int64)
+        hook[hi] = 2 * lo + flip
+        parent[hi] = hook[hi] // 2
+        sign[hi] = 1 - 2 * (hook[hi] % 2)
+
+    sums = np.zeros(n_keys, np.int64)
+    np.add.at(sums, parent, sign * totals)
+    sums[parent[src[sign[dst] != link_sign * sign[src]]]] = 0
+    return sums
+
+
 def generalized_delta_contract(
     n_upper: int, dim: int, operands, binding: DeltaBinding
 ) -> Tensor:
@@ -406,17 +532,16 @@ def generalized_delta_contract(
     n = n_upper
 
     # identical operands (same object) may be exchanged during plan merging
-    groups = []
-    seen_ids: dict = {}
-    for t in operands:
-        groups.append(seen_ids.setdefault(id(t), len(seen_ids)))
+    distinct: dict = {}
+    groups = tuple(distinct.setdefault(id(t), (len(distinct), t))[0] for t in operands)
+    symmetries = tuple(_slot_symmetries(t) for _, t in distinct.values())
     op_ranks = tuple(t.rank for t in operands)
 
     layout = _layout(dim, binding.out)
-    cache_key = (n, dim, binding, tuple(groups), op_ranks)
+    cache_key = (n, dim, binding, groups, op_ranks, symmetries)
     plans = _PLAN_CACHE.get(cache_key)
     if plans is None:
-        plans = _compile_plans(n, dim, binding, tuple(groups), op_ranks, layout)
+        plans = _compile_plans(n, dim, binding, groups, op_ranks, layout, symmetries)
         _PLAN_CACHE[cache_key] = plans
 
     max_sum_letters = max((p.n_sum_letters for p in plans), default=0)

@@ -2,6 +2,7 @@
 oracle, and the dimension-exceeding vanishing that drives everything."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from curvident.delta import (
     EngineInvariantError,
     _compile_plans,
     _layout,
+    _slot_symmetries,
     generalized_delta_contract,
     reference_delta_contract,
 )
-from curvident.identities import _patterson_binding, max_r
+from curvident.identities import _patterson_binding, max_r, patterson_residual
 from curvident.models import random_curvature, sl3_so3
 
 
@@ -282,9 +284,9 @@ def test_expansion_rejects_nonzero_repeated_representative():
 # compile must reproduce the permutation expansion's merged plans exactly.
 
 
-def _plan_digest(n, dim, binding, groups, ranks) -> str:
+def _plan_digest(n, dim, binding, groups, ranks, symmetries=()) -> str:
     layout = _layout(dim, binding.out)
-    plans = _compile_plans(n, dim, binding, groups, ranks, layout)
+    plans = _compile_plans(n, dim, binding, groups, ranks, layout, symmetries)
     h = hashlib.sha256()
     for plan in sorted(plans, key=lambda p: p.subscripts):
         h.update(f"{plan.subscripts};{plan.n_sum_letters};{len(plan.records)}\n".encode())
@@ -367,3 +369,132 @@ _GOLDEN_PLANS = {
 @pytest.mark.parametrize("name", sorted(_golden_bindings()))
 def test_golden_plan_digests(name):
     assert _plan_digest(*_golden_bindings()[name]) == _GOLDEN_PLANS[name]
+
+
+# -- plans folded modulo the operands' verified slot symmetries ----------------
+
+# the slot symmetries every algebraic curvature tensor has and a generic one
+# has no others: antisymmetry in each pair, both together, pair interchange
+# and pair interchange combined with both antisymmetries
+_R_SYMMETRIES = (
+    ((1, 0, 2, 3), -1),
+    ((0, 1, 3, 2), -1),
+    ((1, 0, 3, 2), 1),
+    ((2, 3, 0, 1), 1),
+    ((3, 2, 1, 0), 1),
+)
+
+
+def _patterson_golden():
+    return {k: v for k, v in _golden_bindings().items() if k.startswith("patterson-")}
+
+
+@pytest.mark.parametrize("dim", [4, 5, 6])
+def test_curvature_tensor_slot_symmetries(dim):
+    assert _slot_symmetries(random_curvature(dim, 3, 4).tensor) == _R_SYMMETRIES
+    if dim == 5:
+        assert _slot_symmetries(sl3_so3().tensor) == _R_SYMMETRIES
+
+
+def _antisymmetric_01(rng, dim):
+    x = rng.integers(-5, 6, (dim,) * 4)
+    return x - x.transpose(1, 0, 2, 3)
+
+
+def test_only_verified_symmetries_fold():
+    """Order 5 in dimension 5 against two copies of one operand, so the
+    oracle has support.  An operand antisymmetric only in slots (0, 1), and
+    one whose rational part is a curvature tensor but whose sqrt(3) part
+    has only that antisymmetry, each fold by it alone; the engine must
+    equal the oracle on both."""
+    rng = np.random.default_rng(17)
+    b = _patterson_binding(4, 2, "free")
+    only_01 = Tensor(5, _antisymmetric_01(rng, 5), np.zeros((5,) * 4, np.int64))
+    broken = Tensor(5, random_curvature(5, 4, 3).tensor._rat, _antisymmetric_01(rng, 5), 2)
+    for t in (only_01, broken):
+        assert _slot_symmetries(t) == (((1, 0, 2, 3), -1),)
+        eng = generalized_delta_contract(5, 5, [t, t], b)
+        assert not eng.is_zero()
+        assert eng == reference_delta_contract(5, 5, [t, t], b)
+
+
+def test_generic_operand_after_curvature_tensor_on_one_binding():
+    """A call with a generic rank-4 tensor right after one with R on the
+    same binding compiles its own plans: R's folded plans are not reused."""
+    R = random_curvature(4, 8, 3).tensor
+    rng = np.random.default_rng(23)
+    generic = Tensor(4, rng.integers(-5, 6, (4,) * 4), rng.integers(-5, 6, (4,) * 4), 3)
+    assert _slot_symmetries(generic) == ()
+    b = _patterson_binding(3, 1, "free")
+    for t in (R, generic):
+        eng = generalized_delta_contract(4, 4, [t], b)
+        assert not eng.is_zero()
+        assert eng == reference_delta_contract(4, 4, [t], b)
+
+
+def test_self_negative_class_is_dropped():
+    """The trace of an antisymmetric matrix is a term its own symmetry maps
+    to its negative, so exactly zero: its class gets no plan.  The engine
+    still equals the oracle."""
+    rng = np.random.default_rng(29)
+    x = rng.integers(-5, 6, (4, 4))
+    a = Tensor(4, x - x.T, np.zeros((4, 4), np.int64))
+    n, dim, b, groups, ranks = _golden_bindings()["operand-with-diagonals"]
+    layout = _layout(dim, b.out)
+    assert _slot_symmetries(a) == (((1, 0), -1),)
+    unfolded = _compile_plans(n, dim, b, groups, ranks, layout)
+    folded = _compile_plans(n, dim, b, groups, ranks, layout, (_slot_symmetries(a),))
+    assert [p.subscripts for p in unfolded] == ["aa->", "ab->ab"]
+    assert [p.subscripts for p in folded] == ["ab->ab"]
+    eng = generalized_delta_contract(n, dim, [a], b)
+    assert not eng.is_zero()
+    assert eng == reference_delta_contract(n, dim, [a], b)
+
+
+@pytest.mark.parametrize("name", sorted(_patterson_golden()))
+def test_folded_coefficients_within_int64_bound(name):
+    """The engine's int64 bound takes sum |coeff| <= N! * dim**(traced) from
+    the permutation expansion; folding adds coefficients with signs, so it
+    must keep that sum within the same bound."""
+    n, dim, b, groups, ranks = _patterson_golden()[name]
+    plans = _compile_plans(n, dim, b, groups, ranks, _layout(dim, b.out), (_R_SYMMETRIES,))
+    total = sum(abs(coeff) for p in plans for _, _, coeff in p.records)
+    assert total <= math.factorial(n) * dim ** len(b.traced)
+
+
+# golden digests of the plans folded with _R_SYMMETRIES, as _GOLDEN_PLANS
+_GOLDEN_FOLDED_PLANS = {
+    "patterson-4-1-free": "2bdec8ac7126b53864448c8d1580ad1e4e2f1235113fd8ae67941f0bb7409533",
+    "patterson-4-1-traced": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "patterson-4-2-free": "0aff3b89215928412ace945e18115d555ec4f6813e5cde8e008b07f84bee397b",
+    "patterson-4-2-traced": "0aff3b89215928412ace945e18115d555ec4f6813e5cde8e008b07f84bee397b",
+    "patterson-5-1-free": "7c9d5c2b5d08a7d0cc710fa0b6b82e671dd1e7da3812fa5a72e1f592ebca4509",
+    "patterson-5-1-traced": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "patterson-5-2-free": "fe4327152158b3c4dce65411862f30c5caac0446047c662c1db83067dc5deee3",
+    "patterson-5-2-traced": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "patterson-6-1-traced": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "patterson-6-2-free": "25935d29451ca8b13bfeb8f253a0d58a94d96f4159a6fd0dcb61b33bd1d22c2d",
+    "patterson-6-2-traced": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "patterson-6-3-free": "48ba1da6907f94fc9215a3f0c9b19b4934c59851ffba36acbd18642f6bfba088",
+    "patterson-6-3-traced": "48ba1da6907f94fc9215a3f0c9b19b4934c59851ffba36acbd18642f6bfba088",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_patterson_golden()))
+def test_golden_folded_plan_digests(name):
+    digest = _plan_digest(*_patterson_golden()[name], (_R_SYMMETRIES,))
+    assert digest == _GOLDEN_FOLDED_PLANS[name]
+
+
+def test_warm_patterson_einsum_count(monkeypatch):
+    """A warm dim-6 r=3 traced Patterson call contracts R's 26 plan classes,
+    not the 870 merged permutation terms, one einsum each."""
+    patterson_residual(random_curvature(6, 1, 4), 3, "traced")
+    R = random_curvature(6, 2, 4)
+    calls = []
+    real = tensor_mod._einsum_exact
+    monkeypatch.setattr(
+        tensor_mod, "_einsum_exact", lambda s, ops: calls.append(s) or real(s, ops)
+    )
+    assert patterson_residual(R, 3, "traced").is_zero
+    assert len(calls) <= 30
