@@ -16,7 +16,12 @@ and ``--trace`` value: every run's metrics and, per metric, each side's
 median and quartiles, the pairs the change won, lost and tied, and whether
 the gain rule holds: the change wins at least nine tenths of the pairs and
 the medians differ by more than the parent's interquartile range, in the
-metric's better direction (read from ``BENCHMARK.json``).  A later run
+metric's better direction (read from ``BENCHMARK.json``).  Each end-to-end
+metric also gets the no-regression verdict ``regression``, with the
+metric's ``bound`` from ``BENCHMARK.json``: "worse" when the change's
+median is worse than the parent's by more than bound x the parent median,
+"unresolved" when the parent's interquartile range exceeds that margin and
+not every change run beats every parent run, "none" otherwise.  A later run
 with the same label and base replaces the entries it measured again and
 keeps the others, so one file can collect several invocations.
 """
@@ -70,8 +75,9 @@ def quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list, better: dict) -> dict:
-    """Per metric: each side's median and quartiles, wins and the gain rule."""
+def summarize(runs: list, better: dict, bounds: dict) -> dict:
+    """Per metric: each side's median and quartiles, wins, the gain rule and,
+    for an end-to-end metric, the no-regression verdict."""
     out = {}
     for name in runs[0]["parent"]["metrics"]:
         parent = [r["parent"]["metrics"][name]["value"] for r in runs]
@@ -91,6 +97,14 @@ def summarize(runs: list, better: dict) -> dict:
             "gain": wins >= 0.9 * len(runs)
             and sign * (cs["median"] - ps["median"]) > ps["q3"] - ps["q1"],
         }
+        if name in bounds:
+            margin = bounds[name] * abs(ps["median"])
+            beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
+            out[name]["regression"] = (
+                "worse" if sign * (ps["median"] - cs["median"]) > margin
+                else "unresolved" if ps["q3"] - ps["q1"] > margin and not beats_all
+                else "none"
+            )
     return out
 
 
@@ -111,6 +125,7 @@ def main(argv=None) -> int:
         ap.error("--pairs must be >= 2 (quartiles need two runs a side)")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     out = args.out or ROOT / f"BENCH_{args.label}.json"
     record = json.loads(out.read_text()) if out.exists() else None
@@ -142,7 +157,7 @@ def main(argv=None) -> int:
                 entries.append({
                     "workload": workload, "seed": seed, "trace": args.trace,
                     "pairs": args.pairs, "seconds": args.seconds,
-                    "summary": summarize(runs, better), "runs": runs,
+                    "summary": summarize(runs, better, bounds), "runs": runs,
                 })
     finally:
         shutil.rmtree(parent_tree, ignore_errors=True)
@@ -163,7 +178,8 @@ def main(argv=None) -> int:
             if s["wins"] + s["losses"]:
                 print(f"{e['workload']} seed {e['seed']} {name}: {s['parent']['median']:.4g} -> "
                       f"{s['change']['median']:.4g} {s['unit']}, wins {s['wins']}/{e['pairs']}"
-                      f"{', gain' if s['gain'] else ''}")
+                      f"{', gain' if s['gain'] else ''}"
+                      + (f", regression {s['regression']}" if "regression" in s else ""))
     return 0
 
 

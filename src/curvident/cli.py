@@ -29,6 +29,8 @@ from .models import (
     einsteinize,
     load_model,
     random_curvature,
+    _INTEGER_PARAMS,
+    _KINDS,
 )
 from .report import (
     IDENTITY_IDS,
@@ -51,7 +53,29 @@ _INPUT_ERRORS = (
     OSError,
 )
 
-_CATALOG = ("flat", "constant", "example5d", "example6d", "sl3so3", "nikolayevsky", "random-einstein")
+# catalog name -> (model kind, the parameters the name fixes); the options
+# in _PARAM_OPTIONS give the kind's other parameters
+_CATALOG = {
+    "flat": ("constant_curvature", {"k": Scalar(0)}),
+    "constant": ("constant_curvature", {}),
+    "example5d": ("example_5d", {}),
+    "example6d": ("example_6d", {}),
+    "sl3so3": ("sl3_so3", {}),
+    "nikolayevsky": ("nikolayevsky", {}),
+    "random-einstein": ("random_einstein", {}),
+}
+_PARAM_OPTIONS = {
+    "dim": "--dim",
+    "k": "--k",
+    "alpha": "--alpha",
+    "beta": "--beta",
+    "seed": "--seed",
+    "n_terms": "--terms",
+}
+# the options that take scalar text
+_SCALAR_OPTIONS = tuple(
+    opt for key, opt in _PARAM_OPTIONS.items() if key not in _INTEGER_PARAMS
+)
 
 
 def _add_model_args(p: argparse.ArgumentParser):
@@ -66,9 +90,6 @@ def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--beta", help="second normal-form parameter, scalar text")
     p.add_argument("--seed", type=int, default=1, help="generator seed")
     p.add_argument("--terms", type=int, default=4, help="generator term count")
-
-
-_SCALAR_OPTIONS = ("--k", "--alpha", "--beta")
 
 
 def _attach_scalar_values(argv: list) -> list:
@@ -88,44 +109,19 @@ def _resolve_spec(args) -> ModelSpec:
     name = args.model
     if os.sep in name or name.endswith(".json") or os.path.isfile(name):
         return load_model(name)
-    if name == "flat":
-        if args.dim is None:
-            raise ModelSpecError("/params/dim", "flat requires --dim")
-        return ModelSpec(
-            "constant_curvature", {"dim": args.dim, "k": Scalar(0)}
-        )
-    if name == "constant":
-        if args.dim is None:
-            raise ModelSpecError("/params/dim", "constant requires --dim")
-        return ModelSpec(
-            "constant_curvature", {"dim": args.dim, "k": Scalar.parse(args.k)}
-        )
-    if name == "example5d":
-        return ModelSpec("example_5d", {"k": Scalar.parse(args.k)})
-    if name == "example6d":
-        return ModelSpec("example_6d", {"k": Scalar.parse(args.k)})
-    if name == "sl3so3":
-        return ModelSpec("sl3_so3")
-    if name == "nikolayevsky":
-        if args.alpha is None or args.beta is None:
-            raise ModelSpecError("/params", "nikolayevsky requires --alpha and --beta")
-        return ModelSpec(
-            "nikolayevsky",
-            {"alpha": Scalar.parse(args.alpha), "beta": Scalar.parse(args.beta)},
-        )
-    if name == "random-einstein":
-        if args.dim is None:
-            raise ModelSpecError("/params/dim", "random-einstein requires --dim")
-        return ModelSpec(
-            "random_einstein",
-            {
-                "dim": args.dim,
-                "seed": args.seed,
-                "n_terms": args.terms,
-                "k": Scalar.parse(args.k),
-            },
-        )
-    raise ModelSpecError("/kind", f"unknown model {name!r}")
+    if name not in _CATALOG:
+        raise ModelSpecError("/kind", f"unknown model {name!r}")
+    kind, params = _CATALOG[name]
+    params = dict(params)
+    for key in _KINDS[kind][0]:
+        if key in params:
+            continue
+        option = _PARAM_OPTIONS[key]
+        value = getattr(args, option[2:])
+        if value is None:
+            raise ModelSpecError(f"/params/{key}", f"{name} requires {option}")
+        params[key] = value if key in _INTEGER_PARAMS else Scalar.parse(value)
+    return ModelSpec(kind, params)
 
 
 def _repeated(ids, option: str):

@@ -1,30 +1,11 @@
 """Model-space catalog, random generators and (de)serialization.
 
-Catalog kinds
--------------
-constant_curvature(dim, k)
-    R_ijkl = k (g_il g_jk - g_ik g_jl).
-product(factors)
-    Block-diagonal combination of two factor tensors on orthogonal index
-    ranges; all mixed components vanish.
-example_5d(k)
-    Product of a 3-dim constant-curvature-k space and a surface of
-    curvature 2k; Einstein, not super-Einstein (for k != 0).
-example_6d(k)
-    Product of two 3-dim constant-curvature-k spaces; super-Einstein,
-    never 2-stein for k != 0.
-sl3_so3
-    The 5-dimensional 2-stein symmetric space SL(3)/SO(3) (components
-    contain sqrt(3)/2 entries); equals nikolayevsky(0, -1/2).
-nikolayevsky(alpha, beta)
-    The two-parameter normal form every 5-dimensional 2-stein curvature
-    tensor takes in a suitable orthonormal basis.
-explicit(dim, components)
-    Independent components given directly; the full tensor is generated
-    by the antisymmetries and the pair symmetry, then validated (first
-    Bianchi is checked, not imposed).
-random_einstein(dim, seed, n_terms, k)
-    einsteinize(random_curvature(dim, seed, n_terms), k).
+Catalog
+-------
+``_KINDS`` (above ``build``) is the one statement of the model kinds: each
+kind's parameters, the field it takes ("factors" for ``product``,
+"components" for ``explicit``) and its builder.  The schema, ``build`` and
+the CLI catalog all read it; the builders' docstrings describe the models.
 
 PRNG
 ----
@@ -60,16 +41,13 @@ class ModelSpecError(ValueError):
         super().__init__(f"{pointer}: {message}")
 
 
-KINDS = (
-    "constant_curvature",
-    "product",
-    "example_5d",
-    "example_6d",
-    "sl3_so3",
-    "nikolayevsky",
-    "explicit",
-    "random_einstein",
-)
+# parameters whose values are JSON integers; every other one is scalar text
+_INTEGER_PARAMS = frozenset({"dim", "seed", "n_terms"})
+_FIELDS = ("factors", "components")
+
+
+def _is_integer(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
 
 
 @dataclass(frozen=True)
@@ -102,22 +80,25 @@ class ModelSpec:
         if not isinstance(data, dict):
             raise ModelSpecError(pointer or "/", "expected an object")
         kind = data.get("kind")
-        if kind not in KINDS:
+        if kind not in _KINDS:
             raise ModelSpecError(f"{pointer}/kind", f"unknown kind {kind!r}")
+        for key in data:
+            if key not in ("kind", "params", *_FIELDS):
+                raise ModelSpecError(f"{pointer}/{key}", "unknown key")
         params = {}
         raw_params = data.get("params", {})
         if not isinstance(raw_params, dict):
             raise ModelSpecError(f"{pointer}/params", "expected an object")
         for key, val in raw_params.items():
             ptr = f"{pointer}/params/{key}"
-            if key in ("seed", "n_terms", "dim"):
-                if not isinstance(val, int):
+            if key in _INTEGER_PARAMS:
+                if not _is_integer(val):
                     raise ModelSpecError(ptr, "expected an integer")
                 params[key] = val
             else:
                 try:
                     params[key] = Scalar.parse(val)
-                except (ScalarParseError, TypeError) as exc:
+                except ScalarParseError as exc:
                     raise ModelSpecError(ptr, str(exc)) from None
         factors = None
         if "factors" in data:
@@ -138,11 +119,14 @@ class ModelSpec:
                 ptr = f"{pointer}/components/{i}"
                 if not isinstance(entry, dict) or "idx" not in entry or "val" not in entry:
                     raise ModelSpecError(ptr, "expected {'idx': [...], 'val': '...'}")
+                for key in entry:
+                    if key not in ("idx", "val"):
+                        raise ModelSpecError(f"{ptr}/{key}", "unknown key")
                 idx = entry["idx"]
                 if (
                     not isinstance(idx, list)
                     or len(idx) != 4
-                    or not all(isinstance(i_, int) and i_ >= 1 for i_ in idx)
+                    or not all(_is_integer(i_) and i_ >= 1 for i_ in idx)
                 ):
                     raise ModelSpecError(f"{ptr}/idx", "expected four 1-based integers")
                 try:
@@ -156,31 +140,25 @@ class ModelSpec:
         return spec
 
 
-_REQUIRED = {
-    "constant_curvature": ("dim", "k"),
-    "example_5d": ("k",),
-    "example_6d": ("k",),
-    "sl3_so3": (),
-    "nikolayevsky": ("alpha", "beta"),
-    "random_einstein": ("dim", "seed", "n_terms", "k"),
-    "explicit": ("dim",),
-    "product": (),
-}
-
-
 def _require_params(spec: ModelSpec, pointer: str = ""):
+    """The spec names a kind, exactly that kind's parameters, and the one
+    field (factors or components) the kind takes, if any."""
+    if spec.kind not in _KINDS:
+        raise ModelSpecError(f"{pointer}/kind", f"unknown kind {spec.kind!r}")
+    names, takes, _ = _KINDS[spec.kind]
     # every parameter of a kind is required, so the required set is also
     # the allowed one
     for key in spec.params:
-        if key not in _REQUIRED[spec.kind]:
+        if key not in names:
             raise ModelSpecError(f"{pointer}/params/{key}", "unknown parameter")
-    for key in _REQUIRED[spec.kind]:
+    for key in names:
         if key not in spec.params:
             raise ModelSpecError(f"{pointer}/params/{key}", "missing required parameter")
-    if spec.kind == "product" and (spec.factors is None):
-        raise ModelSpecError(f"{pointer}/factors", "product requires two factor specs")
-    if spec.kind == "explicit" and spec.components is None:
-        raise ModelSpecError(f"{pointer}/components", "explicit requires components")
+    for name in _FIELDS:
+        given = getattr(spec, name) is not None
+        if given != (name == takes):
+            verb = "takes no" if given else "requires"
+            raise ModelSpecError(f"{pointer}/{name}", f"{spec.kind} {verb} {name}")
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +216,7 @@ def curvature_from_components(dim: int, components) -> CurvatureTensor:
 
 
 def constant_curvature(dim: int, k) -> CurvatureTensor:
+    """R_ijkl = k (g_il g_jk - g_ik g_jl)."""
     g = Tensor.identity(dim)
     t = (ein("il,jk->ijkl", g, g) - ein("ik,jl->ijkl", g, g)).scale(k)
     return CurvatureTensor(t, _validated=True)
@@ -261,11 +240,15 @@ def product(a: CurvatureTensor, b: CurvatureTensor) -> CurvatureTensor:
 
 
 def example_5d(k) -> CurvatureTensor:
+    """Product of a 3-dim constant-curvature-k space and a surface of
+    curvature 2k; Einstein, not super-Einstein (for k != 0)."""
     k = k if isinstance(k, Scalar) else Scalar(k)
     return product(constant_curvature(3, k), constant_curvature(2, k * Scalar(2)))
 
 
 def example_6d(k) -> CurvatureTensor:
+    """Product of two 3-dim constant-curvature-k spaces; super-Einstein,
+    never 2-stein for k != 0."""
     k = k if isinstance(k, Scalar) else Scalar(k)
     return product(constant_curvature(3, k), constant_curvature(3, k))
 
@@ -291,6 +274,8 @@ _SL3_COMPONENTS = (
 
 
 def sl3_so3() -> CurvatureTensor:
+    """The 5-dimensional 2-stein symmetric space SL(3)/SO(3) (components
+    contain sqrt(3)/2 entries); equals nikolayevsky(0, -1/2)."""
     return curvature_from_components(5, _SL3_COMPONENTS)
 
 
@@ -391,30 +376,32 @@ def einsteinize(R: CurvatureTensor, k) -> CurvatureTensor:
 # ---------------------------------------------------------------------------
 
 
+# kind -> (its parameters, the field it takes, its builder); ``build``
+# calls the builder with the parameters and the field as keywords
+_KINDS = {
+    "constant_curvature": (("dim", "k"), None, constant_curvature),
+    "product": ((), "factors", lambda factors: product(*map(build, factors))),
+    "example_5d": (("k",), None, example_5d),
+    "example_6d": (("k",), None, example_6d),
+    "sl3_so3": ((), None, sl3_so3),
+    "nikolayevsky": (("alpha", "beta"), None, nikolayevsky),
+    "explicit": (("dim",), "components", curvature_from_components),
+    "random_einstein": (
+        ("dim", "seed", "n_terms", "k"),
+        None,
+        lambda dim, seed, n_terms, k: einsteinize(random_curvature(dim, seed, n_terms), k),
+    ),
+}
+KINDS = tuple(_KINDS)
+
+
 def build(spec: ModelSpec) -> CurvatureTensor:
     """Construct the curvature tensor a spec describes; every output
     passes validation."""
     _require_params(spec)
-    p = spec.params
-    if spec.kind == "constant_curvature":
-        return constant_curvature(p["dim"], p["k"])
-    if spec.kind == "product":
-        return product(build(spec.factors[0]), build(spec.factors[1]))
-    if spec.kind == "example_5d":
-        return example_5d(p["k"])
-    if spec.kind == "example_6d":
-        return example_6d(p["k"])
-    if spec.kind == "sl3_so3":
-        return sl3_so3()
-    if spec.kind == "nikolayevsky":
-        return nikolayevsky(p["alpha"], p["beta"])
-    if spec.kind == "explicit":
-        return curvature_from_components(p["dim"], spec.components)
-    if spec.kind == "random_einstein":
-        return einsteinize(
-            random_curvature(p["dim"], p["seed"], p["n_terms"]), p["k"]
-        )
-    raise ModelSpecError("/kind", f"unknown kind {spec.kind!r}")
+    _, takes, builder = _KINDS[spec.kind]
+    fields = {takes: getattr(spec, takes)} if takes else {}
+    return builder(**spec.params, **fields)
 
 
 def explicit_spec(R: CurvatureTensor) -> ModelSpec:

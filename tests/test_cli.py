@@ -11,7 +11,7 @@ import pytest
 from curvident import cli, identities, report
 from curvident.cli import main
 from curvident.delta import EngineInvariantError
-from curvident.models import ModelSpec, save_model
+from curvident.models import KINDS, ModelSpec, _KINDS, build, save_model
 from curvident.scalar import Scalar
 
 
@@ -310,3 +310,64 @@ def test_readme_cli_examples_parse():
     parser = cli.build_parser()
     for line in lines:
         parser.parse_args(cli._attach_scalar_values(shlex.split(line)[1:]))
+
+
+@pytest.mark.parametrize("name", list(cli._CATALOG))
+def test_catalog_names_resolve_to_kinds(name):
+    args = cli.build_parser().parse_args(
+        ["invariants", "--model", name, "--dim", "5", "--alpha", "1", "--beta", "1"]
+    )
+    spec = cli._resolve_spec(args)
+    assert spec.kind in KINDS
+    build(spec)  # the options complete the kind's parameters
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (("--model", "flat"), "/params/dim: flat requires --dim"),
+        (("--model", "constant", "--k", "2"), "/params/dim: constant requires --dim"),
+        (("--model", "random-einstein"), "/params/dim: random-einstein requires --dim"),
+        (("--model", "nikolayevsky", "--alpha", "1"), "/params/beta: nikolayevsky requires --beta"),
+        (("--model", "nikolayevsky", "--beta", "1"), "/params/alpha: nikolayevsky requires --alpha"),
+    ],
+)
+def test_missing_model_option_exit2(capsys, options, message):
+    assert run_cli("invariants", *options) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        ({"kind": "sl3_so3", "components": [{"idx": [1, 2, 1, 2], "val": "5"}]},
+         "/components: sl3_so3 takes no components"),
+        ({"kind": "constant_curvature", "params": {"dim": 4, "k": "1"}, "paramz": {}},
+         "/paramz: unknown key"),
+        ({"kind": "constant_curvature", "params": {"dim": True, "k": "1"}},
+         "/params/dim: expected an integer"),
+    ],
+)
+def test_model_file_schema_violation_exit2(tmp_path, capsys, model, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(model))
+    assert run_cli("verify", "--model", str(path), "--set", "all") == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "internal error" not in captured.err
+
+
+def test_readme_model_catalog():
+    """The README's `Models:` paragraph names exactly the catalog names,
+    each with the options that give its kind's parameters."""
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    paragraph = readme.split("Models: ", 1)[1].split("or a model JSON file path", 1)[0]
+    documented = {}
+    for usage in paragraph.split("`")[1::2]:
+        name, *words = usage.split()
+        documented[name] = {w for w in words if w.startswith("--")}
+    expected = {
+        name: {cli._PARAM_OPTIONS[key] for key in _KINDS[kind][0] if key not in fixed}
+        for name, (kind, fixed) in cli._CATALOG.items()
+    }
+    assert documented == expected

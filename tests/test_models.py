@@ -1,6 +1,7 @@
 """Catalog construction, the deterministic generator, serialization."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +10,11 @@ from curvident.tensor import Tensor
 from curvident.curvature import invariants, validate_curvature
 from curvident.identities import einstein5_residual, einstein6_residual
 from curvident.models import (
+    KINDS,
     ModelSpec,
     ModelSpecError,
     SplitMix64,
+    _KINDS,
     build,
     constant_curvature,
     curvature_from_components,
@@ -210,3 +213,112 @@ def test_unknown_params_rejected_with_pointer():
     with pytest.raises(ModelSpecError) as err:
         build(ModelSpec("example_6d", {"k": Scalar(1), "alpha": Scalar(2)}))
     assert "/params/alpha" in str(err.value)
+
+
+# -- the kind table --------------------------------------------------------------
+
+_CC3 = {"kind": "constant_curvature", "params": {"dim": 3, "k": "1"}}
+_SAMPLES = {
+    "constant_curvature": {"kind": "constant_curvature", "params": {"dim": 4, "k": "-2/3"}},
+    "product": {"kind": "product", "factors": [_CC3, _CC3]},
+    "example_5d": {"kind": "example_5d", "params": {"k": "1"}},
+    "example_6d": {"kind": "example_6d", "params": {"k": "1+1*sqrt(3)"}},
+    "sl3_so3": {"kind": "sl3_so3"},
+    "nikolayevsky": {"kind": "nikolayevsky", "params": {"alpha": "2", "beta": "1/2"}},
+    "explicit": {
+        "kind": "explicit",
+        "params": {"dim": 4},
+        "components": [{"idx": [1, 2, 1, 2], "val": "1"}],
+    },
+    "random_einstein": {
+        "kind": "random_einstein",
+        "params": {"dim": 5, "k": "1", "n_terms": 2, "seed": 3},
+    },
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_roundtrips_and_builds(kind):
+    data = _SAMPLES[kind]
+    spec = ModelSpec.from_json(data)
+    assert spec.to_json() == data
+    assert ModelSpec.from_json(spec.to_json()) == spec
+    validate_curvature(build(spec).tensor)
+
+
+@pytest.mark.parametrize(
+    "data, pointer",
+    [
+        # a field the kind does not take
+        ({"kind": "sl3_so3", "components": [{"idx": [1, 2, 1, 2], "val": "5"}]}, "/components"),
+        ({"kind": "example_5d", "params": {"k": "1"}, "factors": [_CC3, _CC3]}, "/factors"),
+        (
+            {"kind": "explicit", "params": {"dim": 4}, "factors": [_CC3, _CC3],
+             "components": [{"idx": [1, 2, 1, 2], "val": "1"}]},
+            "/factors",
+        ),
+        ({"kind": "product", "factors": [_CC3, {**_CC3, "components": []}]}, "/factors/1/components"),
+        # the field the kind takes, missing
+        ({"kind": "product"}, "/factors"),
+        ({"kind": "explicit", "params": {"dim": 4}}, "/components"),
+        # an unknown key, at the top level or in a component entry
+        ({"kind": "sl3_so3", "paramz": {"k": "1"}}, "/paramz"),
+        (
+            {"kind": "explicit", "params": {"dim": 4},
+             "components": [{"idx": [1, 2, 1, 2], "val": "1", "note": "x"}]},
+            "/components/0/note",
+        ),
+    ],
+)
+def test_fields_the_kind_does_not_take_rejected(data, pointer):
+    with pytest.raises(ModelSpecError) as err:
+        ModelSpec.from_json(data)
+    assert err.value.pointer == pointer
+
+
+def test_build_rejects_a_field_the_kind_does_not_take():
+    comps = (((1, 2, 1, 2), Scalar(5)),)
+    with pytest.raises(ModelSpecError) as err:
+        build(ModelSpec("sl3_so3", components=comps))
+    assert err.value.pointer == "/components"
+    with pytest.raises(ModelSpecError) as err:
+        build(ModelSpec("nope"))
+    assert err.value.pointer == "/kind"
+
+
+@pytest.mark.parametrize(
+    "data, pointer",
+    [
+        ({"kind": "constant_curvature", "params": {"dim": True, "k": "1"}}, "/params/dim"),
+        (
+            {"kind": "random_einstein", "params": {"dim": 5, "k": "1", "n_terms": 2, "seed": True}},
+            "/params/seed",
+        ),
+        (
+            {"kind": "random_einstein", "params": {"dim": 5, "k": "1", "n_terms": False, "seed": 1}},
+            "/params/n_terms",
+        ),
+        (
+            {"kind": "explicit", "params": {"dim": 4},
+             "components": [{"idx": [True, 2, True, 2], "val": "1"}]},
+            "/components/0/idx",
+        ),
+        ({"kind": "example_5d", "params": {"k": True}}, "/params/k"),
+    ],
+)
+def test_booleans_are_not_integers(data, pointer):
+    with pytest.raises(ModelSpecError) as err:
+        ModelSpec.from_json(data)
+    assert err.value.pointer == pointer
+
+
+def test_readme_model_kinds():
+    """The README's model file format lists each kind with exactly the
+    params of the kind table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = " ".join(readme.split("The kinds and their params:", 1)[1].split(". ", 1)[0].split())
+    documented = {}
+    for usage in text.split("`")[1::2]:
+        kind, params = usage.rstrip(")").split("(")
+        documented[kind] = tuple(p.strip() for p in params.split(",") if p.strip())
+    assert documented == {kind: entry[0] for kind, entry in _KINDS.items()}
