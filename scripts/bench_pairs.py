@@ -23,7 +23,9 @@ median is worse than the parent's by more than bound x the parent median,
 "unresolved" when the parent's interquartile range exceeds that margin and
 not every change run beats every parent run, "none" otherwise.  A later run
 with the same label and base replaces the entries it measured again and
-keeps the others, so one file can collect several invocations.
+keeps the others, so one file can collect several invocations.  The
+file also records ``src_lines``, the line count of the Python sources
+under ``src/`` in the parent and in the change.
 """
 
 from __future__ import annotations
@@ -52,6 +54,11 @@ def export_tree(rev: str, dest: Path) -> str:
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
     return sha
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of the Python sources under ``tree``/src."""
+    return sum(len(p.read_text().splitlines()) for p in (tree / "src").rglob("*.py"))
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int):
@@ -136,6 +143,7 @@ def main(argv=None) -> int:
         if record is not None and record["base"] != base:
             raise SystemExit(f"{out} was measured against base {record['base']}, not {base}")
         record = record or {"label": args.label, "base": base, "entries": []}
+        record["src_lines"] = {"parent": src_lines(parent_tree), "change": src_lines(ROOT)}
         for workload in args.workload:
             for seed in args.seed:
                 runs = []
@@ -173,6 +181,7 @@ def main(argv=None) -> int:
     record["change"] = head + (" + working-tree changes" if dirty else "")
     record["machine"] = machine
     out.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"src lines: {record['src_lines']['parent']} -> {record['src_lines']['change']}")
     for e in entries:
         for name, s in e["summary"].items():
             if s["wins"] + s["losses"]:

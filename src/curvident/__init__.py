@@ -14,6 +14,7 @@ from .tensor import (
     contract,
     ein,
     is_zero,
+    lincomb,
     tensor_product,
     tensors_equal,
 )

@@ -25,7 +25,7 @@ from itertools import permutations
 from typing import Optional
 
 from .scalar import Scalar
-from .tensor import Tensor, ShapeError, ein
+from .tensor import Tensor, ShapeError, ein, lincomb
 
 
 class CurvatureValidationError(ValueError):
@@ -39,11 +39,6 @@ class CurvatureValidationError(ValueError):
         self.identity = identity
         self.indices = tuple(int(i) + 1 for i in indices)
         super().__init__(f"{identity} violated at component {self.indices}")
-
-
-def _first_violation(diff: Tensor):
-    idx = diff.nonzero_indices()
-    return idx[0] if idx else None
 
 
 class CurvatureTensor:
@@ -85,23 +80,23 @@ class CurvatureTensor:
         return f"CurvatureTensor(dim={self.dim})"
 
 
+# each symmetry with the axis labels of the signed transposes of R_ijkl
+# whose sum vanishes exactly when it holds
+_SYMMETRIES = (
+    ("antisymmetry in first index pair", ((1, "ijkl"), (1, "jikl"))),
+    ("antisymmetry in second index pair", ((1, "ijkl"), (1, "ijlk"))),
+    ("pair-interchange symmetry", ((1, "ijkl"), (-1, "klij"))),
+    ("first Bianchi identity", ((1, "ijkl"), (1, "kijl"), (1, "jkil"))),
+)
+
+
 def _check_symmetries(t: Tensor) -> Tensor:
     if t.rank != 4:
         raise ShapeError(f"curvature tensor must have rank 4, got {t.rank}")
-    bad = _first_violation(t + t.transpose((1, 0, 2, 3)))
-    if bad:
-        raise CurvatureValidationError("antisymmetry in first index pair", bad)
-    bad = _first_violation(t + t.transpose((0, 1, 3, 2)))
-    if bad:
-        raise CurvatureValidationError("antisymmetry in second index pair", bad)
-    bad = _first_violation(t - t.transpose((2, 3, 0, 1)))
-    if bad:
-        raise CurvatureValidationError("pair-interchange symmetry", bad)
-    bad = _first_violation(
-        t + t.transpose((1, 2, 0, 3)) + t.transpose((2, 0, 1, 3))
-    )
-    if bad:
-        raise CurvatureValidationError("first Bianchi identity", bad)
+    for name, rows in _SYMMETRIES:
+        diff = lincomb([(c, f"{s}->ijkl", t) for c, s in rows])
+        if not diff.is_zero():
+            raise CurvatureValidationError(name, diff.nonzero_indices()[0])
     return t
 
 
@@ -225,6 +220,11 @@ def weyl(R: CurvatureTensor) -> CurvatureTensor:
     and tau/20 in dimension 6.  The result has identically zero Ricci
     contraction and vanishes for constant-curvature input.
     """
+    return CurvatureTensor(lincomb(_weyl_terms(R)))
+
+
+def _weyl_terms(R: CurvatureTensor) -> list:
+    """The terms of W, as ``lincomb`` terms."""
     t = R.tensor
     m = t.dim
     if m < 3:
@@ -232,19 +232,17 @@ def weyl(R: CurvatureTensor) -> CurvatureTensor:
     g = Tensor.identity(m)
     ricci = ein("iaaj->ij", t)
     tau = ein("ii->", ricci).to_scalar()
-    rho_g = (
-        ein("ps,qr->pqrs", ricci, g)
-        + ein("qr,ps->pqrs", ricci, g)
-        - ein("pr,qs->pqrs", ricci, g)
-        - ein("qs,pr->pqrs", ricci, g)
-    )
-    gg = ein("ps,qr->pqrs", g, g) - ein("pr,qs->pqrs", g, g)
-    w = (
-        t
-        - rho_g.scale(Fraction(1, m - 2))
-        + gg.scale(tau * Fraction(1, (m - 1) * (m - 2)))
-    )
-    return CurvatureTensor(w)
+    c = Fraction(-1, m - 2)
+    cg = tau * Fraction(1, (m - 1) * (m - 2))
+    return [
+        (1, t),
+        (c, "ps,qr->pqrs", ricci, g),
+        (c, "qr,ps->pqrs", ricci, g),
+        (-c, "pr,qs->pqrs", ricci, g),
+        (-c, "qs,pr->pqrs", ricci, g),
+        (cg, "ps,qr->pqrs", g, g),
+        (-cg, "pr,qs->pqrs", g, g),
+    ]
 
 
 @dataclass(frozen=True)
@@ -296,18 +294,15 @@ def two_stein_check(R: CurvatureTensor) -> TwoSteinReport:
     mu1 = tau / Scalar(m) if einstein else None
 
     d = jacobi_square_coefficients(R)
-    sym_d = None
-    for p in permutations("pqrs"):
-        term = ein(f"{''.join(p)}->pqrs", d)
-        sym_d = term if sym_d is None else sym_d + term
-    sym_d = sym_d.scale(Fraction(1, 24))
-    sym_gg = (
-        ein("pq,rs->pqrs", g, g)
-        + ein("pr,qs->pqrs", g, g)
-        + ein("ps,qr->pqrs", g, g)
-    ).scale(Fraction(1, 3))
+    sym_d = lincomb(
+        [(Fraction(1, 24), f"{''.join(p)}->pqrs", d) for p in permutations("pqrs")]
+    )
     mu2_candidate = sym_d.item(0, 0, 0, 0)
-    quartic_ok = sym_d == sym_gg.scale(mu2_candidate)
+    # mu2 Sym(g x g)
+    c = mu2_candidate * Fraction(1, 3)
+    quartic_ok = sym_d == lincomb(
+        [(c, s, g, g) for s in ("pq,rs->pqrs", "pr,qs->pqrs", "ps,qr->pqrs")]
+    )
     mu2 = mu2_candidate if quartic_ok else None
     return TwoSteinReport(
         is_two_stein=bool(einstein and quartic_ok), mu1=mu1, mu2=mu2

@@ -22,88 +22,86 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalar import Scalar
-from .tensor import ShapeError, ein
-from .curvature import CurvatureTensor, _pieces
+from .tensor import ein, lincomb
+from .curvature import CurvatureTensor
 from .identities import (
-    _F_ROWS,
-    _G3_ROWS,
-    _TT_ROWS,
-    _a_block,
-    _f_block,
-    _f_term,
-    _g3_term,
-    _signed,
-    _sum,
-    _t_part,
+    _a_terms,
+    _einstein6_terms,
+    _f_terms,
+    _g3_terms,
+    _pieces_in,
+    _scaled,
+    _t_terms,
+    _tt_terms,
     einstein6_residual,
     tsa,
 )
 
 
-def _kernels(R: CurvatureTensor):
-    t, g, ricci, tau, tt, rn2 = _pieces(R)
+def _group_terms(R: CurvatureTensor) -> list:
+    """The 34 groups as (raw lhs terms, simplified rhs terms) lists of
+    ``lincomb`` terms, free indices ordered (i,h,j,k,l,m)."""
+    t, g, ricci, tau, tt, rn2 = _pieces_in(R, 6, "the term-group expansion")
     dec = tsa(R)
     rho2 = ein("ij,ij->", ricci, ricci).to_scalar()
 
     k0 = rn2 - Scalar(4) * rho2 + tau * tau
     k0r = rn2 + tau * tau * Fraction(1, 3)
 
-    k2 = (
-        tt.scale(-4)
-        + ein("xa,ya->xy", ricci, ricci).scale(8)
-        + ein("xaby,ab->xy", t, ricci).scale(8)
-        + ricci.scale(tau * Fraction(-4, 1))
-    )
-    k2r = tt.scale(-4) + g.scale(tau * tau * Fraction(-2, 9))
+    k2 = lincomb([
+        (-4, tt),
+        (8, "xa,ya->xy", ricci, ricci),
+        (8, "xaby,ab->xy", t, ricci),
+        (tau * -4, ricci),
+    ])
+    k2r = lincomb([(-4, tt), (tau * tau * Fraction(-2, 9), g)])
 
-    quad = _t_part(dec).scale(8) + dec.s.scale(4)
-    k4 = (
-        quad
-        + ein("aprs,aq->pqrs", t, ricci).scale(-8)
-        + ein("aspq,ar->pqrs", t, ricci).scale(8)
-        + ein("arpq,as->pqrs", t, ricci).scale(-8)
-        + ein("aqrs,ap->pqrs", t, ricci).scale(8)
-        + ein("pr,qs->pqrs", ricci, ricci).scale(8)
-        + ein("ps,qr->pqrs", ricci, ricci).scale(-8)
-        + t.scale(tau * Fraction(-4, 1))
-    )
-    k4r = (
-        quad
-        + t.scale(tau * Fraction(4, 3))
-        + (ein("pr,qs->pqrs", g, g) - ein("ps,qr->pqrs", g, g)).scale(
-            tau * tau * Fraction(2, 9)
-        )
-    )
-    return t, g, ricci, tau, dec, k0, k0r, k2, k2r, k4, k4r
+    quad = _scaled(8, _t_terms(dec)) + [(4, dec.s)]
+    k4 = lincomb(quad + [
+        (-8, "aprs,aq->pqrs", t, ricci),
+        (8, "aspq,ar->pqrs", t, ricci),
+        (-8, "arpq,as->pqrs", t, ricci),
+        (8, "aqrs,ap->pqrs", t, ricci),
+        (8, "pr,qs->pqrs", ricci, ricci),
+        (-8, "ps,qr->pqrs", ricci, ricci),
+        (tau * -4, t),
+    ])
+    c = tau * tau * Fraction(2, 9)
+    k4r = lincomb(quad + [
+        (tau * Fraction(4, 3), t),
+        (c, "pr,qs->pqrs", g, g),
+        (-c, "ps,qr->pqrs", g, g),
+    ])
+
+    groups = [(_scaled(k0, [x]), _scaled(k0r, [x])) for x in _g3_terms(g)]
+    groups += [([x], [y]) for x, y in zip(_tt_terms(k2, g), _tt_terms(k2r, g))]
+    groups += [([x], [y]) for x, y in zip(_f_terms(k4, g), _f_terms(k4r, g))]
+    rr = _scaled(8, _a_terms(dec.a))
+    groups.append((
+        rr + _scaled(8, _f_terms(t, ricci)),
+        rr + _scaled(tau * Fraction(4, 3), _f_terms(t, g)),
+    ))
+    return groups
 
 
 def term_groups(R: CurvatureTensor) -> list:
     """All 34 (group number, raw lhs, simplified rhs) rank-6 tensors,
     free indices ordered (i,h,j,k,l,m)."""
-    if R.dim != 6:
-        raise ShapeError("the term-group expansion needs dim 6")
-    t, g, ricci, tau, dec, k0, k0r, k2, k2r, k4, k4r = _kernels(R)
-    groups = []
+    return [
+        (k, lincomb(lhs), lincomb(rhs))
+        for k, (lhs, rhs) in enumerate(_group_terms(R), start=1)
+    ]
 
-    for row in _G3_ROWS:
-        base = _g3_term(g, row)
-        groups.append((base.scale(k0), base.scale(k0r)))
 
-    for sign, xy, a, b, c, d in _TT_ROWS:
-        for half_sign, p, q in ((sign, a, b), (-sign, c, d)):
-            lhs = ein(f"{xy},{p},{q}->ihjklm", k2, g, g)
-            rhs = ein(f"{xy},{p},{q}->ihjklm", k2r, g, g)
-            groups.append((_signed(half_sign, lhs), _signed(half_sign, rhs)))
-
-    for row in _F_ROWS:
-        groups.append((_f_term(k4, g, row), _f_term(k4r, g, row)))
-
-    rr_sum = _a_block(dec.a)
-    lhs34 = (rr_sum + _f_block(t, ricci)).scale(8)
-    rhs34 = rr_sum.scale(8) + _f_block(t, g).scale(tau * Fraction(4, 3))
-    groups.append((lhs34, rhs34))
-
-    return [(i + 1, lhs, rhs) for i, (lhs, rhs) in enumerate(groups)]
+def group_residuals(R: CurvatureTensor) -> list:
+    """The 34 group residuals lhs - rhs, then the sum check's residual: the
+    sum of the 34 simplified groups minus 8 x the assembled rank-6 identity
+    form.  Each is one ``lincomb``; no group side is built."""
+    groups = _group_terms(R)
+    out = [lincomb(lhs + _scaled(-1, rhs)) for lhs, rhs in groups]
+    rhs_all = [x for _, rhs in groups for x in rhs]
+    out.append(lincomb(rhs_all + _scaled(-8, _einstein6_terms(R))))
+    return out
 
 
 def group_sum_check(R: CurvatureTensor, groups=None, residual_form=None):
@@ -112,7 +110,6 @@ def group_sum_check(R: CurvatureTensor, groups=None, residual_form=None):
     groups / residual may be passed to avoid recomputation."""
     if groups is None:
         groups = term_groups(R)
-    total = _sum([rhs for _, _, rhs in groups])
     if residual_form is None:
         residual_form = einstein6_residual(R).residual
-    return total, residual_form.scale(8)
+    return lincomb([(1, rhs) for _, _, rhs in groups]), residual_form.scale(8)

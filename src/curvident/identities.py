@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .scalar import Scalar
-from .tensor import Tensor, ShapeError, _is_zero_part, ein
+from .tensor import Tensor, ShapeError, _is_zero_part, ein, lincomb
 from .delta import DeltaBinding, generalized_delta_contract
 from .curvature import (
     _R_CHECK,
@@ -173,37 +173,43 @@ def weyl_patterson_residual(
     return _delta_residual("weyl-patterson", R, r, mode, lambda R: weyl(R).tensor)
 
 
+def _pieces_in(R: CurvatureTensor, dim: int, what: str) -> tuple:
+    """``_pieces(R)`` for an R of dimension ``dim``; ShapeError otherwise."""
+    if R.dim != dim:
+        raise ShapeError(f"{what} needs dim {dim}")
+    return _pieces(R)
+
+
 # ---------------------------------------------------------------------------
 # dimension 5
 # ---------------------------------------------------------------------------
 
 
-def _sum(tensors) -> Tensor:
-    acc = tensors[0]
-    for x in tensors[1:]:
-        acc = acc + x
-    return acc
+# Each helper below returns the terms of one piece of an identity as
+# ``lincomb`` terms (coefficient, subscripts, operands...), so an evaluator
+# assembles its whole residual as one lincomb.
 
 
-def _gg4(g: Tensor) -> Tensor:
-    return ein("ik,jl->ijkl", g, g) - ein("il,jk->ijkl", g, g)
+def _scaled(c, terms) -> list:
+    """The terms with every coefficient multiplied by ``c``."""
+    return [(c * k, *rest) for k, *rest in terms]
 
 
-def _tt4(tt: Tensor, g: Tensor) -> Tensor:
-    return (
-        ein("ik,jl->ijkl", tt, g)
-        + ein("jl,ik->ijkl", tt, g)
-        - ein("il,jk->ijkl", tt, g)
-        - ein("jk,il->ijkl", tt, g)
-    )
+def _gg4(g: Tensor) -> list:
+    return [(1, "ik,jl->ijkl", g, g), (-1, "il,jk->ijkl", g, g)]
 
 
-def _quad4(t: Tensor) -> Tensor:
-    return ein("iabl,kabj->ijkl", t, t) - ein("iabk,labj->ijkl", t, t)
+def _tt4(tt: Tensor, g: Tensor) -> list:
+    rows = ((1, "ik,jl"), (1, "jl,ik"), (-1, "il,jk"), (-1, "jk,il"))
+    return [(sign, f"{ab}->ijkl", tt, g) for sign, ab in rows]
 
 
-def _pair4(t: Tensor) -> Tensor:
-    return ein("abij,abkl->ijkl", t, t)
+def _quad4(t: Tensor) -> list:
+    return [(1, "iabl,kabj->ijkl", t, t), (-1, "iabk,labj->ijkl", t, t)]
+
+
+def _pair4(t: Tensor) -> list:
+    return [(1, "abij,abkl->ijkl", t, t)]
 
 
 def einstein5_residual(R: CurvatureTensor) -> ResidualReport:
@@ -214,15 +220,13 @@ def einstein5_residual(R: CurvatureTensor) -> ResidualReport:
       + 8(R_iabl R_kabj - R_iabk R_labj) + 4 R_abij R_abkl
       + (12/5) tau R_ijkl  = 0.
     """
-    if R.dim != 5:
-        raise ShapeError("lemma5 needs dim 5")
-    t, g, ricci, tau, tt, rn2 = _pieces(R)
-    res = (
-        _gg4(g).scale(rn2 + tau * tau * Fraction(1, 5))
-        - _tt4(tt, g).scale(4)
-        + _quad4(t).scale(8)
-        + _pair4(t).scale(4)
-        + t.scale(tau * Fraction(12, 5))
+    t, g, ricci, tau, tt, rn2 = _pieces_in(R, 5, "lemma5")
+    res = lincomb(
+        _scaled(rn2 + tau * tau * Fraction(1, 5), _gg4(g))
+        + _scaled(-4, _tt4(tt, g))
+        + _scaled(8, _quad4(t))
+        + _scaled(4, _pair4(t))
+        + [(tau * Fraction(12, 5), t)]
     )
     return make_report("lemma5", "einstein", res)
 
@@ -233,13 +237,15 @@ def einstein5_trace_residual(R: CurvatureTensor) -> ResidualReport:
     2 tau tt + 4 r_check + 4 r_hat2 - 8 r_ring2
       = (tau/5 ||R||^2 + tau^3/25) g.
     """
-    if R.dim != 5:
-        raise ShapeError("thmA-a needs dim 5")
-    t, g, ricci, tau, tt, rn2 = _pieces(R)
-    r_check, r_hat2, r_ring2 = (ein(s, t, t, t) for s in (_R_CHECK, _R_HAT2, _R_RING2))
-    lhs = tt.scale(tau * 2) + r_check.scale(4) + r_hat2.scale(4) - r_ring2.scale(8)
-    rhs = g.scale(tau * rn2 * Fraction(1, 5) + tau * tau * tau * Fraction(1, 25))
-    return make_report("thmA-a", "einstein", lhs - rhs)
+    t, g, ricci, tau, tt, rn2 = _pieces_in(R, 5, "thmA-a")
+    res = lincomb([
+        (tau * 2, tt),
+        (4, _R_CHECK, t, t, t),
+        (4, _R_HAT2, t, t, t),
+        (-8, _R_RING2, t, t, t),
+        (-(tau * rn2 * Fraction(1, 5) + tau * tau * tau * Fraction(1, 25)), g),
+    ])
+    return make_report("thmA-a", "einstein", res)
 
 
 def super5_residual(R: CurvatureTensor) -> ResidualReport:
@@ -248,27 +254,23 @@ def super5_residual(R: CurvatureTensor) -> ResidualReport:
     R_ijab R_abkl + 2 R_iabl R_kabj - 2 R_iabk R_labj + (3/5) tau R_ijkl
       = (3/20 ||R||^2 - 1/20 tau^2)(g_ik g_jl - g_il g_jk).
     """
-    if R.dim != 5:
-        raise ShapeError("pa5 needs dim 5")
-    t, g, ricci, tau, tt, rn2 = _pieces(R)
-    lhs = _pair4(t) + _quad4(t).scale(2) + t.scale(tau * Fraction(3, 5))
-    rhs = _gg4(g).scale(rn2 * Fraction(3, 20) - tau * tau * Fraction(1, 20))
-    return make_report("pa5", "super_einstein", lhs - rhs)
+    t, g, ricci, tau, tt, rn2 = _pieces_in(R, 5, "pa5")
+    c = tau * tau * Fraction(1, 20) - rn2 * Fraction(3, 20)
+    res = lincomb(_super5_lhs(t, tau) + _scaled(c, _gg4(g)))
+    return make_report("pa5", "super_einstein", res)
+
+
+def _super5_lhs(t: Tensor, tau: Scalar) -> list:
+    """The four left-side terms of the rank-4 super-Einstein identity."""
+    return _pair4(t) + _scaled(2, _quad4(t)) + [(tau * Fraction(3, 5), t)]
 
 
 def super5_blocks(R: CurvatureTensor, idx=(0, 1, 2, 3)) -> list:
     """The four left-side blocks of the rank-4 super-Einstein identity at
     one index tuple (0-based); at (1,2,3,4) in the two-parameter normal
     form these equal 2(2a-5b)b, 2(2a-5b)b, 2(2a+b)b, -6(2a-3b)b."""
-    if R.dim != 5:
-        raise ShapeError("super5_blocks needs dim 5")
-    t, g, ricci, tau, tt, rn2 = _pieces(R)
-    i, j, k, l = idx
-    b1 = _pair4(t).item(i, j, k, l)
-    b2 = ein("iabl,kabj->ijkl", t, t).scale(2).item(i, j, k, l)
-    b3 = ein("iabk,labj->ijkl", t, t).scale(-2).item(i, j, k, l)
-    b4 = t.scale(tau * Fraction(3, 5)).item(i, j, k, l)
-    return [b1, b2, b3, b4]
+    t, g, ricci, tau, tt, rn2 = _pieces_in(R, 5, "super5_blocks")
+    return [lincomb([term]).item(*idx) for term in _super5_lhs(t, tau)]
 
 
 def super5_trace_residual(R: CurvatureTensor) -> ResidualReport:
@@ -276,15 +278,13 @@ def super5_trace_residual(R: CurvatureTensor) -> ResidualReport:
 
     4 r_ring2 - 2 r_hat2 = (9/50 tau ||R||^2 - tau^3/50) g.
     """
-    if R.dim != 5:
-        raise ShapeError("thmA-b needs dim 5")
-    t, g, ricci, tau, tt, rn2 = _pieces(R)
-    r_hat2, r_ring2 = (ein(s, t, t, t) for s in (_R_HAT2, _R_RING2))
-    lhs = r_ring2.scale(4) - r_hat2.scale(2)
-    rhs = g.scale(
-        tau * rn2 * Fraction(9, 50) - tau * tau * tau * Fraction(1, 50)
-    )
-    return make_report("thmA-b", "super_einstein", lhs - rhs)
+    t, g, ricci, tau, tt, rn2 = _pieces_in(R, 5, "thmA-b")
+    res = lincomb([
+        (4, _R_RING2, t, t, t),
+        (-2, _R_HAT2, t, t, t),
+        (tau * tau * tau * Fraction(1, 50) - tau * rn2 * Fraction(9, 50), g),
+    ])
+    return make_report("thmA-b", "super_einstein", res)
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +315,9 @@ def tsa(R: CurvatureTensor) -> TSADecomposition:
 
 
 # The four sign tables of the rank-6 identities.  Every explicit dim-6
-# form is assembled from them: lemma6, eq42, the transvection rows, the
-# 34 term groups and the W-identity blocks.
-
-
-def _signed(sign: int, term: Tensor) -> Tensor:
-    return term if sign > 0 else -term
-
+# form is assembled from them, through the one terms function per table
+# below: lemma6, eq42, the transvection rows, the 34 term groups and the
+# W-identity blocks.
 
 # first block: signed metric triples g_a g_b g_c
 _G3_ROWS = (
@@ -334,13 +330,8 @@ _G3_ROWS = (
 )
 
 
-def _g3_term(g: Tensor, row) -> Tensor:
-    sign, a, b, c = row
-    return _signed(sign, ein(f"{a},{b},{c}->ihjklm", g, g, g))
-
-
-def _g3_block(g: Tensor) -> Tensor:
-    return _sum([_g3_term(g, row) for row in _G3_ROWS])
+def _g3_terms(g: Tensor) -> list:
+    return [(sign, f"{a},{b},{c}->ihjklm", g, g, g) for sign, a, b, c in _G3_ROWS]
 
 
 # second block: rows of sign * X_xy (g_a g_b - g_c g_d) for the norm
@@ -361,12 +352,14 @@ _TT_ROWS = (
 )
 
 
-def _tt_term(x: Tensor, g: Tensor, row) -> Tensor:
-    sign, xy, a, b, c, d = row
-    term = ein(f"{xy},{a},{b}->ihjklm", x, g, g) - ein(
-        f"{xy},{c},{d}->ihjklm", x, g, g
-    )
-    return _signed(sign, term)
+def _tt_terms(x: Tensor, g: Tensor) -> list:
+    """The two halves of every row, in row order: terms 2k and 2k+1 are
+    row k."""
+    return [
+        (half_sign, f"{xy},{p},{q}->ihjklm", x, g, g)
+        for sign, xy, a, b, c, d in _TT_ROWS
+        for half_sign, p, q in ((sign, a, b), (-sign, c, d))
+    ]
 
 
 # third block: rows of sign * X_pqrs Y_xy, with Y = g and X = F,
@@ -384,23 +377,19 @@ _F_ROWS = (
 )
 
 
-def _t_part(dec: TSADecomposition) -> Tensor:
-    return -ein("prsq->pqrs", dec.t) + ein("psrq->pqrs", dec.t)
+def _f_terms(x4: Tensor, y2: Tensor) -> list:
+    return [(sign, f"{pqrs},{xy}->ihjklm", x4, y2) for sign, pqrs, xy in _F_ROWS]
+
+
+def _t_terms(dec: TSADecomposition) -> list:
+    """-T_prsq + T_psrq, the T part of F."""
+    return [(-1, "prsq->pqrs", dec.t), (1, "psrq->pqrs", dec.t)]
 
 
 def _f_tensor(dec: TSADecomposition, tau: Scalar, r4: Tensor) -> Tensor:
-    return (
-        _t_part(dec) + dec.s.scale(Fraction(1, 2)) + r4.scale(tau * Fraction(1, 3))
+    return lincomb(
+        _t_terms(dec) + [(Fraction(1, 2), dec.s), (tau * Fraction(1, 3), r4)]
     )
-
-
-def _f_term(x4: Tensor, y2: Tensor, row) -> Tensor:
-    sign, pqrs, xy = row
-    return _signed(sign, ein(f"{pqrs},{xy}->ihjklm", x4, y2))
-
-
-def _f_block(x4: Tensor, y2: Tensor) -> Tensor:
-    return _sum([_f_term(x4, y2, row) for row in _F_ROWS])
 
 
 # A block: signed axis labels of A_pqrstu
@@ -417,52 +406,53 @@ _A_ROWS = (
 )
 
 
-def _a_term(a6: Tensor, row) -> Tensor:
-    sign, labels = row
-    return _signed(sign, ein(f"{labels}->ihjklm", a6))
+def _a_terms(a6: Tensor) -> list:
+    return [(sign, f"{labels}->ihjklm", a6) for sign, labels in _A_ROWS]
 
 
-def _a_block(a6: Tensor) -> Tensor:
-    return _sum([_a_term(a6, row) for row in _A_ROWS])
+def _einstein6_block_terms(R: CurvatureTensor) -> tuple:
+    """The terms of the four blocks of the rank-6 Einstein identity: the
+    metric triples, the norm rows, the F rows and the A rows."""
+    t, g, ricci, tau, tt, rn2 = _pieces_in(R, 6, "lemma6")
+    dec = tsa(R)
+    return (
+        _scaled((rn2 + tau * tau * Fraction(1, 3)) * Fraction(1, 8), _g3_terms(g)),
+        _scaled(Fraction(-1, 2), _tt_terms(tt, g)),
+        _f_terms(_f_tensor(dec, tau, t), g),
+        _a_terms(dec.a),
+    )
+
+
+def _einstein6_terms(R: CurvatureTensor) -> list:
+    """All terms of the rank-6 Einstein identity form; its lincomb is the
+    lemma6 residual."""
+    return [term for block in _einstein6_block_terms(R) for term in block]
 
 
 def einstein6_blocks(R: CurvatureTensor):
     """The four blocks of the rank-6 Einstein identity, plus the
     individual second/third/A-block terms for the transvection tables."""
-    if R.dim != 6:
-        raise ShapeError("the rank-6 identities need dim 6")
-    t, g, ricci, tau, tt, rn2 = _pieces(R)
-    dec = tsa(R)
-    b1 = _g3_block(g).scale(
-        (rn2 + tau * tau * Fraction(1, 3)) * Fraction(1, 8)
-    )
-    tt_terms = [_tt_term(tt, g, row).scale(Fraction(-1, 2)) for row in _TT_ROWS]
-    f4 = _f_tensor(dec, tau, t)
-    f_terms = [_f_term(f4, g, row) for row in _F_ROWS]
-    a_terms = [_a_term(dec.a, row) for row in _A_ROWS]
-    return b1, tt_terms, f_terms, a_terms
+    g3, tt, f, a = _einstein6_block_terms(R)
+    tt_rows = [lincomb(tt[k : k + 2]) for k in range(0, len(tt), 2)]
+    return lincomb(g3), tt_rows, [lincomb([x]) for x in f], [lincomb([x]) for x in a]
 
 
 def einstein6_residual(R: CurvatureTensor) -> ResidualReport:
-    """Rank-6 Einstein identity in dimension 6 (id "lemma6"), assembled
-    block by block; free indices ordered (i,h,j,k,l,m)."""
-    b1, tt_terms, f_terms, a_terms = einstein6_blocks(R)
-    res = b1 + _sum(tt_terms) + _sum(f_terms) + _sum(a_terms)
-    return make_report("lemma6", "einstein", res)
+    """Rank-6 Einstein identity in dimension 6 (id "lemma6"), its four
+    blocks streamed into one lincomb; free indices ordered (i,h,j,k,l,m)."""
+    return make_report("lemma6", "einstein", lincomb(_einstein6_terms(R)))
 
 
 def super6_residual(R: CurvatureTensor) -> ResidualReport:
     """Rank-6 super-Einstein identity in dimension 6 (id "eq42"): the g-block
     flips to -(1/8)(||R||^2 - tau^2/3) and the tt-block drops."""
-    if R.dim != 6:
-        raise ShapeError("eq42 needs dim 6")
-    t, g, ricci, tau, tt, rn2 = _pieces(R)
+    t, g, ricci, tau, tt, rn2 = _pieces_in(R, 6, "eq42")
     dec = tsa(R)
-    b1 = _g3_block(g).scale(
-        (rn2 - tau * tau * Fraction(1, 3)) * Fraction(-1, 8)
+    res = lincomb(
+        _scaled((rn2 - tau * tau * Fraction(1, 3)) * Fraction(-1, 8), _g3_terms(g))
+        + _f_terms(_f_tensor(dec, tau, t), g)
+        + _a_terms(dec.a)
     )
-    f4 = _f_tensor(dec, tau, t)
-    res = b1 + _f_block(f4, g) + _a_block(dec.a)
     return make_report("eq42", "super_einstein", res)
 
 
@@ -472,18 +462,16 @@ def einstein6_trace_residual(R: CurvatureTensor) -> ResidualReport:
     4 tau tt + 12 r_check + 12 r_hat2 - 24 r_ring2
       = (tau ||R||^2 - 4 r_ring0 + 2 r_hat0) g.
     """
-    if R.dim != 6:
-        raise ShapeError("thmB-a needs dim 6")
-    t, g, ricci, tau, tt, rn2 = _pieces(R)
+    t, g, ricci, tau, tt, rn2 = _pieces_in(R, 6, "thmB-a")
     r_check, r_hat2, r_ring2, r_hat0, r_ring0 = _cubic_pieces(R)
-    lhs = (
-        tt.scale(tau * 4)
-        + r_check.scale(12)
-        + r_hat2.scale(12)
-        - r_ring2.scale(24)
-    )
-    rhs = g.scale(tau * rn2 - Scalar(4) * r_ring0 + Scalar(2) * r_hat0)
-    return make_report("thmB-a", "einstein", lhs - rhs)
+    res = lincomb([
+        (tau * 4, tt),
+        (12, r_check),
+        (12, r_hat2),
+        (-24, r_ring2),
+        (-(tau * rn2 - Scalar(4) * r_ring0 + Scalar(2) * r_hat0), g),
+    ])
+    return make_report("thmB-a", "einstein", res)
 
 
 def einstein6_trace_residual_alt(R: CurvatureTensor) -> ResidualReport:
@@ -491,17 +479,15 @@ def einstein6_trace_residual_alt(R: CurvatureTensor) -> ResidualReport:
     (-tau||R||^2 + 4 r_ring0 - 2 r_hat0) g + 12 r_check + 12 r_hat2
     - 24 r_ring2 + 4 tau tt = 0; must be componentwise identical to
     the thmB-a residual."""
-    if R.dim != 6:
-        raise ShapeError("thm22 needs dim 6")
-    t, g, ricci, tau, tt, rn2 = _pieces(R)
+    t, g, ricci, tau, tt, rn2 = _pieces_in(R, 6, "thm22")
     r_check, r_hat2, r_ring2, r_hat0, r_ring0 = _cubic_pieces(R)
-    res = (
-        g.scale(-(tau * rn2) + Scalar(4) * r_ring0 - Scalar(2) * r_hat0)
-        + r_check.scale(12)
-        + r_hat2.scale(12)
-        - r_ring2.scale(24)
-        + tt.scale(tau * 4)
-    )
+    res = lincomb([
+        (-(tau * rn2) + Scalar(4) * r_ring0 - Scalar(2) * r_hat0, g),
+        (12, r_check),
+        (12, r_hat2),
+        (-24, r_ring2),
+        (tau * 4, tt),
+    ])
     return make_report("thm22", "einstein", res)
 
 
@@ -510,13 +496,14 @@ def super6_trace_residual(R: CurvatureTensor) -> ResidualReport:
 
     2 r_ring2 - r_hat2 = (1/6)(2 r_ring0 - r_hat0) g.
     """
-    if R.dim != 6:
-        raise ShapeError("thmB-b needs dim 6")
-    t, g, ricci, tau, tt, rn2 = _pieces(R)
+    t, g, ricci, tau, tt, rn2 = _pieces_in(R, 6, "thmB-b")
     r_check, r_hat2, r_ring2, r_hat0, r_ring0 = _cubic_pieces(R)
-    lhs = r_ring2.scale(2) - r_hat2
-    rhs = g.scale((Scalar(2) * r_ring0 - r_hat0) * Fraction(1, 6))
-    return make_report("thmB-b", "super_einstein", lhs - rhs)
+    res = lincomb([
+        (2, r_ring2),
+        (-1, r_hat2),
+        ((r_hat0 - Scalar(2) * r_ring0) * Fraction(1, 6), g),
+    ])
+    return make_report("thmB-b", "super_einstein", res)
 
 
 def gauss_bonnet_integrand_6(R: CurvatureTensor) -> Scalar:
@@ -529,25 +516,17 @@ def gauss_bonnet_integrand_6(R: CurvatureTensor) -> Scalar:
     (the integral of this over a compact oriented 6-manifold is
     384 pi^3 chi).
     """
-    if R.dim != 6:
-        raise ShapeError("the Euler integrand bracket needs dim 6")
-    t, g, ricci, tau, tt, rn2 = _pieces(R)
-    rho2 = ein("ij,ij->", ricci, ricci).to_scalar()
-    rho3 = ein("ab,ac,bc->", ricci, ricci, ricci).to_scalar()
-    rho_rho_r = ein("ab,cd,acbd->", ricci, ricci, t).to_scalar()
-    rho_tt = ein("uv,uv->", ricci, tt).to_scalar()  # rho_uv R_abcu R_abcv
-    cubic1 = ein("abcd,aucv,bvdu->", t, t, t).to_scalar()
-    cubic2 = ein(_R_HAT0, t, t, t).to_scalar()
-    return (
-        tau * tau * tau
-        - Scalar(12) * tau * rho2
-        + Scalar(3) * tau * rn2
-        + Scalar(16) * rho3
-        - Scalar(24) * rho_rho_r
-        - Scalar(24) * rho_tt
-        + Scalar(8) * cubic1
-        - Scalar(2) * cubic2
-    )
+    t, g, ricci, tau, tt, rn2 = _pieces_in(R, 6, "the Euler integrand bracket")
+    return lincomb([
+        (tau * tau, "ii->", ricci),
+        (tau * -12, "ij,ij->", ricci, ricci),
+        (tau * 3, "ijkl,ijkl->", t, t),
+        (16, "ab,ac,bc->", ricci, ricci, ricci),
+        (-24, "ab,cd,acbd->", ricci, ricci, t),
+        (-24, "uv,uv->", ricci, tt),  # rho_uv R_abcu R_abcv
+        (8, "abcd,aucv,bvdu->", t, t, t),
+        (-2, _R_HAT0, t, t, t),
+    ]).to_scalar()
 
 
 # ---------------------------------------------------------------------------
@@ -556,28 +535,34 @@ def gauss_bonnet_integrand_6(R: CurvatureTensor) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def weyl_identity_blocks(W: CurvatureTensor) -> list:
-    """The explicit blocks of the r=2 identity for a trace-free curvature
-    tensor, as rank-4 ('ijkl', dim 5) or rank-6 ('ihjklm', dim 6) tensors.
-    Their sum must equal the delta-engine residual (identically zero)."""
+def _weyl_identity_block_terms(W: CurvatureTensor) -> list:
+    """The terms of each explicit block of the r=2 W-identity."""
     if W.dim not in (5, 6):
         raise ShapeError("explicit W-identity blocks exist for dims 5 and 6 only")
     t, g, _, _, tw, w2 = _pieces(W)
     if W.dim == 5:
-        inner = _tt4(tw, g) - _quad4(t).scale(2) - _pair4(t)
-        return [_gg4(g).scale(w2), inner.scale(-4)]
+        inner = _tt4(tw, g) + _scaled(-2, _quad4(t)) + _scaled(-1, _pair4(t))
+        return [_scaled(w2, _gg4(g)), _scaled(-4, inner)]
     dec = tsa(W)
     return [
-        _g3_block(g).scale(w2),
-        _sum([_tt_term(tw, g, row) for row in _TT_ROWS]).scale(-4),
-        _f_block(_t_part(dec).scale(8), g),
-        _f_block(dec.s.scale(4), g),
-        _a_block(dec.a).scale(8),
+        _scaled(w2, _g3_terms(g)),
+        _scaled(-4, _tt_terms(tw, g)),
+        _scaled(8, _f_terms(lincomb(_t_terms(dec)), g)),
+        _scaled(4, _f_terms(dec.s, g)),
+        _scaled(8, _a_terms(dec.a)),
     ]
 
 
+def weyl_identity_blocks(W: CurvatureTensor) -> list:
+    """The explicit blocks of the r=2 identity for a trace-free curvature
+    tensor, as rank-4 ('ijkl', dim 5) or rank-6 ('ihjklm', dim 6) tensors.
+    Their sum must equal the delta-engine residual (identically zero)."""
+    return [lincomb(block) for block in _weyl_identity_block_terms(W)]
+
+
 def weyl_expansion_residual(R: CurvatureTensor) -> ResidualReport:
-    total = _sum(weyl_identity_blocks(weyl(R)))
+    blocks = _weyl_identity_block_terms(weyl(R))
+    total = lincomb([term for block in blocks for term in block])
     return make_report("weyl-expansion[r=2]", "universal", total)
 
 
@@ -602,31 +587,19 @@ def trace_subidentities_5(R: CurvatureTensor) -> list:
     under the Einstein hypothesis, and the summed right sides equal twice
     the thmA-a combination (so the trace identity is literally the
     transvection of the rank-4 one)."""
-    if R.dim != 5:
-        raise ShapeError("trace_subidentities_5 needs dim 5")
-    t, g, ricci, tau, tt, rn2 = _pieces(R)
+    t, g, ricci, tau, tt, rn2 = _pieces_in(R, 5, "trace_subidentities_5")
     r_check, r_hat2, r_ring2, r_hat0, r_ring0 = _cubic_pieces(R)
     c1 = rn2 + tau * tau * Fraction(1, 5)
-    terms = [
-        ("g-block", _gg4(g).scale(c1), g.scale(-c1 * tau * Fraction(2, 5))),
-        (
-            "tt-block",
-            _tt4(tt, g).scale(-4),
-            tt.scale(tau * Fraction(8, 5)) + r_check.scale(8),
-        ),
-        (
-            "quad-block",
-            _quad4(t).scale(8),
-            r_ring2.scale(-16) + r_hat2.scale(4),
-        ),
-        ("pair-block", _pair4(t).scale(4), r_hat2.scale(4)),
-        (
-            "tau-block",
-            t.scale(tau * Fraction(12, 5)),
-            tt.scale(tau * Fraction(12, 5)),
-        ),
+    blocks = [
+        ("g-block", _scaled(c1, _gg4(g)), [(-c1 * tau * Fraction(2, 5), g)]),
+        ("tt-block", _scaled(-4, _tt4(tt, g)), [(tau * Fraction(8, 5), tt), (8, r_check)]),
+        ("quad-block", _scaled(8, _quad4(t)), [(-16, r_ring2), (4, r_hat2)]),
+        ("pair-block", _scaled(4, _pair4(t)), [(4, r_hat2)]),
+        ("tau-block", [(tau * Fraction(12, 5), t)], [(tau * Fraction(12, 5), tt)]),
     ]
-    return [(name, transvect_rank4(lhs, R), rhs) for name, lhs, rhs in terms]
+    return [
+        (name, transvect_rank4(lincomb(lhs), R), lincomb(rhs)) for name, lhs, rhs in blocks
+    ]
 
 
 def trace_subidentities_6(R: CurvatureTensor) -> list:
@@ -639,7 +612,7 @@ def trace_subidentities_6(R: CurvatureTensor) -> list:
     b1, tt_terms, f_terms, a_terms = einstein6_blocks(R)
 
     out = []
-    rhs_a = g.scale(tau * rn2 * Fraction(1, 12)) - r_check.scale(Fraction(1, 2))
+    rhs_a = lincomb([(tau * rn2 * Fraction(1, 12), g), (Fraction(-1, 2), r_check)])
     rhs_b = tt.scale(-tau * Fraction(1, 6))
     rhs_c = tt.scale(tau)
     tt_rhs = [rhs_a, rhs_a, rhs_b, rhs_a, rhs_a, rhs_b, rhs_b, rhs_b, rhs_c]
@@ -649,15 +622,13 @@ def trace_subidentities_6(R: CurvatureTensor) -> list:
     rhs_1 = g.scale(
         -(Scalar(2) * r_ring0) + r_hat0 + tau * rn2 * Fraction(1, 3)
     )
-    rhs_2 = r_ring2.scale(2) - r_hat2 - tt.scale(tau * Fraction(1, 3))
-    rhs_3 = g.scale(tau * tau * tau * Fraction(1, 72)) - tt.scale(
-        tau * Fraction(1, 4)
-    )
+    rhs_2 = lincomb([(2, r_ring2), (-1, r_hat2), (-tau * Fraction(1, 3), tt)])
+    rhs_3 = lincomb([(tau * tau * tau * Fraction(1, 72), g), (-tau * Fraction(1, 4), tt)])
     f_rhs = [rhs_1, rhs_2, rhs_2, rhs_3, rhs_2, rhs_3, rhs_3, rhs_2, rhs_3]
     for k, (term, rhs) in enumerate(zip(f_terms, f_rhs), start=1):
         out.append((f"ts-block[{k}]", transvect_rank6(term, R), rhs))
 
-    a_total = _sum(a_terms)
-    rhs_aa = -r_check.scale(4) - r_hat2.scale(2) + r_ring2.scale(4)
+    a_total = lincomb([(1, a) for a in a_terms])
+    rhs_aa = lincomb([(-4, r_check), (-2, r_hat2), (4, r_ring2)])
     out.append(("a-block", transvect_rank6(a_total, R), rhs_aa))
     return out

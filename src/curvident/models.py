@@ -28,8 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .scalar import Scalar, ScalarParseError
-from .tensor import Tensor, ShapeError, ein
-from .curvature import CurvatureTensor, validate_curvature, weyl
+from .tensor import Tensor, ShapeError, lincomb
+from .curvature import CurvatureTensor, _weyl_terms, validate_curvature
 
 
 class ModelSpecError(ValueError):
@@ -137,6 +137,8 @@ class ModelSpec:
             components = tuple(components)
         spec = ModelSpec(kind=kind, params=params, components=components, factors=factors)
         _require_params(spec, pointer)
+        if components is not None:
+            _component_orbits(params["dim"], components, pointer)
         return spec
 
 
@@ -166,21 +168,16 @@ def _require_params(spec: ModelSpec, pointer: str = ""):
 # ---------------------------------------------------------------------------
 
 
-def curvature_from_components(dim: int, components) -> CurvatureTensor:
-    """Fill a rank-4 tensor from independent components.
-
-    Each listed component R[idx] (1-based indices) is propagated through
-    the symmetry group generated by the two antisymmetries and the pair
-    interchange; conflicting assignments raise.  First Bianchi is then
-    checked by validation, not imposed.
-    """
+def _component_orbits(dim: int, components, pointer: str = "") -> dict:
+    """{0-based index: Scalar} for every component the listed ones fix
+    through the two antisymmetries and the pair interchange; a component
+    out of range or in conflict raises at ``<pointer>/components/<n>``."""
     comps: dict = {}
-    for idx, val in components:
+    for n, (idx, val) in enumerate(components):
+        ptr = f"{pointer}/components/{n}"
         i, j, k, l = (x - 1 for x in idx)
         if not all(0 <= x < dim for x in (i, j, k, l)):
-            raise ModelSpecError(
-                "/components", f"index {list(idx)} out of range for dim {dim}"
-            )
+            raise ModelSpecError(f"{ptr}/idx", f"index {list(idx)} out of range for dim {dim}")
         s = val if isinstance(val, Scalar) else Scalar(val)
         orbit = {}
         for (a, b, c, d), sign in (
@@ -196,18 +193,27 @@ def curvature_from_components(dim: int, components) -> CurvatureTensor:
             v = s if sign > 0 else -s
             if (a, b, c, d) in orbit and orbit[(a, b, c, d)] != v:
                 raise ModelSpecError(
-                    "/components",
-                    f"component {list(idx)} is inconsistent with its own symmetry orbit",
+                    ptr, f"component {list(idx)} is inconsistent with its own symmetry orbit"
                 )
             orbit[(a, b, c, d)] = v
         for key, v in orbit.items():
             if key in comps and comps[key] != v:
                 raise ModelSpecError(
-                    "/components",
-                    f"component {[x + 1 for x in key]} assigned conflicting values",
+                    ptr, f"component {[x + 1 for x in key]} assigned conflicting values"
                 )
             comps[key] = v
-    return validate_curvature(Tensor.from_components(dim, 4, comps))
+    return comps
+
+
+def curvature_from_components(dim: int, components) -> CurvatureTensor:
+    """Fill a rank-4 tensor from independent components.
+
+    Each listed component R[idx] (1-based indices) is propagated through
+    the symmetry group generated by the two antisymmetries and the pair
+    interchange; conflicting assignments raise.  First Bianchi is then
+    checked by validation, not imposed.
+    """
+    return validate_curvature(Tensor.from_components(dim, 4, _component_orbits(dim, components)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +221,15 @@ def curvature_from_components(dim: int, components) -> CurvatureTensor:
 # ---------------------------------------------------------------------------
 
 
+def _kn_terms(h: Tensor, c) -> list:
+    """c (h_il h_jk - h_ik h_jl), which is (c/2) (h wedge h), as
+    ``lincomb`` terms."""
+    return [(c, "il,jk->ijkl", h, h), (-c, "ik,jl->ijkl", h, h)]
+
+
 def constant_curvature(dim: int, k) -> CurvatureTensor:
     """R_ijkl = k (g_il g_jk - g_ik g_jl)."""
-    g = Tensor.identity(dim)
-    t = (ein("il,jk->ijkl", g, g) - ein("ik,jl->ijkl", g, g)).scale(k)
-    return CurvatureTensor(t, _validated=True)
+    return CurvatureTensor(lincomb(_kn_terms(Tensor.identity(dim), k)), _validated=True)
 
 
 def flat(dim: int) -> CurvatureTensor:
@@ -338,7 +348,7 @@ def kulkarni_nomizu_square(h: Tensor) -> Tensor:
     constant-curvature-1 tensor."""
     if h.rank != 2:
         raise ShapeError("kulkarni_nomizu_square expects a rank-2 tensor")
-    return (ein("il,jk->ijkl", h, h) - ein("ik,jl->ijkl", h, h)).scale(2)
+    return lincomb(_kn_terms(h, 2))
 
 
 def random_curvature(dim: int, seed: int, n_terms: int = 4) -> CurvatureTensor:
@@ -348,7 +358,7 @@ def random_curvature(dim: int, seed: int, n_terms: int = 4) -> CurvatureTensor:
     if n_terms < 1:
         raise ModelSpecError("/params/n_terms", "n_terms must be >= 1")
     rng = SplitMix64(seed)
-    total = Tensor.zeros(dim, 4)
+    terms = []
     for _ in range(n_terms):
         h = np.zeros((dim, dim), dtype=np.int64)
         for i in range(dim):
@@ -357,9 +367,8 @@ def random_curvature(dim: int, seed: int, n_terms: int = 4) -> CurvatureTensor:
                 h[i, j] = v
                 h[j, i] = v
         eps = 1 if rng.next_u64() % 2 == 0 else -1
-        term = kulkarni_nomizu_square(Tensor(dim, h, np.zeros_like(h), 1))
-        total = total + (term if eps > 0 else -term)
-    return CurvatureTensor(total)
+        terms += _kn_terms(Tensor(dim, h, np.zeros_like(h), 1), 2 * eps)
+    return CurvatureTensor(lincomb(terms))
 
 
 def einsteinize(R: CurvatureTensor, k) -> CurvatureTensor:
@@ -367,8 +376,8 @@ def einsteinize(R: CurvatureTensor, k) -> CurvatureTensor:
     rho = (dim-1) k g exactly."""
     if R.dim < 4:
         raise ShapeError("einsteinize needs dim >= 4 (nontrivial Weyl part)")
-    w = weyl(R)
-    return CurvatureTensor(w.tensor + constant_curvature(R.dim, k).tensor, _validated=True)
+    terms = _weyl_terms(R) + _kn_terms(Tensor.identity(R.dim), k)
+    return CurvatureTensor(lincomb(terms), _validated=True)
 
 
 # ---------------------------------------------------------------------------

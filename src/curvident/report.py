@@ -42,7 +42,7 @@ from .identities import (
     weyl_patterson_residual,
 )
 from .models import ModelSpec, explicit_spec
-from .tensor import Tensor
+from .tensor import Tensor, lincomb
 
 
 def _patterson_mode(dim: int, r: int) -> str:
@@ -74,20 +74,19 @@ def _weyl_patterson(R: CurvatureTensor, runs) -> list:
 def _thm_b_a(R: CurvatureTensor) -> list:
     a = einstein6_trace_residual(R)
     alt = einstein6_trace_residual_alt(R)
-    same = make_report("thmB-a-vs-thm22", "universal", a.residual - alt.residual)
-    return [a, alt, same]
+    same = lincomb([(1, a.residual), (-1, alt.residual)])
+    return [a, alt, make_report("thmB-a-vs-thm22", "universal", same)]
 
 
 def _appendix34(R: CurvatureTensor) -> list:
-    from .expansion6 import term_groups, group_sum_check
+    from .expansion6 import group_residuals
 
-    groups = term_groups(R)
+    *groups, total = group_residuals(R)
     reports = [
-        make_report(f"appendix34[{k}]", "einstein", lhs - rhs)
-        for k, lhs, rhs in groups
+        make_report(f"appendix34[{k}]", "einstein", res)
+        for k, res in enumerate(groups, start=1)
     ]
-    total, eight = group_sum_check(R, groups=groups)
-    reports.append(make_report("appendix34[sum]", "einstein", total - eight))
+    reports.append(make_report("appendix34[sum]", "einstein", total))
     return reports
 
 

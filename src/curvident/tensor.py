@@ -3,8 +3,9 @@
 A Tensor of rank r in dimension d holds d**r components, each an element
 a + b*sqrt(3) of Q(sqrt 3).  Storage is three pieces: two integer numpy
 arrays (the rational and sqrt(3) numerators) plus one shared positive
-denominator, kept gcd-reduced.  An all-zero sqrt(3) part, the case of
-every rational tensor, is stored as one zero broadcast to the tensor's
+denominator, kept gcd-reduced.  An all-zero part (the sqrt(3) part of
+every rational tensor, both parts of a zero tensor such as the residual of
+an identity that holds) is stored as one zero broadcast to the tensor's
 shape: it holds one element of memory, and no operation computes,
 reduces or scans it.  The gcd reduction starts from the denominator and
 stops as soon as the gcd reaches 1.  All contractions run through numpy
@@ -19,6 +20,19 @@ to and summed into the rational or the sqrt(3) side (``_product_terms``,
 ``_contract_terms``).  A rational product is one einsum; a product of n
 sqrt(3)-valued operands takes 2**n.  A contraction takes at most six
 operands.
+
+Every sum of tensors is one integer linear combination, ``lincomb``, of
+terms c_k * T_k: T_k a Tensor or an einsum of Tensors, c_k = (x_k +
+y_k*sqrt 3)/q_k.  Pass 1 reads metadata only.  It fixes the lcm L of the
+terms' denominators d_k (q_k times the operands' denominators) and bounds
+every partial sum of the numerators by
+sum_k (L/d_k) * (|x_k| + 3|y_k|) * bound_k, where bound_k is the Tensor's
+largest numerator or, for an einsum, dim**(summed letters) times
+``_product_bound``; below 2**62 everything runs on int64, else on Python
+ints.  Pass 2 evaluates one term at a time, adds it in place into one
+rational and one sqrt(3) accumulator and drops it before the next; one
+Tensor is built at the end, with one gcd and one max scan.  ``ein``, +, -,
+negation and ``scale`` are lincombs of one or two terms.
 """
 
 from __future__ import annotations
@@ -85,20 +99,6 @@ def _is_zero_part(arr) -> bool:
     return not any(arr.strides) and not arr.flat[0]
 
 
-def _combine(*terms):
-    """The sum of ``k * part`` over the ``(part, k)`` terms, leaving out zero
-    parts and zero coefficients: a zero part when no term is left."""
-    acc = None
-    for part, k in terms:
-        if k and not _is_zero_part(part):
-            v = part if k == 1 else k * part
-            acc = v if acc is None else acc + v
-    if acc is None:
-        part = terms[0][0]
-        return part if _is_zero_part(part) else _zero_part(part.shape, part.dtype)
-    return acc
-
-
 def _as_int_array(arr, use_object: bool):
     dtype = object if use_object else np.int64
     if arr.dtype == dtype:
@@ -119,8 +119,6 @@ def _gcd_reduce_arrays(rat, irr, den: int):
     """Divide both parts and ``den`` by their gcd.  The gcd divides ``den``,
     so the scan starts from it and stops once it reaches 1 (at once when
     ``den`` is 1); zero parts cannot lower it and are skipped."""
-    if den <= 0:
-        raise ValueError("denominator must be positive")
     g = den
     for part in (rat, irr):
         if g == 1:
@@ -155,14 +153,15 @@ class Tensor:
     integer-decomposed storage is an implementation detail.  It is
     canonical: gcd-reduced with a positive denominator, int64 parts while
     every numerator is below 2**62 and Python-int object parts otherwise,
-    and an all-zero sqrt(3) part always a zero part (``_zero_part``).
+    and an all-zero part always a zero part (``_zero_part``), so the zero
+    tensor is two zero parts over denominator 1.
     """
 
     __slots__ = ("dim", "rank", "_rat", "_irr", "_den", "_max")
 
     MAX_RANK = 8
 
-    def __init__(self, dim: int, rat, irr, den: int = 1, _reduce: bool = True):
+    def __init__(self, dim: int, rat, irr, den: int = 1):
         if not 2 <= dim <= 6:
             raise ShapeError(f"dim must be in 2..6, got {dim}")
         rat = np.asarray(rat)
@@ -173,11 +172,17 @@ class Tensor:
             raise ShapeError(f"rank {rat.ndim} exceeds maximum {self.MAX_RANK}")
         if any(s != dim for s in rat.shape):
             raise ShapeError(f"array shape {rat.shape} does not match dim {dim}")
-        if _reduce:
-            if not _is_zero_part(irr) and not irr.any():
-                irr = _zero_part(irr.shape, irr.dtype)
-            rat, irr, den = _gcd_reduce_arrays(rat, irr, int(den))
-        m = max((_max_abs(p) for p in (rat, irr) if not _is_zero_part(p)), default=0)
+        den = int(den)
+        if den <= 0:
+            raise ValueError("denominator must be positive")
+        maxes = [0 if _is_zero_part(p) else _max_abs(p) for p in (rat, irr)]
+        # an all-zero part becomes a zero part
+        rat, irr = (
+            p if pm else _zero_part(p.shape, p.dtype) for p, pm in zip((rat, irr), maxes)
+        )
+        # an all-zero tensor reduces to den 1
+        rat, irr, reduced = _gcd_reduce_arrays(rat, irr, den)
+        m, den = max(maxes) // (den // reduced), reduced
         # both parts hold Python ints exactly when m reaches the int64 bound
         # (0-d arithmetic decays to scalars that np.asarray wraps as either)
         use_object = m >= _INT64_LIMIT
@@ -211,16 +216,8 @@ class Tensor:
 
     @classmethod
     def from_scalar(cls, dim: int, value) -> "Tensor":
-        s = value if isinstance(value, Scalar) else Scalar(value)
-        den = s.rat.denominator * s.irr.denominator // math.gcd(
-            s.rat.denominator, s.irr.denominator
-        )
-        return cls(
-            dim,
-            np.array(int(s.rat * den)),
-            np.array(int(s.irr * den)),
-            den,
-        )
+        x, y, q = _coefficient(value)
+        return cls(dim, np.array(x), np.array(y), q)
 
     @classmethod
     def from_components(cls, dim: int, rank: int, entries: dict) -> "Tensor":
@@ -230,23 +227,14 @@ class Tensor:
         for idx, v in entries.items():
             s = v if isinstance(v, Scalar) else Scalar(v)
             vals[tuple(idx)] = s
-            for q in (s.rat.denominator, s.irr.denominator):
-                den = den * q // math.gcd(den, q)
-        shape = (dim,) * rank
-        big = den >= _INT64_LIMIT or any(
-            max(abs(s.rat * den), abs(s.irr * den)) >= _INT64_LIMIT
-            for s in vals.values()
-        )
-        dtype = object if big else np.int64
-        rat = np.zeros(shape, dtype)
-        rational = not any(s.irr for s in vals.values())
-        irr = _zero_part(shape, dtype) if rational else np.zeros(shape, dtype)
+            den = math.lcm(den, s.rat.denominator, s.irr.denominator)
+        # Python ints, whatever their size; the constructor picks the dtype
+        rat, irr = (np.zeros((dim,) * rank, object) for _ in range(2))
         for idx, s in vals.items():
             if len(idx) != rank or any(not 0 <= i < dim for i in idx):
                 raise ShapeError(f"index {idx} out of range for dim {dim} rank {rank}")
             rat[idx] = int(s.rat * den)
-            if not rational:
-                irr[idx] = int(s.irr * den)
+            irr[idx] = int(s.irr * den)
         return cls(dim, rat, irr, den)
 
     # -- component access ----------------------------------------------------
@@ -278,8 +266,7 @@ class Tensor:
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        # exact on Python ints too; an all-zero sqrt(3) part is a zero part
-        return _is_zero_part(self._irr) and not self._rat.any()
+        return self._max == 0
 
     def equals(self, other: "Tensor") -> bool:
         if not isinstance(other, Tensor):
@@ -312,41 +299,19 @@ class Tensor:
     def __add__(self, other: "Tensor") -> "Tensor":
         if not isinstance(other, Tensor):
             return NotImplemented
-        if self.dim != other.dim or self.rank != other.rank:
-            raise ShapeError("cannot add tensors of different shape")
-        l = self._den * other._den // math.gcd(self._den, other._den)
-        f1, f2 = l // self._den, l // other._den
-        big = (self._max * f1 + other._max * f2) >= _INT64_LIMIT
-        a1, b1 = self._parts(big)
-        a2, b2 = other._parts(big)
-        return Tensor(
-            self.dim, _combine((a1, f1), (a2, f2)), _combine((b1, f1), (b2, f2)), l
-        )
+        return lincomb([(1, self), (1, other)])
 
     def __sub__(self, other: "Tensor") -> "Tensor":
-        return self + (-other)
+        if not isinstance(other, Tensor):
+            return NotImplemented
+        return lincomb([(1, self), (-1, other)])
 
     def __neg__(self) -> "Tensor":
-        return Tensor(
-            self.dim,
-            _combine((self._rat, -1)),
-            _combine((self._irr, -1)),
-            self._den,
-            _reduce=False,
-        )
+        return lincomb([(-1, self)])
 
     def scale(self, value) -> "Tensor":
         """Multiply every component by a Scalar/Fraction/int, exactly."""
-        s = value if isinstance(value, Scalar) else Scalar(value)
-        pd = s.rat.denominator * s.irr.denominator // math.gcd(
-            s.rat.denominator, s.irr.denominator
-        )
-        x, y = int(s.rat * pd), int(s.irr * pd)
-        big = self._max * (abs(x) + 3 * abs(y)) >= _INT64_LIMIT
-        a, b = self._parts(big)
-        return Tensor(
-            self.dim, _combine((a, x), (b, 3 * y)), _combine((a, y), (b, x)), self._den * pd
-        )
+        return lincomb([(value, self)])
 
     def __mul__(self, value):
         return self.scale(value)
@@ -362,17 +327,13 @@ class Tensor:
         )
 
     def transpose(self, axes) -> "Tensor":
-        """Reorder axes; exact and cheap (no renormalization needed)."""
+        """Reorder axes, as ``np.transpose``: axis n of the result is axis
+        ``axes[n]`` of this tensor."""
         axes = tuple(axes)
         if sorted(axes) != list(range(self.rank)):
             raise ShapeError(f"bad axes {axes} for rank {self.rank}")
-        return Tensor(
-            self.dim,
-            np.transpose(self._rat, axes),
-            np.transpose(self._irr, axes),
-            self._den,
-            _reduce=False,
-        )
+        out = _LETTERS[: self.rank]
+        return ein("".join(out[axes.index(p)] for p in range(self.rank)) + "->" + out, self)
 
     # -- wire format: sparse 1-based entries with scalar-text values ---------
 
@@ -506,44 +467,114 @@ def _contract_terms(subscripts: str, parts: Sequence, terms: list) -> list:
     return [None if v is None else np.asarray(v, dtype) for v in sides]
 
 
+def _einsum_shape(subscripts: str, tensors) -> tuple:
+    """(dim, output rank, number of summed letters) of an einsum over
+    Tensors, after checking the subscripts against the operands."""
+    if "->" not in subscripts:
+        raise ContractionSpecError("explicit '->' output required")
+    lhs, out = subscripts.split("->")
+    tokens = lhs.split(",")
+    if len(tokens) != len(tensors):
+        raise ContractionSpecError(f"{len(tokens)} subscript groups for {len(tensors)} operands")
+    dim = tensors[0].dim
+    for tok, t in zip(tokens, tensors):
+        if t.dim != dim:
+            raise ShapeError("operands have different dims")
+        if len(tok) != t.rank:
+            raise ContractionSpecError(f"subscript {tok!r} does not match operand rank {t.rank}")
+    letters = set("".join(tokens))
+    if len(set(out)) != len(out) or not set(out) <= letters:
+        raise ContractionSpecError(f"bad output subscript {out!r}")
+    return dim, len(out), len(letters - set(out))
+
+
+def _coefficient(c) -> tuple:
+    """(x, y, q) with c = (x + y*sqrt 3)/q, integers x and y and q > 0."""
+    if type(c) is int:
+        return c, 0, 1
+    if isinstance(c, Fraction):
+        return c.numerator, 0, c.denominator
+    s = c if isinstance(c, Scalar) else Scalar(c)
+    q = math.lcm(s.rat.denominator, s.irr.denominator)
+    return int(s.rat * q), int(s.irr * q), q
+
+
+def _accumulate(acc, v, k: int, tmp):
+    """``acc + k * v``, in place into ``acc`` (``k * v`` goes through the
+    scratch array ``tmp``) unless ``acc`` is None: then a new array, never
+    ``v`` itself, which may be a view of an operand."""
+    if acc is None:
+        return k * v
+    if k == 1:
+        acc += v
+    elif k == -1:
+        acc -= v
+    else:
+        acc += np.multiply(v, k, out=tmp)
+    return acc
+
+
+def lincomb(terms) -> Tensor:
+    """sum_k c_k * T_k, exactly, as one Tensor (see the module docstring).
+
+    Each term is ``(coeff, tensor)`` or ``(coeff, subscripts, *operands)``,
+    the latter standing for ``ein(subscripts, *operands)``; a coefficient is
+    an int, Fraction or Scalar.  Every term must have the same dim and rank
+    (ShapeError); an einsum term is checked as ``ein`` checks it.  A term
+    with a zero coefficient or an all-zero operand is never evaluated."""
+    # pass 1: metadata only
+    plan, shapes, den = [], set(), 1
+    for coeff, *spec in terms:
+        if spec and isinstance(spec[0], str):
+            subscripts, *ops = spec
+            dim, rank, n_sum = _einsum_shape(subscripts, ops)
+            products = _product_terms(ops)
+            bound = dim ** n_sum * _product_bound(ops)
+        else:
+            (t,) = spec
+            subscripts, ops, products = None, [t], None
+            dim, rank, bound = t.dim, t.rank, t._max
+        shapes.add((dim, rank))
+        x, y, q = _coefficient(coeff)
+        if (x or y) and all(t._max for t in ops):
+            for t in ops:
+                q *= t._den
+            plan.append((x, y, q, bound, subscripts, ops, products))
+            den = math.lcm(den, q)
+    if len(shapes) != 1:
+        raise ShapeError(f"lincomb needs terms of one (dim, rank), got {sorted(shapes)}")
+    ((dim, rank),) = shapes
+    total = sum(den // q * (abs(x) + 3 * abs(y)) * b for x, y, q, b, *_ in plan)
+    use_object = total >= _INT64_LIMIT
+    dtype = object if use_object else np.int64
+
+    # pass 2: one term at a time into the two accumulators
+    shape = (dim,) * rank
+    acc, tmp = [None, None], np.empty(shape, dtype)
+    for x, y, q, _, subscripts, ops, products in plan:
+        parts = [t._parts(use_object) for t in ops]
+        if subscripts is None:
+            a, b = (None if _is_zero_part(p) else p for p in parts[0])
+        else:
+            a, b = _contract_terms(subscripts, parts, products)
+        f = den // q
+        # (x + y sqrt3)(a + b sqrt3) = (x a + 3 y b) + (y a + x b) sqrt3
+        for v, k, side in ((a, f * x, 0), (b, 3 * f * y, 0), (a, f * y, 1), (b, f * x, 1)):
+            if v is not None and k:
+                acc[side] = _accumulate(acc[side], v, k, tmp)
+        del parts, a, b
+    # 0-d arithmetic decays to scalars; keep arrays of one dtype
+    rat, irr = (_zero_part(shape, dtype) if v is None else np.asarray(v, dtype) for v in acc)
+    return Tensor(dim, rat, irr, den)
+
+
 def ein(subscripts: str, *tensors: Tensor) -> Tensor:
     """Exact einsum over Tensors; subscripts as in numpy.einsum.
 
     Repeated labels inside one input token take diagonals as usual;
     output labels must be distinct and appear in some input.
     """
-    if "->" not in subscripts:
-        raise ContractionSpecError("explicit '->' output required")
-    lhs, out = subscripts.split("->")
-    tokens = lhs.split(",")
-    if len(tokens) != len(tensors):
-        raise ContractionSpecError(
-            f"{len(tokens)} subscript groups for {len(tensors)} operands"
-        )
-    dim = tensors[0].dim
-    for tok, t in zip(tokens, tensors):
-        if t.dim != dim:
-            raise ShapeError("operands have different dims")
-        if len(tok) != t.rank:
-            raise ContractionSpecError(
-                f"subscript {tok!r} does not match operand rank {t.rank}"
-            )
-    letters = set("".join(tokens))
-    if len(set(out)) != len(out) or not set(out) <= letters:
-        raise ContractionSpecError(f"bad output subscript {out!r}")
-    n_sum = len(letters - set(out))
-    terms = _product_terms(tensors)
-    use_object = dim ** n_sum * _product_bound(tensors) >= _INT64_LIMIT
-    parts = [t._parts(use_object) for t in tensors]
-    shape = (dim,) * len(out)
-    rat, irr = (
-        _zero_part(shape, object if use_object else np.int64) if v is None else v
-        for v in _contract_terms(subscripts, parts, terms)
-    )
-    den = 1
-    for t in tensors:
-        den *= t._den
-    return Tensor(dim, rat, irr, den)
+    return lincomb([(1, subscripts, *tensors)])
 
 
 # ---------------------------------------------------------------------------
@@ -573,18 +604,9 @@ class ContractionSpec:
 
     def validate(self, operands: Sequence[Tensor]):
         seen = set()
-        for (a, b) in self.pairs:
-            for op, slot in (a, b):
-                if not (0 <= op < len(operands)) or not (
-                    0 <= slot < operands[op].rank
-                ):
-                    raise ContractionSpecError(f"slot {(op, slot)} out of range")
-                if (op, slot) in seen:
-                    raise ContractionSpecError(f"slot {(op, slot)} used twice")
-                seen.add((op, slot))
-        for op, slot in self.free:
-            if not (0 <= op < len(operands)) or not (0 <= slot < operands[op].rank):
-                raise ContractionSpecError(f"free slot {(op, slot)} out of range")
+        for op, slot in [s for pair in self.pairs for s in pair] + list(self.free):
+            if not (0 <= op < len(operands) and 0 <= slot < operands[op].rank):
+                raise ContractionSpecError(f"slot {(op, slot)} out of range")
             if (op, slot) in seen:
                 raise ContractionSpecError(f"slot {(op, slot)} used twice")
             seen.add((op, slot))

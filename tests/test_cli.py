@@ -337,6 +337,15 @@ def test_missing_model_option_exit2(capsys, options, message):
     assert message in capsys.readouterr().err
 
 
+_CC3 = {"kind": "constant_curvature", "params": {"dim": 3, "k": "1"}}
+
+
+def _explicit3(entry):
+    """An explicit dim-3 model: R_1212 = 1, then ``entry``."""
+    return {"kind": "explicit", "params": {"dim": 3},
+            "components": [{"idx": [1, 2, 1, 2], "val": "1"}, entry]}
+
+
 @pytest.mark.parametrize(
     "model, message",
     [
@@ -346,6 +355,11 @@ def test_missing_model_option_exit2(capsys, options, message):
          "/paramz: unknown key"),
         ({"kind": "constant_curvature", "params": {"dim": True, "k": "1"}},
          "/params/dim: expected an integer"),
+        # a component error points at its entry, inside its factor
+        ({"kind": "product", "factors": [_CC3, _explicit3({"idx": [1, 2, 1, 7], "val": "1"})]},
+         "/factors/1/components/1/idx: index [1, 2, 1, 7] out of range for dim 3"),
+        ({"kind": "product", "factors": [_CC3, _explicit3({"idx": [2, 1, 1, 2], "val": "1"})]},
+         "/factors/1/components/1: component [2, 1, 1, 2] assigned conflicting values"),
     ],
 )
 def test_model_file_schema_violation_exit2(tmp_path, capsys, model, message):

@@ -23,6 +23,7 @@ from curvident.identities import (
     _witness,
     einstein5_residual,
     einstein5_trace_residual,
+    einstein6_blocks,
     einstein6_residual,
     einstein6_trace_residual,
     einstein6_trace_residual_alt,
@@ -281,6 +282,31 @@ def test_term_groups_fail_off_einstein():
     R = random_curvature(6, seed=59, n_terms=3)
     bad = [k for k, lhs, rhs in term_groups(R) if not (lhs - rhs).is_zero()]
     assert bad  # the group equalities characterize the Einstein reduction
+
+
+@pytest.mark.parametrize("einstein", [True, False])
+def test_streamed_residuals_equal_the_materialized_sides(einstein):
+    """appendix34's residuals, each one lincomb of its group's terms, equal
+    lhs - rhs of the materialized term groups (and the sum check total -
+    eight); the lemma6 residual equals the sum of einstein6_blocks."""
+    from curvident.expansion6 import group_sum_check
+
+    R = _einstein(6, seed=60) if einstein else random_curvature(6, seed=60, n_terms=4)
+    reports = run_identity("appendix34", R)
+    groups = term_groups(R)
+    assert len(reports) == len(groups) + 1
+    for rep, (k, lhs, rhs) in zip(reports, groups):
+        assert rep.identity == f"appendix34[{k}]"
+        assert rep.residual == lhs - rhs
+    total, eight = group_sum_check(R, groups=groups)
+    assert reports[-1].identity == "appendix34[sum]"
+    assert reports[-1].residual == total - eight
+    b1, tt_rows, f_terms, a_terms = einstein6_blocks(R)
+    expected = b1
+    for block in tt_rows + f_terms + a_terms:
+        expected = expected + block
+    assert einstein6_residual(R).residual == expected
+    assert all(rep.is_zero for rep in reports) == einstein
 
 
 # -- transvection derivations ---------------------------------------------------------

@@ -5,7 +5,8 @@ reference values imply (denominator, magnitude bound, int64/object dtype),
 hash and compare like a tensor built from explicit arrays, and list the
 same entries.  The inputs cover rational and sqrt(3)-valued components,
 denominators 1 and > 1, magnitudes at the int64/object boundary and
-rank 0.
+rank 0.  ``lincomb`` is checked against the same reference and against
+the pairwise fold of ``+`` and ``scale``.
 """
 
 import math
@@ -15,10 +16,19 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import curvident.tensor as tensor_mod
 from curvident.delta import DeltaBinding, generalized_delta_contract
 from curvident.scalar import Scalar
-from curvident.tensor import Tensor, ein
+from curvident.tensor import (
+    ContractionSpecError,
+    ShapeError,
+    Tensor,
+    _is_zero_part,
+    ein,
+    lincomb,
+)
 
 DIM = 3
 LIMIT = 2 ** 62
@@ -197,3 +207,134 @@ def test_is_zero_on_python_ints():
     assert not (big - Tensor.from_components(DIM, 2, {(1, 2): 2 ** 70})).is_zero()
     assert (big - big).is_zero()
     assert Tensor(DIM, np.zeros((DIM,), object), np.zeros((DIM,), object)).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# lincomb
+# ---------------------------------------------------------------------------
+
+# rank-2 operands of every kind: small and at the boundary, rational and
+# sqrt(3)-valued, denominators 1 and > 1
+_OPERANDS = {kind: _ref(kind, 2, 7) for kind in KINDS}
+# einsum terms (subscripts, operand kinds) beside plain Tensor terms
+_EINSUMS = [
+    ("ab,bc->ac", ("int", "frac")),
+    ("ba->ab", ("sqrt3",)),
+    ("ab,bc->ac", ("frac", "sqrt3")),
+    ("ac,cb->ab", ("bigfrac", "int")),
+    ("aa,bc->bc", ("sqrt3", "sqrt3")),
+]
+_SHAPES = [("tensor", kind) for kind in KINDS] + [("ein", i) for i in range(len(_EINSUMS))]
+
+_COEFFS = st.one_of(
+    st.integers(-40, 40),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)),
+    st.builds(
+        lambda a, b, q: Scalar(Fraction(a, q), Fraction(b, q)),
+        st.integers(-9, 9),
+        st.integers(-9, 9),
+        st.integers(1, 6),
+    ),
+)
+
+
+def _term(coeff, shape):
+    """The lincomb term, the Tensor it stands for and its reference."""
+    how, which = shape
+    if how == "tensor":
+        ref = _OPERANDS[which]
+        t = _build(ref, 2)
+        return (coeff, t), t, ref
+    subscripts, kinds = _EINSUMS[which]
+    refs = [_OPERANDS[k] for k in kinds]
+    ops = [_build(r, 2) for r in refs]
+    return (coeff, subscripts, *ops), ein(subscripts, *ops), _ref_ein(subscripts, *refs)
+
+
+def _scalar(c):
+    return c if isinstance(c, Scalar) else Scalar(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_COEFFS, st.sampled_from(_SHAPES)), min_size=1, max_size=6))
+def test_lincomb_equals_pairwise_fold(spec):
+    terms, fold, ref = [], None, {i: Scalar(0) for i in product(range(DIM), repeat=2)}
+    for coeff, shape in spec:
+        term, t, r = _term(coeff, shape)
+        terms.append(term)
+        fold = t.scale(coeff) if fold is None else fold + t.scale(coeff)
+        ref = {i: ref[i] + _scalar(coeff) * r[i] for i in ref}
+    out = lincomb(terms)
+    _check(out, ref, 2)
+    assert out == fold and hash(out) == hash(fold)
+
+
+@pytest.mark.parametrize("bound,dtype", [(LIMIT - 1, np.int64), (LIMIT, object)])
+def test_lincomb_int64_bound_edge(monkeypatch, bound, dtype):
+    """A Tensor term with largest numerator 2**61 and an einsum term whose
+    bound is ``bound`` - 2**61: the combination's bound is ``bound``, so it
+    runs on int64 just below 2**62 and on Python ints at it.  Entry (0, 0)
+    reaches the bound itself; exact either way."""
+    a = Tensor(DIM, np.diag([2 ** 61, -7, 3]), np.zeros((DIM, DIM), int))
+    m = bound - 2 ** 61
+    b = Tensor(DIM, np.array([[m, -m, 1], [0, 5, m - 9], [2, 0, 0]]), np.zeros((DIM, DIM), int))
+    dtypes = []
+    real = tensor_mod._einsum_exact
+    monkeypatch.setattr(
+        tensor_mod, "_einsum_exact", lambda s, ops: dtypes.append({op.dtype for op in ops}) or real(s, ops)
+    )
+    out = lincomb([(1, a), (1, "ab->ab", b)])
+    assert dtypes == [{np.dtype(dtype)}]
+    assert out.item(0, 0) == Scalar(bound)
+    assert out._rat.dtype == dtype
+    for i, j in product(range(DIM), repeat=2):
+        assert out.item(i, j) == a.item(i, j) + b.item(i, j)
+
+
+def test_lincomb_full_cancellation_is_the_canonical_zero():
+    a = _build(_OPERANDS["sqrt3"], 2)
+    assert a._den > 1 and not _is_zero_part(a._irr)
+    out = lincomb([(Fraction(2, 3), a), (Scalar(0, 1), "ab->ab", a), (Scalar(Fraction(-2, 3), -1), a)])
+    assert out.is_zero() and out._den == 1
+    assert _is_zero_part(out._irr) and _storage(out._irr) <= 1
+    assert out == Tensor.zeros(DIM, 2) and hash(out) == hash(Tensor.zeros(DIM, 2))
+
+
+def test_lincomb_skips_zero_coefficients(monkeypatch):
+    """A zero coefficient leaves its term unevaluated and out of the
+    bound: Python-int operands under a zero coefficient keep the one
+    evaluated einsum on int64."""
+    huge = _build(_OPERANDS["bigsqrt3"], 2)
+    a = _build(_OPERANDS["frac"], 2)
+    dtypes = []
+    real = tensor_mod._einsum_exact
+    monkeypatch.setattr(
+        tensor_mod, "_einsum_exact", lambda s, ops: dtypes.append({op.dtype for op in ops}) or real(s, ops)
+    )
+    out = lincomb([
+        (0, "ab,bc->ac", huge, huge),
+        (Fraction(0), huge),
+        (Scalar(0), "ba->ab", huge),
+        (2, "ab->ab", a),
+    ])
+    assert dtypes == [{np.dtype(np.int64)}]
+    assert out == a.scale(2)
+
+
+def test_lincomb_shape_and_spec_errors():
+    a, v = Tensor.identity(DIM), Tensor.zeros(DIM, 1)
+    b = Tensor.identity(DIM + 1)
+    for terms in (
+        [(1, a), (1, v)],  # rank
+        [(1, a), (1, b)],  # dim
+        [(1, a), (1, "ab,b->a", a, v)],  # an einsum term's rank
+        [(1, "ab,bc->ac", a, b)],  # operands of different dims, as in ein
+        [],
+    ):
+        with pytest.raises(ShapeError):
+            lincomb(terms)
+    for bad in (("ab,bc", a, a), ("ab->ab", a, a), ("abc->ab", a), ("ab->aa", a), ("ab->ac", a)):
+        with pytest.raises(ContractionSpecError):
+            ein(*bad)
+        with pytest.raises(ContractionSpecError):
+            lincomb([(1, a), (1, *bad)])
