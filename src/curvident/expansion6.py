@@ -25,6 +25,7 @@ from .scalar import Scalar
 from .tensor import ein, lincomb
 from .curvature import CurvatureTensor
 from .identities import (
+    TSADecomposition,
     _a_terms,
     _einstein6_terms,
     _f_terms,
@@ -38,11 +39,11 @@ from .identities import (
 )
 
 
-def _group_terms(R: CurvatureTensor) -> list:
+def _group_terms(pieces: tuple, dec: TSADecomposition) -> list:
     """The 34 groups as (raw lhs terms, simplified rhs terms) lists of
-    ``lincomb`` terms, free indices ordered (i,h,j,k,l,m)."""
-    t, g, ricci, tau, tt, rn2 = _pieces_in(R, 6, "the term-group expansion")
-    dec = tsa(R)
+    ``lincomb`` terms, free indices ordered (i,h,j,k,l,m), from R's
+    ``_pieces`` and ``tsa``."""
+    t, g, ricci, tau, tt, rn2 = pieces
     rho2 = ein("ij,ij->", ricci, ricci).to_scalar()
 
     k0 = rn2 - Scalar(4) * rho2 + tau * tau
@@ -87,20 +88,24 @@ def _group_terms(R: CurvatureTensor) -> list:
 def term_groups(R: CurvatureTensor) -> list:
     """All 34 (group number, raw lhs, simplified rhs) rank-6 tensors,
     free indices ordered (i,h,j,k,l,m)."""
-    return [
-        (k, lincomb(lhs), lincomb(rhs))
-        for k, (lhs, rhs) in enumerate(_group_terms(R), start=1)
-    ]
+    groups = _group_terms(_pieces_in(R, 6, "the term-group expansion"), tsa(R))
+    return [(k, lincomb(lhs), lincomb(rhs)) for k, (lhs, rhs) in enumerate(groups, start=1)]
 
 
 def group_residuals(R: CurvatureTensor) -> list:
     """The 34 group residuals lhs - rhs, then the sum check's residual: the
     sum of the 34 simplified groups minus 8 x the assembled rank-6 identity
-    form.  Each is one ``lincomb``; no group side is built."""
-    groups = _group_terms(R)
+    form.  Each is one ``lincomb``; no group side is built.  The groups and
+    the form are built from one set of pieces, so the terms they share are
+    the same operands, and ``lincomb`` cancels them before any is
+    evaluated: group 34's A rows in its own residual, and in the sum check
+    the A rows and the metric triples, which the groups and 8 x the form
+    carry with opposite coefficients."""
+    pieces, dec = _pieces_in(R, 6, "the term-group expansion"), tsa(R)
+    groups = _group_terms(pieces, dec)
     out = [lincomb(lhs + _scaled(-1, rhs)) for lhs, rhs in groups]
     rhs_all = [x for _, rhs in groups for x in rhs]
-    out.append(lincomb(rhs_all + _scaled(-8, _einstein6_terms(R))))
+    out.append(lincomb(rhs_all + _scaled(-8, _einstein6_terms(pieces, dec))))
     return out
 
 

@@ -410,11 +410,11 @@ def _a_terms(a6: Tensor) -> list:
     return [(sign, f"{labels}->ihjklm", a6) for sign, labels in _A_ROWS]
 
 
-def _einstein6_block_terms(R: CurvatureTensor) -> tuple:
+def _einstein6_block_terms(pieces: tuple, dec: TSADecomposition) -> tuple:
     """The terms of the four blocks of the rank-6 Einstein identity: the
-    metric triples, the norm rows, the F rows and the A rows."""
-    t, g, ricci, tau, tt, rn2 = _pieces_in(R, 6, "lemma6")
-    dec = tsa(R)
+    metric triples, the norm rows, the F rows and the A rows, from R's
+    ``_pieces`` and ``tsa``."""
+    t, g, ricci, tau, tt, rn2 = pieces
     return (
         _scaled((rn2 + tau * tau * Fraction(1, 3)) * Fraction(1, 8), _g3_terms(g)),
         _scaled(Fraction(-1, 2), _tt_terms(tt, g)),
@@ -423,16 +423,16 @@ def _einstein6_block_terms(R: CurvatureTensor) -> tuple:
     )
 
 
-def _einstein6_terms(R: CurvatureTensor) -> list:
+def _einstein6_terms(pieces: tuple, dec: TSADecomposition) -> list:
     """All terms of the rank-6 Einstein identity form; its lincomb is the
     lemma6 residual."""
-    return [term for block in _einstein6_block_terms(R) for term in block]
+    return [term for block in _einstein6_block_terms(pieces, dec) for term in block]
 
 
 def einstein6_blocks(R: CurvatureTensor):
     """The four blocks of the rank-6 Einstein identity, plus the
     individual second/third/A-block terms for the transvection tables."""
-    g3, tt, f, a = _einstein6_block_terms(R)
+    g3, tt, f, a = _einstein6_block_terms(_pieces_in(R, 6, "lemma6"), tsa(R))
     tt_rows = [lincomb(tt[k : k + 2]) for k in range(0, len(tt), 2)]
     return lincomb(g3), tt_rows, [lincomb([x]) for x in f], [lincomb([x]) for x in a]
 
@@ -440,7 +440,8 @@ def einstein6_blocks(R: CurvatureTensor):
 def einstein6_residual(R: CurvatureTensor) -> ResidualReport:
     """Rank-6 Einstein identity in dimension 6 (id "lemma6"), its four
     blocks streamed into one lincomb; free indices ordered (i,h,j,k,l,m)."""
-    return make_report("lemma6", "einstein", lincomb(_einstein6_terms(R)))
+    terms = _einstein6_terms(_pieces_in(R, 6, "lemma6"), tsa(R))
+    return make_report("lemma6", "einstein", lincomb(terms))
 
 
 def super6_residual(R: CurvatureTensor) -> ResidualReport:

@@ -33,6 +33,22 @@ ints.  Pass 2 evaluates one term at a time, adds it in place into one
 rational and one sqrt(3) accumulator and drops it before the next; one
 Tensor is built at the end, with one gcd and one max scan.  ``ein``, +, -,
 negation and ``scale`` are lincombs of one or two terms.
+
+Before pass 1, terms with the same subscripts and the same operand
+objects are merged by adding their coefficients exactly; a term whose
+coefficients cancel is dropped, so it is neither evaluated nor counted in
+the bound.  In pass 1, an einsum operand that the data show to be a
+rational multiple (n/d) * I of the identity matrix (read once per Tensor
+and memoised), in a token pq of two distinct output letters that no other
+token uses, leaves the einsum: n joins the coefficient and d
+its denominator, the other operands are contracted into the output letters
+the term does not tie together (or give the constant 1), and pass 2 adds
+that lower-rank result, broadcast, into the writable diagonal view q = p of
+each accumulator (an einsum view; the accumulator starts as zeros when such
+a term comes first).  The overflow argument is unchanged: the full
+einsum's entries are zero off that diagonal and n times the reduced
+einsum's entries on it, so every partial sum is one the full einsum
+would reach, and the bound, computed with every operand, is the same.
 """
 
 from __future__ import annotations
@@ -85,10 +101,18 @@ def _product_terms(tensors) -> list:
     return [(c, 3 ** (sum(c) // 2), sum(c) % 2) for c in product(*options)]
 
 
+_ZERO_PARTS: dict = {}
+
+
 def _zero_part(shape, dtype):
     """An exactly zero part: one zero broadcast to ``shape``, which holds a
-    single element of memory whatever the rank."""
-    return np.broadcast_to(np.zeros((), dtype), shape)
+    single element of memory whatever the rank.  It is read-only, so one
+    per shape and dtype is shared."""
+    key = (shape, dtype)
+    part = _ZERO_PARTS.get(key)
+    if part is None:
+        part = _ZERO_PARTS[key] = np.broadcast_to(np.zeros((), dtype), shape)
+    return part
 
 
 def _is_zero_part(arr) -> bool:
@@ -157,7 +181,7 @@ class Tensor:
     tensor is two zero parts over denominator 1.
     """
 
-    __slots__ = ("dim", "rank", "_rat", "_irr", "_den", "_max")
+    __slots__ = ("dim", "rank", "_rat", "_irr", "_den", "_max", "_delta")
 
     MAX_RANK = 8
 
@@ -196,6 +220,7 @@ class Tensor:
         object.__setattr__(self, "_irr", irr)
         object.__setattr__(self, "_den", int(den))
         object.__setattr__(self, "_max", m)
+        object.__setattr__(self, "_delta", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
@@ -319,6 +344,20 @@ class Tensor:
     __rmul__ = __mul__
 
     # -- internals --------------------------------------------------------------
+
+    def _delta_numerator(self) -> int:
+        """n when this Tensor is the rational multiple (n / den) * I of the
+        identity matrix, n != 0; 0 otherwise.  Read from the data on the
+        first call and memoised."""
+        n = self._delta
+        if n is None:
+            n, rat = 0, self._rat
+            if self.rank == 2 and _is_zero_part(self._irr):
+                diag = rat.diagonal()
+                if diag[0] and (diag == diag[0]).all() and np.count_nonzero(rat) == self.dim:
+                    n = int(diag[0])
+            object.__setattr__(self, "_delta", n)
+        return n
 
     def _parts(self, use_object: bool):
         return (
@@ -499,19 +538,79 @@ def _coefficient(c) -> tuple:
     return int(s.rat * q), int(s.irr * q), q
 
 
-def _accumulate(acc, v, k: int, tmp):
-    """``acc + k * v``, in place into ``acc`` (``k * v`` goes through the
-    scratch array ``tmp``) unless ``acc`` is None: then a new array, never
-    ``v`` itself, which may be a view of an operand."""
-    if acc is None:
-        return k * v
+def _add_into(target, v, k: int, tmp=None):
+    """``target += k * v`` in place; ``k * v`` goes through the scratch
+    array ``tmp`` when one is given."""
     if k == 1:
-        acc += v
+        target += v
     elif k == -1:
-        acc -= v
+        target -= v
     else:
-        acc += np.multiply(v, k, out=tmp)
-    return acc
+        target += np.multiply(v, k, out=tmp)
+
+
+_DELTA_SLOTS: dict = {}
+_DELTA_SPLITS: dict = {}
+
+
+def _delta_slots(subscripts: str) -> tuple:
+    """Positions of the tokens of ``subscripts`` whose operand, if it is a
+    multiple of the identity, can leave the einsum: two distinct letters,
+    both in the output and in no other token."""
+    slots = _DELTA_SLOTS.get(subscripts)
+    if slots is None:
+        lhs, out = subscripts.split("->")
+        tokens = lhs.split(",")
+        slots = tuple(
+            i
+            for i, tok in enumerate(tokens)
+            if len(tok) == 2
+            and tok[0] != tok[1]
+            and set(tok) <= set(out)
+            and not any(c in other for j, other in enumerate(tokens) if j != i for c in tok)
+        )
+        _DELTA_SLOTS[subscripts] = slots
+    return slots
+
+
+def _delta_split(subscripts: str, deltas: tuple) -> tuple:
+    """(view, reduced) subscripts for an einsum whose operands at positions
+    ``deltas`` (from ``_delta_slots``) are multiples of the identity.  Each
+    such token pq forces q = p, so the term lives on the diagonal
+    ``view`` of the output, which lists the kept letters p first and then
+    the other output letters; ``reduced`` is the einsum of the other
+    operands onto those other letters, which broadcasts over the view."""
+    key = (subscripts, deltas)
+    split = _DELTA_SPLITS.get(key)
+    if split is None:
+        lhs, out = subscripts.split("->")
+        tokens = lhs.split(",")
+        dropped = [tokens[i] for i in deltas]
+        to_kept = {tok[1]: tok[0] for tok in dropped}
+        rest = "".join(c for c in out if not any(c in tok for tok in dropped))
+        view = "".join(to_kept.get(c, c) for c in out) + "->" + "".join(t[0] for t in dropped) + rest
+        others = [t for i, t in enumerate(tokens) if i not in deltas]
+        split = view, ",".join(others) + "->" + rest
+        _DELTA_SPLITS[key] = split
+    return split
+
+
+def _merge_like_terms(terms) -> list:
+    """The terms, with every term whose subscripts and operand objects
+    repeat an earlier term's folded into that term by adding the
+    coefficients exactly.  Coefficients are only added on such a repeat,
+    so int coefficients stay ints."""
+    merged, where = [], {}
+    for term in terms:
+        head = term[1]
+        key = (head, *map(id, term[2:])) if type(head) is str else id(head)
+        i = where.setdefault(key, len(merged))
+        if i == len(merged):
+            merged.append(term)
+        else:
+            coeff, *spec = merged[i]
+            merged[i] = (coeff + term[0], *spec)
+    return merged
 
 
 def lincomb(terms) -> Tensor:
@@ -520,11 +619,20 @@ def lincomb(terms) -> Tensor:
     Each term is ``(coeff, tensor)`` or ``(coeff, subscripts, *operands)``,
     the latter standing for ``ein(subscripts, *operands)``; a coefficient is
     an int, Fraction or Scalar.  Every term must have the same dim and rank
-    (ShapeError); an einsum term is checked as ``ein`` checks it.  A term
-    with a zero coefficient or an all-zero operand is never evaluated."""
+    (ShapeError); an einsum term is checked as ``ein`` checks it.
+
+    Terms with the same subscripts and the same operand objects are merged
+    into one first.  A term whose coefficient is (or merges to) zero, or
+    with an all-zero operand, is never evaluated and not counted in the
+    bound.  An einsum operand equal to c * I, c rational, in a token pq of
+    two distinct output letters that no other token uses, is not
+    contracted: c joins the coefficient and the rest of the term is added
+    into the diagonal view q = p of the accumulators.  Each entry of that smaller
+    einsum times c's numerator is an entry of the full one, so the bound
+    and the int64/object choice are those of the full einsum."""
     # pass 1: metadata only
     plan, shapes, den = [], set(), 1
-    for coeff, *spec in terms:
+    for coeff, *spec in _merge_like_terms(terms):
         if spec and isinstance(spec[0], str):
             subscripts, *ops = spec
             dim, rank, n_sum = _einsum_shape(subscripts, ops)
@@ -539,7 +647,17 @@ def lincomb(terms) -> Tensor:
         if (x or y) and all(t._max for t in ops):
             for t in ops:
                 q *= t._den
-            plan.append((x, y, q, bound, subscripts, ops, products))
+            view, slots = None, subscripts and _delta_slots(subscripts)
+            deltas = slots and tuple(i for i in slots if ops[i]._delta_numerator())
+            if deltas:
+                # bound counts max(|n_i|, 1) = |n_i| for each multiple of I
+                n = math.prod(ops[i]._delta_numerator() for i in deltas)
+                x, y, bound = x * n, y * n, bound // abs(n)
+                view, subscripts = _delta_split(subscripts, deltas)
+                keep = [i for i in range(len(ops)) if i not in deltas]
+                ops = [ops[i] for i in keep]
+                products = [(tuple(c[i] for i in keep), w, side) for c, w, side in products]
+            plan.append((x, y, q, bound, subscripts, ops, products, view))
             den = math.lcm(den, q)
     if len(shapes) != 1:
         raise ShapeError(f"lincomb needs terms of one (dim, rank), got {sorted(shapes)}")
@@ -551,20 +669,31 @@ def lincomb(terms) -> Tensor:
     # pass 2: one term at a time into the two accumulators
     shape = (dim,) * rank
     acc, tmp = [None, None], np.empty(shape, dtype)
-    for x, y, q, _, subscripts, ops, products in plan:
+    for x, y, q, _, subscripts, ops, products, view in plan:
         parts = [t._parts(use_object) for t in ops]
         if subscripts is None:
             a, b = (None if _is_zero_part(p) else p for p in parts[0])
+        elif not ops:
+            a, b = np.ones((), dtype), None
         else:
             a, b = _contract_terms(subscripts, parts, products)
         f = den // q
         # (x + y sqrt3)(a + b sqrt3) = (x a + 3 y b) + (y a + x b) sqrt3
         for v, k, side in ((a, f * x, 0), (b, 3 * f * y, 0), (a, f * y, 1), (b, f * x, 1)):
-            if v is not None and k:
-                acc[side] = _accumulate(acc[side], v, k, tmp)
+            if v is None or not k:
+                continue
+            if view is not None:
+                if acc[side] is None:
+                    acc[side] = np.zeros(shape, dtype)
+                _add_into(np.einsum(view, acc[side]), v, k)
+            elif acc[side] is None:
+                # a new array, never ``v`` itself, which may be a view of an
+                # operand; 0-d arithmetic decays to a scalar, so re-wrap it
+                acc[side] = np.asarray(k * v, dtype)
+            else:
+                _add_into(acc[side], v, k, tmp)
         del parts, a, b
-    # 0-d arithmetic decays to scalars; keep arrays of one dtype
-    rat, irr = (_zero_part(shape, dtype) if v is None else np.asarray(v, dtype) for v in acc)
+    rat, irr = (_zero_part(shape, dtype) if v is None else v for v in acc)
     return Tensor(dim, rat, irr, den)
 
 

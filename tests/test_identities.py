@@ -621,3 +621,24 @@ def test_identity_table_consistency(dim):
                 with pytest.raises(IdentityArgumentError, match="apply to patterson"):
                     run_identity(ident, R, **extra)
     assert applied == applicable_identities(dim)
+
+
+def test_appendix34_shared_terms_cancel_unevaluated(monkeypatch):
+    """Group 34's A rows (in its own residual) and the sum check's A rows
+    and metric triples (against 8 x the lemma6 form) cancel in lincomb:
+    on any input no A row is contracted, and the residuals still equal the
+    materialized sides."""
+    from curvident import tensor as tensor_mod
+    from curvident.expansion6 import group_residuals, group_sum_check
+    from curvident.identities import _A_ROWS
+
+    R = random_curvature(6, seed=61, n_terms=4)
+    groups = term_groups(R)
+    total, eight = group_sum_check(R, groups=groups)
+    calls = []
+    real = tensor_mod._einsum_exact
+    monkeypatch.setattr(tensor_mod, "_einsum_exact", lambda s, ops: calls.append(s) or real(s, ops))
+    *residuals, check = group_residuals(R)
+    assert not {f"{labels}->ihjklm" for _, labels in _A_ROWS} & set(calls)
+    assert residuals == [lhs - rhs for _, lhs, rhs in groups]
+    assert check == total - eight

@@ -6,7 +6,9 @@ hash and compare like a tensor built from explicit arrays, and list the
 same entries.  The inputs cover rational and sqrt(3)-valued components,
 denominators 1 and > 1, magnitudes at the int64/object boundary and
 rank 0.  ``lincomb`` is checked against the same reference and against
-the pairwise fold of ``+`` and ``scale``.
+the pairwise fold of ``+`` and ``scale``; its handling of identity
+multiples against an object-dtype numpy einsum of the materialized
+Scalars, and its merging of like terms against the unmerged fold.
 """
 
 import math
@@ -338,3 +340,192 @@ def test_lincomb_shape_and_spec_errors():
             ein(*bad)
         with pytest.raises(ContractionSpecError):
             lincomb([(1, a), (1, *bad)])
+
+
+# ---------------------------------------------------------------------------
+# multiples of the identity leave the einsum
+# ---------------------------------------------------------------------------
+
+# (subscripts, operands): "I" is the identity, "cI" a drawn multiple c * I,
+# "2" and "4" a drawn rank-2 or rank-4 operand; every "I"/"cI" token is two
+# output letters no other token uses, so each such operand leaves the einsum
+_DELTA_CASES = {
+    2: [
+        ("ab->ab", ("I",)),
+        ("ba->ab", ("cI",)),
+        ("ab,cd,cd->ab", ("cI", "2", "2")),  # the rest contracts to rank 0
+        ("ac,bc->ab", ("2", "2")),  # no identity operand: beside the others
+    ],
+    4: [
+        ("ac,bd->abcd", ("I", "cI")),
+        ("ac,bd->abcd", ("2", "cI")),
+        ("ab,bc,de->acde", ("2", "2", "I")),
+        ("dbca->abcd", ("4",)),
+    ],
+    6: [
+        ("ij,hk,lm->ihjklm", ("I", "I", "I")),  # a metric triple
+        ("ij,hk,lm->ihjklm", ("2", "cI", "I")),  # a norm row
+        ("ihjk,lm->ihjklm", ("4", "cI")),  # an F row
+    ],
+}
+_MULTIPLES = [2, -3, Fraction(5, 7), Fraction(-1, 2), LIMIT + 1, -(2 ** 63), Fraction(LIMIT, 3)]
+_CO_KINDS = ("int", "frac", "sqrt3", "bigfrac", "bigsqrt3")
+
+
+def _materialized(t):
+    """t's components as an object array of Scalars."""
+    out = np.empty(t._rat.shape, object)
+    for idx in product(range(t.dim), repeat=t.rank):
+        out[idx] = t.item(idx)
+    return out
+
+
+@st.composite
+def _delta_lincombs(draw):
+    rank = draw(st.sampled_from(sorted(_DELTA_CASES)))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        subscripts, kinds = draw(st.sampled_from(_DELTA_CASES[rank]))
+        ops = []
+        for kind in kinds:
+            if kind == "I":
+                ops.append(Tensor.identity(DIM))
+            elif kind == "cI":
+                c = draw(st.sampled_from(_MULTIPLES))
+                ops.append(Tensor.identity(DIM).scale(c))
+            else:
+                seed = draw(st.integers(0, 3))
+                ops.append(_build(_ref(draw(st.sampled_from(_CO_KINDS)), int(kind), seed), int(kind)))
+        terms.append((draw(_COEFFS), subscripts, *ops))
+    return rank, terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(_delta_lincombs())
+def test_identity_multiples_leave_the_einsum(case):
+    """Terms with identity operands (the identity, c * I with c rational and
+    not +-1, beside rational and sqrt(3)-valued operands, magnitudes on
+    both sides of 2**62, all operands identities) equal an object-dtype
+    numpy einsum of the materialized Scalars, and no einsum is evaluated
+    with an identity operand in it."""
+    rank, terms = case
+    calls = []
+    real = tensor_mod._einsum_exact
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor_mod, "_einsum_exact", lambda s, ops: calls.append(s) or real(s, ops))
+        out = lincomb(terms)
+    ref = np.zeros((DIM,) * rank, object)
+    for coeff, subscripts, *ops in terms:
+        ref = ref + np.einsum(subscripts, *map(_materialized, ops)) * _scalar(coeff)
+    _check(out, {idx: _scalar(ref[idx]) for idx in product(range(DIM), repeat=rank)}, rank)
+    with_identity = {s for _, s, *ops in terms if any(op._delta_numerator() for op in ops)}
+    assert not with_identity & set(calls)
+
+
+_DENSE = {
+    "non-constant diagonal": ("ab->ab", Tensor(DIM, np.diag([1, 2, 3]), np.zeros((DIM, DIM), int))),
+    "off-diagonal entries": (
+        "ab->ab",
+        Tensor(DIM, np.eye(DIM, dtype=int) + np.eye(DIM, k=1, dtype=int), np.zeros((DIM, DIM), int)),
+    ),
+    "c * I with a sqrt(3) part": ("ab->ab", Tensor.identity(DIM).scale(Scalar(2, 1))),
+    "ii token": ("aa,bc->bc", Tensor.identity(DIM)),
+    "summed letter": ("ab,bc->ac", Tensor.identity(DIM)),
+    "letter of another token": ("ab,bc->abc", Tensor.identity(DIM)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DENSE))
+def test_non_identity_operands_stay_dense(monkeypatch, name):
+    """Operands that are not c * I with c rational, and identities in
+    tokens that do not qualify: the full einsum runs, and the value is
+    exact."""
+    subscripts, op = _DENSE[name]
+    tokens = subscripts.split("->")[0].split(",")
+    ops = [op] + [_build(_ref("sqrt3", len(tok), 9), len(tok)) for tok in tokens[1:]]
+    calls = []
+    real = tensor_mod._einsum_exact
+    monkeypatch.setattr(tensor_mod, "_einsum_exact", lambda s, ops: calls.append(s) or real(s, ops))
+    out = lincomb([(Fraction(-3, 2), subscripts, *ops)])
+    assert calls and set(calls) == {subscripts}
+    ref = np.einsum(subscripts, *map(_materialized, ops)) * Scalar(Fraction(-3, 2))
+    rank = len(subscripts.split("->")[1])
+    _check(out, {idx: _scalar(ref[idx]) for idx in product(range(DIM), repeat=rank)}, rank)
+
+
+def test_zero_matrix_is_not_an_identity_multiple(monkeypatch):
+    """The zero matrix is no multiple of I: its term is skipped as any
+    all-zero operand's is, unevaluated, and the sum stays exact."""
+    zero = Tensor.zeros(DIM, 2)
+    assert zero._delta_numerator() == 0
+    a = _build(_OPERANDS["sqrt3"], 2)
+    expected = ein("ab,cd->acbd", a, a)
+    calls = []
+    real = tensor_mod._einsum_exact
+    monkeypatch.setattr(tensor_mod, "_einsum_exact", lambda s, ops: calls.append(s) or real(s, ops))
+    assert lincomb([(5, "ab,cd->abcd", zero, a), (1, "ab,cd->acbd", a, a)]) == expected
+    assert calls and set(calls) == {"ab,cd->acbd"}
+
+
+# ---------------------------------------------------------------------------
+# like terms
+# ---------------------------------------------------------------------------
+
+
+def test_merge_like_terms_adds_coefficients_of_the_same_operands():
+    a, b = _build(_OPERANDS["int"], 2), _build(_OPERANDS["int"], 2)
+    assert a == b and a is not b
+    merged = tensor_mod._merge_like_terms([
+        (2, a), (3, "ab->ba", a), (3, a), (1, b), (-3, "ab->" + "ba", a), (Fraction(1, 2), "ab->ba", b),
+    ])
+    assert merged == [(5, a), (0, "ab->ba", a), (1, b), (Fraction(1, 2), "ab->ba", b)]
+    assert type(merged[0][0]) is int and type(merged[1][0]) is int
+
+
+def test_cancelling_duplicates_give_the_canonical_zero(monkeypatch):
+    a, b = _build(_OPERANDS["sqrt3"], 2), _build(_OPERANDS["bigfrac"], 2)
+    calls = []
+    real = tensor_mod._einsum_exact
+    monkeypatch.setattr(tensor_mod, "_einsum_exact", lambda s, ops: calls.append(s) or real(s, ops))
+    out = lincomb([
+        (Scalar(Fraction(2, 3), 1), "ab,bc->ac", a, b),
+        (Fraction(1, 2), a),
+        (Scalar(Fraction(-2, 3), -1), "ab,bc->ac", a, b),
+        (Fraction(-1, 2), a),
+    ])
+    assert calls == []
+    assert out.is_zero() and out._den == 1 and _storage(out._irr) <= 1 and _storage(out._rat) <= 1
+    assert out == Tensor.zeros(DIM, 2) and hash(out) == hash(Tensor.zeros(DIM, 2))
+
+
+@pytest.mark.parametrize("bound,dtype", [(LIMIT - 1, np.int64), (LIMIT, object)])
+def test_merged_coefficients_set_the_int64_bound(monkeypatch, bound, dtype):
+    """(3, a) and (-2, a) merge to (1, a): the bound counts 2**61 for a, not
+    5 * 2**61, so with an einsum term bounded by ``bound`` - 2**61 the sum
+    runs on int64 just below 2**62 and on Python ints at it.  A huge
+    product whose coefficients cancel is neither evaluated nor counted.
+    The value equals the pairwise fold of the unmerged terms."""
+    a = Tensor(DIM, np.diag([2 ** 61, -7, 3]), np.zeros((DIM, DIM), int))
+    m = bound - 2 ** 61
+    b = Tensor(DIM, np.array([[m, -m, 1], [0, 5, m - 9], [2, 0, 0]]), np.zeros((DIM, DIM), int))
+    huge = _build(_OPERANDS["bigsqrt3"], 2)
+    terms = [
+        (3, a),
+        (Fraction(1, 3), "ab,bc->ac", huge, huge),
+        (1, "ab->ab", b),
+        (-2, a),
+        (Fraction(-1, 3), "ab,bc->ac", huge, huge),
+    ]
+    dtypes = []
+    real = tensor_mod._einsum_exact
+    monkeypatch.setattr(
+        tensor_mod, "_einsum_exact", lambda s, ops: dtypes.append({op.dtype for op in ops}) or real(s, ops)
+    )
+    out = lincomb(terms)
+    assert dtypes == [{np.dtype(dtype)}]
+    assert out.item(0, 0) == Scalar(bound)
+    fold = None
+    for coeff, *spec in terms:
+        t = (spec[0] if len(spec) == 1 else ein(*spec)).scale(coeff)
+        fold = t if fold is None else fold + t
+    assert out == fold and hash(out) == hash(fold)
