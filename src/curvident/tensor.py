@@ -108,7 +108,7 @@ def _zero_part(shape, dtype):
     """An exactly zero part: one zero broadcast to ``shape``, which holds a
     single element of memory whatever the rank.  It is read-only, so one
     per shape and dtype is shared."""
-    key = (shape, dtype)
+    key = (shape, np.dtype(dtype))
     part = _ZERO_PARTS.get(key)
     if part is None:
         part = _ZERO_PARTS[key] = np.broadcast_to(np.zeros((), dtype), shape)
