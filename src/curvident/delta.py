@@ -45,6 +45,21 @@ they are all there is); each distinct-index representative is then
 written to every permuted position with the product of the two
 permutation signs.
 
+Compiled plans persist across processes.  A key missing from the
+in-process cache is looked up in a plan file beside this module's
+bytecode (``__pycache__``, or under ``sys.pycache_prefix`` when that is
+set): a small JSON file named by a CRC-32 of the key's text.  It holds a
+format number, this file's size and mtime (the stamp its bytecode
+carries), the full ``repr`` of the key (delta order, dimension, binding,
+operand identity pattern, operand ranks and verified symmetries) and, per
+plan, its subscripts, sum-letter count and records.  A file is used only
+when all of these match exactly and its contents have the shape the
+engine writes; anything else is ignored, compiled afresh and replaced.
+The gathers are rebuilt from this process's layout, so a loaded plan is
+the compiled one.  Files are written as bytecode is, so not under ``-B``
+or ``PYTHONDONTWRITEBYTECODE``, and not at all where the directory cannot
+be written; deleting ``__pycache__`` clears them.  There is no option.
+
 ``reference_delta_contract`` is the independent slow path: it sums the
 determinant definition over the delta's support (a distinct lower index
 tuple and a permutation of it above) and is used by the test suite to
@@ -53,7 +68,11 @@ certify the engine.
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import sys
+import zlib
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations, product
 
@@ -158,15 +177,24 @@ class EngineInvariantError(RuntimeError):
 _PLAN_CACHE: dict = {}
 # one orbit-representative layout per (dim, output slots)
 _LAYOUT_CACHE: dict = {}
+# where plan files live: the directory of this module's bytecode
+_PLAN_DIR = os.path.dirname(globals().get("__cached__") or "") or None
+# the layout of a plan file's contents
+_PLAN_FORMAT = 1
 
 
 class _Plan:
-    __slots__ = ("subscripts", "records", "n_sum_letters")
+    """One einsum and its records.  ``specs`` lists each record as
+    (output assignment, diagonal pairs, coefficient); ``records`` holds the
+    same with the layout's gather in place of the first two."""
 
-    def __init__(self, subscripts, n_sum_letters):
+    __slots__ = ("subscripts", "n_sum_letters", "specs", "records")
+
+    def __init__(self, subscripts, n_sum_letters, specs, layout):
         self.subscripts = subscripts
         self.n_sum_letters = n_sum_letters
-        self.records = []
+        self.specs = specs
+        self.records = [layout.gather(a, d) + (c,) for a, d, c in specs]
 
 
 def _strides(dim: int, k: int):
@@ -179,9 +207,7 @@ def _group_orbits(dim: int, k: int, strides):
     flat output offsets of all its permutations, with their signs."""
     tuples = list(combinations_with_replacement(range(dim), k))
     reps = np.array(tuples, np.intp).reshape(len(tuples), k)
-    table = _signed_permutations(k)
-    perms = np.array([p for p, _ in table], np.intp).reshape(len(table), k)
-    signs = np.array([sg for _, sg in table], np.int64)
+    perms, signs = _signed_permutations(k)
     distinct = np.all(np.diff(reps, axis=1) > 0, axis=1)
     return reps, distinct, reps[:, perms] @ strides, signs
 
@@ -208,8 +234,9 @@ class _Layout:
         ax_l = [a for a, (side, _) in enumerate(out) if side == "L"]
         g_u, d_u, off_u, s_u = _group_orbits(dim, len(ax_u), strides[ax_u])
         g_l, d_l, off_l, s_l = _group_orbits(dim, len(ax_l), strides[ax_l])
-        # row r pairs upper tuple r // len(g_l) with lower tuple r % len(g_l)
-        self.idx = np.empty((len(g_u) * len(g_l), len(out)), np.intp)
+        # row r pairs upper tuple r // len(g_l) with lower tuple r % len(g_l);
+        # column-major, as gathers read whole axes
+        self.idx = np.empty((len(g_u) * len(g_l), len(out)), np.intp, order="F")
         self.idx[:, ax_u] = np.repeat(g_u, len(g_l), axis=0)
         self.idx[:, ax_l] = np.tile(g_l, (len(g_u), 1))
         distinct = np.outer(d_u, d_l)
@@ -238,12 +265,15 @@ class _Layout:
         return cached
 
     def expand(self, acc):
-        """The dense output array from the accumulated representative values."""
+        """The dense output array from the accumulated representative
+        values; a zero part when they are all zero."""
         if np.any(acc[self.repeated] != 0):
             raise EngineInvariantError(
                 "delta contraction is nonzero at a representative with a "
                 "repeated antisymmetric index"
             )
+        if not np.count_nonzero(acc):
+            return _zero_part(self.shape, acc.dtype)
         dense = np.zeros(math.prod(self.shape), acc.dtype)
         dense[self.target] = acc[self.src] * self.sign
         return dense.reshape(self.shape)
@@ -288,15 +318,22 @@ def _perm_sign(p) -> int:
     return sign
 
 
-# signed permutations per order n, built on first use of n
+# the permutations of each order n with their signs, built on first use of n
 _PERM_TABLE: dict = {}
 
 
-def _signed_permutations(n: int) -> list:
+def _signed_permutations(n: int) -> tuple:
+    """(perms, signs): the permutations of range(n) in lexicographic
+    order, as the rows of an int8 array, and their signs, the parities of
+    their inversion counts."""
     table = _PERM_TABLE.get(n)
     if table is None:
-        table = [(p, _perm_sign(p)) for p in permutations(range(n))]
-        _PERM_TABLE[n] = table
+        rows = list(permutations(range(n)))
+        perms = np.array(rows, np.int8).reshape(len(rows), n)
+        inversions = np.zeros(len(rows), np.int64)
+        for i in range(n):
+            inversions += np.count_nonzero(perms[:, i : i + 1] > perms[:, i + 1 :], axis=1)
+        table = _PERM_TABLE[n] = (perms, 1 - 2 * (inversions % 2))
     return table
 
 
@@ -330,6 +367,53 @@ def _slot_symmetries(t: Tensor) -> tuple:
     return tuple(found)
 
 
+def _group(gens, rank: int) -> set:
+    """The signed slot permutations that ``gens`` generate."""
+    group = {(tuple(range(rank)), 1)}
+    frontier = list(group)
+    while frontier:
+        grown = {(tuple(p[i] for i in q), s * t) for p, s in frontier for q, t in gens}
+        frontier = list(grown - group)
+        group |= grown
+    return group
+
+
+def _relabellings(symmetries, sides) -> list:
+    """A subset of one operand's verified ``symmetries`` whose
+    relabellings fold the merged terms exactly as all of them do.
+
+    ``sides[k]`` is the side ('L' or 'U') of the delta slot that operand
+    slot k is bound to.  A symmetry that keeps every slot on its side
+    permutes lower and upper delta slots, so it maps each term of the
+    expansion to another term; chains of such symmetries stay among the
+    terms, and generators of their group H suffice.  Another symmetry can
+    map a term to a key no permutation has, so it is kept, except that one
+    n per coset nH and Hn stands for the coset: n h and h n reach their
+    images through terms.  For a curvature tensor under a Patterson
+    binding this keeps the two pair antisymmetries and the pair
+    interchange.
+    """
+    rank = len(sides)
+
+    def keeps_sides(perm):
+        return all(sides[perm[k]] == sides[k] for k in range(rank))
+
+    kept, group = [], {(tuple(range(rank)), 1)}
+    for perm, sign in symmetries:
+        if keeps_sides(perm) and (perm, sign) not in group:
+            kept.append((perm, sign))
+            group = _group(kept, rank)
+    covered = set()
+    for perm, sign in symmetries:
+        if keeps_sides(perm) or (perm, sign) in covered:
+            continue
+        kept.append((perm, sign))
+        for q, t in group:
+            covered.add((tuple(perm[i] for i in q), sign * t))
+            covered.add((tuple(q[i] for i in perm), sign * t))
+    return kept
+
+
 def _row_ids(keys):
     """One bytes id per row of a key array (entries -1..254), ordered as
     the rows are ordered lexicographically, so that sorts and lookups of
@@ -360,13 +444,14 @@ def _compile_plans(n, dim, binding, op_groups, op_ranks, layout, symmetries=()):
     (an output letter) or two output axes (a diagonal pair).  Letters are
     numbered by first occurrence under every ordering of identical
     operands and the least labelling is kept, so terms of one plan meet
-    under one key.  All of it runs vectorised over the permutations with
-    one sigma(0) at a time.
+    under one key.  All of it runs vectorised over all permutations at
+    once.
 
     ``symmetries[g]`` lists the verified slot symmetries of the operands
     of group g as (perm, sign) pairs (``_slot_symmetries``).  When there
     are any, the merged terms are folded further: terms that one of them
-    relabels into each other join one class (``_fold_classes``), which is
+    relabels into each other join one class (``_fold_classes``; only the
+    subset ``_relabellings`` picks is applied, which folds alike), which is
     evaluated once, at its least key, with the signed sum of its members'
     coefficients.  With none, the plans are exactly the merged terms.
     """
@@ -418,38 +503,39 @@ def _compile_plans(n, dim, binding, op_groups, op_ranks, layout, symmetries=()):
         ends = other[:, n_slots:]
         return np.concatenate((best, np.where(ends >= n_slots, ends - n_slots, -1)), axis=1)
 
-    table = _signed_permutations(n - 1)
-    rest = np.array([p for p, _ in table], np.int8).reshape(len(table), n - 1)
-    rest_sign = np.array([sg for _, sg in table], np.int64)
-    rows = np.arange(len(table))[:, None]
-    chunks = []
-    for first in range(n):
-        # the permutations with sigma(0) = first, in lexicographic order
-        sigma = np.column_stack((np.full(len(table), first, np.int8), rest + (rest >= first)))
-        weight = rest_sign * (-1) ** first
-        for t in binding.traced:
-            # splice t out of sigma; t mapping to itself closes a traced cycle
-            weight = np.where(sigma[:, t] == t, weight * dim, weight)
-            sigma = np.where(sigma == t, sigma[:, t : t + 1], sigma)
-        far = u_end[sigma[:, untraced]]
-        other = np.empty((len(table), n_slots + n_out), np.int8)
-        other[rows, l_end] = far
-        other[rows, far] = l_end
-        chunks.append(_sum_rows(canonical(other), weight, other))
+    # all N! permutations in lexicographic order, sigma(0) varying slowest
+    rest, rest_sign = _signed_permutations(n - 1)
+    rest = np.tile(rest, (n, 1))
+    first = np.repeat(np.arange(n, dtype=np.int8), len(rest_sign))[:, None]
+    sigma = np.concatenate((first, rest + (rest >= first)), axis=1)
+    weight = np.tile(rest_sign, n) * np.where(first[:, 0] % 2, -1, 1)
+    for t in binding.traced:
+        # splice t out of sigma; t mapping to itself closes a traced cycle
+        weight = np.where(sigma[:, t] == t, weight * dim, weight)
+        sigma = np.where(sigma == t, sigma[:, t : t + 1], sigma)
+    far = u_end[sigma[:, untraced]]
+    rows = np.arange(len(sigma))[:, None]
+    other = np.empty((len(sigma), n_slots + n_out), np.int8)
+    other[rows, l_end] = far
+    other[rows, far] = l_end
+    keys, totals, terms = _sum_rows(canonical(other), weight, other)
 
-    keys, totals, terms = _sum_rows(*(np.concatenate(c) for c in zip(*chunks)))
-    relabels = []
+    side = {bound: "L" for _, bound in binding.lower}  # (operand, slot) -> side
+    side.update((bound, "U") for _, bound in binding.upper)
+    images, signs = [], []
     for o, g in enumerate(op_groups if symmetries else ()):
-        for perm, sign in symmetries[g]:
+        sides = [side[o, k] for k in range(op_ranks[o])]
+        for perm, sign in _relabellings(symmetries[g], sides):
             # the relabelling of all path ends that applies perm to operand o's slots
             move = np.arange(n_slots + n_out, dtype=np.int8)
             move[offsets[o] : offsets[o + 1]] = offsets[o] + np.array(perm)
-            relabels.append((canonical(move[terms[:, move]]), sign))
-    if relabels:
-        totals = _fold_classes(keys, totals, relabels)
+            images.append(move[terms[:, move]])
+            signs.append(sign)
+    if images:
+        totals = _fold_classes(keys, totals, canonical(np.concatenate(images)), signs)
     nonzero = totals != 0
     bounds = offsets.tolist()
-    plans: dict = {}
+    plans: dict = {}  # subscripts -> (sum-letter count, specs)
     for key, coeff in zip(keys[nonzero], totals[nonzero].tolist()):
         key = key.tolist()
         letters = [_LETTERS[c] for c in key[:n_slots]]
@@ -459,38 +545,34 @@ def _compile_plans(n, dim, binding, op_groups, op_ranks, layout, symmetries=()):
         subscripts = ",".join(tokens) + "->" + "".join(letters[q] for q in out_pos)
         out_assign = tuple(out_axes[q] for q in out_pos)
         diag_pairs = tuple((a, b) for a, b in enumerate(key[2 * n_slots :]) if a < b)
-        plan = plans.get(subscripts)
-        if plan is None:
+        if subscripts not in plans:
             n_letters = max(key[:n_slots]) + 1 if n_slots else 0
-            plan = plans[subscripts] = _Plan(subscripts, n_letters - len(out_pos))
-        plan.records.append(layout.gather(out_assign, diag_pairs) + (coeff,))
-    return list(plans.values())
+            plans[subscripts] = (n_letters - len(out_pos), [])
+        plans[subscripts][1].append((out_assign, diag_pairs, coeff))
+    return [_Plan(s, k, specs, layout) for s, (k, specs) in plans.items()]
 
 
-def _fold_classes(keys, totals, relabels):
+def _fold_classes(keys, totals, images, signs):
     """Fold the merged terms into classes under operand slot symmetries.
 
     ``keys`` are distinct term keys, sorted as ``_sum_rows`` returns
-    them, with coefficients ``totals``; each relabel is (images, sign):
-    ``images[i]``, the key of term i with one operand's slots permuted by
-    a verified symmetry, has value ``sign`` times term i's.  Each link to
-    a listed key joins two classes; a union-find, vectorised over the
-    links, hooks the larger root under the smaller and tracks each term's
-    sign against its root.  A class whose links disagree on a sign equals
-    its own negative, so it is exactly zero and dropped; every other class
-    keeps its least key with the signed sum of its members' totals.
+    them, with coefficients ``totals``.  ``images`` holds one block of
+    ``len(keys)`` rows per relabelling: row i of block j is the key of
+    term i with one operand's slots permuted by a verified symmetry, and
+    has value ``signs[j]`` times term i's.  Each link to a listed key
+    joins two classes; a union-find, vectorised over the links, hooks the
+    larger root under the smaller and tracks each term's sign against its
+    root.  A class whose links disagree on a sign equals its own negative,
+    so it is exactly zero and dropped; every other class keeps its least
+    key with the signed sum of its members' totals.
     """
     n_keys = len(keys)
     ids = _row_ids(keys)
-    src, dst, link_sign = [], [], []
-    for images, s in relabels:
-        image_ids = _row_ids(images)
-        hit = np.minimum(np.searchsorted(ids, image_ids), n_keys - 1)
-        listed = np.flatnonzero(ids[hit] == image_ids)
-        src.append(listed)
-        dst.append(hit[listed])
-        link_sign.append(np.full(len(listed), s, np.int64))
-    src, dst, link_sign = (np.concatenate(x) for x in (src, dst, link_sign))
+    image_ids = _row_ids(images)
+    hit = np.minimum(np.searchsorted(ids, image_ids), n_keys - 1)
+    listed = np.flatnonzero(ids[hit] == image_ids)
+    src, dst = listed % n_keys, hit[listed]
+    link_sign = np.repeat(np.array(signs, np.int64), n_keys)[listed]
 
     # term i has value sign[i] times its parent's; roots are their own parent
     parent = np.arange(n_keys)
@@ -517,6 +599,126 @@ def _fold_classes(keys, totals, relabels):
     return sums
 
 
+def _plans(key: tuple, layout: _Layout) -> list:
+    """The plans of ``key`` = (n, dim, binding, groups, op_ranks,
+    symmetries): from this process's cache, else from the key's plan file,
+    else compiled and written to that file."""
+    plans = _PLAN_CACHE.get(key)
+    if plans is None:
+        n, dim, binding, groups, op_ranks, symmetries = key
+        text = repr(key)
+        path, stamp = _plan_file(text)
+        if path is not None:
+            plans = _load_plans(path, stamp, text, n, dim, binding, op_ranks, layout)
+        if plans is None:
+            plans = _compile_plans(n, dim, binding, groups, op_ranks, layout, symmetries)
+            if path is not None and not sys.dont_write_bytecode:
+                _save_plans(path, {
+                    "format": _PLAN_FORMAT,
+                    "stamp": stamp,
+                    "key": text,
+                    "plans": [[p.subscripts, p.n_sum_letters, p.specs] for p in plans],
+                })
+        _PLAN_CACHE[key] = plans
+    return plans
+
+
+def _plan_file(text: str):
+    """The plan file for a key's text and the stamp it must carry, or
+    (None, None) when there is nowhere to look."""
+    if _PLAN_DIR is None:
+        return None, None
+    try:
+        st = os.stat(__file__)
+    except OSError:
+        return None, None
+    name = f"delta-plans-{zlib.crc32(text.encode()):08x}.json"
+    return os.path.join(_PLAN_DIR, name), [st.st_size, int(st.st_mtime)]
+
+
+def _load_plans(path, stamp, text, n, dim, binding, op_ranks, layout):
+    """The plans a plan file holds, or None unless its format, stamp and
+    key text match and its contents have exactly the shape ``_plans``
+    writes: per plan, subscripts with one token of the right length per
+    operand and distinct output letters, the count of its summed letters
+    and records of in-range output axes, in-range axis pairs and integer
+    coefficients whose absolute sum stays within the permutation
+    expansion's N! * dim**(traced slots)."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            data = json.load(f)
+    except (OSError, ValueError, RecursionError):
+        return None
+    if not (
+        type(data) is dict
+        and data.get("format") == _PLAN_FORMAT
+        and data.get("stamp") == stamp
+        and data.get("key") == text
+        and type(data.get("plans")) is list
+    ):
+        return None
+    n_out = len(binding.out)
+    letters = set(_LETTERS)
+
+    def axes(v):
+        return type(v) is list and all(type(a) is int and 0 <= a < n_out for a in v)
+
+    total = 0
+    plans = []
+    for plan in data["plans"]:
+        if type(plan) is not list or len(plan) != 3:
+            return None
+        subscripts, n_sum, records = plan
+        if type(subscripts) is not str or type(n_sum) is not int or type(records) is not list:
+            return None
+        lhs, arrow, rhs = subscripts.partition("->")
+        used = set(lhs) - {","}
+        if not (
+            arrow == "->"
+            and [len(t) for t in lhs.split(",")] == list(op_ranks or (0,))
+            and used <= letters
+            and len(set(rhs)) == len(rhs)
+            and set(rhs) <= used
+            and n_sum == len(used) - len(rhs)
+        ):
+            return None
+        specs = []
+        for rec in records:
+            if type(rec) is not list or len(rec) != 3:
+                return None
+            out_assign, pairs, coeff = rec
+            if not (
+                axes(out_assign)
+                and len(out_assign) == len(rhs)
+                and type(pairs) is list
+                and all(axes(p) and len(p) == 2 for p in pairs)
+                and type(coeff) is int
+            ):
+                return None
+            total += abs(coeff)
+            specs.append((tuple(out_assign), tuple(map(tuple, pairs)), coeff))
+        plans.append((subscripts, n_sum, specs))
+    if total > math.factorial(n) * dim ** len(binding.traced):
+        return None
+    return [_Plan(s, k, specs, layout) for s, k, specs in plans]
+
+
+def _save_plans(path, data):
+    """Write a plan file through a per-process temporary name; where the
+    directory cannot be written there is simply no file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.write(json.dumps(data, separators=(",", ":")))
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+
+
 def generalized_delta_contract(
     n_upper: int, dim: int, operands, binding: DeltaBinding
 ) -> Tensor:
@@ -538,11 +740,7 @@ def generalized_delta_contract(
     op_ranks = tuple(t.rank for t in operands)
 
     layout = _layout(dim, binding.out)
-    cache_key = (n, dim, binding, groups, op_ranks, symmetries)
-    plans = _PLAN_CACHE.get(cache_key)
-    if plans is None:
-        plans = _compile_plans(n, dim, binding, groups, op_ranks, layout, symmetries)
-        _PLAN_CACHE[cache_key] = plans
+    plans = _plans((n, dim, binding, groups, op_ranks, symmetries), layout)
 
     max_sum_letters = max((p.n_sum_letters for p in plans), default=0)
     bound = (

@@ -463,8 +463,27 @@ def einstein6_trace_residual(R: CurvatureTensor) -> ResidualReport:
     4 tau tt + 12 r_check + 12 r_hat2 - 24 r_ring2
       = (tau ||R||^2 - 4 r_ring0 + 2 r_hat0) g.
     """
-    t, g, ricci, tau, tt, rn2 = _pieces_in(R, 6, "thmB-a")
-    r_check, r_hat2, r_ring2, r_hat0, r_ring0 = _cubic_pieces(R)
+    return _trace_residual(_pieces_in(R, 6, "thmB-a"), _cubic_pieces(R))
+
+
+def einstein6_trace_residual_alt(R: CurvatureTensor) -> ResidualReport:
+    """The independently stated arrangement of the same trace identity,
+    (-tau||R||^2 + 4 r_ring0 - 2 r_hat0) g + 12 r_check + 12 r_hat2
+    - 24 r_ring2 + 4 tau tt = 0; must be componentwise identical to
+    the thmB-a residual."""
+    return _trace_residual_alt(_pieces_in(R, 6, "thm22"), _cubic_pieces(R))
+
+
+def _einstein6_trace_pair(R: CurvatureTensor) -> tuple:
+    """Both arrangements of the trace identity, (thmB-a, thm22), from one
+    evaluation of R's ``_pieces`` and ``_cubic_pieces``."""
+    pieces, cubic = _pieces_in(R, 6, "thmB-a"), _cubic_pieces(R)
+    return _trace_residual(pieces, cubic), _trace_residual_alt(pieces, cubic)
+
+
+def _trace_residual(pieces: tuple, cubic: tuple) -> ResidualReport:
+    t, g, ricci, tau, tt, rn2 = pieces
+    r_check, r_hat2, r_ring2, r_hat0, r_ring0 = cubic
     res = lincomb([
         (tau * 4, tt),
         (12, r_check),
@@ -475,13 +494,9 @@ def einstein6_trace_residual(R: CurvatureTensor) -> ResidualReport:
     return make_report("thmB-a", "einstein", res)
 
 
-def einstein6_trace_residual_alt(R: CurvatureTensor) -> ResidualReport:
-    """The independently stated arrangement of the same trace identity,
-    (-tau||R||^2 + 4 r_ring0 - 2 r_hat0) g + 12 r_check + 12 r_hat2
-    - 24 r_ring2 + 4 tau tt = 0; must be componentwise identical to
-    the thmB-a residual."""
-    t, g, ricci, tau, tt, rn2 = _pieces_in(R, 6, "thm22")
-    r_check, r_hat2, r_ring2, r_hat0, r_ring0 = _cubic_pieces(R)
+def _trace_residual_alt(pieces: tuple, cubic: tuple) -> ResidualReport:
+    t, g, ricci, tau, tt, rn2 = pieces
+    r_check, r_hat2, r_ring2, r_hat0, r_ring0 = cubic
     res = lincomb([
         (-(tau * rn2) + Scalar(4) * r_ring0 - Scalar(2) * r_hat0, g),
         (12, r_check),

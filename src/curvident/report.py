@@ -25,11 +25,10 @@ from .curvature import (
 from .identities import (
     IdentityArgumentError,
     ResidualReport,
+    _einstein6_trace_pair,
     einstein5_residual,
     einstein5_trace_residual,
     einstein6_residual,
-    einstein6_trace_residual,
-    einstein6_trace_residual_alt,
     gauss_bonnet_integrand_6,
     make_report,
     max_r,
@@ -72,8 +71,7 @@ def _weyl_patterson(R: CurvatureTensor, runs) -> list:
 
 
 def _thm_b_a(R: CurvatureTensor) -> list:
-    a = einstein6_trace_residual(R)
-    alt = einstein6_trace_residual_alt(R)
+    a, alt = _einstein6_trace_pair(R)
     same = lincomb([(1, a.residual), (-1, alt.residual)])
     return [a, alt, make_report("thmB-a-vs-thm22", "universal", same)]
 

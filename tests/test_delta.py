@@ -2,20 +2,28 @@
 oracle, and the dimension-exceeding vanishing that drives everything."""
 
 import hashlib
+import json
 import math
+import sys
+from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import curvident.delta as delta_mod
 import curvident.tensor as tensor_mod
 from curvident.scalar import Scalar
 from curvident.tensor import ContractionSpecError, ShapeError, Tensor
 from curvident.delta import (
     DeltaBinding,
     EngineInvariantError,
+    _Layout,
     _compile_plans,
     _layout,
+    _plans,
+    _relabellings,
     _slot_symmetries,
     generalized_delta_contract,
     reference_delta_contract,
@@ -286,7 +294,10 @@ def test_expansion_rejects_nonzero_repeated_representative():
 
 def _plan_digest(n, dim, binding, groups, ranks, symmetries=()) -> str:
     layout = _layout(dim, binding.out)
-    plans = _compile_plans(n, dim, binding, groups, ranks, layout, symmetries)
+    return _digest(_compile_plans(n, dim, binding, groups, ranks, layout, symmetries))
+
+
+def _digest(plans) -> str:
     h = hashlib.sha256()
     for plan in sorted(plans, key=lambda p: p.subscripts):
         h.update(f"{plan.subscripts};{plan.n_sum_letters};{len(plan.records)}\n".encode())
@@ -498,3 +509,275 @@ def test_warm_patterson_einsum_count(monkeypatch):
     )
     assert patterson_residual(R, 3, "traced").is_zero
     assert len(calls) <= 30
+
+
+# -- folding by a generating subset of the verified symmetries -----------------
+
+
+def _totally_symmetric(rng, dim, sign):
+    """A rank-4 tensor that each transposition of slots maps to ``sign``
+    times itself."""
+    x = rng.integers(-5, 6, (dim,) * 4)
+    total = 0
+    for p in permutations(range(4)):
+        odd = sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2
+        total = total + (sign if odd else 1) * np.transpose(x, p)
+    return total
+
+
+def _fold_symmetry_sets():
+    """Verified symmetries of rank-4 operands: a curvature tensor's, those
+    of the existing fold tests' operand antisymmetric in (0, 1) alone, and
+    the totally symmetric and totally antisymmetric ones."""
+    rng = np.random.default_rng(31)
+    zero = np.zeros((5,) * 4, np.int64)
+    sets = {
+        "curvature": _slot_symmetries(random_curvature(5, 3, 4).tensor),
+        "only-01": _slot_symmetries(Tensor(5, _antisymmetric_01(rng, 5), zero)),
+    }
+    for name, sign in (("symmetric", 1), ("antisymmetric", -1)):
+        sets[name] = _slot_symmetries(Tensor(5, _totally_symmetric(rng, 5, sign), zero))
+    return sets
+
+
+def test_relabelling_subsets():
+    sets = _fold_symmetry_sets()
+    assert sets["curvature"] == _R_SYMMETRIES
+    assert sets["only-01"] == (((1, 0, 2, 3), -1),)
+    for name, sign in (("symmetric", 1), ("antisymmetric", -1)):
+        # six transpositions and three double transpositions
+        assert len(sets[name]) == 9 and {s for _, s in sets[name]} == {1, sign}
+    patterson = ("L", "L", "U", "U")
+    # the pair antisymmetries generate the side-keeping ones; the pair
+    # interchange stands for its coset
+    assert _relabellings(_R_SYMMETRIES, patterson) == [_R_SYMMETRIES[i] for i in (0, 1, 3)]
+    assert _relabellings(sets["only-01"], patterson) == list(sets["only-01"])
+    # every transposition keeps the sides of an operand bound to one side
+    assert len(_relabellings(sets["symmetric"], ("L",) * 4)) == 3
+
+
+@pytest.mark.parametrize("name", sorted(k for k, v in _golden_bindings().items() if v[3]))
+def test_relabelling_subset_folds_like_all_symmetries(monkeypatch, name):
+    """Relabelling by the subset ``_relabellings`` picks folds the merged
+    terms into exactly the classes that all verified symmetries give: on
+    every golden binding, for every rank-4 symmetry set above and for
+    rank-2 operands symmetric or antisymmetric."""
+    n, dim, b, groups, ranks = _golden_bindings()[name]
+    rank_of = dict(zip(groups, ranks))
+    cases = []
+    for four in _fold_symmetry_sets().values():
+        for two in ((((1, 0), 1),), (((1, 0), -1),)):
+            cases.append(tuple(four if rank_of[g] == 4 else two for g in sorted(rank_of)))
+    subset = [_plan_digest(n, dim, b, groups, ranks, syms) for syms in cases]
+    monkeypatch.setattr(delta_mod, "_relabellings", lambda symmetries, sides: symmetries)
+    assert subset == [_plan_digest(n, dim, b, groups, ranks, syms) for syms in cases]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_totally_symmetric_operand_matches_oracle(sign):
+    rng = np.random.default_rng(37 + sign)
+    t = Tensor(5, _totally_symmetric(rng, 5, sign), _totally_symmetric(rng, 5, sign), 2)
+    assert len(_slot_symmetries(t)) == 9
+    b = _patterson_binding(4, 2, "free")
+    eng = generalized_delta_contract(5, 5, [t, t], b)
+    assert eng == reference_delta_contract(5, 5, [t, t], b)
+
+
+# -- an all-zero result ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("operand", ["curvature", "sl3so3", "object-path"])
+@pytest.mark.parametrize("r", [1, 2])
+def test_zero_result_is_a_zero_part(operand, r):
+    """A vanishing dim-5 Patterson contraction keeps the den, _max, dtype
+    and bytes it had when it was expanded into a dense array, but stores
+    each part as a zero part.  Entries near 2**40 push the evaluation onto
+    Python ints."""
+    R = random_curvature(5, 3, 4).tensor
+    t = {
+        "curvature": R,
+        "sl3so3": sl3_so3().tensor,
+        "object-path": Tensor(5, R._rat * 2 ** 40, R._irr, 1),
+    }[operand]
+    res = generalized_delta_contract(6, 5, [t] * r, _patterson_binding(5, r, "free"))
+    assert res.is_zero() and res._den == 1 and res._max == 0
+    for part in (res._rat, res._irr):
+        assert part.dtype == np.int64 and part.shape == (5,) * (12 - 4 * r)
+        assert not any(part.strides)
+        assert part.tobytes() == bytes(8 * 5 ** (12 - 4 * r))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_all_zero_expansion_allocates_no_dense_array(dtype):
+    layout = _layout(5, _patterson_binding(5, 1, "free").out)
+    part = layout.expand(np.zeros(len(layout.idx), dtype))
+    assert part.shape == (5,) * 8 and part.dtype == np.dtype(dtype)
+    assert not any(part.strides) and part.base.size == 1 and part.flat[0] == 0
+
+
+def test_nonzero_generic_operand_stays_dense():
+    rng = np.random.default_rng(41)
+    t = Tensor(4, rng.integers(-5, 6, (4,) * 4), rng.integers(-5, 6, (4,) * 4), 3)
+    b = DeltaBinding.make(
+        4, {0: (0, 0), 1: (0, 1)}, {0: (0, 2), 1: (0, 3)}, out=[("U", 2), ("L", 2), ("U", 3), ("L", 3)]
+    )
+    eng = generalized_delta_contract(4, 4, [t], b)
+    assert not eng.is_zero() and all(eng._rat.strides) and all(eng._irr.strides)
+    assert eng == reference_delta_contract(4, 4, [t], b)
+
+
+# -- plan files -----------------------------------------------------------------
+
+
+@pytest.fixture
+def plan_dir(tmp_path, monkeypatch):
+    """Plan files go to an empty directory, bytecode writing is on and the
+    in-process plan cache starts empty."""
+    monkeypatch.setattr(delta_mod, "_PLAN_DIR", str(tmp_path))
+    monkeypatch.setattr(delta_mod, "_PLAN_CACHE", {})
+    monkeypatch.setattr(sys, "dont_write_bytecode", False)
+    return tmp_path
+
+
+def _no_compile(*args, **kwargs):
+    raise AssertionError("compiled although a plan file matched")
+
+
+def _golden_keys():
+    """(name, plan key, golden digest) for every golden binding, unfolded
+    and folded with a curvature tensor's symmetries."""
+    out = []
+    for name, (n, dim, b, groups, ranks) in sorted(_golden_bindings().items()):
+        none = tuple(() for _ in set(groups))
+        out.append((name, (n, dim, b, groups, ranks, none), _GOLDEN_PLANS[name]))
+        if name in _GOLDEN_FOLDED_PLANS:
+            key = (n, dim, b, groups, ranks, (_R_SYMMETRIES,))
+            out.append((name + "-folded", key, _GOLDEN_FOLDED_PLANS[name]))
+    return out
+
+
+@pytest.mark.parametrize("name,key,golden", _golden_keys(), ids=[k[0] for k in _golden_keys()])
+def test_plans_loaded_from_a_file_equal_the_compiled_ones(plan_dir, monkeypatch, name, key, golden):
+    dim, out = key[1], key[2].out
+    assert _digest(_plans(key, _Layout(dim, out))) == golden
+    assert len(list(plan_dir.iterdir())) == 1
+    delta_mod._PLAN_CACHE.clear()
+    monkeypatch.setattr(delta_mod, "_compile_plans", _no_compile)
+    assert _digest(_plans(key, _Layout(dim, out))) == golden
+
+
+def _oracle_case():
+    t = random_curvature(4, 5, 2).tensor
+    b = DeltaBinding.make(
+        4, {0: (0, 0), 1: (0, 1)}, {0: (0, 2), 1: (0, 3)}, out=[("U", 2), ("L", 2), ("U", 3), ("L", 3)]
+    )
+    return t, b, reference_delta_contract(4, 4, [t], b)
+
+
+def _edit(field, value):
+    def edit(data: bytes) -> bytes:
+        obj = json.loads(data)
+        if field == "stamp":
+            obj["stamp"][1] += value
+        elif field == "plans":
+            value(obj["plans"])
+        else:
+            obj[field] = value
+        return json.dumps(obj, separators=(",", ":")).encode()
+
+    return edit
+
+
+def _set_record(plan, rec, slot, value):
+    def change(plans):
+        plans[plan][2][rec][slot] = value
+
+    return change
+
+
+def _other_key_file(data: bytes) -> bytes:
+    rng = np.random.default_rng(43)
+    generic = Tensor(4, rng.integers(-5, 6, (4,) * 4), np.zeros((4,) * 4, np.int64))
+    _, b, _ = _oracle_case()
+    layout = _layout(4, b.out)
+    text = repr((4, 4, b, (0,), (4,), (_slot_symmetries(generic),)))
+    path, stamp = delta_mod._plan_file(text)
+    plans = _compile_plans(4, 4, b, (0,), (4,), layout, (_slot_symmetries(generic),))
+    obj = {"format": 1, "stamp": stamp, "key": text,
+           "plans": [[p.subscripts, p.n_sum_letters, p.specs] for p in plans]}
+    return json.dumps(obj).encode()
+
+
+_BAD_FILES = {
+    "truncated": lambda data: data[: len(data) // 2],
+    "not-json": lambda data: b"\x00\xff not json",
+    "deeply-nested": lambda data: b"[" * 100000,
+    "another-key": _other_key_file,
+    "stale-stamp": _edit("stamp", -1),
+    "wrong-format": _edit("format", 2),
+    "not-an-object": lambda data: b"[1, 2]",
+    "axis-out-of-range": _edit("plans", _set_record(0, 0, 0, [4, 0])),
+    "not-a-pair": _edit("plans", _set_record(0, 0, 1, [[0, 1, 2]])),
+    "float-coefficient": _edit("plans", _set_record(0, 0, 2, 1.0)),
+    "huge-coefficient": _edit("plans", _set_record(0, 0, 2, 2 ** 70)),
+    "wrong-sum-letters": _edit("plans", lambda plans: plans[0].__setitem__(1, 0)),
+    "bad-subscripts": _edit("plans", lambda plans: plans[0].__setitem__(0, "ab->ab")),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_FILES))
+def test_bad_plan_file_is_ignored_and_replaced(plan_dir, bad):
+    t, b, want = _oracle_case()
+    assert generalized_delta_contract(4, 4, [t], b) == want
+    (path,) = plan_dir.iterdir()
+    good = path.read_bytes()
+    path.write_bytes(_BAD_FILES[bad](good))
+    delta_mod._PLAN_CACHE.clear()
+    assert generalized_delta_contract(4, 4, [t], b) == want
+    assert path.read_bytes() == good
+    assert sorted(plan_dir.iterdir()) == [path]
+
+
+def test_operand_with_other_symmetries_compiles_its_own_plans(plan_dir, monkeypatch):
+    """After a curvature tensor's plans are written, a generic operand on
+    the same binding compiles its own, into a second file, even when the
+    curvature tensor's file sits under its name."""
+    t, b, _ = _oracle_case()
+    generalized_delta_contract(4, 4, [t], b)
+    (curvature_file,) = plan_dir.iterdir()
+    rng = np.random.default_rng(47)
+    generic = Tensor(4, rng.integers(-5, 6, (4,) * 4), rng.integers(-5, 6, (4,) * 4), 3)
+    want = reference_delta_contract(4, 4, [generic], b)
+    compiled = []
+    real = delta_mod._compile_plans
+    monkeypatch.setattr(
+        delta_mod, "_compile_plans", lambda *a: compiled.append(a) or real(*a)
+    )
+    for squat in (False, True):
+        delta_mod._PLAN_CACHE.clear()
+        text = repr((4, 4, b, (0,), (4,), (_slot_symmetries(generic),)))
+        generic_file = Path(delta_mod._plan_file(text)[0])
+        if squat:
+            generic_file.write_bytes(curvature_file.read_bytes())
+        assert generalized_delta_contract(4, 4, [generic], b) == want
+        assert sorted(plan_dir.iterdir()) == sorted([curvature_file, generic_file])
+        assert json.loads(generic_file.read_bytes())["key"] == text
+    assert len(compiled) == 2
+
+
+def test_no_plan_file_without_bytecode_writing(plan_dir, monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    t, b, want = _oracle_case()
+    assert generalized_delta_contract(4, 4, [t], b) == want
+    assert list(plan_dir.iterdir()) == []
+
+
+def test_unwritable_plan_directory(plan_dir, monkeypatch):
+    """A plan directory that cannot be made (its parent is a file) leaves
+    no file and no error, and the result is still the oracle's."""
+    blocker = plan_dir / "blocker"
+    blocker.write_bytes(b"")
+    monkeypatch.setattr(delta_mod, "_PLAN_DIR", str(blocker / "pycache"))
+    t, b, want = _oracle_case()
+    assert generalized_delta_contract(4, 4, [t], b) == want
+    assert list(plan_dir.iterdir()) == [blocker]

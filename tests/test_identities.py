@@ -642,3 +642,24 @@ def test_appendix34_shared_terms_cancel_unevaluated(monkeypatch):
     assert not {f"{labels}->ihjklm" for _, labels in _A_ROWS} & set(calls)
     assert residuals == [lhs - rhs for _, lhs, rhs in groups]
     assert check == total - eight
+
+
+def test_thm_b_a_computes_its_pieces_once(monkeypatch):
+    """thmB-a states the trace identity in two arrangements, each its own
+    lincomb, from one evaluation of R's quadratic and cubic pieces."""
+    import curvident.identities as identities_mod
+    from curvident.report import _IDENTITIES
+
+    calls = []
+    for name in ("_pieces", "_cubic_pieces"):
+        real = getattr(identities_mod, name)
+        monkeypatch.setattr(
+            identities_mod, name, lambda R, real=real, name=name: calls.append(name) or real(R)
+        )
+    R = _einstein(6, seed=57)
+    reports = _IDENTITIES["thmB-a"].evaluate(R)
+    assert calls == ["_pieces", "_cubic_pieces"]
+    assert [r.identity for r in reports] == ["thmB-a", "thm22", "thmB-a-vs-thm22"]
+    assert all(r.is_zero for r in reports)
+    assert reports[0].residual == einstein6_trace_residual(R).residual
+    assert reports[1].residual == einstein6_trace_residual_alt(R).residual
