@@ -22,13 +22,13 @@ used only when ``np.transpose(part, p) == s * part`` holds exactly for
 its rational and its sqrt(3) part (``_slot_symmetries``), so nothing is
 taken from the caller and the Bianchi identity, which is not a slot
 permutation, is never assumed.  The verified symmetries are part of the
-plan cache key.  Terms that such a relabelling (or an exchange of
-identical operands) carries into each other have equal values up to the
-sign, so each class is contracted once, at one representative, with the
-signed sum of its members' coefficients; a class that maps to its own
-negative is exactly zero and is dropped.  For a curvature tensor R the
-order-7 delta against three copies in dimension 6 goes from 870 merged
-terms to 26 classes.
+plan cache key.  Every verified symmetry relabels the merged terms, and
+terms that one (or an exchange of identical operands) carries into each
+other have equal values up to the sign, so each class is contracted
+once, at one representative, with the signed sum of its members'
+coefficients; a class that maps to its own negative is exactly zero and
+is dropped.  For a curvature tensor R the order-7 delta against three
+copies in dimension 6 goes from 870 merged terms to 26 classes.
 
 Each plan is contracted like ``tensor.ein`` contracts a product: one
 einsum per term of the expanded product of the operands' rational and
@@ -52,13 +52,13 @@ set): a small JSON file named by a CRC-32 of the key's text.  It holds a
 format number, this file's size and mtime (the stamp its bytecode
 carries), the full ``repr`` of the key (delta order, dimension, binding,
 operand identity pattern, operand ranks and verified symmetries) and, per
-plan, its subscripts, sum-letter count and records.  A file is used only
-when all of these match exactly and its contents have the shape the
-engine writes; anything else is ignored, compiled afresh and replaced.
-The gathers are rebuilt from this process's layout, so a loaded plan is
-the compiled one.  Files are written as bytecode is, so not under ``-B``
-or ``PYTHONDONTWRITEBYTECODE``, and not at all where the directory cannot
-be written; deleting ``__pycache__`` clears them.  There is no option.
+plan, its subscripts and records.  A file is used only when all of these
+match exactly and its contents have the shape the engine writes; anything
+else is ignored, compiled afresh and replaced.  The gathers are rebuilt
+from this process's layout, so a loaded plan is the compiled one.  Files
+are written as bytecode is, so not under ``-B`` or
+``PYTHONDONTWRITEBYTECODE``, and not at all where the directory cannot be
+written; deleting ``__pycache__`` clears them.  There is no option.
 
 ``reference_delta_contract`` is the independent slow path: it sums the
 determinant definition over the delta's support (a distinct lower index
@@ -113,15 +113,20 @@ class DeltaBinding:
         upper_t = tuple(sorted((int(s), (int(o), int(k))) for s, (o, k) in upper.items()))
         traced_t = tuple(sorted(int(t) for t in traced))
         if out is None:
-            free_l = [s for s in range(n) if s not in dict(lower_t) and s not in traced_t]
-            free_u = [s for s in range(n) if s not in dict(upper_t) and s not in traced_t]
-            out = []
-            for s in sorted(set(free_u) | set(free_l)):
-                if s in free_u:
-                    out.append(("U", s))
-                if s in free_l:
-                    out.append(("L", s))
+            out = _free_slots(n, dict(lower_t), dict(upper_t), traced_t)
         return DeltaBinding(lower_t, upper_t, traced_t, tuple((str(a), int(b)) for a, b in out))
+
+
+def _free_slots(n: int, lower: dict, upper: dict, traced) -> list:
+    """The delta slots that are neither traced nor bound to an operand, as
+    ('U'|'L', slot), by slot and upper before lower."""
+    return [
+        (side, s)
+        for s in range(n)
+        if s not in traced
+        for side, bind in (("U", upper), ("L", lower))
+        if s not in bind
+    ]
 
 
 def _validate(n: int, dim: int, operands, binding: DeltaBinding):
@@ -136,7 +141,7 @@ def _validate(n: int, dim: int, operands, binding: DeltaBinding):
     if traced & set(lower) or traced & set(upper):
         raise ContractionSpecError("traced slot also bound to an operand")
     seen = set()
-    for side, bind in (("L", lower), ("U", upper)):
+    for bind in (lower, upper):
         for s, (op, k) in bind.items():
             if not (0 <= op < len(operands)) or not (0 <= k < operands[op].rank):
                 raise ContractionSpecError(f"operand slot {(op, k)} out of range")
@@ -149,14 +154,7 @@ def _validate(n: int, dim: int, operands, binding: DeltaBinding):
         for k in range(t.rank):
             if (op, k) not in seen:
                 raise ContractionSpecError(f"operand slot {(op, k)} unbound")
-    free = set()
-    for s in range(n):
-        if s in traced:
-            continue
-        if s not in upper:
-            free.add(("U", s))
-        if s not in lower:
-            free.add(("L", s))
+    free = set(_free_slots(n, lower, upper, traced))
     if set(binding.out) != free:
         raise ContractionSpecError(
             f"output slots {sorted(binding.out)} do not match free slots {sorted(free)}"
@@ -180,7 +178,7 @@ _LAYOUT_CACHE: dict = {}
 # where plan files live: the directory of this module's bytecode
 _PLAN_DIR = os.path.dirname(globals().get("__cached__") or "") or None
 # the layout of a plan file's contents
-_PLAN_FORMAT = 1
+_PLAN_FORMAT = 2
 
 
 class _Plan:
@@ -190,9 +188,10 @@ class _Plan:
 
     __slots__ = ("subscripts", "n_sum_letters", "specs", "records")
 
-    def __init__(self, subscripts, n_sum_letters, specs, layout):
+    def __init__(self, subscripts, specs, layout):
+        lhs, _, rhs = subscripts.partition("->")
         self.subscripts = subscripts
-        self.n_sum_letters = n_sum_letters
+        self.n_sum_letters = len(set(lhs) - {","}) - len(rhs)
         self.specs = specs
         self.records = [layout.gather(a, d) + (c,) for a, d, c in specs]
 
@@ -318,23 +317,16 @@ def _perm_sign(p) -> int:
     return sign
 
 
-# the permutations of each order n with their signs, built on first use of n
-_PERM_TABLE: dict = {}
-
-
 def _signed_permutations(n: int) -> tuple:
     """(perms, signs): the permutations of range(n) in lexicographic
     order, as the rows of an int8 array, and their signs, the parities of
     their inversion counts."""
-    table = _PERM_TABLE.get(n)
-    if table is None:
-        rows = list(permutations(range(n)))
-        perms = np.array(rows, np.int8).reshape(len(rows), n)
-        inversions = np.zeros(len(rows), np.int64)
-        for i in range(n):
-            inversions += np.count_nonzero(perms[:, i : i + 1] > perms[:, i + 1 :], axis=1)
-        table = _PERM_TABLE[n] = (perms, 1 - 2 * (inversions % 2))
-    return table
+    rows = list(permutations(range(n)))
+    perms = np.array(rows, np.int8).reshape(len(rows), n)
+    inversions = np.zeros(len(rows), np.int64)
+    for i in range(n):
+        inversions += np.count_nonzero(perms[:, i : i + 1] > perms[:, i + 1 :], axis=1)
+    return perms, 1 - 2 * (inversions % 2)
 
 
 def _slot_involutions(rank: int) -> list:
@@ -365,53 +357,6 @@ def _slot_symmetries(t: Tensor) -> tuple:
             if all(np.array_equal(m, q) for m, q in zip(moved, targets)):
                 found.append((perm, sign))
     return tuple(found)
-
-
-def _group(gens, rank: int) -> set:
-    """The signed slot permutations that ``gens`` generate."""
-    group = {(tuple(range(rank)), 1)}
-    frontier = list(group)
-    while frontier:
-        grown = {(tuple(p[i] for i in q), s * t) for p, s in frontier for q, t in gens}
-        frontier = list(grown - group)
-        group |= grown
-    return group
-
-
-def _relabellings(symmetries, sides) -> list:
-    """A subset of one operand's verified ``symmetries`` whose
-    relabellings fold the merged terms exactly as all of them do.
-
-    ``sides[k]`` is the side ('L' or 'U') of the delta slot that operand
-    slot k is bound to.  A symmetry that keeps every slot on its side
-    permutes lower and upper delta slots, so it maps each term of the
-    expansion to another term; chains of such symmetries stay among the
-    terms, and generators of their group H suffice.  Another symmetry can
-    map a term to a key no permutation has, so it is kept, except that one
-    n per coset nH and Hn stands for the coset: n h and h n reach their
-    images through terms.  For a curvature tensor under a Patterson
-    binding this keeps the two pair antisymmetries and the pair
-    interchange.
-    """
-    rank = len(sides)
-
-    def keeps_sides(perm):
-        return all(sides[perm[k]] == sides[k] for k in range(rank))
-
-    kept, group = [], {(tuple(range(rank)), 1)}
-    for perm, sign in symmetries:
-        if keeps_sides(perm) and (perm, sign) not in group:
-            kept.append((perm, sign))
-            group = _group(kept, rank)
-    covered = set()
-    for perm, sign in symmetries:
-        if keeps_sides(perm) or (perm, sign) in covered:
-            continue
-        kept.append((perm, sign))
-        for q, t in group:
-            covered.add((tuple(perm[i] for i in q), sign * t))
-            covered.add((tuple(q[i] for i in perm), sign * t))
-    return kept
 
 
 def _row_ids(keys):
@@ -449,11 +394,13 @@ def _compile_plans(n, dim, binding, op_groups, op_ranks, layout, symmetries=()):
 
     ``symmetries[g]`` lists the verified slot symmetries of the operands
     of group g as (perm, sign) pairs (``_slot_symmetries``).  When there
-    are any, the merged terms are folded further: terms that one of them
-    relabels into each other join one class (``_fold_classes``; only the
-    subset ``_relabellings`` picks is applied, which folds alike), which is
+    are any, the merged terms are folded further: every one of them is
+    applied to the slots of every operand of its group, and terms that one
+    carries into each other join one class (``_fold_classes``), which is
     evaluated once, at its least key, with the signed sum of its members'
-    coefficients.  With none, the plans are exactly the merged terms.
+    coefficients.  Each link is an exact equality of two terms up to the
+    sign, so the fold needs nothing else of the symmetries.  With none, the
+    plans are exactly the merged terms.
     """
     lower, upper = dict(binding.lower), dict(binding.upper)
     offsets = np.cumsum((0,) + op_ranks)
@@ -520,12 +467,9 @@ def _compile_plans(n, dim, binding, op_groups, op_ranks, layout, symmetries=()):
     other[rows, far] = l_end
     keys, totals, terms = _sum_rows(canonical(other), weight, other)
 
-    side = {bound: "L" for _, bound in binding.lower}  # (operand, slot) -> side
-    side.update((bound, "U") for _, bound in binding.upper)
     images, signs = [], []
     for o, g in enumerate(op_groups if symmetries else ()):
-        sides = [side[o, k] for k in range(op_ranks[o])]
-        for perm, sign in _relabellings(symmetries[g], sides):
+        for perm, sign in symmetries[g]:
             # the relabelling of all path ends that applies perm to operand o's slots
             move = np.arange(n_slots + n_out, dtype=np.int8)
             move[offsets[o] : offsets[o + 1]] = offsets[o] + np.array(perm)
@@ -535,7 +479,7 @@ def _compile_plans(n, dim, binding, op_groups, op_ranks, layout, symmetries=()):
         totals = _fold_classes(keys, totals, canonical(np.concatenate(images)), signs)
     nonzero = totals != 0
     bounds = offsets.tolist()
-    plans: dict = {}  # subscripts -> (sum-letter count, specs)
+    plans: dict = {}  # subscripts -> specs
     for key, coeff in zip(keys[nonzero], totals[nonzero].tolist()):
         key = key.tolist()
         letters = [_LETTERS[c] for c in key[:n_slots]]
@@ -545,11 +489,8 @@ def _compile_plans(n, dim, binding, op_groups, op_ranks, layout, symmetries=()):
         subscripts = ",".join(tokens) + "->" + "".join(letters[q] for q in out_pos)
         out_assign = tuple(out_axes[q] for q in out_pos)
         diag_pairs = tuple((a, b) for a, b in enumerate(key[2 * n_slots :]) if a < b)
-        if subscripts not in plans:
-            n_letters = max(key[:n_slots]) + 1 if n_slots else 0
-            plans[subscripts] = (n_letters - len(out_pos), [])
-        plans[subscripts][1].append((out_assign, diag_pairs, coeff))
-    return [_Plan(s, k, specs, layout) for s, (k, specs) in plans.items()]
+        plans.setdefault(subscripts, []).append((out_assign, diag_pairs, coeff))
+    return [_Plan(s, specs, layout) for s, specs in plans.items()]
 
 
 def _fold_classes(keys, totals, images, signs):
@@ -617,7 +558,7 @@ def _plans(key: tuple, layout: _Layout) -> list:
                     "format": _PLAN_FORMAT,
                     "stamp": stamp,
                     "key": text,
-                    "plans": [[p.subscripts, p.n_sum_letters, p.specs] for p in plans],
+                    "plans": [[p.subscripts, p.specs] for p in plans],
                 })
         _PLAN_CACHE[key] = plans
     return plans
@@ -640,10 +581,9 @@ def _load_plans(path, stamp, text, n, dim, binding, op_ranks, layout):
     """The plans a plan file holds, or None unless its format, stamp and
     key text match and its contents have exactly the shape ``_plans``
     writes: per plan, subscripts with one token of the right length per
-    operand and distinct output letters, the count of its summed letters
-    and records of in-range output axes, in-range axis pairs and integer
-    coefficients whose absolute sum stays within the permutation
-    expansion's N! * dim**(traced slots)."""
+    operand and distinct output letters, and records of in-range output
+    axes, in-range axis pairs and integer coefficients whose absolute sum
+    stays within the permutation expansion's N! * dim**(traced slots)."""
     try:
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
@@ -666,10 +606,10 @@ def _load_plans(path, stamp, text, n, dim, binding, op_ranks, layout):
     total = 0
     plans = []
     for plan in data["plans"]:
-        if type(plan) is not list or len(plan) != 3:
+        if type(plan) is not list or len(plan) != 2:
             return None
-        subscripts, n_sum, records = plan
-        if type(subscripts) is not str or type(n_sum) is not int or type(records) is not list:
+        subscripts, records = plan
+        if type(subscripts) is not str or type(records) is not list:
             return None
         lhs, arrow, rhs = subscripts.partition("->")
         used = set(lhs) - {","}
@@ -679,7 +619,6 @@ def _load_plans(path, stamp, text, n, dim, binding, op_ranks, layout):
             and used <= letters
             and len(set(rhs)) == len(rhs)
             and set(rhs) <= used
-            and n_sum == len(used) - len(rhs)
         ):
             return None
         specs = []
@@ -697,10 +636,10 @@ def _load_plans(path, stamp, text, n, dim, binding, op_ranks, layout):
                 return None
             total += abs(coeff)
             specs.append((tuple(out_assign), tuple(map(tuple, pairs)), coeff))
-        plans.append((subscripts, n_sum, specs))
+        plans.append((subscripts, specs))
     if total > math.factorial(n) * dim ** len(binding.traced):
         return None
-    return [_Plan(s, k, specs, layout) for s, k, specs in plans]
+    return [_Plan(s, specs, layout) for s, specs in plans]
 
 
 def _save_plans(path, data):

@@ -192,7 +192,3 @@ def _coerce(x) -> Scalar:
     if isinstance(x, (int, Fraction)):
         return Scalar(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
-
-
-ZERO = Scalar(0)
-ONE = Scalar(1)

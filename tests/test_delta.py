@@ -23,7 +23,6 @@ from curvident.delta import (
     _compile_plans,
     _layout,
     _plans,
-    _relabellings,
     _slot_symmetries,
     generalized_delta_contract,
     reference_delta_contract,
@@ -511,7 +510,7 @@ def test_warm_patterson_einsum_count(monkeypatch):
     assert len(calls) <= 30
 
 
-# -- folding by a generating subset of the verified symmetries -----------------
+# -- folding by the verified symmetries of non-curvature operands ---------------
 
 
 def _totally_symmetric(rng, dim, sign):
@@ -525,62 +524,74 @@ def _totally_symmetric(rng, dim, sign):
     return total
 
 
-def _fold_symmetry_sets():
-    """Verified symmetries of rank-4 operands: a curvature tensor's, those
-    of the existing fold tests' operand antisymmetric in (0, 1) alone, and
-    the totally symmetric and totally antisymmetric ones."""
-    rng = np.random.default_rng(31)
-    zero = np.zeros((5,) * 4, np.int64)
-    sets = {
-        "curvature": _slot_symmetries(random_curvature(5, 3, 4).tensor),
-        "only-01": _slot_symmetries(Tensor(5, _antisymmetric_01(rng, 5), zero)),
+def _fold_operands(rng, dim):
+    """Rank-4 operands whose rational and sqrt(3) parts have the same slot
+    symmetries: a curvature tensor, an operand antisymmetric in (0, 1)
+    alone, as in the fold tests above, and a totally symmetric and a totally
+    antisymmetric one."""
+    def curvature():
+        return random_curvature(dim, int(rng.integers(1, 1000)), 3).tensor._rat
+
+    makers = {
+        "curvature": curvature,
+        "only-01": lambda: _antisymmetric_01(rng, dim),
+        "symmetric": lambda: _totally_symmetric(rng, dim, 1),
+        "antisymmetric": lambda: _totally_symmetric(rng, dim, -1),
     }
-    for name, sign in (("symmetric", 1), ("antisymmetric", -1)):
-        sets[name] = _slot_symmetries(Tensor(5, _totally_symmetric(rng, 5, sign), zero))
-    return sets
+    return {name: Tensor(dim, make(), make(), 2) for name, make in makers.items()}
+
+
+def _fold_symmetry_sets():
+    """The verified symmetries of each of ``_fold_operands``."""
+    operands = _fold_operands(np.random.default_rng(31), 5)
+    return {name: _slot_symmetries(t) for name, t in operands.items()}
 
 
 def test_relabelling_subsets():
+    """The symmetries each of ``_fold_operands`` is folded by."""
     sets = _fold_symmetry_sets()
     assert sets["curvature"] == _R_SYMMETRIES
     assert sets["only-01"] == (((1, 0, 2, 3), -1),)
     for name, sign in (("symmetric", 1), ("antisymmetric", -1)):
         # six transpositions and three double transpositions
         assert len(sets[name]) == 9 and {s for _, s in sets[name]} == {1, sign}
-    patterson = ("L", "L", "U", "U")
-    # the pair antisymmetries generate the side-keeping ones; the pair
-    # interchange stands for its coset
-    assert _relabellings(_R_SYMMETRIES, patterson) == [_R_SYMMETRIES[i] for i in (0, 1, 3)]
-    assert _relabellings(sets["only-01"], patterson) == list(sets["only-01"])
-    # every transposition keeps the sides of an operand bound to one side
-    assert len(_relabellings(sets["symmetric"], ("L",) * 4)) == 3
 
 
-@pytest.mark.parametrize("name", sorted(k for k, v in _golden_bindings().items() if v[3]))
-def test_relabelling_subset_folds_like_all_symmetries(monkeypatch, name):
-    """Relabelling by the subset ``_relabellings`` picks folds the merged
-    terms into exactly the classes that all verified symmetries give: on
-    every golden binding, for every rank-4 symmetry set above and for
-    rank-2 operands symmetric or antisymmetric."""
-    n, dim, b, groups, ranks = _golden_bindings()[name]
-    rank_of = dict(zip(groups, ranks))
-    cases = []
-    for four in _fold_symmetry_sets().values():
-        for two in ((((1, 0), 1),), (((1, 0), -1),)):
-            cases.append(tuple(four if rank_of[g] == 4 else two for g in sorted(rank_of)))
-    subset = [_plan_digest(n, dim, b, groups, ranks, syms) for syms in cases]
-    monkeypatch.setattr(delta_mod, "_relabellings", lambda symmetries, sides: symmetries)
-    assert subset == [_plan_digest(n, dim, b, groups, ranks, syms) for syms in cases]
+def _transposition_symmetric(rng, dim, sign):
+    """A rank-2 operand that the transposition of its slots maps to
+    ``sign`` times itself, in its rational and its sqrt(3) part."""
+    x, y = rng.integers(-5, 6, (2, dim, dim))
+    return Tensor(dim, x + sign * x.T, y + sign * y.T, 3)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_totally_symmetric_operand_matches_oracle(sign):
+    """Plans folded by the symmetries of operands other than curvature
+    tensors equal the oracle.  Every operand of ``_fold_operands`` goes
+    through the dim-4 Patterson shape in dimension 5.  Rank-2 operands go
+    through the golden bindings with a delta order within the dimension
+    (above it the oracle is identically zero): the transposition maps the
+    first operand to ``sign`` times itself and, in ``two-groups``, the
+    other one to ``-sign`` times itself."""
     rng = np.random.default_rng(37 + sign)
-    t = Tensor(5, _totally_symmetric(rng, 5, sign), _totally_symmetric(rng, 5, sign), 2)
-    assert len(_slot_symmetries(t)) == 9
+    sets = _fold_symmetry_sets()
     b = _patterson_binding(4, 2, "free")
-    eng = generalized_delta_contract(5, 5, [t, t], b)
-    assert eng == reference_delta_contract(5, 5, [t, t], b)
+    for name, t in _fold_operands(rng, 5).items():
+        assert _slot_symmetries(t) == sets[name]
+        eng = generalized_delta_contract(5, 5, [t, t], b)
+        # the delta is antisymmetric in the slots a symmetric operand fills
+        assert eng.is_zero() == (name == "symmetric")
+        assert eng == reference_delta_contract(5, 5, [t, t], b)
+    bindings = _golden_bindings()
+    for name in ("chained-traced", "two-groups", "operand-with-diagonals"):
+        n, dim, b, groups, ranks = bindings[name]
+        signs = [sign * (-1) ** g for g in range(max(groups) + 1)]
+        distinct = [_transposition_symmetric(rng, dim, s) for s in signs]
+        assert [_slot_symmetries(t) for t in distinct] == [(((1, 0), s),) for s in signs]
+        operands = [distinct[g] for g in groups]
+        eng = generalized_delta_contract(n, dim, operands, b)
+        assert not eng.is_zero()
+        assert eng == reference_delta_contract(n, dim, operands, b)
 
 
 # -- an all-zero result ---------------------------------------------------------
@@ -690,7 +701,7 @@ def _edit(field, value):
 
 def _set_record(plan, rec, slot, value):
     def change(plans):
-        plans[plan][2][rec][slot] = value
+        plans[plan][1][rec][slot] = value
 
     return change
 
@@ -703,8 +714,8 @@ def _other_key_file(data: bytes) -> bytes:
     text = repr((4, 4, b, (0,), (4,), (_slot_symmetries(generic),)))
     path, stamp = delta_mod._plan_file(text)
     plans = _compile_plans(4, 4, b, (0,), (4,), layout, (_slot_symmetries(generic),))
-    obj = {"format": 1, "stamp": stamp, "key": text,
-           "plans": [[p.subscripts, p.n_sum_letters, p.specs] for p in plans]}
+    obj = {"format": 2, "stamp": stamp, "key": text,
+           "plans": [[p.subscripts, p.specs] for p in plans]}
     return json.dumps(obj).encode()
 
 
@@ -714,13 +725,12 @@ _BAD_FILES = {
     "deeply-nested": lambda data: b"[" * 100000,
     "another-key": _other_key_file,
     "stale-stamp": _edit("stamp", -1),
-    "wrong-format": _edit("format", 2),
+    "wrong-format": _edit("format", 1),
     "not-an-object": lambda data: b"[1, 2]",
     "axis-out-of-range": _edit("plans", _set_record(0, 0, 0, [4, 0])),
     "not-a-pair": _edit("plans", _set_record(0, 0, 1, [[0, 1, 2]])),
     "float-coefficient": _edit("plans", _set_record(0, 0, 2, 1.0)),
     "huge-coefficient": _edit("plans", _set_record(0, 0, 2, 2 ** 70)),
-    "wrong-sum-letters": _edit("plans", lambda plans: plans[0].__setitem__(1, 0)),
     "bad-subscripts": _edit("plans", lambda plans: plans[0].__setitem__(0, "ab->ab")),
 }
 
