@@ -28,10 +28,12 @@ from .curvature import (
     CurvatureTensor,
     CurvatureValidationError,
     InvariantReport,
+    TSADecomposition,
     TwoSteinReport,
     invariants,
     jacobi_square_trace,
     triple_products,
+    tsa,
     two_stein_check,
     validate_curvature,
     weyl,
@@ -59,7 +61,6 @@ from .models import (
 from .identities import (
     IdentityArgumentError,
     ResidualReport,
-    TSADecomposition,
     einstein5_residual,
     einstein5_trace_residual,
     einstein6_blocks,
@@ -77,7 +78,6 @@ from .identities import (
     trace_subidentities_6,
     transvect_rank4,
     transvect_rank6,
-    tsa,
     weyl_expansion_residual,
     weyl_identity_blocks,
     weyl_patterson_residual,

@@ -15,12 +15,22 @@ Conventions (orthonormal frame, metric = identity):
 Einstein means rho = (tau/m) g exactly; super-Einstein additionally
 t_check = (||R||^2/m) g exactly.  (For a single algebraic tensor the
 constancy of ||R||^2 over a manifold is vacuous and not checked.)
+
+Every identity is a polynomial in R built from a few derived pieces, and
+each is a cached property of the immutable ``CurvatureTensor``, computed
+once on first use: ``g``, ``ricci``, ``tau``, ``t_check``, ``r_norm_sq``,
+``ricci_norm_sq``, the five cubic contractions above, ``einstein``,
+``super_einstein``, ``tsa`` (T, S, A) and ``weyl`` (validated once).  The
+pieces are shared, not only cheap: ``lincomb`` merges terms with the same
+subscripts and the same operand objects before evaluating any, so terms
+built from one R's pieces in different evaluators cancel unevaluated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from typing import Optional
 
@@ -41,14 +51,35 @@ class CurvatureValidationError(ValueError):
         super().__init__(f"{identity} violated at component {self.indices}")
 
 
+@dataclass(frozen=True)
+class TSADecomposition:
+    """The quadratic building blocks of the rank-6 identity:
+
+    T_pqrs = R_pabq R_rabs,  S_pqrs = R_abpq R_abrs,
+    A_pqrstu = R_apqr R_astu.
+    """
+
+    t: Tensor
+    s: Tensor
+    a: Tensor
+
+
+# the five cubic contractions of the module docstring
+_R_CHECK = "iuvj,abcu,abcv->ij"
+_R_HAT2 = "ibcd,jbuv,cduv->ij"
+_R_RING2 = "ibcd,jucv,budv->ij"
+_R_HAT0 = "abcd,abuv,cduv->"
+_R_RING0 = "abcd,aucv,budv->"
+
+
 class CurvatureTensor:
     """A validated algebraic curvature tensor.
 
     Wraps the rank-4 component Tensor; construction goes through
-    :func:`validate_curvature`.
+    :func:`validate_curvature`.  The derived pieces (module docstring) are
+    written into the instance dict by ``cached_property``, past the
+    immutability guard; ``==`` and ``hash`` read only ``tensor``.
     """
-
-    __slots__ = ("tensor",)
 
     def __init__(self, tensor: Tensor, _validated: bool = False):
         if not _validated:
@@ -78,6 +109,76 @@ class CurvatureTensor:
 
     def __repr__(self):
         return f"CurvatureTensor(dim={self.dim})"
+
+    # -- derived pieces, each computed once ----------------------------------
+
+    @cached_property
+    def g(self) -> Tensor:
+        return Tensor.identity(self.dim)
+
+    @cached_property
+    def ricci(self) -> Tensor:
+        return ein("iaaj->ij", self.tensor)
+
+    @cached_property
+    def tau(self) -> Scalar:
+        return ein("ii->", self.ricci).to_scalar()
+
+    @cached_property
+    def t_check(self) -> Tensor:
+        return ein("iabc,jabc->ij", self.tensor, self.tensor)
+
+    @cached_property
+    def r_norm_sq(self) -> Scalar:
+        return ein("ijkl,ijkl->", self.tensor, self.tensor).to_scalar()
+
+    @cached_property
+    def ricci_norm_sq(self) -> Scalar:
+        return ein("ij,ij->", self.ricci, self.ricci).to_scalar()
+
+    def _cubic(self, subscripts: str) -> Tensor:
+        return ein(subscripts, self.tensor, self.tensor, self.tensor)
+
+    @cached_property
+    def r_check(self) -> Tensor:
+        return self._cubic(_R_CHECK)
+
+    @cached_property
+    def r_hat2(self) -> Tensor:
+        return self._cubic(_R_HAT2)
+
+    @cached_property
+    def r_ring2(self) -> Tensor:
+        return self._cubic(_R_RING2)
+
+    @cached_property
+    def r_hat0(self) -> Scalar:
+        return self._cubic(_R_HAT0).to_scalar()
+
+    @cached_property
+    def r_ring0(self) -> Scalar:
+        return self._cubic(_R_RING0).to_scalar()
+
+    @cached_property
+    def einstein(self) -> bool:
+        return self.ricci.scale(self.dim) == self.g.scale(self.tau)
+
+    @cached_property
+    def super_einstein(self) -> bool:
+        return self.einstein and self.t_check.scale(self.dim) == self.g.scale(self.r_norm_sq)
+
+    @cached_property
+    def tsa(self) -> TSADecomposition:
+        t = self.tensor
+        return TSADecomposition(
+            t=ein("pabq,rabs->pqrs", t, t),
+            s=ein("abpq,abrs->pqrs", t, t),
+            a=ein("apqr,astu->pqrstu", t, t),
+        )
+
+    @cached_property
+    def weyl(self) -> "CurvatureTensor":
+        return CurvatureTensor(lincomb(_weyl_terms(self)))
 
 
 # each symmetry with the axis labels of the signed transposes of R_ijkl
@@ -122,76 +223,19 @@ class InvariantReport:
     super_einstein: bool
 
     def to_json(self) -> dict:
-        def matrix(t: Tensor):
-            d = t.dim
-            return [[t.item(i, j).format() for j in range(d)] for i in range(d)]
+        """Every field in field order: a matrix as rows of scalar text."""
 
-        return {
-            "tau": self.tau.format(),
-            "ricci": matrix(self.ricci),
-            "ricci_norm_sq": self.ricci_norm_sq.format(),
-            "r_norm_sq": self.r_norm_sq.format(),
-            "t_check": matrix(self.t_check),
-            "r_check": matrix(self.r_check),
-            "r_hat2": matrix(self.r_hat2),
-            "r_ring2": matrix(self.r_ring2),
-            "r_hat0": self.r_hat0.format(),
-            "r_ring0": self.r_ring0.format(),
-            "einstein": self.einstein,
-            "super_einstein": self.super_einstein,
-        }
+        def value(v):
+            if isinstance(v, Tensor):
+                return [[v.item(i, j).format() for j in range(v.dim)] for i in range(v.dim)]
+            return v if isinstance(v, bool) else v.format()
 
-
-# the five cubic contractions of the module docstring
-_R_CHECK = "iuvj,abcu,abcv->ij"
-_R_HAT2 = "ibcd,jbuv,cduv->ij"
-_R_RING2 = "ibcd,jucv,budv->ij"
-_R_HAT0 = "abcd,abuv,cduv->"
-_R_RING0 = "abcd,aucv,budv->"
-
-
-def _pieces(R: CurvatureTensor):
-    """(R, g, rho, tau, t_check, ||R||^2), the quadratic-and-lower pieces
-    every identity is assembled from."""
-    t = R.tensor
-    g = Tensor.identity(t.dim)
-    ricci = ein("iaaj->ij", t)
-    tau = ein("ii->", ricci).to_scalar()
-    tt = ein("iabc,jabc->ij", t, t)
-    rn2 = ein("ijkl,ijkl->", t, t).to_scalar()
-    return t, g, ricci, tau, tt, rn2
-
-
-def _cubic_pieces(R: CurvatureTensor):
-    """(r_check, r_hat2, r_ring2, r_hat0, r_ring0)."""
-    t = R.tensor
-    r_check, r_hat2, r_ring2 = (ein(s, t, t, t) for s in (_R_CHECK, _R_HAT2, _R_RING2))
-    r_hat0, r_ring0 = (ein(s, t, t, t).to_scalar() for s in (_R_HAT0, _R_RING0))
-    return r_check, r_hat2, r_ring2, r_hat0, r_ring0
+        return {f.name: value(getattr(self, f.name)) for f in fields(self)}
 
 
 def invariants(R: CurvatureTensor) -> InvariantReport:
     """All scalar and rank-2 invariants of one curvature tensor."""
-    t, g, ricci, tau, t_check, r_norm_sq = _pieces(R)
-    m = t.dim
-    ricci_norm_sq = ein("ij,ij->", ricci, ricci).to_scalar()
-    r_check, r_hat2, r_ring2, r_hat0, r_ring0 = _cubic_pieces(R)
-    einstein = ricci.scale(m) == g.scale(tau)
-    super_einstein = einstein and t_check.scale(m) == g.scale(r_norm_sq)
-    return InvariantReport(
-        tau=tau,
-        ricci=ricci,
-        ricci_norm_sq=ricci_norm_sq,
-        r_norm_sq=r_norm_sq,
-        t_check=t_check,
-        r_check=r_check,
-        r_hat2=r_hat2,
-        r_ring2=r_ring2,
-        r_hat0=r_hat0,
-        r_ring0=r_ring0,
-        einstein=einstein,
-        super_einstein=super_einstein,
-    )
+    return InvariantReport(**{f.name: getattr(R, f.name) for f in fields(InvariantReport)})
 
 
 def triple_products(R: CurvatureTensor):
@@ -212,6 +256,10 @@ def triple_products(R: CurvatureTensor):
     return p1, p2, p3
 
 
+def tsa(R: CurvatureTensor) -> TSADecomposition:
+    return R.tsa
+
+
 def weyl(R: CurvatureTensor) -> CurvatureTensor:
     """Totally trace-free part of the curvature tensor.
 
@@ -220,22 +268,19 @@ def weyl(R: CurvatureTensor) -> CurvatureTensor:
     and tau/20 in dimension 6.  The result has identically zero Ricci
     contraction and vanishes for constant-curvature input.
     """
-    return CurvatureTensor(lincomb(_weyl_terms(R)))
+    return R.weyl
 
 
 def _weyl_terms(R: CurvatureTensor) -> list:
     """The terms of W, as ``lincomb`` terms."""
-    t = R.tensor
-    m = t.dim
+    m = R.dim
     if m < 3:
         raise ShapeError("weyl part needs dim >= 3")
-    g = Tensor.identity(m)
-    ricci = ein("iaaj->ij", t)
-    tau = ein("ii->", ricci).to_scalar()
+    ricci, g = R.ricci, R.g
     c = Fraction(-1, m - 2)
-    cg = tau * Fraction(1, (m - 1) * (m - 2))
+    cg = R.tau * Fraction(1, (m - 1) * (m - 2))
     return [
-        (1, t),
+        (1, R.tensor),
         (c, "ps,qr->pqrs", ricci, g),
         (c, "qr,ps->pqrs", ricci, g),
         (-c, "pr,qs->pqrs", ricci, g),
@@ -285,14 +330,7 @@ def two_stein_check(R: CurvatureTensor) -> TwoSteinReport:
     Einstein condition (the Jacobi trace is rho(X,X)); the second compares
     Sym(D) with mu2 Sym(g x g), mu2 read off at X = e_1.
     """
-    t = R.tensor
-    m = t.dim
-    g = Tensor.identity(m)
-    ricci = ein("iaaj->ij", t)
-    tau = ein("ii->", ricci).to_scalar()
-    einstein = ricci.scale(m) == g.scale(tau)
-    mu1 = tau / Scalar(m) if einstein else None
-
+    mu1 = R.tau / Scalar(R.dim) if R.einstein else None
     d = jacobi_square_coefficients(R)
     sym_d = lincomb(
         [(Fraction(1, 24), f"{''.join(p)}->pqrs", d) for p in permutations("pqrs")]
@@ -301,9 +339,9 @@ def two_stein_check(R: CurvatureTensor) -> TwoSteinReport:
     # mu2 Sym(g x g)
     c = mu2_candidate * Fraction(1, 3)
     quartic_ok = sym_d == lincomb(
-        [(c, s, g, g) for s in ("pq,rs->pqrs", "pr,qs->pqrs", "ps,qr->pqrs")]
+        [(c, s, R.g, R.g) for s in ("pq,rs->pqrs", "pr,qs->pqrs", "ps,qr->pqrs")]
     )
     mu2 = mu2_candidate if quartic_ok else None
     return TwoSteinReport(
-        is_two_stein=bool(einstein and quartic_ok), mu1=mu1, mu2=mu2
+        is_two_stein=bool(R.einstein and quartic_ok), mu1=mu1, mu2=mu2
     )

@@ -22,32 +22,28 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalar import Scalar
-from .tensor import ein, lincomb
+from .tensor import lincomb
 from .curvature import CurvatureTensor
 from .identities import (
-    TSADecomposition,
     _a_terms,
+    _check_dim,
     _einstein6_terms,
     _f_terms,
     _g3_terms,
-    _pieces_in,
     _scaled,
     _t_terms,
     _tt_terms,
     einstein6_residual,
-    tsa,
 )
 
 
-def _group_terms(pieces: tuple, dec: TSADecomposition) -> list:
+def _group_terms(R: CurvatureTensor) -> list:
     """The 34 groups as (raw lhs terms, simplified rhs terms) lists of
-    ``lincomb`` terms, free indices ordered (i,h,j,k,l,m), from R's
-    ``_pieces`` and ``tsa``."""
-    t, g, ricci, tau, tt, rn2 = pieces
-    rho2 = ein("ij,ij->", ricci, ricci).to_scalar()
+    ``lincomb`` terms, free indices ordered (i,h,j,k,l,m)."""
+    t, g, ricci, tau, tt, dec = R.tensor, R.g, R.ricci, R.tau, R.t_check, R.tsa
 
-    k0 = rn2 - Scalar(4) * rho2 + tau * tau
-    k0r = rn2 + tau * tau * Fraction(1, 3)
+    k0 = R.r_norm_sq - Scalar(4) * R.ricci_norm_sq + tau * tau
+    k0r = R.r_norm_sq + tau * tau * Fraction(1, 3)
 
     k2 = lincomb([
         (-4, tt),
@@ -88,33 +84,30 @@ def _group_terms(pieces: tuple, dec: TSADecomposition) -> list:
 def term_groups(R: CurvatureTensor) -> list:
     """All 34 (group number, raw lhs, simplified rhs) rank-6 tensors,
     free indices ordered (i,h,j,k,l,m)."""
-    groups = _group_terms(_pieces_in(R, 6, "the term-group expansion"), tsa(R))
-    return [(k, lincomb(lhs), lincomb(rhs)) for k, (lhs, rhs) in enumerate(groups, start=1)]
+    _check_dim(R, 6, "the term-group expansion")
+    groups = enumerate(_group_terms(R), start=1)
+    return [(k, lincomb(lhs), lincomb(rhs)) for k, (lhs, rhs) in groups]
 
 
 def group_residuals(R: CurvatureTensor) -> list:
     """The 34 group residuals lhs - rhs, then the sum check's residual: the
     sum of the 34 simplified groups minus 8 x the assembled rank-6 identity
     form.  Each is one ``lincomb``; no group side is built.  The groups and
-    the form are built from one set of pieces, so the terms they share are
-    the same operands, and ``lincomb`` cancels them before any is
-    evaluated: group 34's A rows in its own residual, and in the sum check
-    the A rows and the metric triples, which the groups and 8 x the form
-    carry with opposite coefficients."""
-    pieces, dec = _pieces_in(R, 6, "the term-group expansion"), tsa(R)
-    groups = _group_terms(pieces, dec)
+    the form are built from R's cached pieces (``R.g``, ``R.tsa`` and the
+    rest), so the terms they share are the same operands, and ``lincomb``
+    cancels them before any is evaluated: group 34's A rows in its own
+    residual, and in the sum check the A rows and the metric triples,
+    which the groups and 8 x the form carry with opposite coefficients."""
+    _check_dim(R, 6, "the term-group expansion")
+    groups = _group_terms(R)
     out = [lincomb(lhs + _scaled(-1, rhs)) for lhs, rhs in groups]
     rhs_all = [x for _, rhs in groups for x in rhs]
-    out.append(lincomb(rhs_all + _scaled(-8, _einstein6_terms(pieces, dec))))
+    out.append(lincomb(rhs_all + _scaled(-8, _einstein6_terms(R))))
     return out
 
 
-def group_sum_check(R: CurvatureTensor, groups=None, residual_form=None):
+def group_sum_check(R: CurvatureTensor):
     """(sum of the 34 simplified groups, 8 x the assembled rank-6 identity
-    form); the two must be componentwise identical.  Precomputed term
-    groups / residual may be passed to avoid recomputation."""
-    if groups is None:
-        groups = term_groups(R)
-    if residual_form is None:
-        residual_form = einstein6_residual(R).residual
-    return lincomb([(1, rhs) for _, _, rhs in groups]), residual_form.scale(8)
+    form); the two must be componentwise identical."""
+    total = lincomb([(1, rhs) for _, _, rhs in term_groups(R)])
+    return total, einstein6_residual(R).residual.scale(8)

@@ -44,16 +44,8 @@ import numpy as np
 from .scalar import Scalar
 from .tensor import Tensor, ShapeError, _is_zero_part, ein, lincomb
 from .delta import DeltaBinding, generalized_delta_contract
-from .curvature import (
-    _R_CHECK,
-    _R_HAT0,
-    _R_HAT2,
-    _R_RING2,
-    CurvatureTensor,
-    _cubic_pieces,
-    _pieces,
-    weyl,
-)
+# TSADecomposition and tsa live with R's other pieces and are re-exported here
+from .curvature import CurvatureTensor, TSADecomposition, tsa, weyl
 
 
 class IdentityArgumentError(ValueError):
@@ -173,11 +165,10 @@ def weyl_patterson_residual(
     return _delta_residual("weyl-patterson", R, r, mode, lambda R: weyl(R).tensor)
 
 
-def _pieces_in(R: CurvatureTensor, dim: int, what: str) -> tuple:
-    """``_pieces(R)`` for an R of dimension ``dim``; ShapeError otherwise."""
+def _check_dim(R: CurvatureTensor, dim: int, what: str):
+    """ShapeError unless R has dimension ``dim``."""
     if R.dim != dim:
         raise ShapeError(f"{what} needs dim {dim}")
-    return _pieces(R)
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +211,11 @@ def einstein5_residual(R: CurvatureTensor) -> ResidualReport:
       + 8(R_iabl R_kabj - R_iabk R_labj) + 4 R_abij R_abkl
       + (12/5) tau R_ijkl  = 0.
     """
-    t, g, ricci, tau, tt, rn2 = _pieces_in(R, 5, "lemma5")
+    _check_dim(R, 5, "lemma5")
+    t, g, tau = R.tensor, R.g, R.tau
     res = lincomb(
-        _scaled(rn2 + tau * tau * Fraction(1, 5), _gg4(g))
-        + _scaled(-4, _tt4(tt, g))
+        _scaled(R.r_norm_sq + tau * tau * Fraction(1, 5), _gg4(g))
+        + _scaled(-4, _tt4(R.t_check, g))
         + _scaled(8, _quad4(t))
         + _scaled(4, _pair4(t))
         + [(tau * Fraction(12, 5), t)]
@@ -237,13 +229,14 @@ def einstein5_trace_residual(R: CurvatureTensor) -> ResidualReport:
     2 tau tt + 4 r_check + 4 r_hat2 - 8 r_ring2
       = (tau/5 ||R||^2 + tau^3/25) g.
     """
-    t, g, ricci, tau, tt, rn2 = _pieces_in(R, 5, "thmA-a")
+    _check_dim(R, 5, "thmA-a")
+    tau = R.tau
     res = lincomb([
-        (tau * 2, tt),
-        (4, _R_CHECK, t, t, t),
-        (4, _R_HAT2, t, t, t),
-        (-8, _R_RING2, t, t, t),
-        (-(tau * rn2 * Fraction(1, 5) + tau * tau * tau * Fraction(1, 25)), g),
+        (tau * 2, R.t_check),
+        (4, R.r_check),
+        (4, R.r_hat2),
+        (-8, R.r_ring2),
+        (-(tau * R.r_norm_sq * Fraction(1, 5) + tau * tau * tau * Fraction(1, 25)), R.g),
     ])
     return make_report("thmA-a", "einstein", res)
 
@@ -254,9 +247,9 @@ def super5_residual(R: CurvatureTensor) -> ResidualReport:
     R_ijab R_abkl + 2 R_iabl R_kabj - 2 R_iabk R_labj + (3/5) tau R_ijkl
       = (3/20 ||R||^2 - 1/20 tau^2)(g_ik g_jl - g_il g_jk).
     """
-    t, g, ricci, tau, tt, rn2 = _pieces_in(R, 5, "pa5")
-    c = tau * tau * Fraction(1, 20) - rn2 * Fraction(3, 20)
-    res = lincomb(_super5_lhs(t, tau) + _scaled(c, _gg4(g)))
+    _check_dim(R, 5, "pa5")
+    c = R.tau * R.tau * Fraction(1, 20) - R.r_norm_sq * Fraction(3, 20)
+    res = lincomb(_super5_lhs(R.tensor, R.tau) + _scaled(c, _gg4(R.g)))
     return make_report("pa5", "super_einstein", res)
 
 
@@ -269,8 +262,8 @@ def super5_blocks(R: CurvatureTensor, idx=(0, 1, 2, 3)) -> list:
     """The four left-side blocks of the rank-4 super-Einstein identity at
     one index tuple (0-based); at (1,2,3,4) in the two-parameter normal
     form these equal 2(2a-5b)b, 2(2a-5b)b, 2(2a+b)b, -6(2a-3b)b."""
-    t, g, ricci, tau, tt, rn2 = _pieces_in(R, 5, "super5_blocks")
-    return [lincomb([term]).item(*idx) for term in _super5_lhs(t, tau)]
+    _check_dim(R, 5, "super5_blocks")
+    return [lincomb([term]).item(*idx) for term in _super5_lhs(R.tensor, R.tau)]
 
 
 def super5_trace_residual(R: CurvatureTensor) -> ResidualReport:
@@ -278,11 +271,12 @@ def super5_trace_residual(R: CurvatureTensor) -> ResidualReport:
 
     4 r_ring2 - 2 r_hat2 = (9/50 tau ||R||^2 - tau^3/50) g.
     """
-    t, g, ricci, tau, tt, rn2 = _pieces_in(R, 5, "thmA-b")
+    _check_dim(R, 5, "thmA-b")
+    tau = R.tau
     res = lincomb([
-        (4, _R_RING2, t, t, t),
-        (-2, _R_HAT2, t, t, t),
-        (tau * tau * tau * Fraction(1, 50) - tau * rn2 * Fraction(9, 50), g),
+        (4, R.r_ring2),
+        (-2, R.r_hat2),
+        (tau * tau * tau * Fraction(1, 50) - tau * R.r_norm_sq * Fraction(9, 50), R.g),
     ])
     return make_report("thmA-b", "super_einstein", res)
 
@@ -290,28 +284,6 @@ def super5_trace_residual(R: CurvatureTensor) -> ResidualReport:
 # ---------------------------------------------------------------------------
 # dimension 6
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TSADecomposition:
-    """The quadratic building blocks of the rank-6 identity:
-
-    T_pqrs = R_pabq R_rabs,  S_pqrs = R_abpq R_abrs,
-    A_pqrstu = R_apqr R_astu.
-    """
-
-    t: Tensor
-    s: Tensor
-    a: Tensor
-
-
-def tsa(R: CurvatureTensor) -> TSADecomposition:
-    t = R.tensor
-    return TSADecomposition(
-        t=ein("pabq,rabs->pqrs", t, t),
-        s=ein("abpq,abrs->pqrs", t, t),
-        a=ein("apqr,astu->pqrstu", t, t),
-    )
 
 
 # The four sign tables of the rank-6 identities.  Every explicit dim-6
@@ -386,9 +358,9 @@ def _t_terms(dec: TSADecomposition) -> list:
     return [(-1, "prsq->pqrs", dec.t), (1, "psrq->pqrs", dec.t)]
 
 
-def _f_tensor(dec: TSADecomposition, tau: Scalar, r4: Tensor) -> Tensor:
+def _f_tensor(R: CurvatureTensor) -> Tensor:
     return lincomb(
-        _t_terms(dec) + [(Fraction(1, 2), dec.s), (tau * Fraction(1, 3), r4)]
+        _t_terms(R.tsa) + [(Fraction(1, 2), R.tsa.s), (R.tau * Fraction(1, 3), R.tensor)]
     )
 
 
@@ -410,29 +382,29 @@ def _a_terms(a6: Tensor) -> list:
     return [(sign, f"{labels}->ihjklm", a6) for sign, labels in _A_ROWS]
 
 
-def _einstein6_block_terms(pieces: tuple, dec: TSADecomposition) -> tuple:
+def _einstein6_block_terms(R: CurvatureTensor) -> tuple:
     """The terms of the four blocks of the rank-6 Einstein identity: the
-    metric triples, the norm rows, the F rows and the A rows, from R's
-    ``_pieces`` and ``tsa``."""
-    t, g, ricci, tau, tt, rn2 = pieces
+    metric triples, the norm rows, the F rows and the A rows."""
+    g, tau = R.g, R.tau
     return (
-        _scaled((rn2 + tau * tau * Fraction(1, 3)) * Fraction(1, 8), _g3_terms(g)),
-        _scaled(Fraction(-1, 2), _tt_terms(tt, g)),
-        _f_terms(_f_tensor(dec, tau, t), g),
-        _a_terms(dec.a),
+        _scaled((R.r_norm_sq + tau * tau * Fraction(1, 3)) * Fraction(1, 8), _g3_terms(g)),
+        _scaled(Fraction(-1, 2), _tt_terms(R.t_check, g)),
+        _f_terms(_f_tensor(R), g),
+        _a_terms(R.tsa.a),
     )
 
 
-def _einstein6_terms(pieces: tuple, dec: TSADecomposition) -> list:
+def _einstein6_terms(R: CurvatureTensor) -> list:
     """All terms of the rank-6 Einstein identity form; its lincomb is the
     lemma6 residual."""
-    return [term for block in _einstein6_block_terms(pieces, dec) for term in block]
+    return [term for block in _einstein6_block_terms(R) for term in block]
 
 
 def einstein6_blocks(R: CurvatureTensor):
     """The four blocks of the rank-6 Einstein identity, plus the
     individual second/third/A-block terms for the transvection tables."""
-    g3, tt, f, a = _einstein6_block_terms(_pieces_in(R, 6, "lemma6"), tsa(R))
+    _check_dim(R, 6, "lemma6")
+    g3, tt, f, a = _einstein6_block_terms(R)
     tt_rows = [lincomb(tt[k : k + 2]) for k in range(0, len(tt), 2)]
     return lincomb(g3), tt_rows, [lincomb([x]) for x in f], [lincomb([x]) for x in a]
 
@@ -440,19 +412,19 @@ def einstein6_blocks(R: CurvatureTensor):
 def einstein6_residual(R: CurvatureTensor) -> ResidualReport:
     """Rank-6 Einstein identity in dimension 6 (id "lemma6"), its four
     blocks streamed into one lincomb; free indices ordered (i,h,j,k,l,m)."""
-    terms = _einstein6_terms(_pieces_in(R, 6, "lemma6"), tsa(R))
-    return make_report("lemma6", "einstein", lincomb(terms))
+    _check_dim(R, 6, "lemma6")
+    return make_report("lemma6", "einstein", lincomb(_einstein6_terms(R)))
 
 
 def super6_residual(R: CurvatureTensor) -> ResidualReport:
     """Rank-6 super-Einstein identity in dimension 6 (id "eq42"): the g-block
     flips to -(1/8)(||R||^2 - tau^2/3) and the tt-block drops."""
-    t, g, ricci, tau, tt, rn2 = _pieces_in(R, 6, "eq42")
-    dec = tsa(R)
+    _check_dim(R, 6, "eq42")
+    g = R.g
     res = lincomb(
-        _scaled((rn2 - tau * tau * Fraction(1, 3)) * Fraction(-1, 8), _g3_terms(g))
-        + _f_terms(_f_tensor(dec, tau, t), g)
-        + _a_terms(dec.a)
+        _scaled((R.r_norm_sq - R.tau * R.tau * Fraction(1, 3)) * Fraction(-1, 8), _g3_terms(g))
+        + _f_terms(_f_tensor(R), g)
+        + _a_terms(R.tsa.a)
     )
     return make_report("eq42", "super_einstein", res)
 
@@ -463,7 +435,16 @@ def einstein6_trace_residual(R: CurvatureTensor) -> ResidualReport:
     4 tau tt + 12 r_check + 12 r_hat2 - 24 r_ring2
       = (tau ||R||^2 - 4 r_ring0 + 2 r_hat0) g.
     """
-    return _trace_residual(_pieces_in(R, 6, "thmB-a"), _cubic_pieces(R))
+    _check_dim(R, 6, "thmB-a")
+    tau = R.tau
+    res = lincomb([
+        (tau * 4, R.t_check),
+        (12, R.r_check),
+        (12, R.r_hat2),
+        (-24, R.r_ring2),
+        (-(tau * R.r_norm_sq - Scalar(4) * R.r_ring0 + Scalar(2) * R.r_hat0), R.g),
+    ])
+    return make_report("thmB-a", "einstein", res)
 
 
 def einstein6_trace_residual_alt(R: CurvatureTensor) -> ResidualReport:
@@ -471,38 +452,14 @@ def einstein6_trace_residual_alt(R: CurvatureTensor) -> ResidualReport:
     (-tau||R||^2 + 4 r_ring0 - 2 r_hat0) g + 12 r_check + 12 r_hat2
     - 24 r_ring2 + 4 tau tt = 0; must be componentwise identical to
     the thmB-a residual."""
-    return _trace_residual_alt(_pieces_in(R, 6, "thm22"), _cubic_pieces(R))
-
-
-def _einstein6_trace_pair(R: CurvatureTensor) -> tuple:
-    """Both arrangements of the trace identity, (thmB-a, thm22), from one
-    evaluation of R's ``_pieces`` and ``_cubic_pieces``."""
-    pieces, cubic = _pieces_in(R, 6, "thmB-a"), _cubic_pieces(R)
-    return _trace_residual(pieces, cubic), _trace_residual_alt(pieces, cubic)
-
-
-def _trace_residual(pieces: tuple, cubic: tuple) -> ResidualReport:
-    t, g, ricci, tau, tt, rn2 = pieces
-    r_check, r_hat2, r_ring2, r_hat0, r_ring0 = cubic
+    _check_dim(R, 6, "thm22")
+    tau = R.tau
     res = lincomb([
-        (tau * 4, tt),
-        (12, r_check),
-        (12, r_hat2),
-        (-24, r_ring2),
-        (-(tau * rn2 - Scalar(4) * r_ring0 + Scalar(2) * r_hat0), g),
-    ])
-    return make_report("thmB-a", "einstein", res)
-
-
-def _trace_residual_alt(pieces: tuple, cubic: tuple) -> ResidualReport:
-    t, g, ricci, tau, tt, rn2 = pieces
-    r_check, r_hat2, r_ring2, r_hat0, r_ring0 = cubic
-    res = lincomb([
-        (-(tau * rn2) + Scalar(4) * r_ring0 - Scalar(2) * r_hat0, g),
-        (12, r_check),
-        (12, r_hat2),
-        (-24, r_ring2),
-        (tau * 4, tt),
+        (-(tau * R.r_norm_sq) + Scalar(4) * R.r_ring0 - Scalar(2) * R.r_hat0, R.g),
+        (12, R.r_check),
+        (12, R.r_hat2),
+        (-24, R.r_ring2),
+        (tau * 4, R.t_check),
     ])
     return make_report("thm22", "einstein", res)
 
@@ -512,12 +469,11 @@ def super6_trace_residual(R: CurvatureTensor) -> ResidualReport:
 
     2 r_ring2 - r_hat2 = (1/6)(2 r_ring0 - r_hat0) g.
     """
-    t, g, ricci, tau, tt, rn2 = _pieces_in(R, 6, "thmB-b")
-    r_check, r_hat2, r_ring2, r_hat0, r_ring0 = _cubic_pieces(R)
+    _check_dim(R, 6, "thmB-b")
     res = lincomb([
-        (2, r_ring2),
-        (-1, r_hat2),
-        ((r_hat0 - Scalar(2) * r_ring0) * Fraction(1, 6), g),
+        (2, R.r_ring2),
+        (-1, R.r_hat2),
+        ((R.r_hat0 - Scalar(2) * R.r_ring0) * Fraction(1, 6), R.g),
     ])
     return make_report("thmB-b", "super_einstein", res)
 
@@ -532,17 +488,16 @@ def gauss_bonnet_integrand_6(R: CurvatureTensor) -> Scalar:
     (the integral of this over a compact oriented 6-manifold is
     384 pi^3 chi).
     """
-    t, g, ricci, tau, tt, rn2 = _pieces_in(R, 6, "the Euler integrand bracket")
-    return lincomb([
-        (tau * tau, "ii->", ricci),
-        (tau * -12, "ij,ij->", ricci, ricci),
-        (tau * 3, "ijkl,ijkl->", t, t),
+    _check_dim(R, 6, "the Euler integrand bracket")
+    t, ricci, tau = R.tensor, R.ricci, R.tau
+    cubic = lincomb([
         (16, "ab,ac,bc->", ricci, ricci, ricci),
         (-24, "ab,cd,acbd->", ricci, ricci, t),
-        (-24, "uv,uv->", ricci, tt),  # rho_uv R_abcu R_abcv
+        (-24, "uv,uv->", ricci, R.t_check),  # rho_uv R_abcu R_abcv
         (8, "abcd,aucv,bvdu->", t, t, t),
-        (-2, _R_HAT0, t, t, t),
     ]).to_scalar()
+    tau_terms = tau * (tau * tau - R.ricci_norm_sq * Scalar(12) + R.r_norm_sq * Scalar(3))
+    return tau_terms + cubic - Scalar(2) * R.r_hat0
 
 
 # ---------------------------------------------------------------------------
@@ -555,11 +510,11 @@ def _weyl_identity_block_terms(W: CurvatureTensor) -> list:
     """The terms of each explicit block of the r=2 W-identity."""
     if W.dim not in (5, 6):
         raise ShapeError("explicit W-identity blocks exist for dims 5 and 6 only")
-    t, g, _, _, tw, w2 = _pieces(W)
+    t, g, tw, w2 = W.tensor, W.g, W.t_check, W.r_norm_sq
     if W.dim == 5:
         inner = _tt4(tw, g) + _scaled(-2, _quad4(t)) + _scaled(-1, _pair4(t))
         return [_scaled(w2, _gg4(g)), _scaled(-4, inner)]
-    dec = tsa(W)
+    dec = W.tsa
     return [
         _scaled(w2, _g3_terms(g)),
         _scaled(-4, _tt_terms(tw, g)),
@@ -603,14 +558,14 @@ def trace_subidentities_5(R: CurvatureTensor) -> list:
     under the Einstein hypothesis, and the summed right sides equal twice
     the thmA-a combination (so the trace identity is literally the
     transvection of the rank-4 one)."""
-    t, g, ricci, tau, tt, rn2 = _pieces_in(R, 5, "trace_subidentities_5")
-    r_check, r_hat2, r_ring2, r_hat0, r_ring0 = _cubic_pieces(R)
-    c1 = rn2 + tau * tau * Fraction(1, 5)
+    _check_dim(R, 5, "trace_subidentities_5")
+    t, g, tau, tt = R.tensor, R.g, R.tau, R.t_check
+    c1 = R.r_norm_sq + tau * tau * Fraction(1, 5)
     blocks = [
         ("g-block", _scaled(c1, _gg4(g)), [(-c1 * tau * Fraction(2, 5), g)]),
-        ("tt-block", _scaled(-4, _tt4(tt, g)), [(tau * Fraction(8, 5), tt), (8, r_check)]),
-        ("quad-block", _scaled(8, _quad4(t)), [(-16, r_ring2), (4, r_hat2)]),
-        ("pair-block", _scaled(4, _pair4(t)), [(4, r_hat2)]),
+        ("tt-block", _scaled(-4, _tt4(tt, g)), [(tau * Fraction(8, 5), tt), (8, R.r_check)]),
+        ("quad-block", _scaled(8, _quad4(t)), [(-16, R.r_ring2), (4, R.r_hat2)]),
+        ("pair-block", _scaled(4, _pair4(t)), [(4, R.r_hat2)]),
         ("tau-block", [(tau * Fraction(12, 5), t)], [(tau * Fraction(12, 5), tt)]),
     ]
     return [
@@ -623,9 +578,9 @@ def trace_subidentities_6(R: CurvatureTensor) -> list:
     identity: nine second-block rows, nine third-block rows, and the
     A-block row.  Returns (name, lhs, rhs) tensors; lhs == rhs holds
     exactly under the Einstein hypothesis."""
-    t, g, ricci, tau, tt, rn2 = _pieces(R)
-    r_check, r_hat2, r_ring2, r_hat0, r_ring0 = _cubic_pieces(R)
     b1, tt_terms, f_terms, a_terms = einstein6_blocks(R)
+    g, tau, tt, rn2 = R.g, R.tau, R.t_check, R.r_norm_sq
+    r_check, r_hat2, r_ring2 = R.r_check, R.r_hat2, R.r_ring2
 
     out = []
     rhs_a = lincomb([(tau * rn2 * Fraction(1, 12), g), (Fraction(-1, 2), r_check)])
@@ -636,7 +591,7 @@ def trace_subidentities_6(R: CurvatureTensor) -> list:
         out.append((f"tt-block[{k}]", transvect_rank6(term, R), rhs))
 
     rhs_1 = g.scale(
-        -(Scalar(2) * r_ring0) + r_hat0 + tau * rn2 * Fraction(1, 3)
+        -(Scalar(2) * R.r_ring0) + R.r_hat0 + tau * rn2 * Fraction(1, 3)
     )
     rhs_2 = lincomb([(2, r_ring2), (-1, r_hat2), (-tau * Fraction(1, 3), tt)])
     rhs_3 = lincomb([(tau * tau * tau * Fraction(1, 72), g), (-tau * Fraction(1, 4), tt)])

@@ -143,8 +143,9 @@ class ModelSpec:
 
 
 def _require_params(spec: ModelSpec, pointer: str = ""):
-    """The spec names a kind, exactly that kind's parameters, and the one
-    field (factors or components) the kind takes, if any."""
+    """The spec names a kind, exactly that kind's parameters, a dim (if it
+    takes one) in 2..6, and the one field (factors or components) the kind
+    takes, if any."""
     if spec.kind not in _KINDS:
         raise ModelSpecError(f"{pointer}/kind", f"unknown kind {spec.kind!r}")
     names, takes, _ = _KINDS[spec.kind]
@@ -156,6 +157,9 @@ def _require_params(spec: ModelSpec, pointer: str = ""):
     for key in names:
         if key not in spec.params:
             raise ModelSpecError(f"{pointer}/params/{key}", "missing required parameter")
+    dim = spec.params.get("dim")
+    if "dim" in names and not (_is_integer(dim) and 2 <= dim <= 6):
+        raise ModelSpecError(f"{pointer}/params/dim", f"dim must be in 2..6, got {dim!r}")
     for name in _FIELDS:
         given = getattr(spec, name) is not None
         if given != (name == takes):

@@ -312,6 +312,15 @@ def test_readme_cli_examples_parse():
         parser.parse_args(cli._attach_scalar_values(shlex.split(line)[1:]))
 
 
+def test_readme_python_blocks_run():
+    """Every fenced python block of the README runs as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
 @pytest.mark.parametrize("name", list(cli._CATALOG))
 def test_catalog_names_resolve_to_kinds(name):
     args = cli.build_parser().parse_args(
@@ -369,6 +378,54 @@ def test_model_file_schema_violation_exit2(tmp_path, capsys, model, message):
     captured = capsys.readouterr()
     assert message in captured.err
     assert "internal error" not in captured.err
+
+
+def _cc(dim):
+    return {"kind": "constant_curvature", "params": {"dim": dim, "k": "1"}}
+
+
+_RANDOM_EINSTEIN = {"kind": "random_einstein",
+                    "params": {"dim": -1, "seed": 1, "n_terms": 4, "k": "1"}}
+
+
+@pytest.mark.parametrize(
+    "argv, pointer",
+    [
+        (("verify", "--model", "constant", "--dim", "-1"), "/params/dim"),
+        (("invariants", "--model", "constant", "--dim", "-1"), "/params/dim"),
+        (("verify", "--model", "random-einstein", "--dim", "-1"), "/params/dim"),
+        (("verify", "--model", "constant", "--dim", "99999999999999999999"), "/params/dim"),
+        (("verify", "--model", "flat", "--dim", "0"), "/params/dim"),
+        (("invariants", "--model", "constant", "--dim", "1"), "/params/dim"),
+        (("verify", "--model", "constant", "--dim", "7"), "/params/dim"),
+        # a dict stands for a model file holding it
+        (("verify", "--model", _cc(-1)), "/params/dim"),
+        (("verify", "--model", {"kind": "explicit", "params": {"dim": -1}, "components": []}),
+         "/params/dim"),
+        (("verify", "--model", _RANDOM_EINSTEIN), "/params/dim"),
+        (("verify", "--model", {"kind": "product", "factors": [_cc(-2), _cc(3)]}),
+         "/factors/0/params/dim"),
+        (("invariants", "--model", {"kind": "product", "factors": [_cc(3), _cc(0)]}),
+         "/factors/1/params/dim"),
+    ],
+    ids=["verify-neg", "invariants-neg", "random-einstein-neg", "huge", "zero", "one", "seven",
+         "file-constant", "file-explicit", "file-random-einstein", "file-factor-neg",
+         "file-factor-zero"],
+)
+def test_dimension_out_of_range_exit2(tmp_path, capsys, argv, pointer):
+    """A dimension outside 2..6, from an option or a model file, is an input
+    error that names its JSON pointer; no array is built from it."""
+    path = tmp_path / "m.json"
+    args = []
+    for word in argv:
+        if isinstance(word, dict):
+            path.write_text(json.dumps(word))
+            word = str(path)
+        args.append(word)
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert f"{pointer}: dim must be in 2..6" in err
+    assert "internal error" not in err
 
 
 def test_readme_model_catalog():

@@ -237,3 +237,18 @@ def test_example_6d_two_stein_obstruction():
 
 def test_example_5d_not_two_stein():
     assert not two_stein_check(example_5d(1)).is_two_stein
+
+
+def test_cached_pieces_keep_the_tensor_immutable_and_comparable():
+    """The derived pieces are cached on first use; R stays immutable, and
+    == and hash read only the components, not which pieces are cached."""
+    R, same = example_5d(1), example_5d(1)
+    tau = R.tau
+    assert R.tau is tau and R.weyl is R.weyl and R.tsa is R.tsa
+    with pytest.raises(AttributeError):
+        R.tau = 0
+    with pytest.raises(AttributeError):
+        R.tensor = same.tensor
+    assert R.tau is tau
+    assert R == same and hash(R) == hash(same)
+    assert "tau" in vars(R) and "tau" not in vars(same)

@@ -547,7 +547,7 @@ def _fold_symmetry_sets():
     return {name: _slot_symmetries(t) for name, t in operands.items()}
 
 
-def test_relabelling_subsets():
+def test_fold_symmetry_sets():
     """The symmetries each of ``_fold_operands`` is folded by."""
     sets = _fold_symmetry_sets()
     assert sets["curvature"] == _R_SYMMETRIES

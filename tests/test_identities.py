@@ -298,7 +298,7 @@ def test_streamed_residuals_equal_the_materialized_sides(einstein):
     for rep, (k, lhs, rhs) in zip(reports, groups):
         assert rep.identity == f"appendix34[{k}]"
         assert rep.residual == lhs - rhs
-    total, eight = group_sum_check(R, groups=groups)
+    total, eight = group_sum_check(R)
     assert reports[-1].identity == "appendix34[sum]"
     assert reports[-1].residual == total - eight
     b1, tt_rows, f_terms, a_terms = einstein6_blocks(R)
@@ -634,7 +634,7 @@ def test_appendix34_shared_terms_cancel_unevaluated(monkeypatch):
 
     R = random_curvature(6, seed=61, n_terms=4)
     groups = term_groups(R)
-    total, eight = group_sum_check(R, groups=groups)
+    total, eight = group_sum_check(R)
     calls = []
     real = tensor_mod._einsum_exact
     monkeypatch.setattr(tensor_mod, "_einsum_exact", lambda s, ops: calls.append(s) or real(s, ops))
@@ -644,21 +644,34 @@ def test_appendix34_shared_terms_cancel_unevaluated(monkeypatch):
     assert check == total - eight
 
 
-def test_thm_b_a_computes_its_pieces_once(monkeypatch):
-    """thmB-a states the trace identity in two arrangements, each its own
-    lincomb, from one evaluation of R's quadratic and cubic pieces."""
-    import curvident.identities as identities_mod
-    from curvident.report import _IDENTITIES
+def test_evaluate_model_computes_each_piece_once(monkeypatch):
+    """Every dim-6 id reads R's pieces from R: over one evaluate_model each
+    cubic contraction and the Ricci contraction run once, T, S and A once
+    per tensor (R and its Weyl part W), and W is validated once.  thmB-a
+    still reports both arrangements of the trace identity and their
+    difference."""
+    from curvident import curvature as curvature_mod
+    from curvident import tensor as tensor_mod
+    from curvident.curvature import _R_CHECK, _R_HAT0, _R_HAT2, _R_RING0, _R_RING2
+    from curvident.models import explicit_spec
+    from curvident.report import evaluate_model
 
-    calls = []
-    for name in ("_pieces", "_cubic_pieces"):
-        real = getattr(identities_mod, name)
-        monkeypatch.setattr(
-            identities_mod, name, lambda R, real=real, name=name: calls.append(name) or real(R)
-        )
-    R = _einstein(6, seed=57)
-    reports = _IDENTITIES["thmB-a"].evaluate(R)
-    assert calls == ["_pieces", "_cubic_pieces"]
+    R = example_6d(1)
+    calls, checked = [], []
+    real_einsum, real_check = tensor_mod._einsum_exact, curvature_mod._check_symmetries
+    monkeypatch.setattr(
+        tensor_mod, "_einsum_exact", lambda s, ops: calls.append(s) or real_einsum(s, ops)
+    )
+    monkeypatch.setattr(
+        curvature_mod, "_check_symmetries", lambda t: checked.append(t) or real_check(t)
+    )
+    run = evaluate_model(explicit_spec(R), R, applicable_identities(6))
+    for subscripts in (_R_CHECK, _R_HAT2, _R_RING2, _R_HAT0, _R_RING0, "iaaj->ij"):
+        assert calls.count(subscripts) == 1, subscripts
+    for subscripts in ("pabq,rabs->pqrs", "abpq,abrs->pqrs", "apqr,astu->pqrstu"):
+        assert calls.count(subscripts) == 2, subscripts
+    assert len(checked) == 1 and checked[0] is R.weyl.tensor
+    reports = [r for r in run.residuals if r.identity.startswith(("thmB-a", "thm22"))]
     assert [r.identity for r in reports] == ["thmB-a", "thm22", "thmB-a-vs-thm22"]
     assert all(r.is_zero for r in reports)
     assert reports[0].residual == einstein6_trace_residual(R).residual
