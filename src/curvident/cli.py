@@ -20,8 +20,6 @@ import sys
 import time
 
 from .scalar import Scalar, ScalarParseError
-from .tensor import ShapeError, ContractionSpecError
-from .curvature import CurvatureValidationError
 from .models import (
     ModelSpec,
     ModelSpecError,
@@ -41,17 +39,13 @@ from .report import (
     run_identity,
     _resolve,
 )
-from .identities import IdentityArgumentError
+from .identities import IdentityArgumentError, max_r
 
-_INPUT_ERRORS = (
-    ModelSpecError,
-    ScalarParseError,
-    ShapeError,
-    ContractionSpecError,
-    CurvatureValidationError,
-    IdentityArgumentError,
-    OSError,
-)
+# every input error is one of these, raised where the input is read (a
+# model at its JSON pointer, an option by name); the library's ShapeError,
+# ContractionSpecError and CurvatureValidationError from inside an
+# evaluator are defects (exit 3)
+_INPUT_ERRORS = (ModelSpecError, ScalarParseError, IdentityArgumentError, OSError)
 
 # catalog name -> (model kind, the parameters the name fixes); the options
 # in _PARAM_OPTIONS give the kind's other parameters
@@ -188,11 +182,13 @@ def _cmd_random_check(args) -> int:
     if args.n < 1:
         raise IdentityArgumentError(f"-n must be >= 1, got {args.n}")
     mode = None if args.mode == "auto" else args.mode
-    entry, runs = _resolve(ident, dim, args.r, mode)
-    r, label = None, ""
-    if runs:
+    r, label = args.r, ""
+    if r is None and _resolve(ident, dim)[0].delta:
         # --r defaults to 2, or to 1 where the dimension allows no more
-        r, mode = runs[min(2, len(runs)) - 1]
+        r = min(2, max_r(dim))
+    entry, runs = _resolve(ident, dim, r, mode)
+    if runs:
+        ((r, mode),) = runs
         label = f"[r={r},{mode}]"
 
     n_zero = 0

@@ -16,14 +16,23 @@ Einstein means rho = (tau/m) g exactly; super-Einstein additionally
 t_check = (||R||^2/m) g exactly.  (For a single algebraic tensor the
 constancy of ||R||^2 over a manifold is vacuous and not checked.)
 
+The quadratic pieces are T_pqrs = R_pabq R_rabs, S_pqrs = R_abpq R_abrs,
+A_pqrstu = R_apqr R_astu and F_pqrs = -T_prsq + T_psrq + S_pqrs/2 +
+(tau/3) R_pqrs.  With t_check and ||R||^2 they are the only R.R
+contractions outside the delta engine; the identities' other quadratic
+terms are transposes of them.  The Kulkarni-Nomizu product, stated once
+in ``_kn_terms``, is (h wedge k)_ijkl = h_il k_jk + h_jk k_il - h_ik k_jl -
+h_jl k_ik, so (k/2) g wedge g has constant curvature k.
+
 Every identity is a polynomial in R built from a few derived pieces, and
 each is a cached property of the immutable ``CurvatureTensor``, computed
 once on first use: ``g``, ``ricci``, ``tau``, ``t_check``, ``r_norm_sq``,
 ``ricci_norm_sq``, the five cubic contractions above, ``einstein``,
-``super_einstein``, ``tsa`` (T, S, A) and ``weyl`` (validated once).  The
-pieces are shared, not only cheap: ``lincomb`` merges terms with the same
-subscripts and the same operand objects before evaluating any, so terms
-built from one R's pieces in different evaluators cancel unevaluated.
+``super_einstein``, ``t_quad``, ``s_quad``, ``a_quad`` (T, S, A; ``tsa``
+groups them), ``f`` (F) and ``weyl`` (validated once).  The pieces are
+shared, not only cheap: ``lincomb`` merges terms with the same subscripts
+and the same operand objects before evaluating any, so terms built from
+one R's pieces in different evaluators cancel unevaluated.
 """
 
 from __future__ import annotations
@@ -53,11 +62,8 @@ class CurvatureValidationError(ValueError):
 
 @dataclass(frozen=True)
 class TSADecomposition:
-    """The quadratic building blocks of the rank-6 identity:
-
-    T_pqrs = R_pabq R_rabs,  S_pqrs = R_abpq R_abrs,
-    A_pqrstu = R_apqr R_astu.
-    """
+    """T, S and A (module docstring), the quadratic blocks of the rank-6
+    identity."""
 
     t: Tensor
     s: Tensor
@@ -168,12 +174,26 @@ class CurvatureTensor:
         return self.einstein and self.t_check.scale(self.dim) == self.g.scale(self.r_norm_sq)
 
     @cached_property
+    def t_quad(self) -> Tensor:
+        return ein("pabq,rabs->pqrs", self.tensor, self.tensor)
+
+    @cached_property
+    def s_quad(self) -> Tensor:
+        return ein("abpq,abrs->pqrs", self.tensor, self.tensor)
+
+    @cached_property
+    def a_quad(self) -> Tensor:
+        return ein("apqr,astu->pqrstu", self.tensor, self.tensor)
+
+    @cached_property
     def tsa(self) -> TSADecomposition:
-        t = self.tensor
-        return TSADecomposition(
-            t=ein("pabq,rabs->pqrs", t, t),
-            s=ein("abpq,abrs->pqrs", t, t),
-            a=ein("apqr,astu->pqrstu", t, t),
+        return TSADecomposition(self.t_quad, self.s_quad, self.a_quad)
+
+    @cached_property
+    def f(self) -> Tensor:
+        return lincomb(
+            _t_terms(self.t_quad)
+            + [(Fraction(1, 2), self.s_quad), (self.tau * Fraction(1, 3), self.tensor)]
         )
 
     @cached_property
@@ -263,9 +283,9 @@ def tsa(R: CurvatureTensor) -> TSADecomposition:
 def weyl(R: CurvatureTensor) -> CurvatureTensor:
     """Totally trace-free part of the curvature tensor.
 
-    W = R - (rho wedge g)/(m-2) + tau (g wedge g)/((m-1)(m-2)); the
-    coefficients specialize to 1/3 and tau/12 in dimension 5 and to 1/4
-    and tau/20 in dimension 6.  The result has identically zero Ricci
+    W = R - (rho wedge g)/(m-2) + tau (g wedge g)/(2(m-1)(m-2)); the
+    coefficients specialize to 1/3 and tau/24 in dimension 5 and to 1/4
+    and tau/40 in dimension 6.  The result has identically zero Ricci
     contraction and vanishes for constant-curvature input.
     """
     return R.weyl
@@ -276,18 +296,25 @@ def _weyl_terms(R: CurvatureTensor) -> list:
     m = R.dim
     if m < 3:
         raise ShapeError("weyl part needs dim >= 3")
-    ricci, g = R.ricci, R.g
-    c = Fraction(-1, m - 2)
-    cg = R.tau * Fraction(1, (m - 1) * (m - 2))
-    return [
-        (1, R.tensor),
-        (c, "ps,qr->pqrs", ricci, g),
-        (c, "qr,ps->pqrs", ricci, g),
-        (-c, "pr,qs->pqrs", ricci, g),
-        (-c, "qs,pr->pqrs", ricci, g),
-        (cg, "ps,qr->pqrs", g, g),
-        (-cg, "pr,qs->pqrs", g, g),
-    ]
+    return (
+        [(1, R.tensor)]
+        + _kn_terms(Fraction(-1, m - 2), R.ricci, R.g)
+        + _kn_terms(R.tau * Fraction(1, 2 * (m - 1) * (m - 2)), R.g, R.g)
+    )
+
+
+def _kn_terms(c, h: Tensor, k: Tensor) -> list:
+    """c (h wedge k) (module docstring) as ``lincomb`` terms; for k = h its
+    rows pair up into 2c (h_il h_jk - h_ik h_jl)."""
+    if h is k:
+        return [(2 * c, "il,jk->ijkl", h, h), (-2 * c, "ik,jl->ijkl", h, h)]
+    rows = ((c, "il,jk"), (c, "jk,il"), (-c, "ik,jl"), (-c, "jl,ik"))
+    return [(x, f"{ab}->ijkl", h, k) for x, ab in rows]
+
+
+def _t_terms(t: Tensor) -> list:
+    """-T_prsq + T_psrq, the T part of F, from T."""
+    return [(-1, "prsq->pqrs", t), (1, "psrq->pqrs", t)]
 
 
 @dataclass(frozen=True)
@@ -309,9 +336,11 @@ def jacobi_square_coefficients(R: CurvatureTensor) -> Tensor:
 
         tr(R_X^2) = sum_{a,b} R(e_a,X,X,e_b) R(e_b,X,X,e_a)
                   = D_pqrs X^p X^q X^r X^s,  D_pqrs = R_apqb R_brsa.
+
+    D_pqrs = T_pqsr for every algebraic curvature tensor (pair interchange
+    and the two antisymmetries of both factors), so D is a transpose of T.
     """
-    t = R.tensor
-    return ein("apqb,brsa->pqrs", t, t)
+    return ein("pqsr->pqrs", R.t_quad)
 
 
 def jacobi_square_trace(R: CurvatureTensor, x: Tensor) -> Scalar:

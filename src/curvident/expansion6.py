@@ -1,6 +1,6 @@
 """Term-group expansion of the rank-6 Einstein identity in dimension 6.
 
-Substituting the Weyl part W = R - (rho wedge g)/4 + tau (g wedge g)/20
+Substituting the Weyl part W = R - (rho wedge g)/4 + tau (g wedge g)/40
 into the r=2 antisymmetrization identity and collecting produces 34 term
 groups; each group has a raw left side (in R and rho) and a simplified
 right side obtained with the Einstein condition rho = (tau/6) g.  The
@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .scalar import Scalar
 from .tensor import lincomb
-from .curvature import CurvatureTensor
+from .curvature import CurvatureTensor, _kn_terms, _t_terms
 from .identities import (
     _a_terms,
     _check_dim,
@@ -31,7 +31,6 @@ from .identities import (
     _f_terms,
     _g3_terms,
     _scaled,
-    _t_terms,
     _tt_terms,
     einstein6_residual,
 )
@@ -40,7 +39,7 @@ from .identities import (
 def _group_terms(R: CurvatureTensor) -> list:
     """The 34 groups as (raw lhs terms, simplified rhs terms) lists of
     ``lincomb`` terms, free indices ordered (i,h,j,k,l,m)."""
-    t, g, ricci, tau, tt, dec = R.tensor, R.g, R.ricci, R.tau, R.t_check, R.tsa
+    t, g, ricci, tau, tt = R.tensor, R.g, R.ricci, R.tau, R.t_check
 
     k0 = R.r_norm_sq - Scalar(4) * R.ricci_norm_sq + tau * tau
     k0r = R.r_norm_sq + tau * tau * Fraction(1, 3)
@@ -53,27 +52,20 @@ def _group_terms(R: CurvatureTensor) -> list:
     ])
     k2r = lincomb([(-4, tt), (tau * tau * Fraction(-2, 9), g)])
 
-    quad = _scaled(8, _t_terms(dec)) + [(4, dec.s)]
-    k4 = lincomb(quad + [
+    quad = _scaled(8, _t_terms(R.t_quad)) + [(4, R.s_quad)]
+    k4 = lincomb(quad + _kn_terms(-4, ricci, ricci) + [
         (-8, "aprs,aq->pqrs", t, ricci),
         (8, "aspq,ar->pqrs", t, ricci),
         (-8, "arpq,as->pqrs", t, ricci),
         (8, "aqrs,ap->pqrs", t, ricci),
-        (8, "pr,qs->pqrs", ricci, ricci),
-        (-8, "ps,qr->pqrs", ricci, ricci),
         (tau * -4, t),
     ])
-    c = tau * tau * Fraction(2, 9)
-    k4r = lincomb(quad + [
-        (tau * Fraction(4, 3), t),
-        (c, "pr,qs->pqrs", g, g),
-        (-c, "ps,qr->pqrs", g, g),
-    ])
+    k4r = lincomb(quad + _kn_terms(tau * tau * Fraction(-1, 9), g, g) + [(tau * Fraction(4, 3), t)])
 
     groups = [(_scaled(k0, [x]), _scaled(k0r, [x])) for x in _g3_terms(g)]
     groups += [([x], [y]) for x, y in zip(_tt_terms(k2, g), _tt_terms(k2r, g))]
     groups += [([x], [y]) for x, y in zip(_f_terms(k4, g), _f_terms(k4r, g))]
-    rr = _scaled(8, _a_terms(dec.a))
+    rr = _scaled(8, _a_terms(R.a_quad))
     groups.append((
         rr + _scaled(8, _f_terms(t, ricci)),
         rr + _scaled(tau * Fraction(4, 3), _f_terms(t, g)),
@@ -93,7 +85,7 @@ def group_residuals(R: CurvatureTensor) -> list:
     """The 34 group residuals lhs - rhs, then the sum check's residual: the
     sum of the 34 simplified groups minus 8 x the assembled rank-6 identity
     form.  Each is one ``lincomb``; no group side is built.  The groups and
-    the form are built from R's cached pieces (``R.g``, ``R.tsa`` and the
+    the form are built from R's cached pieces (``R.g``, ``R.a_quad`` and the
     rest), so the terms they share are the same operands, and ``lincomb``
     cancels them before any is evaluated: group 34's A rows in its own
     residual, and in the sum check the A rows and the metric triples,

@@ -45,7 +45,7 @@ from .scalar import Scalar
 from .tensor import Tensor, ShapeError, _is_zero_part, ein, lincomb
 from .delta import DeltaBinding, generalized_delta_contract
 # TSADecomposition and tsa live with R's other pieces and are re-exported here
-from .curvature import CurvatureTensor, TSADecomposition, tsa, weyl
+from .curvature import CurvatureTensor, TSADecomposition, _kn_terms, _t_terms, tsa, weyl
 
 
 class IdentityArgumentError(ValueError):
@@ -186,21 +186,9 @@ def _scaled(c, terms) -> list:
     return [(c * k, *rest) for k, *rest in terms]
 
 
-def _gg4(g: Tensor) -> list:
-    return [(1, "ik,jl->ijkl", g, g), (-1, "il,jk->ijkl", g, g)]
-
-
-def _tt4(tt: Tensor, g: Tensor) -> list:
-    rows = ((1, "ik,jl"), (1, "jl,ik"), (-1, "il,jk"), (-1, "jk,il"))
-    return [(sign, f"{ab}->ijkl", tt, g) for sign, ab in rows]
-
-
-def _quad4(t: Tensor) -> list:
-    return [(1, "iabl,kabj->ijkl", t, t), (-1, "iabk,labj->ijkl", t, t)]
-
-
-def _pair4(t: Tensor) -> list:
-    return [(1, "abij,abkl->ijkl", t, t)]
+def _quad4(t_quad: Tensor) -> list:
+    """R_iabl R_kabj - R_iabk R_labj, two transposes of T."""
+    return [(1, "ilkj->ijkl", t_quad), (-1, "iklj->ijkl", t_quad)]
 
 
 def einstein5_residual(R: CurvatureTensor) -> ResidualReport:
@@ -212,13 +200,12 @@ def einstein5_residual(R: CurvatureTensor) -> ResidualReport:
       + (12/5) tau R_ijkl  = 0.
     """
     _check_dim(R, 5, "lemma5")
-    t, g, tau = R.tensor, R.g, R.tau
+    g, tau = R.g, R.tau
     res = lincomb(
-        _scaled(R.r_norm_sq + tau * tau * Fraction(1, 5), _gg4(g))
-        + _scaled(-4, _tt4(R.t_check, g))
-        + _scaled(8, _quad4(t))
-        + _scaled(4, _pair4(t))
-        + [(tau * Fraction(12, 5), t)]
+        _kn_terms((R.r_norm_sq + tau * tau * Fraction(1, 5)) * Fraction(-1, 2), g, g)
+        + _kn_terms(4, R.t_check, g)
+        + _scaled(8, _quad4(R.t_quad))
+        + [(4, R.s_quad), (tau * Fraction(12, 5), R.tensor)]
     )
     return make_report("lemma5", "einstein", res)
 
@@ -248,14 +235,14 @@ def super5_residual(R: CurvatureTensor) -> ResidualReport:
       = (3/20 ||R||^2 - 1/20 tau^2)(g_ik g_jl - g_il g_jk).
     """
     _check_dim(R, 5, "pa5")
-    c = R.tau * R.tau * Fraction(1, 20) - R.r_norm_sq * Fraction(3, 20)
-    res = lincomb(_super5_lhs(R.tensor, R.tau) + _scaled(c, _gg4(R.g)))
+    c = R.r_norm_sq * Fraction(3, 40) - R.tau * R.tau * Fraction(1, 40)
+    res = lincomb(_super5_lhs(R) + _kn_terms(c, R.g, R.g))
     return make_report("pa5", "super_einstein", res)
 
 
-def _super5_lhs(t: Tensor, tau: Scalar) -> list:
+def _super5_lhs(R: CurvatureTensor) -> list:
     """The four left-side terms of the rank-4 super-Einstein identity."""
-    return _pair4(t) + _scaled(2, _quad4(t)) + [(tau * Fraction(3, 5), t)]
+    return [(1, R.s_quad)] + _scaled(2, _quad4(R.t_quad)) + [(R.tau * Fraction(3, 5), R.tensor)]
 
 
 def super5_blocks(R: CurvatureTensor, idx=(0, 1, 2, 3)) -> list:
@@ -263,7 +250,7 @@ def super5_blocks(R: CurvatureTensor, idx=(0, 1, 2, 3)) -> list:
     one index tuple (0-based); at (1,2,3,4) in the two-parameter normal
     form these equal 2(2a-5b)b, 2(2a-5b)b, 2(2a+b)b, -6(2a-3b)b."""
     _check_dim(R, 5, "super5_blocks")
-    return [lincomb([term]).item(*idx) for term in _super5_lhs(R.tensor, R.tau)]
+    return [lincomb([term]).item(*idx) for term in _super5_lhs(R)]
 
 
 def super5_trace_residual(R: CurvatureTensor) -> ResidualReport:
@@ -353,17 +340,6 @@ def _f_terms(x4: Tensor, y2: Tensor) -> list:
     return [(sign, f"{pqrs},{xy}->ihjklm", x4, y2) for sign, pqrs, xy in _F_ROWS]
 
 
-def _t_terms(dec: TSADecomposition) -> list:
-    """-T_prsq + T_psrq, the T part of F."""
-    return [(-1, "prsq->pqrs", dec.t), (1, "psrq->pqrs", dec.t)]
-
-
-def _f_tensor(R: CurvatureTensor) -> Tensor:
-    return lincomb(
-        _t_terms(R.tsa) + [(Fraction(1, 2), R.tsa.s), (R.tau * Fraction(1, 3), R.tensor)]
-    )
-
-
 # A block: signed axis labels of A_pqrstu
 _A_ROWS = (
     (1, "hjkmil"),
@@ -389,8 +365,8 @@ def _einstein6_block_terms(R: CurvatureTensor) -> tuple:
     return (
         _scaled((R.r_norm_sq + tau * tau * Fraction(1, 3)) * Fraction(1, 8), _g3_terms(g)),
         _scaled(Fraction(-1, 2), _tt_terms(R.t_check, g)),
-        _f_terms(_f_tensor(R), g),
-        _a_terms(R.tsa.a),
+        _f_terms(R.f, g),
+        _a_terms(R.a_quad),
     )
 
 
@@ -423,8 +399,8 @@ def super6_residual(R: CurvatureTensor) -> ResidualReport:
     g = R.g
     res = lincomb(
         _scaled((R.r_norm_sq - R.tau * R.tau * Fraction(1, 3)) * Fraction(-1, 8), _g3_terms(g))
-        + _f_terms(_f_tensor(R), g)
-        + _a_terms(R.tsa.a)
+        + _f_terms(R.f, g)
+        + _a_terms(R.a_quad)
     )
     return make_report("eq42", "super_einstein", res)
 
@@ -510,17 +486,16 @@ def _weyl_identity_block_terms(W: CurvatureTensor) -> list:
     """The terms of each explicit block of the r=2 W-identity."""
     if W.dim not in (5, 6):
         raise ShapeError("explicit W-identity blocks exist for dims 5 and 6 only")
-    t, g, tw, w2 = W.tensor, W.g, W.t_check, W.r_norm_sq
+    g, tw, w2 = W.g, W.t_check, W.r_norm_sq
     if W.dim == 5:
-        inner = _tt4(tw, g) + _scaled(-2, _quad4(t)) + _scaled(-1, _pair4(t))
-        return [_scaled(w2, _gg4(g)), _scaled(-4, inner)]
-    dec = W.tsa
+        inner = _kn_terms(-1, tw, g) + _scaled(-2, _quad4(W.t_quad)) + [(-1, W.s_quad)]
+        return [_kn_terms(w2 * Fraction(-1, 2), g, g), _scaled(-4, inner)]
     return [
         _scaled(w2, _g3_terms(g)),
         _scaled(-4, _tt_terms(tw, g)),
-        _scaled(8, _f_terms(lincomb(_t_terms(dec)), g)),
-        _scaled(4, _f_terms(dec.s, g)),
-        _scaled(8, _a_terms(dec.a)),
+        _scaled(8, _f_terms(lincomb(_t_terms(W.t_quad)), g)),
+        _scaled(4, _f_terms(W.s_quad, g)),
+        _scaled(8, _a_terms(W.a_quad)),
     ]
 
 
@@ -562,10 +537,10 @@ def trace_subidentities_5(R: CurvatureTensor) -> list:
     t, g, tau, tt = R.tensor, R.g, R.tau, R.t_check
     c1 = R.r_norm_sq + tau * tau * Fraction(1, 5)
     blocks = [
-        ("g-block", _scaled(c1, _gg4(g)), [(-c1 * tau * Fraction(2, 5), g)]),
-        ("tt-block", _scaled(-4, _tt4(tt, g)), [(tau * Fraction(8, 5), tt), (8, R.r_check)]),
-        ("quad-block", _scaled(8, _quad4(t)), [(-16, R.r_ring2), (4, R.r_hat2)]),
-        ("pair-block", _scaled(4, _pair4(t)), [(4, R.r_hat2)]),
+        ("g-block", _kn_terms(c1 * Fraction(-1, 2), g, g), [(-c1 * tau * Fraction(2, 5), g)]),
+        ("tt-block", _kn_terms(4, tt, g), [(tau * Fraction(8, 5), tt), (8, R.r_check)]),
+        ("quad-block", _scaled(8, _quad4(R.t_quad)), [(-16, R.r_ring2), (4, R.r_hat2)]),
+        ("pair-block", [(4, R.s_quad)], [(4, R.r_hat2)]),
         ("tau-block", [(tau * Fraction(12, 5), t)], [(tau * Fraction(12, 5), tt)]),
     ]
     return [

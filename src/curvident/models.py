@@ -4,8 +4,9 @@ Catalog
 -------
 ``_KINDS`` (above ``build``) is the one statement of the model kinds: each
 kind's parameters, the field it takes ("factors" for ``product``,
-"components" for ``explicit``) and its builder.  The schema, ``build`` and
-the CLI catalog all read it; the builders' docstrings describe the models.
+"components" for ``explicit``), its dimension where the kind fixes one, and
+its builder.  The schema, ``build`` and the CLI catalog all read it; the
+builders' docstrings describe the models.
 
 PRNG
 ----
@@ -29,7 +30,13 @@ import numpy as np
 
 from .scalar import Scalar, ScalarParseError
 from .tensor import Tensor, ShapeError, lincomb
-from .curvature import CurvatureTensor, _weyl_terms, validate_curvature
+from .curvature import (
+    CurvatureTensor,
+    CurvatureValidationError,
+    _kn_terms,
+    _weyl_terms,
+    validate_curvature,
+)
 
 
 class ModelSpecError(ValueError):
@@ -80,7 +87,7 @@ class ModelSpec:
         if not isinstance(data, dict):
             raise ModelSpecError(pointer or "/", "expected an object")
         kind = data.get("kind")
-        if kind not in _KINDS:
+        if not isinstance(kind, str) or kind not in _KINDS:
             raise ModelSpecError(f"{pointer}/kind", f"unknown kind {kind!r}")
         for key in data:
             if key not in ("kind", "params", *_FIELDS):
@@ -138,17 +145,19 @@ class ModelSpec:
         spec = ModelSpec(kind=kind, params=params, components=components, factors=factors)
         _require_params(spec, pointer)
         if components is not None:
-            _component_orbits(params["dim"], components, pointer)
+            # checked here, where the spec's pointer is known; build fills them again
+            curvature_from_components(params["dim"], components, pointer)
         return spec
 
 
 def _require_params(spec: ModelSpec, pointer: str = ""):
     """The spec names a kind, exactly that kind's parameters, a dim (if it
-    takes one) in 2..6, and the one field (factors or components) the kind
-    takes, if any."""
+    takes one) in 2..6 (4..6 for random_einstein), the one field (factors or
+    components) the kind takes, if any, and factors that pass these checks
+    and whose dimensions add up to at most 6.  No tensor is built."""
     if spec.kind not in _KINDS:
         raise ModelSpecError(f"{pointer}/kind", f"unknown kind {spec.kind!r}")
-    names, takes, _ = _KINDS[spec.kind]
+    names, takes, _, _ = _KINDS[spec.kind]
     # every parameter of a kind is required, so the required set is also
     # the allowed one
     for key in spec.params:
@@ -165,6 +174,23 @@ def _require_params(spec: ModelSpec, pointer: str = ""):
         if given != (name == takes):
             verb = "takes no" if given else "requires"
             raise ModelSpecError(f"{pointer}/{name}", f"{spec.kind} {verb} {name}")
+    if spec.kind == "random_einstein" and dim < 4:
+        raise ModelSpecError(
+            f"{pointer}/params/dim",
+            f"random_einstein needs dim >= 4 (nontrivial Weyl part), got {dim}",
+        )
+    if takes == "factors":
+        for i, f in enumerate(spec.factors):
+            _require_params(f, f"{pointer}/factors/{i}")
+        if _spec_dim(spec) > 6:
+            raise ModelSpecError(f"{pointer}/factors", f"product dim {_spec_dim(spec)} exceeds 6")
+
+
+def _spec_dim(spec: ModelSpec) -> int:
+    """The dimension of the tensor a checked spec describes."""
+    if spec.kind == "product":
+        return sum(map(_spec_dim, spec.factors))
+    return _KINDS[spec.kind][2] or spec.params["dim"]
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +235,20 @@ def _component_orbits(dim: int, components, pointer: str = "") -> dict:
     return comps
 
 
-def curvature_from_components(dim: int, components) -> CurvatureTensor:
+def curvature_from_components(dim: int, components, pointer: str = "") -> CurvatureTensor:
     """Fill a rank-4 tensor from independent components.
 
     Each listed component R[idx] (1-based indices) is propagated through
     the symmetry group generated by the two antisymmetries and the pair
     interchange; conflicting assignments raise.  First Bianchi is then
-    checked by validation, not imposed.
+    checked by validation, not imposed; a violation raises at
+    ``<pointer>/components``.
     """
-    return validate_curvature(Tensor.from_components(dim, 4, _component_orbits(dim, components)))
+    t = Tensor.from_components(dim, 4, _component_orbits(dim, components, pointer))
+    try:
+        return validate_curvature(t)
+    except CurvatureValidationError as exc:
+        raise ModelSpecError(f"{pointer}/components", str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +256,10 @@ def curvature_from_components(dim: int, components) -> CurvatureTensor:
 # ---------------------------------------------------------------------------
 
 
-def _kn_terms(h: Tensor, c) -> list:
-    """c (h_il h_jk - h_ik h_jl), which is (c/2) (h wedge h), as
-    ``lincomb`` terms."""
-    return [(c, "il,jk->ijkl", h, h), (-c, "ik,jl->ijkl", h, h)]
-
-
 def constant_curvature(dim: int, k) -> CurvatureTensor:
-    """R_ijkl = k (g_il g_jk - g_ik g_jl)."""
-    return CurvatureTensor(lincomb(_kn_terms(Tensor.identity(dim), k)), _validated=True)
+    """R_ijkl = k (g_il g_jk - g_ik g_jl), that is (k/2) g wedge g."""
+    g = Tensor.identity(dim)
+    return CurvatureTensor(lincomb(_kn_terms(Fraction(1, 2) * k, g, g)), _validated=True)
 
 
 def flat(dim: int) -> CurvatureTensor:
@@ -352,7 +378,7 @@ def kulkarni_nomizu_square(h: Tensor) -> Tensor:
     constant-curvature-1 tensor."""
     if h.rank != 2:
         raise ShapeError("kulkarni_nomizu_square expects a rank-2 tensor")
-    return lincomb(_kn_terms(h, 2))
+    return lincomb(_kn_terms(1, h, h))
 
 
 def random_curvature(dim: int, seed: int, n_terms: int = 4) -> CurvatureTensor:
@@ -371,7 +397,8 @@ def random_curvature(dim: int, seed: int, n_terms: int = 4) -> CurvatureTensor:
                 h[i, j] = v
                 h[j, i] = v
         eps = 1 if rng.next_u64() % 2 == 0 else -1
-        terms += _kn_terms(Tensor(dim, h, np.zeros_like(h), 1), 2 * eps)
+        sym = Tensor(dim, h, np.zeros_like(h), 1)
+        terms += _kn_terms(eps, sym, sym)
     return CurvatureTensor(lincomb(terms))
 
 
@@ -380,7 +407,7 @@ def einsteinize(R: CurvatureTensor, k) -> CurvatureTensor:
     rho = (dim-1) k g exactly."""
     if R.dim < 4:
         raise ShapeError("einsteinize needs dim >= 4 (nontrivial Weyl part)")
-    terms = _weyl_terms(R) + _kn_terms(Tensor.identity(R.dim), k)
+    terms = _weyl_terms(R) + _kn_terms(Fraction(1, 2) * k, R.g, R.g)
     return CurvatureTensor(lincomb(terms), _validated=True)
 
 
@@ -389,18 +416,21 @@ def einsteinize(R: CurvatureTensor, k) -> CurvatureTensor:
 # ---------------------------------------------------------------------------
 
 
-# kind -> (its parameters, the field it takes, its builder); ``build``
-# calls the builder with the parameters and the field as keywords
+# kind -> (its parameters, the field it takes, the dimension it fixes, its
+# builder); ``build`` calls the builder with the parameters and the field as
+# keywords.  A kind fixes no dimension when "dim" is one of its parameters
+# or, for product, when its factors' dimensions add up to it.
 _KINDS = {
-    "constant_curvature": (("dim", "k"), None, constant_curvature),
-    "product": ((), "factors", lambda factors: product(*map(build, factors))),
-    "example_5d": (("k",), None, example_5d),
-    "example_6d": (("k",), None, example_6d),
-    "sl3_so3": ((), None, sl3_so3),
-    "nikolayevsky": (("alpha", "beta"), None, nikolayevsky),
-    "explicit": (("dim",), "components", curvature_from_components),
+    "constant_curvature": (("dim", "k"), None, None, constant_curvature),
+    "product": ((), "factors", None, lambda factors: product(*map(build, factors))),
+    "example_5d": (("k",), None, 5, example_5d),
+    "example_6d": (("k",), None, 6, example_6d),
+    "sl3_so3": ((), None, 5, sl3_so3),
+    "nikolayevsky": (("alpha", "beta"), None, 5, nikolayevsky),
+    "explicit": (("dim",), "components", None, curvature_from_components),
     "random_einstein": (
         ("dim", "seed", "n_terms", "k"),
+        None,
         None,
         lambda dim, seed, n_terms, k: einsteinize(random_curvature(dim, seed, n_terms), k),
     ),
@@ -412,7 +442,7 @@ def build(spec: ModelSpec) -> CurvatureTensor:
     """Construct the curvature tensor a spec describes; every output
     passes validation."""
     _require_params(spec)
-    _, takes, builder = _KINDS[spec.kind]
+    _, takes, _, builder = _KINDS[spec.kind]
     fields = {takes: getattr(spec, takes)} if takes else {}
     return builder(**spec.params, **fields)
 

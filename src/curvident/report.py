@@ -45,11 +45,6 @@ from .models import ModelSpec, explicit_spec
 from .tensor import Tensor, lincomb
 
 
-def _patterson_mode(dim: int, r: int) -> str:
-    free_rank = 2 + 2 * (dim - 2 * r)
-    return "free" if free_rank <= Tensor.MAX_RANK else "traced"
-
-
 class _Identity(NamedTuple):
     """An id's dimensions, the hypothesis its random inputs need, and its
     evaluator: R -> reports, or (R, (r, mode) runs) -> reports if ``delta``."""
@@ -115,8 +110,9 @@ def applicable_identities(dim: int) -> list:
 def _resolve(ident: str, dim: int, r=None, mode=None):
     """The table entry of ``ident`` and, for a delta id, its (r, mode) runs in
     ``dim`` (see run_identity); IdentityArgumentError for an unknown id, a
-    dim the id does not apply to, an r out of range, or an r or mode given
-    to an id that takes none."""
+    dim the id does not apply to, an r out of range, an r or mode given
+    to an id that takes none, or mode 'free' where an r's free rank exceeds
+    the maximum tensor rank."""
     entry = _IDENTITIES.get(ident)
     if entry is None:
         raise IdentityArgumentError(f"unknown identity {ident!r}")
@@ -132,8 +128,17 @@ def _resolve(ident: str, dim: int, r=None, mode=None):
         return entry, []
     if r is not None and not 1 <= r <= max_r(dim):
         raise IdentityArgumentError(f"--r {r} out of range 1..{max_r(dim)} for dim {dim}")
-    rs = range(1, max_r(dim) + 1) if r is None else [r]
-    return entry, [(k, mode or _patterson_mode(dim, k)) for k in rs]
+    runs = []
+    for k in range(1, max_r(dim) + 1) if r is None else [r]:
+        # the residual's rank with the leftover index pairs free
+        free_rank = 2 + 2 * (dim - 2 * k)
+        if mode == "free" and free_rank > Tensor.MAX_RANK:
+            raise IdentityArgumentError(
+                f"--mode free at dim {dim}, r={k} gives rank {free_rank}"
+                f" > {Tensor.MAX_RANK}; use --mode traced or a larger --r"
+            )
+        runs.append((k, mode or ("free" if free_rank <= Tensor.MAX_RANK else "traced")))
+    return entry, runs
 
 
 def run_identity(ident: str, R: CurvatureTensor, r=None, mode=None) -> list:

@@ -1,8 +1,13 @@
 """Fixtures shared by the whole test suite."""
 
 import pytest
+from hypothesis import settings
 
 import curvident.delta as delta_mod
+
+# ``pytest tests/test_cli.py -k fuzz --hypothesis-profile=deep`` explores many
+# more inputs than tier-1's fixed few (see the fuzz tests in test_cli.py)
+settings.register_profile("deep", max_examples=1500, deadline=None)
 
 
 @pytest.fixture(scope="session", autouse=True)

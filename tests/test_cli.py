@@ -1,17 +1,20 @@
 """CLI surface: exit codes, verify semantics, export determinism."""
 
 import json
+import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from curvident import cli, identities, report
 from curvident.cli import main
 from curvident.delta import EngineInvariantError
-from curvident.models import KINDS, ModelSpec, _KINDS, build, save_model
+from curvident.tensor import ContractionSpecError, ShapeError
+from curvident.models import KINDS, ModelSpec, _INTEGER_PARAMS, _KINDS, build, save_model
 from curvident.scalar import Scalar
 
 
@@ -257,7 +260,15 @@ def test_bad_delta_arguments_exit2(capsys):
         assert message in captured.err
 
 
-@pytest.mark.parametrize("exc", [EngineInvariantError("broken"), ValueError("broken")])
+@pytest.mark.parametrize(
+    "exc",
+    [
+        EngineInvariantError("broken"),
+        ValueError("broken"),
+        ShapeError("broken"),
+        ContractionSpecError("broken"),
+    ],
+)
 def test_internal_error_exit3(monkeypatch, capsys, exc):
     def fail(*args, **kwargs):
         raise exc
@@ -347,6 +358,10 @@ def test_missing_model_option_exit2(capsys, options, message):
 
 
 _CC3 = {"kind": "constant_curvature", "params": {"dim": 3, "k": "1"}}
+_cc2 = {"kind": "constant_curvature", "params": {"dim": 2, "k": "1"}}
+# antisymmetric in both pairs and pair-symmetric, but not first Bianchi
+_BIANCHI4 = {"kind": "explicit", "params": {"dim": 4},
+             "components": [{"idx": [1, 2, 3, 4], "val": "1"}]}
 
 
 def _explicit3(entry):
@@ -369,6 +384,23 @@ def _explicit3(entry):
          "/factors/1/components/1/idx: index [1, 2, 1, 7] out of range for dim 3"),
         ({"kind": "product", "factors": [_CC3, _explicit3({"idx": [2, 1, 1, 2], "val": "1"})]},
          "/factors/1/components/1: component [2, 1, 1, 2] assigned conflicting values"),
+        # the components fill a tensor that violates first Bianchi
+        (_BIANCHI4, "/components: first Bianchi identity violated at component (1, 2, 3, 4)"),
+        ({"kind": "product", "factors": [_cc2, _BIANCHI4]},
+         "/factors/1/components: first Bianchi identity violated at component (1, 2, 3, 4)"),
+        ({"kind": "product", "factors": [{"kind": "example_5d", "params": {"k": "1"}}, _cc2]},
+         "/factors: product dim 7 exceeds 6"),
+        ({"kind": "product", "factors": [_CC3, {"kind": "product", "factors": [_cc2, _cc2]}]},
+         "/factors: product dim 7 exceeds 6"),
+        ({"kind": "random_einstein", "params": {"dim": 3, "seed": 1, "n_terms": 4, "k": "1"}},
+         "/params/dim: random_einstein needs dim >= 4 (nontrivial Weyl part), got 3"),
+        ({"kind": "product", "factors": [_cc2, {"kind": "random_einstein",
+                                                "params": {"dim": 2, "seed": 1, "n_terms": 4,
+                                                           "k": "1"}}]},
+         "/factors/1/params/dim: random_einstein needs dim >= 4 (nontrivial Weyl part), got 2"),
+        # an exported report's model is read at /model
+        ({"model": _BIANCHI4},
+         "/model/components: first Bianchi identity violated at component (1, 2, 3, 4)"),
     ],
 )
 def test_model_file_schema_violation_exit2(tmp_path, capsys, model, message):
@@ -428,6 +460,30 @@ def test_dimension_out_of_range_exit2(tmp_path, capsys, argv, pointer):
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "--model", "random-einstein", "--dim", "3"),
+         "/params/dim: random_einstein needs dim >= 4 (nontrivial Weyl part), got 3"),
+        (("invariants", "--model", "random-einstein", "--dim", "2"),
+         "/params/dim: random_einstein needs dim >= 4 (nontrivial Weyl part), got 2"),
+        (("random-check", "--dim", "6", "--identity", "patterson", "--r", "1", "--mode", "free"),
+         "--mode free at dim 6, r=1 gives rank 10 > 8"),
+        (("random-check", "--dim", "6", "--identity", "weyl-patterson", "--r", "1", "--mode",
+          "free"), "--mode free at dim 6, r=1 gives rank 10 > 8"),
+    ],
+    ids=["verify-random-einstein-3", "invariants-random-einstein-2", "patterson-free-rank-10",
+         "weyl-patterson-free-rank-10"],
+)
+def test_option_rejected_before_the_engine_exit2(capsys, argv, message):
+    """An option value the engine could not evaluate is rejected where the
+    option is read, naming the option's JSON pointer or the option."""
+    assert run_cli(*argv, *(["-n", "1"] if argv[0] == "random-check" else [])) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "internal error" not in captured.err and "trials:" not in captured.out
+
+
 def test_readme_model_catalog():
     """The README's `Models:` paragraph names exactly the catalog names,
     each with the options that give its kind's parameters."""
@@ -442,3 +498,207 @@ def test_readme_model_catalog():
         for name, (kind, fixed) in cli._CATALOG.items()
     }
     assert documented == expected
+
+
+# -- exit-code fuzz -------------------------------------------------------------
+#
+# Model files are generated from models._KINDS, model options from
+# cli._CATALOG and cli._PARAM_OPTIONS, and random-check options from
+# report._IDENTITIES.  Each input is valid, or valid but for one mutated
+# field; n_terms (--terms) and -n set the amount of work a run does, so they
+# stay small.  Whatever the input, the CLI exits 0, 1 or 2, and an exit 2
+# caused by a model file names a JSON pointer.
+
+# tier-1 runs a fixed, small, derandomized set of examples;
+# ``--hypothesis-profile=deep`` (tests/conftest.py) runs that profile's count
+_DEEP = settings.get_current_profile_name() == "deep"
+_FUZZ = settings(
+    max_examples=settings.default.max_examples if _DEEP else 60,
+    derandomize=not _DEEP,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+
+_HUGE = st.sampled_from([10 ** 20, -(10 ** 20), 2 ** 63, -(2 ** 63) - 1])
+_WRONG_TYPE = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+_SCALAR = st.sampled_from(["0", "1", "2", "-2/3", "1+1*sqrt(3)", "-1-1*sqrt(3)", "0+1/2*sqrt(3)",
+                           "123456789012345678901234567890"])
+_BAD_SCALAR = st.one_of(st.sampled_from(["1/0", "", "x", "1e5", "sqrt(3)", "1/2*sqrt(3)"]),
+                        st.text(alphabet="0123456789+-*/sqrt() ", max_size=8))
+_INTEGERS = {
+    "dim": st.integers(2, 6),
+    "seed": st.one_of(st.integers(-3, 3), _HUGE),
+    "n_terms": st.integers(1, 3),
+}
+_BAD_INTEGERS = {
+    "dim": st.one_of(st.sampled_from([-1, 0, 1, 7]), _HUGE),
+    "seed": st.text(max_size=2),
+    "n_terms": st.sampled_from([-1, 0]),
+}
+
+
+def _value(name, bad=False):
+    if name in _INTEGER_PARAMS:
+        return (_BAD_INTEGERS if bad else _INTEGERS)[name]
+    return _BAD_SCALAR if bad else _SCALAR
+
+
+# the kinds whose shape the file sets (a dim, factors or components), drawn
+# twice as often as the others
+_SHAPED_KINDS = st.sampled_from(sorted(k for k, e in _KINDS.items() if e[1] or "dim" in e[0]))
+
+
+def _component(dim):
+    """A component of an explicit model; an (i, j, i, j) one keeps first
+    Bianchi, one with four distinct indices breaks it unless others mend it."""
+    indices = st.permutations(range(1, dim + 1))
+    idx = st.one_of(indices.map(lambda p: [p[0], p[1], p[0], p[1]]),
+                    indices.map(lambda p: p[:4]) if dim >= 4 else st.nothing())
+    return st.fixed_dictionaries({"idx": idx, "val": _SCALAR})
+
+
+@st.composite
+def _model_json(draw, depth=0):
+    """A model object of a kind from models._KINDS: valid, or valid but for
+    one mutated field (product factors nest two deep)."""
+    kind = draw(st.one_of(st.sampled_from(sorted(_KINDS)), _SHAPED_KINDS))
+    names, takes, _, _ = _KINDS[kind]
+    out = {"kind": kind, "params": {n: draw(_value(n)) for n in names}}
+    if takes == "factors":
+        out["factors"] = [draw(_model_json(depth + 1)) if depth < 2 else {"kind": "sl3_so3"}
+                          for _ in range(2)]
+    if takes == "components":
+        out["components"] = draw(st.lists(_component(out["params"]["dim"]), min_size=1, max_size=3))
+    mutation = draw(st.sampled_from([None] * 12 + ["kind", "param", "missing", "extra", "field",
+                                                   "entry", "type"]))
+    if mutation == "kind":
+        out["kind"] = draw(st.one_of(st.just("nope"), _WRONG_TYPE))
+    elif mutation in ("param", "missing", "type") and names:
+        name = draw(st.sampled_from(names))
+        if mutation == "missing":
+            del out["params"][name]
+        else:
+            out["params"][name] = draw(_WRONG_TYPE if mutation == "type" else _value(name, True))
+    elif mutation == "extra":
+        key = draw(st.sampled_from(["params", "top"]))
+        (out["params"] if key == "params" else out)["extra"] = "1"
+    elif mutation == "field":
+        field = draw(st.sampled_from(["factors", "components", "params"]))
+        out[field] = draw(st.one_of(_WRONG_TYPE, st.just([{"kind": "sl3_so3"}])))
+    elif mutation == "entry" and out.get("components"):
+        entry = out["components"][0]
+        key = draw(st.sampled_from(["idx", "val", "extra"]))
+        entry[key] = draw(st.one_of(_WRONG_TYPE, st.lists(_HUGE, min_size=4, max_size=4)))
+    return out
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(list(argv))
+    except SystemExit as exc:  # argparse rejects the words
+        return exc.code
+
+
+@_FUZZ
+@given(
+    model=_model_json(),
+    as_report=st.booleans(),
+    command=st.sampled_from([("invariants", "--json"), ("verify", "--set", "all")]),
+)
+def test_fuzz_model_file_exit_codes(tmp_path, capsys, model, as_report, command):
+    """Any model file exits 0, 1 or 2, and exit 2 names a JSON pointer."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"model": model} if as_report else model))
+    rc = _exit_code([command[0], "--model", str(path), *command[1:]])
+    err = capsys.readouterr().err
+    event(f"exit {rc}")
+    assert rc in (0, 1, 2), err
+    if rc == 2:
+        assert re.match(r"error: /\S*: ", err), err
+
+
+@st.composite
+def _model_options(draw):
+    """--model with a catalog name and the options of cli._PARAM_OPTIONS its
+    kind needs: valid, or valid but for one mutated option."""
+    name = draw(st.sampled_from(sorted(cli._CATALOG)))
+    kind, fixed = cli._CATALOG[name]
+    options = {cli._PARAM_OPTIONS[k]: draw(_value(k)) for k in _KINDS[kind][0] if k not in fixed}
+    mutation = draw(st.sampled_from([None] * 4 + ["model", "missing", "bad", "extra"]))
+    if mutation == "model":
+        name = "nope"
+    elif mutation == "missing" and options:
+        del options[draw(st.sampled_from(sorted(options)))]
+    elif mutation in ("bad", "extra"):
+        key = draw(st.sampled_from(sorted(cli._PARAM_OPTIONS)))
+        options[cli._PARAM_OPTIONS[key]] = draw(_value(key, bad=mutation == "bad"))
+    return ["--model", name, *(w for o, v in options.items() for w in (o, str(v)))]
+
+
+@_FUZZ
+@given(model=_model_options(), data=st.data())
+def test_fuzz_cli_options_exit_codes(tmp_path, capsys, model, data):
+    """Every model option of invariants, verify and export exits 0, 1 or 2."""
+    ids = st.sampled_from([*report.IDENTITY_IDS, "nope"])
+    command = data.draw(st.sampled_from(["invariants", "verify", "export"]))
+    argv = [command, *model]
+    if command != "invariants" and data.draw(st.booleans()):
+        argv += ["--set", data.draw(st.one_of(st.just("all"), st.lists(ids, max_size=2).map(",".join)))]
+    if command == "verify" and data.draw(st.booleans()):
+        argv += ["--expect-fail", data.draw(ids)]
+    if command != "export" and data.draw(st.booleans()):
+        argv.append("--json")
+    if command == "export":
+        argv += ["--out", str(tmp_path / data.draw(st.sampled_from(["r.json", "no/r.json"])))]
+    rc = _exit_code(argv)
+    captured = capsys.readouterr()
+    event(f"exit {rc}")
+    assert rc in (0, 1, 2), captured.err
+    assert "internal error" not in captured.err
+
+
+# the delta ids, which take --r and --mode, are drawn more often
+_DELTA_IDS = st.sampled_from(sorted(i for i, e in report._IDENTITIES.items() if e.delta))
+
+
+@st.composite
+def _random_check_options(draw):
+    """random-check's options for an id of report._IDENTITIES at one of its
+    dims: valid, or valid but for one mutated option."""
+    ident = draw(st.one_of(st.sampled_from(sorted(report._IDENTITIES)), _DELTA_IDS))
+    entry = report._IDENTITIES[ident]
+    # the largest dim, where the free ranks peak, is drawn more often
+    dim = draw(st.one_of(st.sampled_from(entry.dims), st.just(entry.dims[-1])))
+    options = {"--dim": dim, "--identity": ident, "-n": draw(st.integers(1, 2)),
+               "--terms": draw(st.integers(1, 3)), "--seed": draw(_INTEGERS["seed"])}
+    if entry.delta:
+        if draw(st.booleans()):
+            options["--r"] = draw(st.integers(1, dim // 2))
+        options["--mode"] = draw(st.sampled_from(["auto", "free", "traced"]))
+    bad = {
+        "--dim": st.one_of(st.integers(-1, 7), _HUGE),
+        "--identity": st.just("nope"),
+        "--r": st.one_of(st.integers(-1, 4), _HUGE),
+        "--mode": st.sampled_from(["free", "traced"]),
+        "-n": st.integers(-1, 0),
+        "--terms": st.integers(-1, 0),
+    }
+    mutation = draw(st.sampled_from([None] * 4 + sorted(bad)))
+    if mutation:
+        options[mutation] = draw(bad[mutation])
+    return ["random-check", *(w for o, v in options.items() for w in (o, str(v)))]
+
+
+@_FUZZ
+@given(argv=_random_check_options())
+def test_fuzz_random_check_exit_codes(capsys, argv):
+    """random-check exits 0, 1 or 2 for any --dim, --r, --mode, -n and
+    --terms."""
+    rc = _exit_code(argv)
+    captured = capsys.readouterr()
+    event(f"exit {rc}")
+    assert rc in (0, 1, 2), captured.err
+    assert "internal error" not in captured.err

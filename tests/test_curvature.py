@@ -11,6 +11,7 @@ from curvident.tensor import Tensor, ein
 from curvident.curvature import (
     CurvatureValidationError,
     invariants,
+    jacobi_square_coefficients,
     jacobi_square_trace,
     triple_products,
     two_stein_check,
@@ -252,3 +253,15 @@ def test_cached_pieces_keep_the_tensor_immutable_and_comparable():
     assert R.tau is tau
     assert R == same and hash(R) == hash(same)
     assert "tau" in vars(R) and "tau" not in vars(same)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: random_curvature(5, 3), lambda: random_curvature(6, 4), sl3_so3],
+    ids=["random-dim5", "random-dim6", "sl3_so3"],
+)
+def test_jacobi_square_coefficients_are_a_transpose_of_t(make):
+    """D_pqrs = R_apqb R_brsa, read off as the transpose T_pqsr of R's T."""
+    R = make()
+    direct = ein("apqb,brsa->pqrs", R.tensor, R.tensor)
+    assert not direct.is_zero()
+    assert jacobi_square_coefficients(R) == direct

@@ -676,3 +676,45 @@ def test_evaluate_model_computes_each_piece_once(monkeypatch):
     assert all(r.is_zero for r in reports)
     assert reports[0].residual == einstein6_trace_residual(R).residual
     assert reports[1].residual == einstein6_trace_residual_alt(R).residual
+
+
+# the two-slot R.R contractions every tensor's pieces run: T, S, t_check, ||R||^2
+_RR_PIECES = ("pabq,rabs->pqrs", "abpq,abrs->pqrs", "iabc,jabc->ij", "ijkl,ijkl->")
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: example_5d(1), sl3_so3, lambda: example_6d(1)],
+    ids=["example_5d", "sl3_so3", "example_6d"],
+)
+def test_quadratic_pieces_run_once_per_tensor(monkeypatch, make):
+    """Over one evaluate_model with every applicable id, T and S run once
+    per tensor (R and its Weyl part W), A once per tensor in dim 6 and
+    never in dim 5, F is built once, and no other contraction of two
+    rank-4 operands runs outside the delta engine."""
+    from collections import Counter
+    from functools import cached_property
+
+    from curvident import tensor as tensor_mod
+    from curvident.models import explicit_spec
+    from curvident.report import evaluate_model
+
+    R = make()
+    contracted, built = Counter(), []
+    real_contract, real_f = tensor_mod._contract_terms, CurvatureTensor.f.func
+
+    def contract(subscripts, parts, terms):
+        if [p[0].ndim for p in parts] == [4, 4]:
+            contracted[subscripts] += 1
+        return real_contract(subscripts, parts, terms)
+
+    f = cached_property(lambda self: built.append(self) or real_f(self))
+    f.__set_name__(CurvatureTensor, "f")
+    monkeypatch.setattr(tensor_mod, "_contract_terms", contract)
+    monkeypatch.setattr(CurvatureTensor, "f", f)
+    evaluate_model(explicit_spec(R), R, applicable_identities(R.dim))
+    expected = dict.fromkeys(_RR_PIECES, 2)
+    if R.dim == 6:
+        expected["apqr,astu->pqrstu"] = 2
+    assert contracted == expected
+    assert built == ([R] if R.dim == 6 else [])
+    assert ("a_quad" in vars(R)) == (R.dim == 6)
