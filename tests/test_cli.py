@@ -1,6 +1,8 @@
 """CLI surface: exit codes, verify semantics, export determinism."""
 
+import gc
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -215,6 +217,39 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "gauss_bonnet:   0" in proc.stdout
+
+
+def test_entry_point_export_needs_no_finalizer(tmp_path, capsys):
+    """The command-line entry freezes the import-time heap; the export it
+    writes is the in-process one byte for byte, and no file is left to a
+    finalizer (an unclosed file would print a ResourceWarning)."""
+    argv = ["export", "--model", "example5d", "--k", "1", "--set", "all", "--out"]
+    assert run_cli(*argv, str(tmp_path / "in_process.json")) == 0
+    # the child runs in tmp_path, so it finds curvident by absolute path
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    # -B: the child writes no plan files beside the package
+    proc = subprocess.run(
+        [sys.executable, "-B", "-X", "dev", "-W", "error::ResourceWarning",
+         "-m", "curvident.cli", *argv, "F"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert (tmp_path / "F").read_bytes() == (tmp_path / "in_process.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--model", "flat", "--dim", "5"],
+    ["random-check", "--dim", "4", "--identity", "patterson", "-n", "1"],
+    ["verify", "--model", "nosuch"],
+])
+def test_in_process_main_freezes_nothing(argv, capsys):
+    """Only the process's own command line (argv None) freezes the heap: a
+    freeze here would keep every pending garbage cycle of this process."""
+    before = gc.get_freeze_count()
+    run_cli(*argv)
+    assert gc.get_freeze_count() == before
 
 
 def test_random_check_without_trials_exit2(capsys):
