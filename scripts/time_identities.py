@@ -8,17 +8,21 @@ Each (dim, identity) runs in a fresh Python process that imports
 curvident from this tree's ``src`` and calls the CLI's ``random-check``
 in process once per seed, one trial per call (seeds ``--seed`` to
 ``--seed`` + n - 1, stdout discarded).  The first call pays the cold
-caches (einsum paths, delta plans); the later ones are warm.  Every call
-must exit 0.  The set timed is every identity at every dimension 5 and
+caches (einsum paths, delta plans); the later ones are warm.  Then one
+more call runs the whole campaign, ``-n`` n from ``--seed``, as the
+benchmark's commands do: its trials go through random-check's chunks, so
+it shows what batching them saves against n single calls (its batched
+einsum shapes are new to the process, so it pays their path searches).
+Every call must exit 0.  The set timed is every identity at every dimension 5 and
 6 it applies to, with ``random-check``'s default ``--r`` and ``--mode``,
 except the super-Einstein ones: random Einstein trials do not satisfy
 their hypothesis.
 
 One JSON line goes to stdout: per "dim:identity", ``first_s`` (the first
-call) and ``warm_s`` (the median of the others, null when n is 1), plus
-their sums over the identities the einstein-campaign workload of
-``perfbench/run.py`` runs.  Times are wall clock; nothing is gated on
-them.
+call), ``warm_s`` (the median of the other single calls, null when n is
+1) and ``campaign_s`` (the whole campaign), plus their sums over the
+identities the einstein-campaign workload of ``perfbench/run.py`` runs.
+Times are wall clock; nothing is gated on them.
 """
 
 from __future__ import annotations
@@ -46,20 +50,23 @@ def einstein_campaign_ids() -> list:
 
 
 def time_one(dim: int, ident: str, n: int, seed: int) -> dict:
-    """Wall times of n single-trial ``random-check`` calls in this process."""
+    """Wall times of n single-trial ``random-check`` calls in this process,
+    then of one call running all n trials."""
     from curvident.cli import main
 
     walls = []
-    for s in range(seed, seed + n):
+    for s, trials in [(s, 1) for s in range(seed, seed + n)] + [(seed, n)]:
         argv = ["random-check", "--dim", str(dim), "--identity", ident,
-                "-n", "1", "--seed", str(s)]
+                "-n", str(trials), "--seed", str(s)]
         with contextlib.redirect_stdout(io.StringIO()):
             t0 = time.perf_counter()
             code = main(argv)
             walls.append(time.perf_counter() - t0)
         if code != 0:
             raise SystemExit(f"random-check {' '.join(argv[1:])} exited {code}")
-    return {"first_s": walls[0], "warm_s": statistics.median(walls[1:]) if n > 1 else None}
+    campaign = walls.pop()
+    return {"first_s": walls[0], "warm_s": statistics.median(walls[1:]) if n > 1 else None,
+            "campaign_s": campaign}
 
 
 def timed_ids() -> list:
@@ -100,6 +107,7 @@ def main(argv=None) -> int:
     out["einstein_campaign"] = {
         "first_s": sum(r["first_s"] for r in rows),
         "warm_s": sum(r["warm_s"] for r in rows) if args.n > 1 else None,
+        "campaign_s": sum(r["campaign_s"] for r in rows),
     }
     print(json.dumps(out))
     return 0

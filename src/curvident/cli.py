@@ -21,6 +21,7 @@ import time
 
 from .scalar import Scalar, ScalarParseError
 from .models import (
+    MAX_TERMS,
     ModelSpec,
     ModelSpecError,
     build,
@@ -33,10 +34,11 @@ from .models import (
 from .report import (
     IDENTITY_IDS,
     applicable_identities,
+    chunk_size,
     dump_json,
     evaluate_model,
     report_to_text,
-    run_identity,
+    run_trials,
     _resolve,
 )
 from .identities import IdentityArgumentError, max_r
@@ -181,6 +183,8 @@ def _cmd_random_check(args) -> int:
     ident = args.identity
     if args.n < 1:
         raise IdentityArgumentError(f"-n must be >= 1, got {args.n}")
+    if not 1 <= args.terms <= MAX_TERMS:
+        raise IdentityArgumentError(f"--terms must be in 1..{MAX_TERMS}, got {args.terms}")
     mode = None if args.mode == "auto" else args.mode
     r, label = args.r, ""
     if r is None and _resolve(ident, dim)[0].delta:
@@ -193,15 +197,20 @@ def _cmd_random_check(args) -> int:
 
     n_zero = 0
     failure = None  # (seed, nonzero reports) of the first failing trial
-    for seed in range(args.seed, args.seed + args.n):
-        R = random_curvature(dim, seed, args.terms)
+    seeds, chunk = range(args.seed, args.seed + args.n), chunk_size(ident, dim)
+    for start in range(0, args.n, chunk):
+        # one batched model per chunk of seeds, evaluated at once; a chunk
+        # of one seed is that trial's own tensor, as at -n 1
+        batch = seeds[start : start + chunk]
+        R = random_curvature(dim, batch if len(batch) > 1 else batch[0], args.terms)
         if entry.hypothesis != "universal":
             R = einsteinize(R, Scalar(1))
-        nonzero = [rep for rep in run_identity(ident, R, r, mode) if not rep.is_zero]
-        if not nonzero:
-            n_zero += 1
-        elif failure is None:
-            failure = (seed, nonzero)
+        for seed, reports in zip(batch, run_trials(ident, R, r, mode)):
+            nonzero = [rep for rep in reports if not rep.is_zero]
+            if not nonzero:
+                n_zero += 1
+            elif failure is None:
+                failure = (seed, nonzero)
     print(
         f"identity: {ident}{label}  dim: {dim}  trials: {args.n}"
         f"  zero: {n_zero}  nonzero: {args.n - n_zero}"

@@ -37,11 +37,10 @@ one R's pieces in different evaluators cancel unevaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .scalar import Scalar
 from .tensor import Tensor, ShapeError, ein, lincomb
@@ -60,8 +59,7 @@ class CurvatureValidationError(ValueError):
         super().__init__(f"{identity} violated at component {self.indices}")
 
 
-@dataclass(frozen=True)
-class TSADecomposition:
+class TSADecomposition(NamedTuple):
     """T, S and A (module docstring), the quadratic blocks of the rank-6
     identity."""
 
@@ -115,6 +113,13 @@ class CurvatureTensor:
 
     def __repr__(self):
         return f"CurvatureTensor(dim={self.dim})"
+
+    def split(self) -> list:
+        """The trials of a batched curvature tensor, each validated as a
+        trial of a validated batch is; an unbatched one is its one trial."""
+        if not self.tensor.batch:
+            return [self]
+        return [CurvatureTensor(t, _validated=True) for t in self.tensor.split()]
 
     # -- derived pieces, each computed once ----------------------------------
 
@@ -217,7 +222,8 @@ def _check_symmetries(t: Tensor) -> Tensor:
     for name, rows in _SYMMETRIES:
         diff = lincomb([(c, f"{s}->ijkl", t) for c, s in rows])
         if not diff.is_zero():
-            raise CurvatureValidationError(name, diff.nonzero_indices()[0])
+            # the first offending component, of the first such trial of a batch
+            raise CurvatureValidationError(name, diff.nonzero_indices()[0][-4:])
     return t
 
 
@@ -227,8 +233,7 @@ def validate_curvature(t: Tensor) -> CurvatureTensor:
     return CurvatureTensor(t)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     tau: Scalar
     ricci: Tensor
     ricci_norm_sq: Scalar
@@ -250,12 +255,12 @@ class InvariantReport:
                 return [[v.item(i, j).format() for j in range(v.dim)] for i in range(v.dim)]
             return v if isinstance(v, bool) else v.format()
 
-        return {f.name: value(getattr(self, f.name)) for f in fields(self)}
+        return {name: value(v) for name, v in zip(self._fields, self)}
 
 
 def invariants(R: CurvatureTensor) -> InvariantReport:
     """All scalar and rank-2 invariants of one curvature tensor."""
-    return InvariantReport(**{f.name: getattr(R, f.name) for f in fields(InvariantReport)})
+    return InvariantReport(*(getattr(R, name) for name in InvariantReport._fields))
 
 
 def triple_products(R: CurvatureTensor):
@@ -317,8 +322,7 @@ def _t_terms(t: Tensor) -> list:
     return [(-1, "prsq->pqrs", t), (1, "psrq->pqrs", t)]
 
 
-@dataclass(frozen=True)
-class TwoSteinReport:
+class TwoSteinReport(NamedTuple):
     is_two_stein: bool
     mu1: Optional[Scalar]
     mu2: Optional[Scalar]

@@ -73,8 +73,8 @@ import math
 import os
 import sys
 import zlib
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +92,7 @@ from .tensor import (
 )
 
 
-@dataclass(frozen=True)
-class DeltaBinding:
+class DeltaBinding(NamedTuple):
     """How operand slots and outputs attach to the delta's index slots.
 
     ``lower``/``upper`` map delta slot -> (operand, operand slot); ``traced``

@@ -35,9 +35,8 @@ appendix34            34 term-group equalities plus the sum check against 8x
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -53,8 +52,7 @@ class IdentityArgumentError(ValueError):
     its documented range: an input error, never an identity failure."""
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     identity: str
     hypothesis: str  # universal | einstein | super_einstein
     residual: Tensor
@@ -95,13 +93,15 @@ def _witness(residual: Tensor):
 
 
 def make_report(identity: str, hypothesis: str, residual: Tensor) -> ResidualReport:
+    """The report of a residual; a batched residual is zero when every trial
+    is, and its witnesses come from its split trials (``report.run_trials``)."""
     zero = residual.is_zero()
     return ResidualReport(
         identity=identity,
         hypothesis=hypothesis,
         residual=residual,
         is_zero=zero,
-        witness=None if zero else _witness(residual),
+        witness=None if zero or residual.batch else _witness(residual),
     )
 
 

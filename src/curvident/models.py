@@ -17,18 +17,20 @@ shift-xor-multiply constants 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB.
 i <= j) of a symmetric integer matrix h with entries (next() mod 7) - 3,
 then a sign eps_t = +1 if next() is even else -1.  The term added is
 eps_t * (h wedge h) with (h wedge h)_ijkl = 2 (h_il h_jk - h_ik h_jl).
+Given a sequence of seeds it makes one batched tensor, each trial drawn
+from its own seed exactly as above.  ``n_terms`` is at most ``MAX_TERMS``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from types import MappingProxyType
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .scalar import Scalar, ScalarParseError
+from .scalar import Scalar, ScalarParseError, Scalars
 from .tensor import Tensor, ShapeError, lincomb
 from .curvature import (
     CurvatureTensor,
@@ -57,12 +59,11 @@ def _is_integer(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(NamedTuple):
     """Serializable description of a model space."""
 
     kind: str
-    params: dict = field(default_factory=dict)
+    params: dict = MappingProxyType({})  # read-only: one default shared by all
     components: Optional[tuple] = None
     factors: Optional[tuple] = None
 
@@ -141,18 +142,25 @@ class ModelSpec:
                 except ScalarParseError as exc:
                     raise ModelSpecError(f"{ptr}/val", str(exc)) from None
                 components.append((tuple(idx), val))
-            components = tuple(components)
+            components = _CheckedComponents(components)
         spec = ModelSpec(kind=kind, params=params, components=components, factors=factors)
         _require_params(spec, pointer)
         if components is not None:
-            # checked here, where the spec's pointer is known; build fills them again
-            curvature_from_components(params["dim"], components, pointer)
+            # checked here, where the spec's pointer is known; build reuses it
+            components.curvature = curvature_from_components(params["dim"], components, pointer)
         return spec
+
+
+class _CheckedComponents(tuple):
+    """The components of an explicit model read by ``ModelSpec.from_json``;
+    ``curvature`` is the tensor they were checked as, which ``build`` uses
+    instead of filling them again.  Equal to the plain tuple."""
 
 
 def _require_params(spec: ModelSpec, pointer: str = ""):
     """The spec names a kind, exactly that kind's parameters, a dim (if it
-    takes one) in 2..6 (4..6 for random_einstein), the one field (factors or
+    takes one) in 2..6 (4..6 for random_einstein), an n_terms (if it takes
+    one) in 1..MAX_TERMS, the one field (factors or
     components) the kind takes, if any, and factors that pass these checks
     and whose dimensions add up to at most 6.  No tensor is built."""
     if spec.kind not in _KINDS:
@@ -174,6 +182,8 @@ def _require_params(spec: ModelSpec, pointer: str = ""):
         if given != (name == takes):
             verb = "takes no" if given else "requires"
             raise ModelSpecError(f"{pointer}/{name}", f"{spec.kind} {verb} {name}")
+    if "n_terms" in names:
+        _check_n_terms(spec.params["n_terms"], pointer)
     if spec.kind == "random_einstein" and dim < 4:
         raise ModelSpecError(
             f"{pointer}/params/dim",
@@ -381,24 +391,41 @@ def kulkarni_nomizu_square(h: Tensor) -> Tensor:
     return lincomb(_kn_terms(1, h, h))
 
 
-def random_curvature(dim: int, seed: int, n_terms: int = 4) -> CurvatureTensor:
+# the most terms random_curvature sums: in dim 6 the sampler's tangent map
+# has full rank from 6 terms on, and n_terms sets its time and memory
+MAX_TERMS = 64
+
+
+def _check_n_terms(n_terms, pointer: str = ""):
+    if not 1 <= n_terms <= MAX_TERMS:
+        raise ModelSpecError(
+            f"{pointer}/params/n_terms", f"n_terms must be in 1..{MAX_TERMS}, got {n_terms}"
+        )
+
+
+def random_curvature(dim: int, seed, n_terms: int = 4) -> CurvatureTensor:
     """Sum of n_terms signed Kulkarni-Nomizu squares of random symmetric
     integer matrices (entries in -3..3) drawn from splitmix64(seed).
-    Same seed gives a bit-identical tensor on every platform."""
-    if n_terms < 1:
-        raise ModelSpecError("/params/n_terms", "n_terms must be >= 1")
-    rng = SplitMix64(seed)
+    Same seed gives a bit-identical tensor on every platform.  For a
+    sequence of seeds, the batched tensor of one such trial per seed."""
+    _check_n_terms(n_terms)
+    batched = not isinstance(seed, int)
+    seeds = list(seed) if batched else [seed]
+    upper = np.triu_indices(dim)
+    h = np.zeros((n_terms, len(seeds), dim, dim), np.int64)
+    eps = np.empty((n_terms, len(seeds)), np.int64)
+    for b, s in enumerate(seeds):
+        rng = SplitMix64(s)
+        for t in range(n_terms):
+            h[t, b][upper] = [rng.next_u64() % 7 - 3 for _ in upper[0]]
+            eps[t, b] = 1 if rng.next_u64() % 2 == 0 else -1
+    h += np.triu(h, 1).swapaxes(-1, -2)
     terms = []
-    for _ in range(n_terms):
-        h = np.zeros((dim, dim), dtype=np.int64)
-        for i in range(dim):
-            for j in range(i, dim):
-                v = rng.next_u64() % 7 - 3
-                h[i, j] = v
-                h[j, i] = v
-        eps = 1 if rng.next_u64() % 2 == 0 else -1
-        sym = Tensor(dim, h, np.zeros_like(h), 1)
-        terms += _kn_terms(eps, sym, sym)
+    for h_t, eps_t in zip(h, eps):
+        # term t of every trial at once: its matrices stacked, its signs per trial
+        rat = h_t if batched else h_t[0]
+        sym = Tensor(dim, rat, 0 * rat, 1, batched=batched)
+        terms += _kn_terms(Scalars(eps_t, 0 * eps_t) if batched else int(eps_t[0]), sym, sym)
     return CurvatureTensor(lincomb(terms))
 
 
@@ -416,6 +443,14 @@ def einsteinize(R: CurvatureTensor, k) -> CurvatureTensor:
 # ---------------------------------------------------------------------------
 
 
+def _explicit(dim: int, components) -> CurvatureTensor:
+    """The tensor of explicit components, filled once per file read."""
+    checked = getattr(components, "curvature", None)
+    if checked is not None and checked.dim == dim:
+        return checked
+    return curvature_from_components(dim, components)
+
+
 # kind -> (its parameters, the field it takes, the dimension it fixes, its
 # builder); ``build`` calls the builder with the parameters and the field as
 # keywords.  A kind fixes no dimension when "dim" is one of its parameters
@@ -427,7 +462,7 @@ _KINDS = {
     "example_6d": (("k",), None, 6, example_6d),
     "sl3_so3": ((), None, 5, sl3_so3),
     "nikolayevsky": (("alpha", "beta"), None, 5, nikolayevsky),
-    "explicit": (("dim",), "components", None, curvature_from_components),
+    "explicit": (("dim",), "components", None, _explicit),
     "random_einstein": (
         ("dim", "seed", "n_terms", "k"),
         None,

@@ -11,7 +11,6 @@ wall-clock time is deliberately not part of the file.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .scalar import Scalar
@@ -47,12 +46,15 @@ from .tensor import Tensor, lincomb
 
 class _Identity(NamedTuple):
     """An id's dimensions, the hypothesis its random inputs need, and its
-    evaluator: R -> reports, or (R, (r, mode) runs) -> reports if ``delta``."""
+    evaluator: R -> reports, or (R, (r, mode) runs) -> reports if ``delta``;
+    ``rank`` is the largest rank of a tensor the evaluator builds on a
+    batch (R and its Weyl part for a delta id, whose engine runs per trial)."""
 
     dims: range
     hypothesis: str  # universal | einstein | super_einstein
     evaluate: Callable
     delta: bool = False
+    rank: int = 4
 
 
 def _patterson(R: CurvatureTensor, runs) -> list:
@@ -93,14 +95,24 @@ _IDENTITIES = {
     "thmA-a": _Identity(range(5, 6), "einstein", lambda R: [einstein5_trace_residual(R)]),
     "pa5": _Identity(range(5, 6), "super_einstein", lambda R: [super5_residual(R)]),
     "thmA-b": _Identity(range(5, 6), "super_einstein", lambda R: [super5_trace_residual(R)]),
-    "lemma6": _Identity(range(6, 7), "einstein", lambda R: [einstein6_residual(R)]),
+    "lemma6": _Identity(range(6, 7), "einstein", lambda R: [einstein6_residual(R)], rank=6),
     "thmB-a": _Identity(range(6, 7), "einstein", _thm_b_a),
-    "eq42": _Identity(range(6, 7), "super_einstein", lambda R: [super6_residual(R)]),
+    "eq42": _Identity(range(6, 7), "super_einstein", lambda R: [super6_residual(R)], rank=6),
     "thmB-b": _Identity(range(6, 7), "super_einstein", lambda R: [super6_trace_residual(R)]),
-    "appendix34": _Identity(range(6, 7), "einstein", _appendix34),
+    "appendix34": _Identity(range(6, 7), "einstein", _appendix34, rank=6),
 }
 
 IDENTITY_IDS = tuple(_IDENTITIES)
+
+# random-check evaluates its trials in chunks of B trials, with B * dim**rank
+# at most this many entries for the id's largest tensor: a chunk holds about
+# as much as two dim-6 rank-6 trials, whatever the number of trials
+CHUNK_ENTRIES = 2 * 6 ** 6
+
+
+def chunk_size(ident: str, dim: int) -> int:
+    """The trials per chunk of a random-check of ``ident`` in ``dim``."""
+    return max(1, CHUNK_ENTRIES // dim ** _IDENTITIES[ident].rank)
 
 
 def applicable_identities(dim: int) -> list:
@@ -150,15 +162,42 @@ def run_identity(ident: str, R: CurvatureTensor, r=None, mode=None) -> list:
     return entry.evaluate(R, runs) if entry.delta else entry.evaluate(R)
 
 
-@dataclass
+def run_trials(ident: str, R: CurvatureTensor, r=None, mode=None):
+    """The report lists of the trials of ``R``, in trial order, each what
+    run_identity gives on that trial's own tensor; an unbatched R is one
+    trial.  A non-delta id is evaluated once on a whole batch, and each
+    batched residual is split into its trials' residuals; a delta id runs
+    the delta engine on one trial at a time, and this generator drops a
+    trial's residuals before it evaluates the next."""
+    entry, runs = _resolve(ident, R.dim, r, mode)
+    if entry.delta or not R.tensor.batch:
+        for trial in R.split():
+            yield run_identity(ident, trial, r, mode)
+        return
+    yield from zip(*(
+        [make_report(rep.identity, rep.hypothesis, t) for t in rep.residual.split()]
+        for rep in entry.evaluate(R)
+    ))
+
+
 class RunReport:
-    model: ModelSpec  # resolved to explicit components, see evaluate_model
-    invariants: InvariantReport
-    two_stein: TwoSteinReport
-    gauss_bonnet: Optional[Scalar]
-    residuals: list = field(default_factory=list)
-    expect_fail: tuple = ()
-    elapsed_ms: int = 0
+    """The outcome of one model's run; ``model`` is resolved to explicit
+    components (see evaluate_model), and ``elapsed_ms`` is set by the
+    caller that timed it."""
+
+    __slots__ = ("model", "invariants", "two_stein", "gauss_bonnet", "residuals",
+                 "expect_fail", "elapsed_ms")
+
+    def __init__(self, model: ModelSpec, invariants: InvariantReport, two_stein: TwoSteinReport,
+                 gauss_bonnet: Optional[Scalar], residuals=(), expect_fail: tuple = (),
+                 elapsed_ms: int = 0):
+        self.model = model
+        self.invariants = invariants
+        self.two_stein = two_stein
+        self.gauss_bonnet = gauss_bonnet
+        self.residuals = list(residuals)
+        self.expect_fail = expect_fail
+        self.elapsed_ms = elapsed_ms
 
     def _satisfied(self, hypothesis: str) -> bool:
         if hypothesis == "universal":

@@ -54,14 +54,13 @@ would reach, and the bound, computed with every operand, is the same.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .scalar import Scalar
+from .scalar import Scalar, Scalars, _numerators
 
 _INT64_LIMIT = 2 ** 62
 
@@ -179,22 +178,32 @@ class Tensor:
     every numerator is below 2**62 and Python-int object parts otherwise,
     and an all-zero part always a zero part (``_zero_part``), so the zero
     tensor is two zero parts over denominator 1.
+
+    A batched Tensor (``batched=True``) stacks ``batch`` trials of one dim
+    and rank along a leading axis of its parts, over one shared
+    denominator, with ``_max`` the largest numerator of any trial.  Every
+    ``lincomb`` and ``ein`` takes it (see ``lincomb``); :meth:`split` gives
+    its trials back as canonical unbatched Tensors.  ``batch`` is 0 for an
+    unbatched Tensor.
     """
 
-    __slots__ = ("dim", "rank", "_rat", "_irr", "_den", "_max", "_delta")
+    __slots__ = ("dim", "rank", "batch", "_rat", "_irr", "_den", "_max", "_delta")
 
     MAX_RANK = 8
 
-    def __init__(self, dim: int, rat, irr, den: int = 1):
+    def __init__(self, dim: int, rat, irr, den: int = 1, batched: bool = False):
         if not 2 <= dim <= 6:
             raise ShapeError(f"dim must be in 2..6, got {dim}")
         rat = np.asarray(rat)
         irr = np.asarray(irr)
         if rat.shape != irr.shape:
             raise ShapeError("rational/irrational parts have different shapes")
-        if rat.ndim > self.MAX_RANK:
-            raise ShapeError(f"rank {rat.ndim} exceeds maximum {self.MAX_RANK}")
-        if any(s != dim for s in rat.shape):
+        batch = rat.shape[0] if batched and rat.ndim else 0
+        if batched and not batch:
+            raise ShapeError("a batched tensor needs a leading axis of at least one trial")
+        if rat.ndim - batched > self.MAX_RANK:
+            raise ShapeError(f"rank {rat.ndim - batched} exceeds maximum {self.MAX_RANK}")
+        if any(s != dim for s in rat.shape[batched:]):
             raise ShapeError(f"array shape {rat.shape} does not match dim {dim}")
         den = int(den)
         if den <= 0:
@@ -215,7 +224,8 @@ class Tensor:
         for arr in (rat, irr):
             arr.setflags(write=False)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rank", rat.ndim)
+        object.__setattr__(self, "rank", rat.ndim - batched)
+        object.__setattr__(self, "batch", batch)
         object.__setattr__(self, "_rat", rat)
         object.__setattr__(self, "_irr", irr)
         object.__setattr__(self, "_den", int(den))
@@ -262,11 +272,19 @@ class Tensor:
             irr[idx] = int(s.irr * den)
         return cls(dim, rat, irr, den)
 
+    def split(self) -> list:
+        """The trials of a batched Tensor, each a canonical unbatched Tensor."""
+        if not self.batch:
+            raise ShapeError("split needs a batched tensor")
+        return [Tensor(self.dim, a, b, self._den) for a, b in zip(self._rat, self._irr)]
+
     # -- component access ----------------------------------------------------
 
     def item(self, *idx) -> Scalar:
         if len(idx) == 1 and isinstance(idx[0], (tuple, list)):
             idx = tuple(idx[0])
+        if self.batch:
+            raise ShapeError("a batched tensor has no single component; split it")
         if len(idx) != self.rank:
             raise ShapeError(f"expected {self.rank} indices, got {len(idx)}")
         return Scalar(
@@ -277,9 +295,12 @@ class Tensor:
     def __getitem__(self, idx) -> Scalar:
         return self.item(idx if isinstance(idx, tuple) else (idx,))
 
-    def to_scalar(self) -> Scalar:
+    def to_scalar(self):
+        """The value of a rank-0 Tensor: a Scalar, or per trial a Scalars."""
         if self.rank != 0:
             raise ShapeError("to_scalar requires a rank-0 tensor")
+        if self.batch:
+            return Scalars(self._rat, self._irr, self._den)
         return self.item()
 
     def nonzero_indices(self):
@@ -296,10 +317,10 @@ class Tensor:
     def equals(self, other: "Tensor") -> bool:
         if not isinstance(other, Tensor):
             raise TypeError("can only compare Tensor with Tensor")
-        if self.dim != other.dim or self.rank != other.rank:
+        if (self.dim, self.rank, self.batch) != (other.dim, other.rank, other.batch):
             raise ShapeError(
-                f"shape mismatch: dim {self.dim} rank {self.rank} vs "
-                f"dim {other.dim} rank {other.rank}"
+                f"shape mismatch: dim {self.dim} rank {self.rank} batch {self.batch} vs "
+                f"dim {other.dim} rank {other.rank} batch {other.batch}"
             )
         # storage is canonical (gcd-reduced, positive den, all-zero sqrt(3)
         # parts as zero parts), so compare directly
@@ -347,15 +368,16 @@ class Tensor:
 
     def _delta_numerator(self) -> int:
         """n when this Tensor is the rational multiple (n / den) * I of the
-        identity matrix, n != 0; 0 otherwise.  Read from the data on the
-        first call and memoised."""
+        identity matrix, n != 0, in every trial if it is batched; 0
+        otherwise.  Read from the data on the first call and memoised."""
         n = self._delta
         if n is None:
             n, rat = 0, self._rat
             if self.rank == 2 and _is_zero_part(self._irr):
-                diag = rat.diagonal()
-                if diag[0] and (diag == diag[0]).all() and np.count_nonzero(rat) == self.dim:
-                    n = int(diag[0])
+                diag = np.diagonal(rat, axis1=-2, axis2=-1)
+                n0 = diag.flat[0]
+                if n0 and (diag == n0).all() and np.count_nonzero(rat) == diag.size:
+                    n = int(n0)
             object.__setattr__(self, "_delta", n)
         return n
 
@@ -406,7 +428,8 @@ class Tensor:
         return cls.from_components(dim, rank, comps)
 
     def __repr__(self):
-        return f"Tensor(dim={self.dim}, rank={self.rank})"
+        batch = f", batch={self.batch}" if self.batch else ""
+        return f"Tensor(dim={self.dim}, rank={self.rank}{batch})"
 
 
 def tensors_equal(a: Tensor, b: Tensor) -> bool:
@@ -528,22 +551,30 @@ def _einsum_shape(subscripts: str, tensors) -> tuple:
 
 
 def _coefficient(c) -> tuple:
-    """(x, y, q) with c = (x + y*sqrt 3)/q, integers x and y and q > 0."""
-    if type(c) is int:
-        return c, 0, 1
-    if isinstance(c, Fraction):
-        return c.numerator, 0, c.denominator
-    s = c if isinstance(c, Scalar) else Scalar(c)
-    q = math.lcm(s.rat.denominator, s.irr.denominator)
-    return int(s.rat * q), int(s.irr * q), q
+    """(x, y, q) of a lincomb coefficient, as ``scalar._numerators`` gives
+    it; any other type is read as ``Scalar(c)``."""
+    return _numerators(c) or _numerators(Scalar(c))
 
 
-def _add_into(target, v, k: int, tmp=None):
+def _nonzero(k) -> bool:
+    """Whether an integer, or a per-trial vector of them, is not all zero."""
+    return bool(k) if type(k) is int else bool(np.count_nonzero(k))
+
+
+def _magnitude(x, y) -> int:
+    """|x| + 3|y|, largest over the trials of per-trial vectors."""
+    if type(x) is int:
+        return abs(x) + 3 * abs(y)
+    return int(max(abs(x) + 3 * abs(y)))
+
+
+def _add_into(target, v, k, tmp=None):
     """``target += k * v`` in place; ``k * v`` goes through the scratch
-    array ``tmp`` when one is given."""
-    if k == 1:
+    array ``tmp`` when one is given.  ``k`` is an int or per-trial factors
+    shaped to broadcast against ``target``."""
+    if type(k) is int and k == 1:
         target += v
-    elif k == -1:
+    elif type(k) is int and k == -1:
         target -= v
     else:
         target += np.multiply(v, k, out=tmp)
@@ -551,6 +582,21 @@ def _add_into(target, v, k: int, tmp=None):
 
 _DELTA_SLOTS: dict = {}
 _DELTA_SPLITS: dict = {}
+_BATCHED: dict = {}
+
+
+def _batched(subscripts: str, batched: tuple, lead: int = 0) -> str:
+    """``subscripts`` with a new letter, the trial axis, put in front of the
+    token of every operand flagged in ``batched`` and at position ``lead``
+    of the output; unflagged operands broadcast over it."""
+    key = (subscripts, batched, lead)
+    out = _BATCHED.get(key)
+    if out is None:
+        lhs, rhs = subscripts.split("->")
+        z = next(c for c in _LETTERS if c not in subscripts)
+        tokens = [z + tok if b else tok for tok, b in zip(lhs.split(","), batched)]
+        out = _BATCHED[key] = ",".join(tokens) + "->" + rhs[:lead] + z + rhs[lead:]
+    return out
 
 
 def _delta_slots(subscripts: str) -> tuple:
@@ -629,9 +675,19 @@ def lincomb(terms) -> Tensor:
     contracted: c joins the coefficient and the rest of the term is added
     into the diagonal view q = p of the accumulators.  Each entry of that smaller
     einsum times c's numerator is an entry of the full one, so the bound
-    and the int64/object choice are those of the full einsum."""
+    and the int64/object choice are those of the full einsum.
+
+    Batches: an operand may be a batched Tensor and a coefficient a
+    per-trial ``Scalars``, all of one batch size B; then the result is
+    batched too.  An einsum term gives each batched operand's token and
+    the output one more letter, the trial axis, and its unbatched operands
+    (``g``, say) broadcast over it; a per-trial coefficient multiplies each
+    trial's slice of its term.  The bound takes each term's largest
+    coefficient and operand over the trials, so it bounds every trial's
+    partial sums; a batched operand is c * I when every trial holds the same
+    c * I."""
     # pass 1: metadata only
-    plan, shapes, den = [], set(), 1
+    plan, shapes, batches, den = [], set(), set(), 1
     for coeff, *spec in _merge_like_terms(terms):
         if spec and isinstance(spec[0], str):
             subscripts, *ops = spec
@@ -644,32 +700,43 @@ def lincomb(terms) -> Tensor:
             dim, rank, bound = t.dim, t.rank, t._max
         shapes.add((dim, rank))
         x, y, q = _coefficient(coeff)
-        if (x or y) and all(t._max for t in ops):
+        batches.update(t.batch for t in ops if t.batch)
+        if type(x) is not int:
+            batches.add(len(x))
+        if (_nonzero(x) or _nonzero(y)) and all(t._max for t in ops):
             for t in ops:
                 q *= t._den
-            view, slots = None, subscripts and _delta_slots(subscripts)
+            view, trail, slots = None, rank, subscripts and _delta_slots(subscripts)
             deltas = slots and tuple(i for i in slots if ops[i]._delta_numerator())
             if deltas:
                 # bound counts max(|n_i|, 1) = |n_i| for each multiple of I
                 n = math.prod(ops[i]._delta_numerator() for i in deltas)
                 x, y, bound = x * n, y * n, bound // abs(n)
                 view, subscripts = _delta_split(subscripts, deltas)
+                # each dropped token pq turns two output letters into one
+                # view axis; the reduced einsum fills the trailing axes
+                trail = rank - 2 * len(deltas)
                 keep = [i for i in range(len(ops)) if i not in deltas]
                 ops = [ops[i] for i in keep]
                 products = [(tuple(c[i] for i in keep), w, side) for c, w, side in products]
-            plan.append((x, y, q, bound, subscripts, ops, products, view))
+            if subscripts and any(t.batch for t in ops):
+                subscripts = _batched(subscripts, tuple(bool(t.batch) for t in ops))
+            plan.append((x, y, q, _magnitude(x, y) * bound, subscripts, ops, products, view, trail))
             den = math.lcm(den, q)
     if len(shapes) != 1:
         raise ShapeError(f"lincomb needs terms of one (dim, rank), got {sorted(shapes)}")
+    if len(batches) > 1:
+        raise ShapeError(f"lincomb needs one batch size, got {sorted(batches)}")
     ((dim, rank),) = shapes
-    total = sum(den // q * (abs(x) + 3 * abs(y)) * b for x, y, q, b, *_ in plan)
+    (batch,) = batches or (0,)
+    total = sum(den // q * b for _, _, q, b, *_ in plan)
     use_object = total >= _INT64_LIMIT
     dtype = object if use_object else np.int64
 
     # pass 2: one term at a time into the two accumulators
-    shape = (dim,) * rank
-    acc, tmp = [None, None], np.empty(shape, dtype)
-    for x, y, q, _, subscripts, ops, products, view in plan:
+    shape = (batch,) * bool(batch) + (dim,) * rank
+    acc, tmp = [None, None], None
+    for x, y, q, _, subscripts, ops, products, view, trail in plan:
         parts = [t._parts(use_object) for t in ops]
         if subscripts is None:
             a, b = (None if _is_zero_part(p) else p for p in parts[0])
@@ -677,24 +744,39 @@ def lincomb(terms) -> Tensor:
             a, b = np.ones((), dtype), None
         else:
             a, b = _contract_terms(subscripts, parts, products)
+        if view is not None and batch:
+            # the trial axis sits after the (rank - trail) / 2 kept axes,
+            # before the ones the reduced einsum fills
+            view = _batched(view, (True,), (rank - trail) // 2)
         f = den // q
         # (x + y sqrt3)(a + b sqrt3) = (x a + 3 y b) + (y a + x b) sqrt3
         for v, k, side in ((a, f * x, 0), (b, 3 * f * y, 0), (a, f * y, 1), (b, f * x, 1)):
-            if v is None or not k:
+            if v is None or not _nonzero(k):
                 continue
+            if type(k) is not int:
+                # one factor per trial, broadcast over the trial's entries
+                k = np.asarray(k, dtype).reshape((batch,) + (1,) * trail)
             if view is not None:
                 if acc[side] is None:
                     acc[side] = np.zeros(shape, dtype)
                 _add_into(np.einsum(view, acc[side]), v, k)
             elif acc[side] is None:
                 # a new array, never ``v`` itself, which may be a view of an
-                # operand; 0-d arithmetic decays to a scalar, so re-wrap it
-                acc[side] = np.asarray(k * v, dtype)
+                # operand; 0-d arithmetic decays to a scalar, so re-wrap it;
+                # an unbatched first term is broadcast over the trials
+                first = np.asarray(k * v, dtype)
+                if first.shape != shape:
+                    first = np.array(np.broadcast_to(first, shape))
+                acc[side] = first
             else:
+                if tmp is None and not (type(k) is int and abs(k) == 1):
+                    # made only when a term needs it: a rank-6 scratch array
+                    # made for every call is fresh memory to fault in again
+                    tmp = np.empty(shape, dtype)
                 _add_into(acc[side], v, k, tmp)
         del parts, a, b
     rat, irr = (_zero_part(shape, dtype) if v is None else v for v in acc)
-    return Tensor(dim, rat, irr, den)
+    return Tensor(dim, rat, irr, den, batched=bool(batch))
 
 
 def ein(subscripts: str, *tensors: Tensor) -> Tensor:
@@ -711,17 +793,15 @@ def ein(subscripts: str, *tensors: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ContractionSpec:
-    """Einstein-summation plan over one or more operands.
+    """Einstein-summation plan over one or more operands; immutable.
 
     ``pairs`` binds operand slots in twos, ``(op, slot)`` both 0-based;
     within-operand pairs trace.  ``free`` lists the surviving slots in
     output order.  Every operand slot must appear exactly once.
     """
 
-    pairs: tuple
-    free: tuple
+    __slots__ = ("pairs", "free")
 
     def __init__(self, pairs: Iterable, free: Iterable):
         object.__setattr__(
@@ -730,6 +810,20 @@ class ContractionSpec:
             tuple((tuple(p[0]), tuple(p[1])) for p in pairs),
         )
         object.__setattr__(self, "free", tuple(tuple(f) for f in free))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ContractionSpec is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, ContractionSpec):
+            return NotImplemented
+        return (self.pairs, self.free) == (other.pairs, other.free)
+
+    def __hash__(self):
+        return hash((self.pairs, self.free))
+
+    def __repr__(self):
+        return f"ContractionSpec(pairs={self.pairs!r}, free={self.free!r})"
 
     def validate(self, operands: Sequence[Tensor]):
         seen = set()

@@ -16,7 +16,8 @@ from curvident import cli, identities, report
 from curvident.cli import main
 from curvident.delta import EngineInvariantError
 from curvident.tensor import ContractionSpecError, ShapeError
-from curvident.models import KINDS, ModelSpec, _INTEGER_PARAMS, _KINDS, build, save_model
+from curvident import models
+from curvident.models import KINDS, MAX_TERMS, ModelSpec, _INTEGER_PARAMS, _KINDS, build, save_model
 from curvident.scalar import Scalar
 
 
@@ -436,6 +437,14 @@ def _explicit3(entry):
         # an exported report's model is read at /model
         ({"model": _BIANCHI4},
          "/model/components: first Bianchi identity violated at component (1, 2, 3, 4)"),
+        # n_terms above MAX_TERMS, at the top level and inside a factor
+        ({"kind": "random_einstein",
+          "params": {"dim": 5, "seed": 1, "n_terms": MAX_TERMS + 1, "k": "1"}},
+         f"/params/n_terms: n_terms must be in 1..{MAX_TERMS}, got {MAX_TERMS + 1}"),
+        ({"kind": "product", "factors": [{"kind": "random_einstein",
+                                          "params": {"dim": 4, "seed": 1, "n_terms": 10 ** 9,
+                                                     "k": "1"}}, _cc2]},
+         f"/factors/0/params/n_terms: n_terms must be in 1..{MAX_TERMS}, got 1000000000"),
     ],
 )
 def test_model_file_schema_violation_exit2(tmp_path, capsys, model, message):
@@ -506,9 +515,16 @@ def test_dimension_out_of_range_exit2(tmp_path, capsys, argv, pointer):
          "--mode free at dim 6, r=1 gives rank 10 > 8"),
         (("random-check", "--dim", "6", "--identity", "weyl-patterson", "--r", "1", "--mode",
           "free"), "--mode free at dim 6, r=1 gives rank 10 > 8"),
+        (("random-check", "--dim", "6", "--identity", "lemma6", "--terms", str(MAX_TERMS + 1)),
+         f"--terms must be in 1..{MAX_TERMS}, got {MAX_TERMS + 1}"),
+        (("random-check", "--dim", "5", "--identity", "patterson", "--terms", "0"),
+         f"--terms must be in 1..{MAX_TERMS}, got 0"),
+        (("invariants", "--model", "random-einstein", "--dim", "5", "--terms", "1000000000"),
+         f"/params/n_terms: n_terms must be in 1..{MAX_TERMS}, got 1000000000"),
     ],
     ids=["verify-random-einstein-3", "invariants-random-einstein-2", "patterson-free-rank-10",
-         "weyl-patterson-free-rank-10"],
+         "weyl-patterson-free-rank-10", "random-check-terms-above", "random-check-terms-zero",
+         "invariants-terms-above"],
 )
 def test_option_rejected_before_the_engine_exit2(capsys, argv, message):
     """An option value the engine could not evaluate is rejected where the
@@ -541,8 +557,9 @@ def test_readme_model_catalog():
 # cli._CATALOG and cli._PARAM_OPTIONS, and random-check options from
 # report._IDENTITIES.  Each input is valid, or valid but for one mutated
 # field; n_terms (--terms) and -n set the amount of work a run does, so they
-# stay small.  Whatever the input, the CLI exits 0, 1 or 2, and an exit 2
-# caused by a model file names a JSON pointer.
+# stay small, or sit at or just past n_terms's bound MAX_TERMS.  Whatever the
+# input, the CLI exits 0, 1 or 2, and an exit 2 caused by a model file names
+# a JSON pointer.
 
 # tier-1 runs a fixed, small, derandomized set of examples;
 # ``--hypothesis-profile=deep`` (tests/conftest.py) runs that profile's count
@@ -566,12 +583,12 @@ _BAD_SCALAR = st.one_of(st.sampled_from(["1/0", "", "x", "1e5", "sqrt(3)", "1/2*
 _INTEGERS = {
     "dim": st.integers(2, 6),
     "seed": st.one_of(st.integers(-3, 3), _HUGE),
-    "n_terms": st.integers(1, 3),
+    "n_terms": st.one_of(st.integers(1, 3), st.just(MAX_TERMS)),
 }
 _BAD_INTEGERS = {
     "dim": st.one_of(st.sampled_from([-1, 0, 1, 7]), _HUGE),
     "seed": st.text(max_size=2),
-    "n_terms": st.sampled_from([-1, 0]),
+    "n_terms": st.one_of(st.sampled_from([-1, 0, MAX_TERMS + 1]), _HUGE),
 }
 
 
@@ -708,7 +725,7 @@ def _random_check_options(draw):
     # the largest dim, where the free ranks peak, is drawn more often
     dim = draw(st.one_of(st.sampled_from(entry.dims), st.just(entry.dims[-1])))
     options = {"--dim": dim, "--identity": ident, "-n": draw(st.integers(1, 2)),
-               "--terms": draw(st.integers(1, 3)), "--seed": draw(_INTEGERS["seed"])}
+               "--terms": draw(_INTEGERS["n_terms"]), "--seed": draw(_INTEGERS["seed"])}
     if entry.delta:
         if draw(st.booleans()):
             options["--r"] = draw(st.integers(1, dim // 2))
@@ -719,7 +736,7 @@ def _random_check_options(draw):
         "--r": st.one_of(st.integers(-1, 4), _HUGE),
         "--mode": st.sampled_from(["free", "traced"]),
         "-n": st.integers(-1, 0),
-        "--terms": st.integers(-1, 0),
+        "--terms": _BAD_INTEGERS["n_terms"],
     }
     mutation = draw(st.sampled_from([None] * 4 + sorted(bad)))
     if mutation:
@@ -737,3 +754,47 @@ def test_fuzz_random_check_exit_codes(capsys, argv):
     event(f"exit {rc}")
     assert rc in (0, 1, 2), captured.err
     assert "internal error" not in captured.err
+
+
+# -- random-check's chunks ------------------------------------------------------
+
+# stdout, stderr and exit code of random-check, recorded before random-check
+# evaluated its trials in chunks: every non-delta id at n = 1, chunk - 1 and
+# chunk + 1, at the dim it does not apply to, the negative controls
+# (super-Einstein ids exit 1 with the first failing seed's witnesses), other
+# --terms, and a few delta-id campaigns
+_GOLDEN = json.loads((Path(__file__).resolve().parent / "random_check_golden.json").read_text())
+
+
+def test_golden_table_crosses_each_chunk_boundary():
+    """The table's trial counts are the chunk sizes it was written for, one
+    below and one above: 149 trials in dim 5, 72 for rank-4 ids in dim 6 and
+    2 for rank-6 ids."""
+    want = {"lemma5": 149, "thmA-a": 149, "pa5": 149, "thmA-b": 149, "thmB-a": 72,
+            "thmB-b": 72, "lemma6": 2, "eq42": 2, "appendix34": 2}
+    for ident, chunk in want.items():
+        dim = report._IDENTITIES[ident].dims[0]
+        assert report.chunk_size(ident, dim) == chunk
+        counts = {int(row["argv"][6]) for row in _GOLDEN if row["argv"][4] == ident
+                  and row["argv"][2] == str(dim)}
+        assert {chunk - 1, chunk + 1} <= counts
+
+
+@pytest.mark.parametrize("row", _GOLDEN, ids=lambda row: " ".join(row["argv"][1:]))
+def test_random_check_golden_table(capsys, row):
+    assert main(list(row["argv"])) == row["code"]
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (row["stdout"], row["stderr"])
+
+
+def test_explicit_model_file_is_filled_once(tmp_path, monkeypatch, capsys):
+    """Reading an explicit model fills and validates its components once;
+    build uses that tensor."""
+    path = tmp_path / "m.json"
+    save_model(models.explicit_spec(models.example_5d(1)), path)
+    calls = []
+    fill = models.curvature_from_components
+    monkeypatch.setattr(models, "curvature_from_components",
+                        lambda *a, **k: calls.append(a) or fill(*a, **k))
+    assert run_cli("verify", "--model", str(path), "--set", "lemma5") == 0
+    assert len(calls) == 1
