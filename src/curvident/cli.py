@@ -199,10 +199,9 @@ def _cmd_random_check(args) -> int:
     failure = None  # (seed, nonzero reports) of the first failing trial
     seeds, chunk = range(args.seed, args.seed + args.n), chunk_size(ident, dim)
     for start in range(0, args.n, chunk):
-        # one batched model per chunk of seeds, evaluated at once; a chunk
-        # of one seed is that trial's own tensor, as at -n 1
+        # one batched model per chunk of seeds, evaluated at once
         batch = seeds[start : start + chunk]
-        R = random_curvature(dim, batch if len(batch) > 1 else batch[0], args.terms)
+        R = random_curvature(dim, batch, args.terms)
         if entry.hypothesis != "universal":
             R = einsteinize(R, Scalar(1))
         for seed, reports in zip(batch, run_trials(ident, R, r, mode)):

@@ -57,7 +57,16 @@ class ResidualReport(NamedTuple):
     hypothesis: str  # universal | einstein | super_einstein
     residual: Tensor
     is_zero: bool
-    witness: Optional[tuple]  # ((1-based indices), Scalar) if nonzero
+
+    @property
+    def witness(self) -> Optional[tuple]:
+        """((1-based indices), Scalar) of a nonzero unbatched residual, found
+        on each read, so only a report that is shown pays for it; else None.
+        A batched residual's witnesses come from its split trials
+        (``report.run_trials``)."""
+        if self.is_zero or self.residual.batch:
+            return None
+        return _witness(self.residual)
 
     def to_json(self) -> dict:
         out = {
@@ -65,8 +74,9 @@ class ResidualReport(NamedTuple):
             "hypothesis": self.hypothesis,
             "is_zero": self.is_zero,
         }
-        if self.witness is not None:
-            idx, val = self.witness
+        witness = self.witness
+        if witness is not None:
+            idx, val = witness
             out["witness"] = {"idx": list(idx), "val": val.format()}
         return out
 
@@ -94,15 +104,8 @@ def _witness(residual: Tensor):
 
 def make_report(identity: str, hypothesis: str, residual: Tensor) -> ResidualReport:
     """The report of a residual; a batched residual is zero when every trial
-    is, and its witnesses come from its split trials (``report.run_trials``)."""
-    zero = residual.is_zero()
-    return ResidualReport(
-        identity=identity,
-        hypothesis=hypothesis,
-        residual=residual,
-        is_zero=zero,
-        witness=None if zero or residual.batch else _witness(residual),
-    )
+    is."""
+    return ResidualReport(identity, hypothesis, residual, residual.is_zero())
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +465,8 @@ def gauss_bonnet_integrand_6(R: CurvatureTensor) -> Scalar:
       + 8 R_abcd R_aucv R_bvdu - 2 R_abcd R_abuv R_cduv
 
     (the integral of this over a compact oriented 6-manifold is
-    384 pi^3 chi).
+    384 pi^3 chi).  On a batch, one bracket per trial in a batched rank-0
+    Tensor.
     """
     _check_dim(R, 6, "the Euler integrand bracket")
     t, ricci, tau = R.tensor, R.ricci, R.tau

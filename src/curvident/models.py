@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .scalar import Scalar, ScalarParseError, Scalars
+from .scalar import Scalar, ScalarParseError
 from .tensor import Tensor, ShapeError, lincomb
 from .curvature import (
     CurvatureTensor,
@@ -425,7 +425,8 @@ def random_curvature(dim: int, seed, n_terms: int = 4) -> CurvatureTensor:
         # term t of every trial at once: its matrices stacked, its signs per trial
         rat = h_t if batched else h_t[0]
         sym = Tensor(dim, rat, 0 * rat, 1, batched=batched)
-        terms += _kn_terms(Scalars(eps_t, 0 * eps_t) if batched else int(eps_t[0]), sym, sym)
+        sign = Tensor(dim, eps_t, 0 * eps_t, 1, batched=True) if batched else int(eps_t[0])
+        terms += _kn_terms(sign, sym, sym)
     return CurvatureTensor(lincomb(terms))
 
 

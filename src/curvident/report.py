@@ -280,9 +280,9 @@ def report_to_text(run: RunReport, tables: bool = True) -> str:
         lines.append(f"gauss_bonnet:   {run.gauss_bonnet.format()}")
     for rep in run.residuals:
         status = "zero" if rep.is_zero else "NONZERO"
-        extra = ""
-        if rep.witness is not None:
-            idx, val = rep.witness
+        witness, extra = rep.witness, ""
+        if witness is not None:
+            idx, val = witness
             extra = f"  witness {list(idx)} = {val.format()}"
         ok = "ok" if run.report_ok(rep) else "FAIL"
         lines.append(

@@ -12,15 +12,17 @@ The text form used everywhere (JSON files, CLI output) is::
 
 e.g. ``-3/2``, ``1/2+1/2*sqrt(3)``, ``0-1*sqrt(3)``.  Formatting then
 reparsing is the identity.
+
+A Scalar is one value.  One value per trial of a batch, such as tau or
+||R||^2 of a batched curvature tensor, is a batched rank-0 Tensor: its
+``to_scalar`` returns it, and its +, - and * (with another one, or with a
+Scalar, Fraction or int) are ``tensor.lincomb``'s exact arithmetic.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
-
-import numpy as np
 
 
 class ScalarParseError(ValueError):
@@ -200,98 +202,10 @@ class Scalar:
 
 def _coerce(x):
     """``x`` as a Scalar, or None for a type a Scalar does not combine with
-    (the operator then returns NotImplemented, so ``Scalars`` and Python's
-    TypeError take over)."""
+    (the operator then returns NotImplemented, so a Tensor's reflected
+    operator and Python's TypeError take over)."""
     if isinstance(x, Scalar):
         return x
     if isinstance(x, (int, Fraction)):
         return Scalar(x)
     return None
-
-
-def _numerators(c):
-    """(x, y, q) with c = (x + y*sqrt 3)/q and q > 0: integers for an int,
-    Fraction or Scalar, per-trial vectors over one q for a Scalars; None for
-    another type."""
-    if type(c) is int:
-        return c, 0, 1
-    if isinstance(c, Fraction):
-        return c.numerator, 0, c.denominator
-    if isinstance(c, Scalars):
-        return c.x, c.y, c.q
-    s = _coerce(c)
-    if s is None:
-        return None
-    q = math.lcm(s.rat.denominator, s.irr.denominator)
-    return int(s.rat * q), int(s.irr * q), q
-
-
-class Scalars:
-    """One element of Q(sqrt 3) per trial of a batch, b = 0..B-1:
-    (x_b + y_b*sqrt 3)/q, with x and y one-dimensional object arrays of
-    Python ints and one common denominator q > 0, gcd-reduced.
-
-    A batched rank-0 Tensor's ``to_scalar`` returns one, and ``lincomb``
-    takes one as a per-trial coefficient.  +, - and * combine it trial by
-    trial with another Scalars of the same length, or with the same
-    Scalar, Fraction or int in every trial.
-    """
-
-    __slots__ = ("x", "y", "q")
-
-    def __init__(self, x, y, q: int = 1):
-        x, y = (np.asarray(v).astype(object) for v in (x, y))
-        if x.ndim != 1 or x.shape != y.shape or not len(x):
-            raise ValueError("Scalars needs two equal-length non-empty vectors")
-        q = int(q)
-        if q <= 0:
-            raise ValueError("denominator must be positive")
-        g = math.gcd(q, *x, *y)
-        if g > 1:
-            x, y, q = x // g, y // g, q // g
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalars is immutable")
-
-    def __len__(self) -> int:
-        return len(self.x)
-
-    def __getitem__(self, b: int) -> Scalar:
-        return Scalar(Fraction(self.x[b], self.q), Fraction(self.y[b], self.q))
-
-    def _pair(self, other):
-        o = _numerators(other)
-        if o is not None and isinstance(other, Scalars) and len(other) != len(self):
-            raise ValueError(f"Scalars of {len(self)} and {len(other)} trials")
-        return o
-
-    def __add__(self, other) -> "Scalars":
-        o = self._pair(other)
-        if o is None:
-            return NotImplemented
-        x, y, q = o
-        return Scalars(self.x * q + x * self.q, self.y * q + y * self.q, self.q * q)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Scalars":
-        return Scalars(-self.x, -self.y, self.q)
-
-    def __sub__(self, other) -> "Scalars":
-        return self + -other
-
-    def __rsub__(self, other) -> "Scalars":
-        return -self + other
-
-    def __mul__(self, other) -> "Scalars":
-        o = self._pair(other)
-        if o is None:
-            return NotImplemented
-        x, y, q = o
-        # (a + b s)(c + d s) = (ac + 3bd) + (ad + bc) s   with s^2 = 3
-        return Scalars(self.x * x + 3 * self.y * y, self.x * y + self.y * x, self.q * q)
-
-    __rmul__ = __mul__

@@ -23,9 +23,10 @@ operands.
 
 Every sum of tensors is one integer linear combination, ``lincomb``, of
 terms c_k * T_k: T_k a Tensor or an einsum of Tensors, c_k = (x_k +
-y_k*sqrt 3)/q_k.  Pass 1 reads metadata only.  It fixes the lcm L of the
-terms' denominators d_k (q_k times the operands' denominators) and bounds
-every partial sum of the numerators by
+y_k*sqrt 3)/q_k, or one such value per trial held in a batched rank-0
+Tensor.  Pass 1 reads metadata only.  It fixes the lcm L of the terms'
+denominators d_k (q_k times the operands' denominators) and bounds every
+partial sum of the numerators by
 sum_k (L/d_k) * (|x_k| + 3|y_k|) * bound_k, where bound_k is the Tensor's
 largest numerator or, for an einsum, dim**(summed letters) times
 ``_product_bound``; below 2**62 everything runs on int64, else on Python
@@ -35,12 +36,12 @@ Tensor is built at the end, with one gcd and one max scan.  ``ein``, +, -,
 negation and ``scale`` are lincombs of one or two terms.
 
 Before pass 1, terms with the same subscripts and the same operand
-objects are merged by adding their coefficients exactly; a term whose
-coefficients cancel is dropped, so it is neither evaluated nor counted in
-the bound.  In pass 1, an einsum operand that the data show to be a
-rational multiple (n/d) * I of the identity matrix (read once per Tensor
-and memoised), in a token pq of two distinct output letters that no other
-token uses, leaves the einsum: n joins the coefficient and d
+objects are merged by adding their coefficients' numerators exactly; a
+term whose coefficients cancel is dropped, so it is neither evaluated nor
+counted in the bound.  In pass 1, an einsum operand that the data show to
+be a rational multiple (n/d) * I of the identity matrix (read once per
+Tensor and memoised), in a token pq of two distinct output letters that
+no other token uses, leaves the einsum: n joins the coefficient and d
 its denominator, the other operands are contracted into the output letters
 the term does not tie together (or give the constant 1), and pass 2 adds
 that lower-rank result, broadcast, into the writable diagonal view q = p of
@@ -60,7 +61,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .scalar import Scalar, Scalars, _numerators
+from .scalar import Scalar, _coerce
 
 _INT64_LIMIT = 2 ** 62
 
@@ -296,12 +297,12 @@ class Tensor:
         return self.item(idx if isinstance(idx, tuple) else (idx,))
 
     def to_scalar(self):
-        """The value of a rank-0 Tensor: a Scalar, or per trial a Scalars."""
+        """The value of a rank-0 Tensor: a Scalar, or for a batched one the
+        Tensor itself, whose per-trial values +, -, * and ``lincomb`` take
+        as coefficients."""
         if self.rank != 0:
             raise ShapeError("to_scalar requires a rank-0 tensor")
-        if self.batch:
-            return Scalars(self._rat, self._irr, self._den)
-        return self.item()
+        return self if self.batch else self.item()
 
     def nonzero_indices(self):
         mask = self._rat != 0
@@ -342,21 +343,34 @@ class Tensor:
 
     # -- linear operations -----------------------------------------------------
 
-    def __add__(self, other: "Tensor") -> "Tensor":
-        if not isinstance(other, Tensor):
+    def _combine(self, a: int, other, b: int):
+        """a * self + b * other as one lincomb: ``other`` a Tensor or, beside
+        a rank-0 Tensor, an int, Fraction or Scalar times the rank-0 one;
+        NotImplemented for anything else."""
+        if isinstance(other, Tensor):
+            return lincomb([(a, self), (b, other)])
+        c = _coerce(other) if self.rank == 0 else None
+        if c is None:
             return NotImplemented
-        return lincomb([(1, self), (1, other)])
+        return lincomb([(a, self), (b * c, Tensor.from_scalar(self.dim, 1))])
 
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return lincomb([(1, self), (-1, other)])
+    def __add__(self, other) -> "Tensor":
+        return self._combine(1, other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Tensor":
+        return self._combine(1, other, -1)
+
+    def __rsub__(self, other) -> "Tensor":
+        return self._combine(-1, other, 1)
 
     def __neg__(self) -> "Tensor":
         return lincomb([(-1, self)])
 
     def scale(self, value) -> "Tensor":
-        """Multiply every component by a Scalar/Fraction/int, exactly."""
+        """Multiply every component by a Scalar/Fraction/int, or each
+        trial's by its value in a batched rank-0 Tensor, exactly."""
         return lincomb([(value, self)])
 
     def __mul__(self, value):
@@ -474,11 +488,17 @@ def _einsum_exact(subscripts: str, ops: Sequence):
     kernel that hands back int64 for object operands reducing to scalars,
     so Python-int products silently wrap; plain einsum keeps object
     arithmetic exact, and every object result is re-wrapped as an object
-    array so the next step stays on Python ints."""
-    key = (subscripts, tuple(op.shape for op in ops))
+    array so the next step stays on Python ints.
+
+    The path is cached on the subscripts and each operand's shape without
+    its first axis: a batched operand's trial axis is its first, so every
+    chunk of a batch shares the path searched for the first, while every
+    operand of two or more axes still tells the dim apart.  Any path is
+    exact, and ``_product_bound`` bounds every path's partial sums."""
+    key = (subscripts, tuple(op.shape[1:] for op in ops))
     steps = _PATH_CACHE.get(key)
     if steps is None:
-        dummies = [np.zeros(s, np.int8) for s in key[1]]
+        dummies = [np.zeros(op.shape, np.int8) for op in ops]
         contraction_list = np.einsum_path(
             subscripts, *dummies, optimize="optimal", einsum_call=True
         )[1]
@@ -551,9 +571,21 @@ def _einsum_shape(subscripts: str, tensors) -> tuple:
 
 
 def _coefficient(c) -> tuple:
-    """(x, y, q) of a lincomb coefficient, as ``scalar._numerators`` gives
-    it; any other type is read as ``Scalar(c)``."""
-    return _numerators(c) or _numerators(Scalar(c))
+    """(x, y, q) with c = (x + y*sqrt 3)/q, q > 0 and gcd(x, y, q) = 1:
+    integers for an int, Fraction or Scalar (any other type is read as
+    ``Scalar(c)``); for a batched rank-0 Tensor, its canonical parts as
+    per-trial vectors of Python ints, so no bound on them can wrap."""
+    if type(c) is int:
+        return c, 0, 1
+    if isinstance(c, Fraction):
+        return c.numerator, 0, c.denominator
+    if isinstance(c, Tensor):
+        if c.rank or not c.batch:
+            raise ShapeError("a Tensor coefficient must be a batched rank-0 tensor")
+        return c._rat.astype(object), c._irr.astype(object), c._den
+    s = c if isinstance(c, Scalar) else Scalar(c)
+    q = math.lcm(s.rat.denominator, s.irr.denominator)
+    return int(s.rat * q), int(s.irr * q), q
 
 
 def _nonzero(k) -> bool:
@@ -642,20 +674,25 @@ def _delta_split(subscripts: str, deltas: tuple) -> tuple:
 
 
 def _merge_like_terms(terms) -> list:
-    """The terms, with every term whose subscripts and operand objects
-    repeat an earlier term's folded into that term by adding the
-    coefficients exactly.  Coefficients are only added on such a repeat,
-    so int coefficients stay ints."""
+    """The terms as ``(x, y, q, *spec)``, each coefficient read by
+    ``_coefficient``, with every term whose subscripts and operand objects
+    repeat an earlier term's folded into that term.  The numerators are
+    added over the product of the denominators and divided by their gcd,
+    so a merged coefficient has the numerators its value would have, and
+    int and per-trial coefficients merge alike."""
     merged, where = [], {}
-    for term in terms:
-        head = term[1]
-        key = (head, *map(id, term[2:])) if type(head) is str else id(head)
+    for coeff, *spec in terms:
+        head = spec[0]
+        key = (head, *map(id, spec[1:])) if type(head) is str else id(head)
+        x, y, q = _coefficient(coeff)
         i = where.setdefault(key, len(merged))
         if i == len(merged):
-            merged.append(term)
+            merged.append((x, y, q, *spec))
         else:
-            coeff, *spec = merged[i]
-            merged[i] = (coeff + term[0], *spec)
+            x0, y0, q0, *spec = merged[i]
+            x, y, q = x0 * q + x * q0, y0 * q + y * q0, q0 * q
+            g = math.gcd(q, *((x, y) if type(x) is int else (*x, *y)))
+            merged[i] = (x // g, y // g, q // g, *spec)
     return merged
 
 
@@ -664,11 +701,12 @@ def lincomb(terms) -> Tensor:
 
     Each term is ``(coeff, tensor)`` or ``(coeff, subscripts, *operands)``,
     the latter standing for ``ein(subscripts, *operands)``; a coefficient is
-    an int, Fraction or Scalar.  Every term must have the same dim and rank
-    (ShapeError); an einsum term is checked as ``ein`` checks it.
+    an int, Fraction or Scalar, or per trial a batched rank-0 Tensor (see
+    below).  Every term must have the same dim and rank (ShapeError); an
+    einsum term is checked as ``ein`` checks it.
 
     Terms with the same subscripts and the same operand objects are merged
-    into one first.  A term whose coefficient is (or merges to) zero, or
+    into one first, on the coefficients' numerators.  A term whose coefficient is (or merges to) zero, or
     with an all-zero operand, is never evaluated and not counted in the
     bound.  An einsum operand equal to c * I, c rational, in a token pq of
     two distinct output letters that no other token uses, is not
@@ -678,8 +716,10 @@ def lincomb(terms) -> Tensor:
     and the int64/object choice are those of the full einsum.
 
     Batches: an operand may be a batched Tensor and a coefficient a
-    per-trial ``Scalars``, all of one batch size B; then the result is
-    batched too.  An einsum term gives each batched operand's token and
+    batched rank-0 Tensor, whose canonical parts and denominator are the
+    per-trial numerators (x_b, y_b) and q, all of one batch size B; then
+    the result is batched too, so a per-trial value such as tau is a
+    batched rank-0 Tensor and tau * tau is a lincomb.  An einsum term gives each batched operand's token and
     the output one more letter, the trial axis, and its unbatched operands
     (``g``, say) broadcast over it; a per-trial coefficient multiplies each
     trial's slice of its term.  The bound takes each term's largest
@@ -688,7 +728,7 @@ def lincomb(terms) -> Tensor:
     c * I."""
     # pass 1: metadata only
     plan, shapes, batches, den = [], set(), set(), 1
-    for coeff, *spec in _merge_like_terms(terms):
+    for x, y, q, *spec in _merge_like_terms(terms):
         if spec and isinstance(spec[0], str):
             subscripts, *ops = spec
             dim, rank, n_sum = _einsum_shape(subscripts, ops)
@@ -699,7 +739,6 @@ def lincomb(terms) -> Tensor:
             subscripts, ops, products = None, [t], None
             dim, rank, bound = t.dim, t.rank, t._max
         shapes.add((dim, rank))
-        x, y, q = _coefficient(coeff)
         batches.update(t.batch for t in ops if t.batch)
         if type(x) is not int:
             batches.add(len(x))

@@ -1,8 +1,9 @@
 """Batched evaluation against per-trial evaluation.
 
-A batched Tensor stacks trials along a leading axis, a ``Scalars`` holds
-one coefficient per trial, and ``lincomb``, every non-delta evaluator and
-``random_curvature`` run once on a whole batch.  Each test compares a
+A batched Tensor stacks trials along a leading axis, a batched rank-0
+Tensor holds one value per trial (a coefficient such as tau), and
+``lincomb``, every non-delta evaluator and ``random_curvature`` run once
+on a whole batch.  Each test compares a
 batched result, split into its trials, with the same computation run on
 each trial alone, by Tensor equality: the split tensors must be the
 canonical ones too.
@@ -18,11 +19,20 @@ from hypothesis import assume, given, settings, strategies as st
 from curvident import report
 from curvident.identities import gauss_bonnet_integrand_6, weyl_expansion_residual
 from curvident.models import einsteinize, random_curvature
-from curvident.scalar import Scalar, Scalars
+from curvident import tensor as tensor_mod
+from curvident.scalar import Scalar
 from curvident.tensor import ShapeError, Tensor, lincomb
 
 DIM = 3
 LIMIT = 2 ** 62
+
+# tier-1 runs each property's few examples; ``--hypothesis-profile=deep``
+# (tests/conftest.py), as CI runs this file, runs ten times as many
+_DEEP = settings.get_current_profile_name() == "deep"
+
+
+def _examples(n: int) -> settings:
+    return settings(max_examples=10 * n if _DEEP else n, deadline=None)
 
 
 def _stack(tensors) -> Tensor:
@@ -34,11 +44,15 @@ def _stack(tensors) -> Tensor:
     return Tensor(tensors[0].dim, rat, irr, den, batched=True)
 
 
-def _scalars(values) -> Scalars:
-    """The Scalars whose trials are ``values`` (Scalar, Fraction or int)."""
-    values = [Scalar(0) + v for v in values]
-    q = math.lcm(*(math.lcm(v.rat.denominator, v.irr.denominator) for v in values))
-    return Scalars([int(v.rat * q) for v in values], [int(v.irr * q) for v in values], q)
+def _per_trial(values) -> Tensor:
+    """The batched rank-0 Tensor whose trials are ``values`` (Scalar,
+    Fraction or int)."""
+    return _stack([Tensor.from_scalar(DIM, v) for v in values])
+
+
+def _trials(value) -> list:
+    """Each trial's Scalar of a batched rank-0 Tensor."""
+    return [t.to_scalar() for t in value.split()]
 
 
 _SCALARS = st.builds(
@@ -77,7 +91,8 @@ _TEMPLATES = (
 def _batched_terms(draw):
     """(B, batched terms, per-trial terms): each operand is one Tensor shared
     by every trial, or per trial (same c * I, c * I with c per trial, or
-    generic); each coefficient an int, Fraction, Scalar or per-trial Scalars."""
+    generic); each coefficient an int, Fraction, Scalar or a batched rank-0
+    Tensor of one per trial."""
     batch = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     batched_terms, trial_terms = [], [[] for _ in range(batch)]
@@ -104,44 +119,49 @@ def _batched_terms(draw):
                 per_trial.append(trials)
         coeff = draw(st.one_of(
             st.integers(-4, 4), st.fractions(-3, 3, max_denominator=5), _SCALARS,
-            st.lists(_SCALARS, min_size=batch, max_size=batch).map(_scalars),
+            st.lists(_SCALARS, min_size=batch, max_size=batch).map(_per_trial),
         ))
         head = () if subscripts is None else (subscripts,)
         batched_terms.append((coeff, *head, *ops))
         for b in range(batch):
-            c = coeff[b] if isinstance(coeff, Scalars) else coeff
+            c = _trials(coeff)[b] if isinstance(coeff, Tensor) else coeff
             trial_terms[b].append((c, *head, *(trials[b] for trials in per_trial)))
     return batch, batched_terms, trial_terms
 
 
-@settings(max_examples=80, deadline=None)
+@_examples(80)
 @given(_batched_terms())
 def test_lincomb_of_a_batch_equals_the_lincombs_of_its_trials(case):
     batch, batched_terms, trial_terms = case
-    batched = any(isinstance(t[0], Scalars) or any(
-        isinstance(x, Tensor) and x.batch for x in t[1:]) for t in batched_terms)
+    batched = any(isinstance(x, Tensor) and x.batch for t in batched_terms for x in t)
     assume(batched)
     result = lincomb(batched_terms)
     assert result.batch == batch
     assert result.split() == [lincomb(terms) for terms in trial_terms]
 
 
-@settings(max_examples=60, deadline=None)
+@_examples(60)
 @given(st.lists(st.tuples(_SCALARS, _SCALARS, _SCALARS), min_size=1, max_size=3),
        st.one_of(_SCALARS, st.integers(-5, 5), st.fractions(-2, 2, max_denominator=4)))
 def test_scalars_combine_trial_by_trial(values, c):
-    """+, -, * and negation of Scalars, with each other and with one
-    Scalar, Fraction or int, give each trial's Scalar arithmetic."""
-    a, b, d = (_scalars(col) for col in zip(*values))
+    """+, -, * and negation of batched rank-0 Tensors, with each other and
+    with one Scalar, Fraction or int, give each trial's Scalar arithmetic;
+    ``to_scalar`` of one is the Tensor itself."""
+    a, b, d = (_per_trial(col) for col in zip(*values))
+    assert a.to_scalar() is a
     cases = [
         (a + b, [x + y for x, y, _ in values]),
+        (a + c, [x + c for x, _, _ in values]),
+        (c + a - b, [c + x - y for x, y, _ in values]),
         (a - c, [x - c for x, _, _ in values]),
         (c - a, [c - x for x, _, _ in values]),
         (a * b * d, [x * y * z for x, y, z in values]),
+        (a * c, [x * c for x, _, _ in values]),
         (c * -d + a, [c * -z + x for x, _, z in values]),
     ]
     for got, want in cases:
-        assert [got[i] for i in range(len(values))] == [Scalar(0) + w for w in want]
+        assert got.batch == len(values) and got.rank == 0
+        assert _trials(got) == [Scalar(0) + w for w in want]
 
 
 def test_split_gives_each_trial_as_a_canonical_tensor():
@@ -180,12 +200,26 @@ def test_batch_crossing_the_int64_bound_takes_the_object_path():
     batch = _stack([big, small])
     assert batch._rat.dtype == np.int64
     for coeffs in ([Scalar(3), Scalar(1)], [Scalar(-1, Fraction(1, 2)), Scalar(Fraction(1, 2))]):
-        coeff = _scalars(coeffs)
+        coeff = _per_trial(coeffs)
         result = lincomb([(coeff, batch)])
         assert result._rat.dtype == object
         want = [lincomb([(c, t)]) for c, t in zip(coeffs, (big, small))]
         assert want[0]._rat.dtype == object and want[1]._rat.dtype == np.int64
         assert result.split() == want
+
+
+def test_like_terms_merge_an_int_with_a_per_trial_coefficient():
+    """Like terms merge on their numerators, so an int coefficient and a
+    per-trial one add up trial by trial; a trial where they cancel is zero."""
+    rng = np.random.default_rng(5)
+    trials = [_tensor(rng, 2, "sqrt3") for _ in range(3)]
+    batch = _stack(trials)
+    coeffs = [Scalar(-2), Scalar(Fraction(1, 3), 1), Scalar(Fraction(-5, 2))]
+    terms = [(2, "ij->ji", batch), (_per_trial(coeffs), "ij->ji", batch), (Fraction(1, 2), batch)]
+    assert len(tensor_mod._merge_like_terms(terms)) == 2
+    want = [lincomb([(2 + c, "ij->ji", t), (Fraction(1, 2), t)]) for c, t in zip(coeffs, trials)]
+    assert lincomb(terms).split() == want
+    assert lincomb(terms[:2]).split()[0].is_zero()
 
 
 def test_random_curvature_of_seeds_stacks_each_seeds_tensor():
@@ -209,7 +243,7 @@ _K = st.sampled_from([None, Scalar(1), Scalar(Fraction(-2, 3)), Scalar(1, 1)])
 
 @pytest.mark.parametrize(
     "ident", sorted(i for i, e in report._IDENTITIES.items() if not e.delta))
-@settings(max_examples=4, deadline=None)
+@_examples(4)
 @given(seeds=_SEEDS, k=_K)
 def test_every_evaluator_on_a_batch_equals_it_on_each_trial(ident, seeds, k):
     """run_trials on a batch gives, trial by trial, the reports run_identity
@@ -220,7 +254,7 @@ def test_every_evaluator_on_a_batch_equals_it_on_each_trial(ident, seeds, k):
         report.run_identity(ident, R) for R in trials]
 
 
-@settings(max_examples=4, deadline=None)
+@_examples(4)
 @given(seeds=_SEEDS, k=_K, dim=st.sampled_from([5, 6]))
 def test_weyl_expansion_and_euler_integrand_on_a_batch(seeds, k, dim):
     batch, trials = _models(dim, seeds, k)
@@ -228,8 +262,7 @@ def test_weyl_expansion_and_euler_integrand_on_a_batch(seeds, k, dim):
     assert residuals == [weyl_expansion_residual(R).residual for R in trials]
     if dim == 6:
         integrand = gauss_bonnet_integrand_6(batch)
-        assert [integrand[b] for b in range(len(trials))] == [
-            gauss_bonnet_integrand_6(R) for R in trials]
+        assert _trials(integrand) == [gauss_bonnet_integrand_6(R) for R in trials]
 
 
 def test_delta_ids_run_the_engine_per_trial():

@@ -9,10 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from curvident import cli, identities, report
+from curvident import tensor as tensor_mod
 from curvident.cli import main
 from curvident.delta import EngineInvariantError
 from curvident.tensor import ContractionSpecError, ShapeError
@@ -785,6 +787,32 @@ def test_random_check_golden_table(capsys, row):
     assert main(list(row["argv"])) == row["code"]
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (row["stdout"], row["stderr"])
+
+
+def test_a_smaller_last_chunk_reuses_the_einsum_paths(monkeypatch, capsys):
+    """lemma6 runs in chunks of 2 trials: -n 5 ends with a chunk of one,
+    which contracts along the paths the first chunk searched."""
+    real, calls = np.einsum_path, []
+    monkeypatch.setattr(np, "einsum_path", lambda *a, **k: calls.append(a[0]) or real(*a, **k))
+    counts = []
+    for n in ("4", "5"):
+        monkeypatch.setattr(tensor_mod, "_PATH_CACHE", {})
+        calls.clear()
+        assert run_cli("random-check", "--dim", "6", "--identity", "lemma6", "-n", n, "--seed", "1") == 0
+        counts.append(len(calls))
+    capsys.readouterr()
+    assert 0 < counts[1] <= counts[0]
+
+
+def test_random_check_finds_only_the_printed_witnesses(monkeypatch, capsys):
+    """Every pa5 trial fails, but only the first failing seed's witnesses
+    are printed, so only they are found."""
+    real, calls = identities._witness, []
+    monkeypatch.setattr(identities, "_witness", lambda r: calls.append(r) or real(r))
+    assert run_cli("random-check", "--dim", "5", "--identity", "pa5", "-n", "150", "--seed", "2") == 1
+    out = capsys.readouterr().out
+    assert "nonzero: 150" in out
+    assert len(calls) == out.count(": witness ") == 1
 
 
 def test_explicit_model_file_is_filled_once(tmp_path, monkeypatch, capsys):

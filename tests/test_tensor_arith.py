@@ -478,7 +478,8 @@ def test_merge_like_terms_adds_coefficients_of_the_same_operands():
     merged = tensor_mod._merge_like_terms([
         (2, a), (3, "ab->ba", a), (3, a), (1, b), (-3, "ab->" + "ba", a), (Fraction(1, 2), "ab->ba", b),
     ])
-    assert merged == [(5, a), (0, "ab->ba", a), (1, b), (Fraction(1, 2), "ab->ba", b)]
+    # each coefficient as its numerators (x, y, q): c = (x + y*sqrt 3)/q
+    assert merged == [(5, 0, 1, a), (0, 0, 1, "ab->ba", a), (1, 0, 1, b), (1, 0, 2, "ab->ba", b)]
     assert type(merged[0][0]) is int and type(merged[1][0]) is int
 
 
