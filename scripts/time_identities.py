@@ -20,9 +20,11 @@ their hypothesis.
 
 One JSON line goes to stdout: per "dim:identity", ``first_s`` (the first
 call), ``warm_s`` (the median of the other single calls, null when n is
-1) and ``campaign_s`` (the whole campaign), plus their sums over the
-identities the einstein-campaign workload of ``perfbench/run.py`` runs.
-Times are wall clock; nothing is gated on them.
+1), ``campaign_s`` (the whole campaign) and ``maxrss_mb`` (the child
+process's peak resident set size after all its calls, from
+``getrusage``), plus, over the identities the einstein-campaign workload
+of ``perfbench/run.py`` runs, the sums of the times and the largest
+``maxrss_mb``.  Times are wall clock; nothing is gated on them.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import argparse
 import contextlib
 import io
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -65,8 +68,10 @@ def time_one(dim: int, ident: str, n: int, seed: int) -> dict:
         if code != 0:
             raise SystemExit(f"random-check {' '.join(argv[1:])} exited {code}")
     campaign = walls.pop()
+    # ru_maxrss is in kilobytes on Linux
+    maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return {"first_s": walls[0], "warm_s": statistics.median(walls[1:]) if n > 1 else None,
-            "campaign_s": campaign}
+            "campaign_s": campaign, "maxrss_mb": maxrss_mb}
 
 
 def timed_ids() -> list:
@@ -108,6 +113,7 @@ def main(argv=None) -> int:
         "first_s": sum(r["first_s"] for r in rows),
         "warm_s": sum(r["warm_s"] for r in rows) if args.n > 1 else None,
         "campaign_s": sum(r["campaign_s"] for r in rows),
+        "maxrss_mb": max(r["maxrss_mb"] for r in rows),
     }
     print(json.dumps(out))
     return 0

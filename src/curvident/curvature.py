@@ -32,7 +32,8 @@ once on first use: ``g``, ``ricci``, ``tau``, ``t_check``, ``r_norm_sq``,
 groups them), ``f`` (F) and ``weyl`` (validated once).  The pieces are
 shared, not only cheap: ``lincomb`` merges terms with the same subscripts
 and the same operand objects before evaluating any, so terms built from
-one R's pieces in different evaluators cancel unevaluated.
+one R's pieces in different evaluators cancel unevaluated, and terms that
+share all operand objects but one contract once, on the sum of that one.
 """
 
 from __future__ import annotations

@@ -14,7 +14,11 @@ the metric triples, items 7-24 the two halves of each norm row, items
 25-33 the F rows and item 34 the A rows plus a rho/metric tail over the
 F rows.  All nine quadratic-times-metric groups share one rank-4 kernel,
 all eighteen norm-type groups one rank-2 kernel, and the six pure-metric
-groups one scalar kernel.
+groups one scalar kernel; each side of a group is its row shape applied
+to its own kernel (k4 against k4r, say).  ``lincomb`` merges terms that
+differ in one operand into one einsum on the difference of the kernels
+(``tensor._merge_like_terms``), so ``group_residuals`` contracts a row
+only when its two kernels differ, and on Einstein input they never do.
 """
 
 from __future__ import annotations
@@ -38,7 +42,9 @@ from .identities import (
 
 def _group_terms(R: CurvatureTensor) -> list:
     """The 34 groups as (raw lhs terms, simplified rhs terms) lists of
-    ``lincomb`` terms, free indices ordered (i,h,j,k,l,m)."""
+    ``lincomb`` terms, free indices ordered (i,h,j,k,l,m), each side of
+    group 34 without the A rows 8 x ``_a_terms(R.a_quad)`` that both
+    carry."""
     t, g, ricci, tau, tt = R.tensor, R.g, R.ricci, R.tau, R.t_check
 
     k0 = R.r_norm_sq - Scalar(4) * R.ricci_norm_sq + tau * tau
@@ -65,11 +71,7 @@ def _group_terms(R: CurvatureTensor) -> list:
     groups = [(_scaled(k0, [x]), _scaled(k0r, [x])) for x in _g3_terms(g)]
     groups += [([x], [y]) for x, y in zip(_tt_terms(k2, g), _tt_terms(k2r, g))]
     groups += [([x], [y]) for x, y in zip(_f_terms(k4, g), _f_terms(k4r, g))]
-    rr = _scaled(8, _a_terms(R.a_quad))
-    groups.append((
-        rr + _scaled(8, _f_terms(t, ricci)),
-        rr + _scaled(tau * Fraction(4, 3), _f_terms(t, g)),
-    ))
+    groups.append((_scaled(8, _f_terms(t, ricci)), _scaled(tau * Fraction(4, 3), _f_terms(t, g))))
     return groups
 
 
@@ -77,19 +79,26 @@ def term_groups(R: CurvatureTensor) -> list:
     """All 34 (group number, raw lhs, simplified rhs) rank-6 tensors,
     free indices ordered (i,h,j,k,l,m)."""
     _check_dim(R, 6, "the term-group expansion")
-    groups = enumerate(_group_terms(R), start=1)
-    return [(k, lincomb(lhs), lincomb(rhs)) for k, (lhs, rhs) in groups]
+    groups = _group_terms(R)
+    rr = _scaled(8, _a_terms(R.a_quad))
+    lhs, rhs = groups[-1]
+    groups[-1] = rr + lhs, rr + rhs
+    return [(k, lincomb(lhs), lincomb(rhs)) for k, (lhs, rhs) in enumerate(groups, start=1)]
 
 
 def group_residuals(R: CurvatureTensor) -> list:
     """The 34 group residuals lhs - rhs, then the sum check's residual: the
     sum of the 34 simplified groups minus 8 x the assembled rank-6 identity
-    form.  Each is one ``lincomb``; no group side is built.  The groups and
-    the form are built from R's cached pieces (``R.g``, ``R.a_quad`` and the
-    rest), so the terms they share are the same operands, and ``lincomb``
-    cancels them before any is evaluated: group 34's A rows in its own
-    residual, and in the sum check the A rows and the metric triples,
-    which the groups and 8 x the form carry with opposite coefficients."""
+    form.  Each is one ``lincomb``; no group side is built.
+
+    The A rows are left out: group 34 carries 8 x them on both sides, and
+    the simplified groups and 8 x the form carry them with opposite signs,
+    so they cancel in every residual, and R's rank-6 A tensor is never
+    built.  The rest is built from R's cached pieces, so ``lincomb`` merges
+    the terms that share operands before any is evaluated: a group's two
+    sides differ in one kernel (k0 - k0r, k2 - k2r, k4 - k4r or
+    8 rho - (4/3) tau g), which is exactly zero on Einstein input, so no
+    rank-6 einsum runs there."""
     _check_dim(R, 6, "the term-group expansion")
     groups = _group_terms(R)
     out = [lincomb(lhs + _scaled(-1, rhs)) for lhs, rhs in groups]

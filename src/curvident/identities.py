@@ -362,20 +362,20 @@ def _a_terms(a6: Tensor) -> list:
 
 
 def _einstein6_block_terms(R: CurvatureTensor) -> tuple:
-    """The terms of the four blocks of the rank-6 Einstein identity: the
-    metric triples, the norm rows, the F rows and the A rows."""
+    """The terms of the first three blocks of the rank-6 Einstein identity:
+    the metric triples, the norm rows and the F rows.  The fourth, the A
+    rows, is ``_a_terms(R.a_quad)``."""
     g, tau = R.g, R.tau
     return (
         _scaled((R.r_norm_sq + tau * tau * Fraction(1, 3)) * Fraction(1, 8), _g3_terms(g)),
         _scaled(Fraction(-1, 2), _tt_terms(R.t_check, g)),
         _f_terms(R.f, g),
-        _a_terms(R.a_quad),
     )
 
 
 def _einstein6_terms(R: CurvatureTensor) -> list:
-    """All terms of the rank-6 Einstein identity form; its lincomb is the
-    lemma6 residual."""
+    """The terms of the rank-6 Einstein identity form but its A rows; with
+    ``_a_terms(R.a_quad)``, their lincomb is the lemma6 residual."""
     return [term for block in _einstein6_block_terms(R) for term in block]
 
 
@@ -383,16 +383,17 @@ def einstein6_blocks(R: CurvatureTensor):
     """The four blocks of the rank-6 Einstein identity, plus the
     individual second/third/A-block terms for the transvection tables."""
     _check_dim(R, 6, "lemma6")
-    g3, tt, f, a = _einstein6_block_terms(R)
+    g3, tt, f = _einstein6_block_terms(R)
     tt_rows = [lincomb(tt[k : k + 2]) for k in range(0, len(tt), 2)]
-    return lincomb(g3), tt_rows, [lincomb([x]) for x in f], [lincomb([x]) for x in a]
+    a = [lincomb([x]) for x in _a_terms(R.a_quad)]
+    return lincomb(g3), tt_rows, [lincomb([x]) for x in f], a
 
 
 def einstein6_residual(R: CurvatureTensor) -> ResidualReport:
     """Rank-6 Einstein identity in dimension 6 (id "lemma6"), its four
     blocks streamed into one lincomb; free indices ordered (i,h,j,k,l,m)."""
     _check_dim(R, 6, "lemma6")
-    return make_report("lemma6", "einstein", lincomb(_einstein6_terms(R)))
+    return make_report("lemma6", "einstein", lincomb(_einstein6_terms(R) + _a_terms(R.a_quad)))
 
 
 def super6_residual(R: CurvatureTensor) -> ResidualReport:

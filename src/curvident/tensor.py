@@ -35,19 +35,32 @@ rational and one sqrt(3) accumulator and drops it before the next; one
 Tensor is built at the end, with one gcd and one max scan.  ``ein``, +, -,
 negation and ``scale`` are lincombs of one or two terms.
 
-Before pass 1, terms with the same subscripts and the same operand
-objects are merged by adding their coefficients' numerators exactly; a
-term whose coefficients cancel is dropped, so it is neither evaluated nor
-counted in the bound.  In pass 1, an einsum operand that the data show to
-be a rational multiple (n/d) * I of the identity matrix (read once per
-Tensor and memoised), in a token pq of two distinct output letters that
-no other token uses, leaves the einsum: n joins the coefficient and d
-its denominator, the other operands are contracted into the output letters
+Before pass 1, like terms merge (``_merge_like_terms``).  Terms with the
+same subscripts and the same operand objects become one term by adding
+their coefficients' numerators exactly; a term whose coefficients cancel
+is dropped, so it is neither evaluated nor counted in the bound.  Einsum
+terms of two or more operands that share their subscripts and every
+operand object but one become one term by linearity:
+sum_k c_k * ein(s, .., X_k, ..) = ein(s, .., K, ..) with the kernel
+K = lincomb(c_k * X_k).  K is a Tensor of its own, the one intermediate
+Tensor of a sum: one per merged group, none per term.  A kernel that comes
+out zero is an all-zero operand, so its term is never evaluated, and one
+that comes out c * I leaves the einsum as below.  The merged term is an
+ordinary einsum over Tensors, so its bound, taken from the kernel's true
+``_max``, bounds every partial sum of its evaluation as for any other
+einsum term, and the kernel's own lincomb picked its own int64 or object
+path by its own bound.
+
+In pass 1, an einsum operand that the data show to be a rational
+multiple (n/d) * I of the identity matrix (read once per Tensor and
+memoised), in a token pq of two distinct output letters that no other
+token uses, leaves the einsum: n joins the coefficient and d its
+denominator, the other operands are contracted into the output letters
 the term does not tie together (or give the constant 1), and pass 2 adds
-that lower-rank result, broadcast, into the writable diagonal view q = p of
-each accumulator (an einsum view; the accumulator starts as zeros when such
-a term comes first).  The overflow argument is unchanged: the full
-einsum's entries are zero off that diagonal and n times the reduced
+that lower-rank result, broadcast, into the writable diagonal view q = p
+of each accumulator (an einsum view; the accumulator starts as zeros
+when such a term comes first).  The overflow argument is unchanged: the
+full einsum's entries are zero off that diagonal and n times the reduced
 einsum's entries on it, so every partial sum is one the full einsum
 would reach, and the bound, computed with every operand, is the same.
 """
@@ -675,24 +688,60 @@ def _delta_split(subscripts: str, deltas: tuple) -> tuple:
 
 def _merge_like_terms(terms) -> list:
     """The terms as ``(x, y, q, *spec)``, each coefficient read by
-    ``_coefficient``, with every term whose subscripts and operand objects
-    repeat an earlier term's folded into that term.  The numerators are
-    added over the product of the denominators and divided by their gcd,
-    so a merged coefficient has the numerators its value would have, and
-    int and per-trial coefficients merge alike."""
-    merged, where = [], {}
+    ``_coefficient``, with like terms merged into the first of them, in
+    order of first appearance.
+
+    Terms with the same subscripts and operand objects, or the same
+    Tensor, are like terms: their numerators are added over the product of
+    the denominators and divided by their gcd, so a merged coefficient has
+    the numerators its value would have, and int and per-trial
+    coefficients merge alike.  Einsum terms of two or more operands that
+    share their subscripts and all operand objects but the one at some
+    position p are like terms too: sum_k c_k * ein(s, .., X_k, ..) is
+    ein(s, .., lincomb(c_k * X_k), ..), one term of coefficient 1 whose
+    operand p, the kernel, is a Tensor of its own.  Trying its positions
+    p in order, a term joins the first group made with the same operands
+    but the one at p if that group's terms differ at p or nowhere, so the
+    grouping depends only on the order of the terms.  (A one-operand
+    einsum is not factored: its kernel would be as large as the einsum.)"""
+    # a group is [its first term's spec, the position where its terms
+    # differ (None while they do not), its terms as (coeff, spec)]; where
+    # maps each lookup key to the first group made with it
+    groups, where = [], {}
     for coeff, *spec in terms:
-        head = spec[0]
-        key = (head, *map(id, spec[1:])) if type(head) is str else id(head)
-        x, y, q = _coefficient(coeff)
-        i = where.setdefault(key, len(merged))
-        if i == len(merged):
-            merged.append((x, y, q, *spec))
+        head, *ops = spec
+        if type(head) is not str:
+            keys = [id(head)]
+        elif len(ops) < 2:
+            keys = [(head, *map(id, ops))]
         else:
-            x0, y0, q0, *spec = merged[i]
-            x, y, q = x0 * q + x * q0, y0 * q + y * q0, q0 * q
+            ids = [id(t) for t in ops]
+            keys = [(head, p, *ids[:p], *ids[p + 1 :]) for p in range(len(ops))]
+        for p, key in enumerate(keys):
+            group = where.get(key)
+            if group is not None and group[1] in (None, p):
+                if ops and ops[p] is not group[0][p + 1]:
+                    group[1] = p
+                group[2].append((coeff, spec))
+                break
+        else:
+            group = [spec, None, [(coeff, spec)]]
+            groups.append(group)
+            for key in keys:
+                where.setdefault(key, group)
+    merged = []
+    for spec, pos, members in groups:
+        if pos is not None:
+            kernel = lincomb([(c, s[pos + 1]) for c, s in members])
+            merged.append((1, 0, 1, *spec[: pos + 1], kernel, *spec[pos + 2 :]))
+            continue
+        x, y, q = _coefficient(members[0][0])
+        for coeff, _ in members[1:]:
+            x1, y1, q1 = _coefficient(coeff)
+            x, y, q = x * q1 + x1 * q, y * q1 + y1 * q, q * q1
             g = math.gcd(q, *((x, y) if type(x) is int else (*x, *y)))
-            merged[i] = (x // g, y // g, q // g, *spec)
+            x, y, q = x // g, y // g, q // g
+        merged.append((x, y, q, *spec))
     return merged
 
 
@@ -705,10 +754,13 @@ def lincomb(terms) -> Tensor:
     below).  Every term must have the same dim and rank (ShapeError); an
     einsum term is checked as ``ein`` checks it.
 
-    Terms with the same subscripts and the same operand objects are merged
-    into one first, on the coefficients' numerators.  A term whose coefficient is (or merges to) zero, or
-    with an all-zero operand, is never evaluated and not counted in the
-    bound.  An einsum operand equal to c * I, c rational, in a token pq of
+    Like terms are merged first (``_merge_like_terms``): terms with the
+    same subscripts and operand objects on the coefficients' numerators,
+    and einsum terms that differ in one operand only into one einsum on
+    the lincomb of that operand, a Tensor of its own whose true largest
+    numerator enters the bound.  A term whose coefficient is (or merges
+    to) zero, or with an all-zero operand (such as a kernel that cancels),
+    is never evaluated and not counted in the bound.  An einsum operand equal to c * I, c rational, in a token pq of
     two distinct output letters that no other token uses, is not
     contracted: c joins the coefficient and the rest of the term is added
     into the diagonal view q = p of the accumulators.  Each entry of that smaller

@@ -222,6 +222,76 @@ def test_like_terms_merge_an_int_with_a_per_trial_coefficient():
     assert lincomb(terms[:2]).split()[0].is_zero()
 
 
+_G = Tensor.identity(DIM)
+# (subscripts, operand ranks) of einsum terms of two or more operands
+_FACTOR_SHAPES = tuple((s, r) for s, r in _TEMPLATES if s is not None and len(r) > 1)
+
+
+def _operand(draw, rng, rank, batch):
+    """A drawn operand of ``rank``: small, sqrt(3)-valued, past 2**62, zero,
+    the shared g, c * I (c past 2**62 too) or, in a batch, one per trial."""
+    kinds = ["int", "sqrt3", "big", "zero"] + ["g", "identity", "big identity"] * (rank == 2)
+    kind = draw(st.sampled_from(kinds + ["trials"] * bool(batch)))
+    if kind == "g":
+        return _G
+    if kind == "big identity":
+        return _G.scale(draw(st.sampled_from([LIMIT + 1, Fraction(-LIMIT, 3)])))
+    if kind == "zero":
+        return Tensor.zeros(DIM, rank)
+    if kind == "big":
+        shape = (DIM,) * rank
+        rat = np.asarray(rng.integers(-5, 6, shape), object) * (LIMIT // 2 + 1)
+        return Tensor(DIM, rat, rng.integers(-1, 2, shape), int(rng.integers(1, 4)))
+    if kind == "trials":
+        kinds = ["int", "sqrt3"] + ["identity"] * (rank == 2)
+        return _stack([_tensor(rng, rank, draw(st.sampled_from(kinds))) for _ in range(batch)])
+    return _tensor(rng, rank, kind)
+
+
+@st.composite
+def _factorable_terms(draw):
+    """Einsum terms, 2-5 per shared subscripts: the first term's operands,
+    then terms that repeat it or differ from it in the operand at a drawn
+    position.  Coefficients are ints (some past 2**62), Fractions, Scalars
+    and, in a batch, per-trial values."""
+    batch = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    coeffs = [
+        st.integers(-4, 4), st.fractions(-3, 3, max_denominator=5), _SCALARS,
+        st.integers(LIMIT, 2 * LIMIT).map(lambda n: -n if n % 2 else n),
+    ]
+    if batch:
+        coeffs.append(st.lists(_SCALARS, min_size=batch, max_size=batch).map(_per_trial))
+    coeff = st.one_of(*coeffs)
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        subscripts, ranks = draw(st.sampled_from(_FACTOR_SHAPES))
+        first = [_operand(draw, rng, rank, batch) for rank in ranks]
+        terms.append((draw(coeff), subscripts, *first))
+        for _ in range(draw(st.integers(1, 4))):
+            ops = list(first)
+            p = draw(st.integers(0, len(ops) - 1))
+            if draw(st.booleans()):
+                ops[p] = _operand(draw, rng, ranks[p], batch)
+            terms.append((draw(coeff), subscripts, *ops))
+    return terms
+
+
+@_examples(60)
+@given(_factorable_terms())
+def test_factored_terms_equal_the_sum_of_the_terms(terms):
+    """Terms that share their subscripts and all operands but one become
+    one einsum on the lincomb of the differing operands; the result equals,
+    storage and dtype included, the sum of the terms each evaluated alone
+    and added as plain Tensors, which are never factored."""
+    assert len(tensor_mod._merge_like_terms(terms)) < len(terms)
+    result = lincomb(terms)
+    expected = lincomb([(1, lincomb([term])) for term in terms])
+    assert result == expected
+    assert (result.batch, result._rat.dtype, result._irr.dtype) == (
+        expected.batch, expected._rat.dtype, expected._irr.dtype)
+
+
 def test_random_curvature_of_seeds_stacks_each_seeds_tensor():
     for dim, n_terms in ((3, 1), (5, 4), (6, 6)):
         seeds = [7, -2, 2 ** 64 + 3]

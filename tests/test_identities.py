@@ -9,7 +9,7 @@ from itertools import product as iproduct
 import pytest
 
 from curvident.scalar import Scalar
-from curvident.tensor import ShapeError, Tensor, ein
+from curvident.tensor import ShapeError, Tensor, ein, lincomb
 from curvident.curvature import CurvatureTensor, invariants, weyl
 from curvident.delta import (
     DeltaBinding,
@@ -642,6 +642,50 @@ def test_appendix34_shared_terms_cancel_unevaluated(monkeypatch):
     assert not {f"{labels}->ihjklm" for _, labels in _A_ROWS} & set(calls)
     assert residuals == [lhs - rhs for _, lhs, rhs in groups]
     assert check == total - eight
+
+
+@pytest.mark.parametrize("seeds", [3, [3, 4]], ids=["unbatched", "batch of 2"])
+def test_appendix34_on_einstein_input_runs_no_rank6_einsum(monkeypatch, seeds):
+    """On Einstein input each group's two sides differ in a kernel that is
+    exactly zero, the sum check's kernels are rank 2 and 4, and the A rows
+    are left out: no contraction has a rank-6 output and R's rank-6 A
+    tensor is never built."""
+    from curvident import tensor as tensor_mod
+
+    E = einsteinize(random_curvature(6, seeds), Scalar(1, 1))
+    ndims = []
+    real = tensor_mod._einsum_exact
+
+    def einsum(s, ops):
+        out = real(s, ops)
+        ndims.append(out.ndim)
+        return out
+
+    monkeypatch.setattr(tensor_mod, "_einsum_exact", einsum)
+    reports = run_identity("appendix34", E)
+    assert all(rep.is_zero for rep in reports)
+    assert "a_quad" not in vars(E)
+    # a rank-6 output has six axes, seven with a trial axis; a batched
+    # rank-4 output has five
+    assert ndims and max(ndims) <= 5
+
+
+def test_weyl_expansion_evaluates_each_f_row_once(monkeypatch):
+    """The dim-6 W-identity's two F families share each row's subscripts
+    and g, so each row's two einsums run as one."""
+    from curvident import tensor as tensor_mod
+    from curvident.identities import _F_ROWS, _weyl_identity_block_terms
+
+    terms = [t for block in _weyl_identity_block_terms(weyl(random_curvature(6, 3))) for t in block]
+    calls = []
+    real = tensor_mod._einsum_exact
+    monkeypatch.setattr(tensor_mod, "_einsum_exact", lambda s, ops: calls.append(s) or real(s, ops))
+    for term in terms:
+        lincomb([term])
+    apart = len(calls)
+    calls.clear()
+    assert lincomb(terms).is_zero()
+    assert len(calls) == apart - len(_F_ROWS)
 
 
 def test_evaluate_model_computes_each_piece_once(monkeypatch):
