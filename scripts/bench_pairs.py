@@ -6,10 +6,13 @@ Usage (from the repository root)::
         --workload delta-campaign --seed 1 --pairs 10 --seconds 20
 
 The parent is the committed tree of ``--base`` (default ``HEAD``),
-exported with ``git archive`` into a temporary directory; the change is
-this working tree.  Each pair runs ``perfbench/run.py`` once on each side,
-with identical arguments, and alternates which side goes first.  Every run
-must report ``correct: true``.
+exported with ``git archive`` into a temporary directory.  The change is
+exported the same way from this working tree: every file git tracks (the
+index, so staged new files too), as it is on disk, into a second
+temporary directory.  So both sides start without bytecode, plan files or
+anything untracked.  Each pair runs ``perfbench/run.py`` once on each
+side, with identical arguments, and alternates which side goes first.
+Every run must report ``correct: true``.
 
 ``BENCH_<label>.json`` (or ``--out``) holds one entry per workload, seed
 and ``--trace`` value: every run's metrics and, per metric, each side's
@@ -23,14 +26,24 @@ median is worse than the parent's by more than bound x the parent median,
 "unresolved" when the parent's interquartile range exceeds that margin and
 not every change run beats every parent run, "none" otherwise.  A later run
 with the same label and base replaces the entries it measured again and
-keeps the others, so one file can collect several invocations.  The
-file also records ``src_lines``, the line count of the Python sources
-under ``src/`` in the parent and in the change.
+keeps the others, so one file can collect several invocations of the
+same two trees.  The file also records ``src_lines``, the line count of
+the Python sources under ``src/`` in the parent and in the change, and
+``tree_sha256``, a hash of each exported tree's file paths and contents,
+taken before its first run; a later invocation whose trees hash
+otherwise is refused, as one against another base is.
+
+perfbench's children run with ``PYTHONDONTWRITEBYTECODE`` unset, so each
+tree writes its bytecode and delta plan files in its first pass.  A
+command timed by hand should run the same way: with the variable set, a
+changed ``delta.py`` has no plan files and compiles its plans in every
+process.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import shutil
 import statistics
@@ -54,6 +67,30 @@ def export_tree(rev: str, dest: Path) -> str:
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
     return sha
+
+
+def export_working_tree(dest: Path):
+    """Copy every file git tracks in this working tree, as it is on disk,
+    into ``dest``; a tracked file deleted from disk is left out."""
+    names = subprocess.run(
+        ["git", "ls-files", "-z", "--cached"], cwd=ROOT, check=True, capture_output=True
+    ).stdout.decode().split("\0")
+    for name in filter(None, names):
+        src = ROOT / name
+        if src.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
+
+
+def tree_sha256(tree: Path) -> str:
+    """A hash of every file under ``tree``: its relative path and bytes, in
+    path order."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in tree.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        h.update(f"{path.relative_to(tree).as_posix()}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 def src_lines(tree: Path) -> int:
@@ -136,14 +173,20 @@ def main(argv=None) -> int:
 
     out = args.out or ROOT / f"BENCH_{args.label}.json"
     record = json.loads(out.read_text()) if out.exists() else None
-    parent_tree = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
+    trees = {side: Path(tempfile.mkdtemp(prefix=f"bench_pairs_{side}_"))
+             for side in ("parent", "change")}
     entries, machine = [], {}
     try:
-        base = export_tree(args.base, parent_tree)
+        base = export_tree(args.base, trees["parent"])
         if record is not None and record["base"] != base:
             raise SystemExit(f"{out} was measured against base {record['base']}, not {base}")
+        export_working_tree(trees["change"])
+        hashes = {side: tree_sha256(tree) for side, tree in trees.items()}
+        if record is not None and record.get("tree_sha256") != hashes:
+            raise SystemExit(f"{out} was measured on other trees; use another --label")
         record = record or {"label": args.label, "base": base, "entries": []}
-        record["src_lines"] = {"parent": src_lines(parent_tree), "change": src_lines(ROOT)}
+        record["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
+        record["tree_sha256"] = hashes
         for workload in args.workload:
             for seed in args.seed:
                 runs = []
@@ -151,9 +194,8 @@ def main(argv=None) -> int:
                     order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                     pair = {"first": order[0]}
                     for side in order:
-                        tree = parent_tree if side == "parent" else ROOT
                         pair[side], machine = run_once(
-                            tree, workload, seed, args.seconds, args.trace
+                            trees[side], workload, seed, args.seconds, args.trace
                         )
                     runs.append(pair)
                     print(f"{workload} seed {seed} pair {i + 1}/{args.pairs}: " + ", ".join(
@@ -168,7 +210,8 @@ def main(argv=None) -> int:
                     "summary": summarize(runs, better, bounds), "runs": runs,
                 })
     finally:
-        shutil.rmtree(parent_tree, ignore_errors=True)
+        for tree in trees.values():
+            shutil.rmtree(tree, ignore_errors=True)
 
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
                           text=True).stdout.strip()

@@ -22,14 +22,19 @@ Its wall splits into four phases, all on the monotonic clock:
 
 One pass of every workload runs first and is not timed (bytecode, plan
 files); then ``-n`` timed passes.  Every command must exit 0.  The table
-gives each command's median phases in ms and, per workload, the sum of
-those medians.  Times are wall clock; nothing is gated on them.
+gives each command's median phases in ms and its peak RSS in MB (the
+largest ``ru_maxrss`` that ``os.wait4`` reports for it over the timed
+passes, as perfbench reads its children's); per workload, the sum of
+those medians and the largest peak, which is the command that sets the
+workload's ``peak_rss_mb``.  Times are wall clock; nothing is gated on
+them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -68,8 +73,9 @@ def workloads() -> tuple:
     return WORKLOADS, child_env()
 
 
-def run_command(cmd, work: Path, env: dict) -> dict:
-    """One command under the probe: its phases in seconds."""
+def run_command(cmd, work: Path, env: dict) -> tuple:
+    """One command under the probe: its phases in seconds and its peak RSS
+    in MB."""
     marks = work / "marks.txt"
     with open(work / "out", "wb") as out, open(work / "err", "wb") as err:
         t_spawn = time.monotonic()
@@ -77,8 +83,9 @@ def run_command(cmd, work: Path, env: dict) -> dict:
             [sys.executable, "-c", PROBE, str(marks), *cmd.argv],
             stdin=subprocess.DEVNULL, stdout=out, stderr=err, cwd=work, env=env,
         )
-        code = proc.wait()
+        _, status, usage = os.wait4(proc.pid, 0)
         t_reaped = time.monotonic()
+        code = proc.returncode = os.waitstatus_to_exitcode(status)
     if code != 0:
         raise SystemExit(f"{' '.join(cmd.argv)} exited {code}\n{(work / 'err').read_text()[-500:]}")
     if cmd.report:
@@ -86,8 +93,9 @@ def run_command(cmd, work: Path, env: dict) -> dict:
         data = json.loads((work / cmd.report).read_bytes())
         (work / cmd.report.replace(".json", ".model.json")).write_text(json.dumps(data["model"]))
     t_start, t_imported, t_last = map(float, marks.read_text().split())
-    return dict(zip(PHASES, (t_start - t_spawn, t_imported - t_start,
-                             t_last - t_imported, t_reaped - t_last)))
+    phases = dict(zip(PHASES, (t_start - t_spawn, t_imported - t_start,
+                               t_last - t_imported, t_reaped - t_last)))
+    return phases, usage.ru_maxrss / 1024.0
 
 
 def main(argv=None) -> int:
@@ -101,23 +109,27 @@ def main(argv=None) -> int:
     if args.n < 1:
         ap.error("-n must be >= 1")
     names = args.workload or list(table)
-    print(f"{'workload / command':<72}" + "".join(f"{p:>9}" for p in PHASES) + "   (ms)")
+    print(f"{'workload / command':<72}" + "".join(f"{p:>9}" for p in PHASES)
+          + f"{'rss':>9}   (ms; rss: peak MB)")
     for name in names:
         cmds = table[name](args.seed)
         samples = [{p: [] for p in PHASES} for _ in cmds]
+        peaks = [0.0] * len(cmds)
         with tempfile.TemporaryDirectory(prefix="process-phases-") as tmp:
             work = Path(tmp)
             for i in range(args.n + 1):
-                for cmd, sample in zip(cmds, samples):
-                    phases = run_command(cmd, work, env)
+                for c, (cmd, sample) in enumerate(zip(cmds, samples)):
+                    phases, rss = run_command(cmd, work, env)
                     if i:
                         for p in PHASES:
                             sample[p].append(phases[p])
+                        peaks[c] = max(peaks[c], rss)
         medians = [{p: statistics.median(s[p]) for p in PHASES} for s in samples]
-        for cmd, med in zip(cmds, medians):
-            print(f"  {' '.join(cmd.argv)[:70]:<70}" + "".join(f"{med[p] * 1e3:9.1f}" for p in PHASES))
+        for cmd, med, peak in zip(cmds, medians, peaks):
+            print(f"  {' '.join(cmd.argv)[:70]:<70}"
+                  + "".join(f"{med[p] * 1e3:9.1f}" for p in PHASES) + f"{peak:9.2f}")
         print(f"{name + ' pass':<72}" + "".join(
-            f"{sum(m[p] for m in medians) * 1e3:9.1f}" for p in PHASES))
+            f"{sum(m[p] for m in medians) * 1e3:9.1f}" for p in PHASES) + f"{max(peaks):9.2f}")
     return 0
 
 

@@ -13,7 +13,9 @@ more call runs the whole campaign, ``-n`` n from ``--seed``, as the
 benchmark's commands do: its trials go through random-check's chunks, so
 it shows what batching them saves against n single calls (its batched
 einsum shapes are new to the process, so it pays their path searches).
-Every call must exit 0.  The set timed is every identity at every dimension 5 and
+Every call must exit 0.  The children run with ``PYTHONDONTWRITEBYTECODE``
+unset, as perfbench's do, so they write and then read the tree's bytecode
+and delta plan files.  The set timed is every identity at every dimension 5 and
 6 it applies to, with ``random-check``'s default ``--r`` and ``--mode``,
 except the super-Einstein ones: random Einstein trials do not satisfy
 their hypothesis.
@@ -33,6 +35,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import resource
 import statistics
 import subprocess
@@ -100,10 +103,11 @@ def main(argv=None) -> int:
         return 0
 
     out = {"n": args.n, "seed": args.seed, "ids": {}}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     for key in timed_ids():
         proc = subprocess.run(
             [sys.executable, __file__, "--child", key, "-n", str(args.n), "--seed", str(args.seed)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         if proc.returncode != 0:
             raise SystemExit(f"{key}: exited {proc.returncode}\n{proc.stderr}")

@@ -28,8 +28,12 @@ Every identity is a polynomial in R built from a few derived pieces, and
 each is a cached property of the immutable ``CurvatureTensor``, computed
 once on first use: ``g``, ``ricci``, ``tau``, ``t_check``, ``r_norm_sq``,
 ``ricci_norm_sq``, the five cubic contractions above, ``einstein``,
-``super_einstein``, ``t_quad``, ``s_quad``, ``a_quad`` (T, S, A; ``tsa``
-groups them), ``f`` (F) and ``weyl`` (validated once).  The pieces are
+``super_einstein``, ``t_quad``, ``s_quad`` (T, S; ``tsa`` groups them with
+A), ``f`` (F) and ``weyl`` (validated once).  ``a_quad`` (A) is the one
+piece that is not cached: it is a dense rank-6 array read by one
+assembly per tensor (lemma6's form, which ``identities`` memoizes on R in
+its place, and the dim-6 W-identity), so it is built there and dropped
+with that assembly's terms.  The pieces are
 shared, not only cheap: ``lincomb`` merges terms with the same subscripts
 and the same operand objects before evaluating any, so terms built from
 one R's pieces in different evaluators cancel unevaluated, and terms that
@@ -82,8 +86,9 @@ class CurvatureTensor:
 
     Wraps the rank-4 component Tensor; construction goes through
     :func:`validate_curvature`.  The derived pieces (module docstring) are
-    written into the instance dict by ``cached_property``, past the
-    immutability guard; ``==`` and ``hash`` read only ``tensor``.
+    written into the instance dict by ``cached_property``, and lemma6's
+    form by ``identities``, past the immutability guard; ``==`` and
+    ``hash`` read only ``tensor``.
     """
 
     def __init__(self, tensor: Tensor, _validated: bool = False):
@@ -187,8 +192,9 @@ class CurvatureTensor:
     def s_quad(self) -> Tensor:
         return ein("abpq,abrs->pqrs", self.tensor, self.tensor)
 
-    @cached_property
+    @property
     def a_quad(self) -> Tensor:
+        """A, built afresh on each read (module docstring)."""
         return ein("apqr,astu->pqrstu", self.tensor, self.tensor)
 
     @cached_property

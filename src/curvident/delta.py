@@ -40,10 +40,14 @@ the free output axes split into an upper and a lower antisymmetric group.
 Each permutation term is accumulated only at one representative per
 orbit: the non-decreasing index tuples of each group.  Representatives
 with a repeated index are evaluated too and must cancel to exactly zero
-(an engine invariant, checked on every call; with N above the dimension
-they are all there is); each distinct-index representative is then
+(an engine invariant, checked on every call; when a group has more axes
+than the dimension they are all there is); each distinct-index representative is then
 written to every permuted position with the product of the two
-permutation signs.
+permutation signs.  The tables of that scatter are built on a layout's
+first non-zero result, so a vanishing contraction never builds them: the
+Patterson residuals, with N = dim + 1, are all zero.  The layout keeps
+its representative index tuples in one byte per entry and its gathers'
+positions as int32.
 
 Compiled plans persist across processes.  A key missing from the
 in-process cache is looked up in a plan file beside this module's
@@ -199,50 +203,50 @@ def _strides(dim: int, k: int):
     return dim ** np.arange(k - 1, -1, -1, dtype=np.intp)
 
 
-def _group_orbits(dim: int, k: int, strides):
+def _group_tuples(dim: int, k: int):
     """One antisymmetric group of ``k`` output axes: its non-decreasing
-    value tuples, whether each is strictly increasing, and per tuple the
-    flat output offsets of all its permutations, with their signs."""
+    value tuples, and whether each is strictly increasing."""
     tuples = list(combinations_with_replacement(range(dim), k))
     reps = np.array(tuples, np.intp).reshape(len(tuples), k)
-    perms, signs = _signed_permutations(k)
-    distinct = np.all(np.diff(reps, axis=1) > 0, axis=1)
-    return reps, distinct, reps[:, perms] @ strides, signs
+    return reps, np.all(np.diff(reps, axis=1) > 0, axis=1)
 
 
 class _Layout:
     """Representatives of the antisymmetry orbits of the free output axes.
 
     Row ``r`` of ``idx`` is one output index tuple whose upper-group values
-    and lower-group values are each non-decreasing.  ``repeated`` lists the
-    rows with a repeated index inside a group (their value must be zero);
-    every other row ``src`` is scattered to the flat output position
-    ``target`` as ``value[src] * sign``.  Gathers are shared by every
-    record with the same output assignment and diagonal pairs.
+    and lower-group values are each non-decreasing; the entries are below
+    ``dim``, so ``idx`` holds the smallest integer dtype that fits them.
+    ``repeated`` lists the rows with a repeated index inside a group (their
+    value must be zero).  Gathers are shared by every record with the same
+    output assignment and diagonal pairs, and hold int32 positions.
+
+    ``scatter`` is None until ``expand`` first meets a non-zero
+    accumulator; then it holds (src, target, sign): every other row, once
+    per permutation of its upper and of its lower group, is scattered to
+    the flat output position ``target`` as ``value[src] * sign``.  With N
+    above the dimension the result is zero, so those tables are never
+    built.
     """
 
-    __slots__ = ("dim", "shape", "idx", "repeated", "src", "sign", "target", "gathers")
+    __slots__ = ("dim", "out", "shape", "idx", "repeated", "scatter", "gathers")
 
     def __init__(self, dim: int, out: tuple):
         self.dim = dim
+        self.out = out
         self.shape = (dim,) * len(out)
         self.gathers = {}
-        strides = _strides(dim, len(out))
-        ax_u = [a for a, (side, _) in enumerate(out) if side == "U"]
-        ax_l = [a for a, (side, _) in enumerate(out) if side == "L"]
-        g_u, d_u, off_u, s_u = _group_orbits(dim, len(ax_u), strides[ax_u])
-        g_l, d_l, off_l, s_l = _group_orbits(dim, len(ax_l), strides[ax_l])
+        self.scatter = None
+        ax_u, ax_l = _group_axes(out)
+        g_u, d_u = _group_tuples(dim, len(ax_u))
+        g_l, d_l = _group_tuples(dim, len(ax_l))
         # row r pairs upper tuple r // len(g_l) with lower tuple r % len(g_l);
         # column-major, as gathers read whole axes
-        self.idx = np.empty((len(g_u) * len(g_l), len(out)), np.intp, order="F")
+        dtype = np.min_scalar_type(dim - 1)
+        self.idx = np.empty((len(g_u) * len(g_l), len(out)), dtype, order="F")
         self.idx[:, ax_u] = np.repeat(g_u, len(g_l), axis=0)
         self.idx[:, ax_l] = np.tile(g_l, (len(g_u), 1))
-        distinct = np.outer(d_u, d_l)
-        self.repeated = np.flatnonzero(~distinct)
-        iu, il = np.nonzero(distinct)
-        self.src = np.repeat(iu * len(g_l) + il, len(s_u) * len(s_l))
-        self.target = (off_u[iu][:, :, None] + off_l[il][:, None, :]).reshape(-1)
-        self.sign = np.tile(np.outer(s_u, s_l).reshape(-1), len(iu))
+        self.repeated = np.flatnonzero(~np.outer(d_u, d_l))
 
     def gather(self, out_assign: tuple, diag_pairs: tuple):
         """(rows, flat) for one record: the representative rows where the
@@ -256,11 +260,29 @@ class _Layout:
                 mask = np.ones(len(self.idx), bool)
                 for a1, a2 in diag_pairs:
                     mask &= self.idx[:, a1] == self.idx[:, a2]
-                rows = np.flatnonzero(mask)
+                rows = np.flatnonzero(mask).astype(np.int32)
             flat = self.idx[rows][:, list(out_assign)] @ _strides(self.dim, len(out_assign))
             # int32 halves the cached positions; 6**8 fits easily
             cached = self.gathers[key] = (rows, flat.astype(np.int32))
         return cached
+
+    def _scatter_tables(self) -> tuple:
+        """(src, target, sign) of the class docstring."""
+        rows = np.ones(len(self.idx), bool)
+        rows[self.repeated] = False
+        rows = np.flatnonzero(rows)
+        strides = _strides(self.dim, len(self.out))
+        offsets, signs = [], []
+        for axes in _group_axes(self.out):
+            perms, sign = _signed_permutations(len(axes))
+            # per row, the flat offset of each permutation of the group's values
+            offsets.append(self.idx[np.ix_(rows, axes)][:, perms] @ strides[axes])
+            signs.append(sign)
+        (off_u, off_l), (s_u, s_l) = offsets, signs
+        src = np.repeat(rows, len(s_u) * len(s_l))
+        target = (off_u[:, :, None] + off_l[:, None, :]).reshape(-1)
+        sign = np.tile(np.outer(s_u, s_l).reshape(-1), len(rows))
+        return src, target, sign
 
     def expand(self, acc):
         """The dense output array from the accumulated representative
@@ -272,9 +294,17 @@ class _Layout:
             )
         if not np.count_nonzero(acc):
             return _zero_part(self.shape, acc.dtype)
+        if self.scatter is None:
+            self.scatter = self._scatter_tables()
+        src, target, sign = self.scatter
         dense = np.zeros(math.prod(self.shape), acc.dtype)
-        dense[self.target] = acc[self.src] * self.sign
+        dense[target] = acc[src] * sign
         return dense.reshape(self.shape)
+
+
+def _group_axes(out: tuple) -> tuple:
+    """The output axes of the upper and of the lower antisymmetric group."""
+    return tuple([a for a, (side, _) in enumerate(out) if side == g] for g in "UL")
 
 
 def _layout(dim: int, out: tuple) -> _Layout:

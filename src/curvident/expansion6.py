@@ -98,7 +98,8 @@ def group_residuals(R: CurvatureTensor) -> list:
     the terms that share operands before any is evaluated: a group's two
     sides differ in one kernel (k0 - k0r, k2 - k2r, k4 - k4r or
     8 rho - (4/3) tau g), which is exactly zero on Einstein input, so no
-    rank-6 einsum runs there."""
+    rank-6 einsum runs there.  In the sum check, the nine F rows' kernels
+    are one rank-4 tensor up to sign, and ``lincomb`` builds it once."""
     _check_dim(R, 6, "the term-group expansion")
     groups = _group_terms(R)
     out = [lincomb(lhs + _scaled(-1, rhs)) for lhs, rhs in groups]

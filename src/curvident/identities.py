@@ -389,22 +389,38 @@ def einstein6_blocks(R: CurvatureTensor):
     return lincomb(g3), tt_rows, [lincomb([x]) for x in f], a
 
 
+def _einstein6_form(R: CurvatureTensor) -> Tensor:
+    """The rank-6 Einstein identity form, its four blocks streamed into one
+    lincomb: the lemma6 residual.  It is the one reader of R's A tensor,
+    and it is memoized in R's instance dict, as R's cached pieces are, in
+    A's place: eq42 reads it again, and on Einstein input it is a zero
+    part, while A is a dense rank-6 array."""
+    form = vars(R).get("einstein6_form")
+    if form is None:
+        form = vars(R)["einstein6_form"] = lincomb(_einstein6_terms(R) + _a_terms(R.a_quad))
+    return form
+
+
 def einstein6_residual(R: CurvatureTensor) -> ResidualReport:
-    """Rank-6 Einstein identity in dimension 6 (id "lemma6"), its four
-    blocks streamed into one lincomb; free indices ordered (i,h,j,k,l,m)."""
+    """Rank-6 Einstein identity in dimension 6 (id "lemma6"); free indices
+    ordered (i,h,j,k,l,m)."""
     _check_dim(R, 6, "lemma6")
-    return make_report("lemma6", "einstein", lincomb(_einstein6_terms(R) + _a_terms(R.a_quad)))
+    return make_report("lemma6", "einstein", _einstein6_form(R))
 
 
 def super6_residual(R: CurvatureTensor) -> ResidualReport:
-    """Rank-6 super-Einstein identity in dimension 6 (id "eq42"): the g-block
-    flips to -(1/8)(||R||^2 - tau^2/3) and the tt-block drops."""
+    """Rank-6 super-Einstein identity in dimension 6 (id "eq42"): the lemma6
+    form with its g-block flipped to -(1/8)(||R||^2 - tau^2/3) and its
+    tt-block dropped.  It is evaluated as the lemma6 form plus the two
+    blocks where the forms differ, -(||R||^2/4) g3 + (1/2) tt(t_check, g),
+    so it adds no F or A row, and R's A tensor is read once for both
+    ids."""
     _check_dim(R, 6, "eq42")
     g = R.g
     res = lincomb(
-        _scaled((R.r_norm_sq - R.tau * R.tau * Fraction(1, 3)) * Fraction(-1, 8), _g3_terms(g))
-        + _f_terms(R.f, g)
-        + _a_terms(R.a_quad)
+        [(1, _einstein6_form(R))]
+        + _scaled(R.r_norm_sq * Fraction(-1, 4), _g3_terms(g))
+        + _scaled(Fraction(1, 2), _tt_terms(R.t_check, g))
     )
     return make_report("eq42", "super_einstein", res)
 

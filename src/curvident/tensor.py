@@ -43,7 +43,9 @@ terms of two or more operands that share their subscripts and every
 operand object but one become one term by linearity:
 sum_k c_k * ein(s, .., X_k, ..) = ein(s, .., K, ..) with the kernel
 K = lincomb(c_k * X_k).  K is a Tensor of its own, the one intermediate
-Tensor of a sum: one per merged group, none per term.  A kernel that comes
+Tensor of a sum: one per merged group, none per term, and one for all
+the groups of a sum whose (operand, coefficient) lists agree up to one
+overall sign.  A kernel that comes
 out zero is an all-zero operand, so its term is never evaluated, and one
 that comes out c * I leaves the einsum as below.  The merged term is an
 ordinary einsum over Tensors, so its bound, taken from the kernel's true
@@ -703,7 +705,10 @@ def _merge_like_terms(terms) -> list:
     p in order, a term joins the first group made with the same operands
     but the one at p if that group's terms differ at p or nowhere, so the
     grouping depends only on the order of the terms.  (A one-operand
-    einsum is not factored: its kernel would be as large as the einsum.)"""
+    einsum is not factored: its kernel would be as large as the einsum.)
+    A kernel whose (operand, coefficient) list repeats an earlier kernel's
+    of the same call, up to one overall sign, is that kernel: it is built
+    once, and the sign moves into the term's coefficient."""
     # a group is [its first term's spec, the position where its terms
     # differ (None while they do not), its terms as (coeff, spec)]; where
     # maps each lookup key to the first group made with it
@@ -729,11 +734,16 @@ def _merge_like_terms(terms) -> list:
             groups.append(group)
             for key in keys:
                 where.setdefault(key, group)
-    merged = []
+    merged, kernels = [], {}
     for spec, pos, members in groups:
         if pos is not None:
-            kernel = lincomb([(c, s[pos + 1]) for c, s in members])
-            merged.append((1, 0, 1, *spec[: pos + 1], kernel, *spec[pos + 2 :]))
+            key = _kernel_key(members, pos)
+            sign, kernel = kernels.get(key, (1, None))
+            if kernel is None:
+                kernel = lincomb([(c, s[pos + 1]) for c, s in members])
+                kernels[_kernel_key(members, pos, -1)] = -1, kernel
+                kernels[key] = 1, kernel
+            merged.append((sign, 0, 1, *spec[: pos + 1], kernel, *spec[pos + 2 :]))
             continue
         x, y, q = _coefficient(members[0][0])
         for coeff, _ in members[1:]:
@@ -743,6 +753,18 @@ def _merge_like_terms(terms) -> list:
             x, y, q = x // g, y // g, q // g
         merged.append((x, y, q, *spec))
     return merged
+
+
+def _kernel_key(members, pos: int, sign: int = 1) -> tuple:
+    """The (operand id, coefficient) list of a kernel's ``members``, each
+    coefficient read by ``_coefficient`` and multiplied by ``sign``.  Equal
+    keys give equal kernels, and with opposite signs opposite ones."""
+    key = []
+    for coeff, spec in members:
+        x, y, q = _coefficient(coeff)
+        x, y = (sign * x, sign * y) if type(x) is int else (tuple(sign * x), tuple(sign * y))
+        key.append((id(spec[pos + 1]), x, y, q))
+    return tuple(key)
 
 
 def lincomb(terms) -> Tensor:

@@ -252,8 +252,11 @@ def _operand(draw, rng, rank, batch):
 def _factorable_terms(draw):
     """Einsum terms, 2-5 per shared subscripts: the first term's operands,
     then terms that repeat it or differ from it in the operand at a drawn
-    position.  Coefficients are ints (some past 2**62), Fractions, Scalars
-    and, in a batch, per-trial values."""
+    position.  Each such block may be followed by its sign-flipped repeat:
+    the block with every coefficient times one drawn sign and the operand
+    at one drawn position replaced in every term, so the repeat's kernels
+    are the block's up to that sign.  Coefficients are ints (some past
+    2**62), Fractions, Scalars and, in a batch, per-trial values."""
     batch = draw(st.integers(0, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     coeffs = [
@@ -267,13 +270,19 @@ def _factorable_terms(draw):
     for _ in range(draw(st.integers(1, 2))):
         subscripts, ranks = draw(st.sampled_from(_FACTOR_SHAPES))
         first = [_operand(draw, rng, rank, batch) for rank in ranks]
-        terms.append((draw(coeff), subscripts, *first))
+        block = [(draw(coeff), subscripts, *first)]
         for _ in range(draw(st.integers(1, 4))):
             ops = list(first)
             p = draw(st.integers(0, len(ops) - 1))
             if draw(st.booleans()):
                 ops[p] = _operand(draw, rng, ranks[p], batch)
-            terms.append((draw(coeff), subscripts, *ops))
+            block.append((draw(coeff), subscripts, *ops))
+        terms += block
+        if draw(st.booleans()):
+            q = draw(st.integers(0, len(ranks) - 1))
+            other = _operand(draw, rng, ranks[q], batch)
+            sign = draw(st.sampled_from([1, -1]))
+            terms += [(sign * c, s, *ops[:q], other, *ops[q + 1 :]) for c, s, *ops in block]
     return terms
 
 
@@ -290,6 +299,22 @@ def test_factored_terms_equal_the_sum_of_the_terms(terms):
     assert result == expected
     assert (result.batch, result._rat.dtype, result._irr.dtype) == (
         expected.batch, expected._rat.dtype, expected._irr.dtype)
+
+
+def test_a_kernel_repeated_up_to_sign_is_built_once():
+    """Two factored groups whose (operand, coefficient) lists agree up to
+    one overall sign share one kernel, the sign moved into the second
+    term's coefficient, and the sum is unchanged."""
+    rng = np.random.default_rng(7)
+    a, b, c, d = (_tensor(rng, 2, "sqrt3") for _ in range(4))
+    terms = [
+        (2, "ij,kl->ijkl", a, c), (Fraction(-1, 3), "ij,kl->ijkl", a, d),
+        (-2, "il,jk->ijkl", b, c), (Scalar(Fraction(1, 3)), "il,jk->ijkl", b, d),
+    ]
+    first, second = tensor_mod._merge_like_terms(terms)
+    assert first[5] is second[5] and first[5] is not c
+    assert first[:3] == (1, 0, 1) and second[:3] == (-1, 0, 1)
+    assert lincomb(terms) == lincomb([(1, lincomb([term])) for term in terms])
 
 
 def test_random_curvature_of_seeds_stacks_each_seeds_tensor():

@@ -637,6 +637,40 @@ def test_nonzero_generic_operand_stays_dense():
     assert eng == reference_delta_contract(4, 4, [t], b)
 
 
+def test_vanishing_contraction_builds_no_scatter_tables(monkeypatch):
+    """With N above the dimension the result is zero, so the fresh layout of
+    a Patterson contraction never builds its scatter tables; its index
+    table holds one byte per entry and its gathers int32 positions."""
+    monkeypatch.setattr(delta_mod, "_LAYOUT_CACHE", {})
+    R = random_curvature(5, 3, 4)
+    binding = _patterson_binding(5, 1, "free")
+    assert generalized_delta_contract(6, 5, [R.tensor], binding).is_zero()
+    layout = delta_mod._LAYOUT_CACHE[(5, binding.out)]
+    assert layout.scatter is None
+    assert layout.idx.dtype.itemsize == 1
+    for rows, flat in layout.gathers.values():
+        assert flat.dtype == np.int32
+        assert isinstance(rows, slice) or rows.dtype == np.int32
+
+
+@pytest.mark.parametrize("dim,r,mode", [(4, 1, "free"), (5, 1, "traced"), (5, 2, "free")])
+def test_nonvanishing_contraction_builds_scatter_tables_on_first_expand(monkeypatch, dim, r, mode):
+    """An order-dim delta (N <= dim) against r copies of R is not zero: its
+    fresh layout builds the scatter tables on its first expand, keeps them
+    for the next call, and the result equals the oracle's."""
+    monkeypatch.setattr(delta_mod, "_LAYOUT_CACHE", {})
+    R = random_curvature(dim, 5, 4).tensor
+    binding = _patterson_binding(dim - 1, r, mode)
+    layout = _layout(dim, binding.out)
+    assert layout.scatter is None
+    eng = generalized_delta_contract(dim, dim, [R] * r, binding)
+    assert not eng.is_zero() and layout.scatter is not None
+    tables = layout.scatter
+    assert generalized_delta_contract(dim, dim, [R] * r, binding) == eng
+    assert layout.scatter is tables
+    assert eng == reference_delta_contract(dim, dim, [R] * r, binding)
+
+
 # -- plan files -----------------------------------------------------------------
 
 

@@ -250,6 +250,44 @@ def test_eq42_examples():
     assert super6_residual(constant_curvature(6, 1)).is_zero
 
 
+def _eq42_inputs():
+    """(id, model): raw and einsteinized random tensors (k = 1, -2/3,
+    1 + sqrt 3), each unbatched and as a batch of 2, and example6d."""
+    ks = {"raw": None, "k=1": Scalar(1), "k=-2/3": Scalar(Fraction(-2, 3)), "k=1+sqrt3": Scalar(1, 1)}
+    out = []
+    for name, k in ks.items():
+        for seeds, batch in ((3, ""), ([3, 4], ", batch of 2")):
+            out.append((name + batch, (lambda s=seeds, k=k: random_curvature(6, s)
+                                       if k is None else einsteinize(random_curvature(6, s), k))))
+    return out + [("example6d", lambda: example_6d(1))]
+
+
+@pytest.mark.parametrize("make", [m for _, m in _eq42_inputs()], ids=[n for n, _ in _eq42_inputs()])
+def test_eq42_is_the_lemma6_form_plus_two_blocks(make):
+    """eq42's stated form, -(1/8)(||R||^2 - tau^2/3) g3 + F rows + A rows,
+    equals lemma6's form plus the two blocks where the forms differ,
+    -(||R||^2/4) g3 + (1/2) tt(t_check, g), and eq42's residual is that
+    sum; the stated form is built on a fresh tensor that shares no piece."""
+    from curvident.identities import _a_terms, _f_terms, _g3_terms, _scaled, _tt_terms
+
+    R = make()
+    fresh = CurvatureTensor(R.tensor, _validated=True)
+    g, rn2 = fresh.g, fresh.r_norm_sq
+    stated = lincomb(
+        _scaled((rn2 - fresh.tau * fresh.tau * Fraction(1, 3)) * Fraction(-1, 8), _g3_terms(g))
+        + _f_terms(fresh.f, g)
+        + _a_terms(fresh.a_quad)
+    )
+    blocks = lincomb(
+        _scaled(rn2 * Fraction(-1, 4), _g3_terms(g))
+        + _scaled(Fraction(1, 2), _tt_terms(fresh.t_check, g))
+    )
+    assert stated == einstein6_residual(fresh).residual + blocks
+    assert super6_residual(R).residual == stated
+    # only the super-Einstein example6d satisfies eq42
+    assert stated.is_zero() == R.super_einstein
+
+
 def test_eq42_wrong_dim_is_error():
     with pytest.raises(ShapeError):
         super6_residual(example_5d(1))
@@ -761,4 +799,36 @@ def test_quadratic_pieces_run_once_per_tensor(monkeypatch, make):
         expected["apqr,astu->pqrstu"] = 2
     assert contracted == expected
     assert built == ([R] if R.dim == 6 else [])
-    assert ("a_quad" in vars(R)) == (R.dim == 6)
+    assert not _dense_rank6_pieces(R)
+
+
+def _dense_rank6_pieces(R: CurvatureTensor) -> list:
+    """The cached pieces of R and of its Weyl part that hold a rank-6 part
+    other than a zero part, as "R.<name>" or "W.<name>"."""
+    from curvident.tensor import _is_zero_part
+
+    found = []
+    for label, owner in (("R", R), ("W", R.weyl)):
+        for name, value in vars(owner).items():
+            for t in value if isinstance(value, tuple) else (value,):
+                if isinstance(t, Tensor) and t.rank >= 6 and not (
+                        _is_zero_part(t._rat) and _is_zero_part(t._irr)):
+                    found.append(f"{label}.{name}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: example_6d(1), lambda: _einstein(6, seed=8)],
+    ids=["example_6d", "random einstein"],
+)
+def test_no_rank6_piece_outlives_evaluate_model(make):
+    """After evaluate_model with every dim-6 id, R keeps lemma6's form in
+    place of its A tensor, a zero part on Einstein input, and neither R
+    nor W keeps a dense rank-6 array."""
+    from curvident.models import explicit_spec
+    from curvident.report import evaluate_model
+
+    R = make()
+    evaluate_model(explicit_spec(R), R, applicable_identities(6))
+    assert "einstein6_form" in vars(R) and "a_quad" not in vars(R)
+    assert _dense_rank6_pieces(R) == []
