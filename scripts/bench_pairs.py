@@ -12,10 +12,15 @@ index, so staged new files too), as it is on disk, into a second
 temporary directory.  So both sides start without bytecode, plan files or
 anything untracked.  Each pair runs ``perfbench/run.py`` once on each
 side, with identical arguments, and alternates which side goes first.
-Every run must report ``correct: true``.
+Before its first pair, each workload runs once on each tree, untimed but
+checked like every run, so that every timed run finds the tree's
+bytecode and delta plan files written: a cold first pass compiles the
+dim-6 plans and reads about 2 MB more peak RSS than a warm one.  Every
+run must report ``correct: true``.
 
 ``BENCH_<label>.json`` (or ``--out``) holds one entry per workload, seed
-and ``--trace`` value: every run's metrics and, per metric, each side's
+and ``--trace`` value: every run's metrics (and, in a workload's first
+entry, the untimed warm-up runs' as ``warmup``) and, per metric, each side's
 median and quartiles, the pairs the change won, lost and tied, and whether
 the gain rule holds: the change wins at least nine tenths of the pairs and
 the medians differ by more than the parent's interquartile range, in the
@@ -34,7 +39,7 @@ taken before its first run; a later invocation whose trees hash
 otherwise is refused, as one against another base is.
 
 perfbench's children run with ``PYTHONDONTWRITEBYTECODE`` unset, so each
-tree writes its bytecode and delta plan files in its first pass.  A
+tree writes its bytecode and delta plan files in its warm-up run.  A
 command timed by hand should run the same way: with the variable set, a
 changed ``delta.py`` has no plan files and compiles its plans in every
 process.
@@ -188,6 +193,13 @@ def main(argv=None) -> int:
         record["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
         record["tree_sha256"] = hashes
         for workload in args.workload:
+            warmup = {}
+            for side, tree in trees.items():
+                result, _ = run_once(tree, workload, args.seed[0], args.seconds, 0)
+                warmup[side] = result["metrics"]
+            print(f"{workload}: warm-up run on each tree: peak_rss_mb " + " -> ".join(
+                f"{warmup[side]['peak_rss_mb']['value']:.4g}" for side in trees
+            ), file=sys.stderr)
             for seed in args.seed:
                 runs = []
                 for i in range(args.pairs):
@@ -201,13 +213,14 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} pair {i + 1}/{args.pairs}: " + ", ".join(
                         f"{name} {pair['parent']['metrics'][name]['value']:.4g} -> "
                         f"{pair['change']['metrics'][name]['value']:.4g}"
-                        for name in ("units_per_s", "delta.gdc.warm_s")
+                        for name in ("units_per_s", "peak_rss_mb", "delta.gdc.warm_s")
                         if name in pair["parent"]["metrics"]
                     ), file=sys.stderr)
                 entries.append({
                     "workload": workload, "seed": seed, "trace": args.trace,
                     "pairs": args.pairs, "seconds": args.seconds,
                     "summary": summarize(runs, better, bounds), "runs": runs,
+                    **({"warmup": warmup} if seed == args.seed[0] else {}),
                 })
     finally:
         for tree in trees.values():

@@ -24,10 +24,16 @@ One pass of every workload runs first and is not timed (bytecode, plan
 files); then ``-n`` timed passes.  Every command must exit 0.  The table
 gives each command's median phases in ms and its peak RSS in MB (the
 largest ``ru_maxrss`` that ``os.wait4`` reports for it over the timed
-passes, as perfbench reads its children's); per workload, the sum of
-those medians and the largest peak, which is the command that sets the
-workload's ``peak_rss_mb``.  Times are wall clock; nothing is gated on
-them.
+passes, as perfbench reads its children's), with the identity during
+which the command reached that peak: the probe wraps
+``report.run_identity`` and reads the process's ``ru_maxrss`` before
+and after each call and at its atexit mark (``(start)``: before the
+first call; ``(end)``: after the last, in ``main``; ``(exit)``: after
+the mark; ``-``: in ``main`` of a command that made no call, as a
+batched ``random-check`` of a non-delta id does).  Per workload, the
+table gives the sum of those medians and the largest peak with its
+identity, which is the command that sets the workload's
+``peak_rss_mb``.  Times are wall clock; nothing is gated on them.
 """
 
 from __future__ import annotations
@@ -49,20 +55,48 @@ PHASES = ("start", "import", "main", "exit")
 PROBE = """\
 import time
 t_start = time.monotonic()
-import atexit, sys
+import atexit, json, resource, sys
 marks_path = sys.argv[1]
+identities = []  # per report.run_identity call: id, ru_maxrss before and after (KB)
 
 def mark():
     t_last = time.monotonic()
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     with open(marks_path, "w") as fh:
-        fh.write(f"{t_start!r} {t_imported!r} {t_last!r}")
+        json.dump({"t": [t_start, t_imported, t_last], "identities": identities, "rss": rss}, fh)
 
 atexit.register(mark)
 import curvident.cli as cli
+import curvident.report as report
 t_imported = time.monotonic()
+run_identity = report.run_identity
+
+def probed(ident, *args, **kwargs):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    try:
+        return run_identity(ident, *args, **kwargs)
+    finally:
+        identities.append((ident, before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))
+
+report.run_identity = probed
 sys.argv = ["curvident", *sys.argv[2:]]
 sys.exit(cli.main())
 """
+
+
+def peak_identity(identities: list, at_mark: int, peak_kb: int) -> str:
+    """The identity during whose ``run_identity`` call a process's RSS
+    reached its peak ``peak_kb``, from the ``ru_maxrss`` readings around
+    each call and at the atexit mark (``at_mark``): ``(start)`` when it
+    was reached before the first call, ``(end)`` after the last but before
+    the mark, ``(exit)`` after the mark, ``-`` in a command without a
+    call."""
+    if not identities:
+        return "-" if at_mark >= peak_kb else "(exit)"
+    if identities[0][1] >= peak_kb:
+        return "(start)"
+    reached = (ident for ident, _, after in identities if after >= peak_kb)
+    return next(reached, "(end)" if at_mark >= peak_kb else "(exit)")
 
 
 def workloads() -> tuple:
@@ -74,8 +108,8 @@ def workloads() -> tuple:
 
 
 def run_command(cmd, work: Path, env: dict) -> tuple:
-    """One command under the probe: its phases in seconds and its peak RSS
-    in MB."""
+    """One command under the probe: its phases in seconds, its peak RSS in
+    MB and the identity during which it reached that peak."""
     marks = work / "marks.txt"
     with open(work / "out", "wb") as out, open(work / "err", "wb") as err:
         t_spawn = time.monotonic()
@@ -92,10 +126,12 @@ def run_command(cmd, work: Path, env: dict) -> tuple:
         # the workload's read-back verify reads the exported model
         data = json.loads((work / cmd.report).read_bytes())
         (work / cmd.report.replace(".json", ".model.json")).write_text(json.dumps(data["model"]))
-    t_start, t_imported, t_last = map(float, marks.read_text().split())
+    data = json.loads(marks.read_text())
+    t_start, t_imported, t_last = data["t"]
     phases = dict(zip(PHASES, (t_start - t_spawn, t_imported - t_start,
                                t_last - t_imported, t_reaped - t_last)))
-    return phases, usage.ru_maxrss / 1024.0
+    ident = peak_identity(data["identities"], data["rss"], usage.ru_maxrss)
+    return phases, usage.ru_maxrss / 1024.0, ident
 
 
 def main(argv=None) -> int:
@@ -110,26 +146,27 @@ def main(argv=None) -> int:
         ap.error("-n must be >= 1")
     names = args.workload or list(table)
     print(f"{'workload / command':<72}" + "".join(f"{p:>9}" for p in PHASES)
-          + f"{'rss':>9}   (ms; rss: peak MB)")
+          + f"{'rss':>9}  peak at   (ms; rss: peak MB; peak at: its identity)")
     for name in names:
         cmds = table[name](args.seed)
         samples = [{p: [] for p in PHASES} for _ in cmds]
-        peaks = [0.0] * len(cmds)
+        peaks = [(0.0, "-")] * len(cmds)
         with tempfile.TemporaryDirectory(prefix="process-phases-") as tmp:
             work = Path(tmp)
             for i in range(args.n + 1):
                 for c, (cmd, sample) in enumerate(zip(cmds, samples)):
-                    phases, rss = run_command(cmd, work, env)
+                    phases, rss, ident = run_command(cmd, work, env)
                     if i:
                         for p in PHASES:
                             sample[p].append(phases[p])
-                        peaks[c] = max(peaks[c], rss)
+                        peaks[c] = max(peaks[c], (rss, ident), key=lambda x: x[0])
         medians = [{p: statistics.median(s[p]) for p in PHASES} for s in samples]
-        for cmd, med, peak in zip(cmds, medians, peaks):
+        for cmd, med, (peak, ident) in zip(cmds, medians, peaks):
             print(f"  {' '.join(cmd.argv)[:70]:<70}"
-                  + "".join(f"{med[p] * 1e3:9.1f}" for p in PHASES) + f"{peak:9.2f}")
+                  + "".join(f"{med[p] * 1e3:9.1f}" for p in PHASES) + f"{peak:9.2f}  {ident}")
+        top, ident = max(peaks, key=lambda x: x[0])
         print(f"{name + ' pass':<72}" + "".join(
-            f"{sum(m[p] for m in medians) * 1e3:9.1f}" for p in PHASES) + f"{max(peaks):9.2f}")
+            f"{sum(m[p] for m in medians) * 1e3:9.1f}" for p in PHASES) + f"{top:9.2f}  {ident}")
     return 0
 
 

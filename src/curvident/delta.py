@@ -45,9 +45,14 @@ than the dimension they are all there is); each distinct-index representative is
 written to every permuted position with the product of the two
 permutation signs.  The tables of that scatter are built on a layout's
 first non-zero result, so a vanishing contraction never builds them: the
-Patterson residuals, with N = dim + 1, are all zero.  The layout keeps
-its representative index tuples in one byte per entry and its gathers'
-positions as int32.
+Patterson residuals, with N = dim + 1, are all zero.  A representative
+pairs an upper-group tuple u with a lower-group tuple l, so the position
+of a plan's einsum result that feeds it is ``fu[u] + fl[l]``: a record
+holds those two tables, one entry per tuple of a group, in the smallest
+integer dtype that holds the result's positions, and forms its positions
+on each call.  Records share equal tables, and records with the same
+diagonal pairs share the rows where those hold.  The layout keeps its
+representative index tuples in one byte per entry.
 
 Compiled plans persist across processes.  A key missing from the
 in-process cache is looked up in a plan file beside this module's
@@ -58,9 +63,9 @@ carries), the full ``repr`` of the key (delta order, dimension, binding,
 operand identity pattern, operand ranks and verified symmetries) and, per
 plan, its subscripts and records.  A file is used only when all of these
 match exactly and its contents have the shape the engine writes; anything
-else is ignored, compiled afresh and replaced.  The gathers are rebuilt
-from this process's layout, so a loaded plan is the compiled one.  Files
-are written as bytecode is, so not under ``-B`` or
+else is ignored, compiled afresh and replaced.  The records' tables are
+rebuilt from this process's layout, so a loaded plan is the compiled
+one.  Files are written as bytecode is, so not under ``-B`` or
 ``PYTHONDONTWRITEBYTECODE``, and not at all where the directory cannot be
 written; deleting ``__pycache__`` clears them.  There is no option.
 
@@ -186,17 +191,34 @@ _PLAN_FORMAT = 2
 
 class _Plan:
     """One einsum and its records.  ``specs`` lists each record as
-    (output assignment, diagonal pairs, coefficient); ``records`` holds the
-    same with the layout's gather in place of the first two."""
+    (output assignment, diagonal pairs, coefficient); ``tables`` holds the
+    same as the layout's (fu, fl, rows) (``_Layout.tables``) and the
+    coefficient."""
 
-    __slots__ = ("subscripts", "n_sum_letters", "specs", "records")
+    __slots__ = ("subscripts", "n_sum_letters", "specs", "tables", "layout")
 
     def __init__(self, subscripts, specs, layout):
         lhs, _, rhs = subscripts.partition("->")
         self.subscripts = subscripts
         self.n_sum_letters = len(set(lhs) - {","}) - len(rhs)
         self.specs = specs
-        self.records = [layout.gather(a, d) + (c,) for a, d, c in specs]
+        self.layout = layout
+        self.tables = [layout.tables(a, d) + (c,) for a, d, c in specs]
+
+    @property
+    def records(self) -> list:
+        """Each record as (rows, flat, coefficient): the representative rows
+        it feeds (``slice(None)`` for all of them) and the positions of the
+        einsum result that feed those rows, formed from ``tables``."""
+        n_l = self.layout.n_lower
+        out = []
+        for fu, fl, rows, coeff in self.tables:
+            if type(rows) is slice:
+                out.append((rows, (fu[:, None] + fl).reshape(-1), coeff))
+            else:
+                ru, rl = rows
+                out.append((ru.astype(np.intp) * n_l + rl, fu[ru] + fl[rl], coeff))
+        return out
 
 
 def _strides(dim: int, k: int):
@@ -215,11 +237,14 @@ class _Layout:
     """Representatives of the antisymmetry orbits of the free output axes.
 
     Row ``r`` of ``idx`` is one output index tuple whose upper-group values
-    and lower-group values are each non-decreasing; the entries are below
-    ``dim``, so ``idx`` holds the smallest integer dtype that fits them.
-    ``repeated`` lists the rows with a repeated index inside a group (their
-    value must be zero).  Gathers are shared by every record with the same
-    output assignment and diagonal pairs, and hold int32 positions.
+    and lower-group values are each non-decreasing: the upper tuple
+    ``r // n_lower`` with the lower tuple ``r % n_lower``.  The entries are
+    below ``dim``, so ``idx`` holds the smallest integer dtype that fits
+    them.  ``repeated`` lists the rows with a repeated index inside a group
+    (their value must be zero).  ``offsets`` holds the records' position
+    tables (``tables``) and ``diagonals``, per set of diagonal pairs, the
+    (upper, lower) tuple numbers of the rows where the pairs hold; records
+    that ask for the same one share it.
 
     ``scatter`` is None until ``expand`` first meets a non-zero
     accumulator; then it holds (src, target, sign): every other row, once
@@ -229,42 +254,69 @@ class _Layout:
     built.
     """
 
-    __slots__ = ("dim", "out", "shape", "idx", "repeated", "scatter", "gathers")
+    __slots__ = (
+        "dim", "out", "shape", "idx", "n_lower", "repeated", "scatter", "offsets", "diagonals"
+    )
 
     def __init__(self, dim: int, out: tuple):
         self.dim = dim
         self.out = out
         self.shape = (dim,) * len(out)
-        self.gathers = {}
+        self.offsets = {}
+        self.diagonals = {}
         self.scatter = None
         ax_u, ax_l = _group_axes(out)
         g_u, d_u = _group_tuples(dim, len(ax_u))
         g_l, d_l = _group_tuples(dim, len(ax_l))
-        # row r pairs upper tuple r // len(g_l) with lower tuple r % len(g_l);
-        # column-major, as gathers read whole axes
+        self.n_lower = len(g_l)
+        # column-major, as the tables read whole axes
         dtype = np.min_scalar_type(dim - 1)
         self.idx = np.empty((len(g_u) * len(g_l), len(out)), dtype, order="F")
         self.idx[:, ax_u] = np.repeat(g_u, len(g_l), axis=0)
         self.idx[:, ax_l] = np.tile(g_l, (len(g_u), 1))
         self.repeated = np.flatnonzero(~np.outer(d_u, d_l))
 
-    def gather(self, out_assign: tuple, diag_pairs: tuple):
-        """(rows, flat) for one record: the representative rows where the
-        record's diagonal pairs hold, and the flat positions of the plan's
-        einsum result that feed those rows."""
-        key = (out_assign, diag_pairs)
-        cached = self.gathers.get(key)
-        if cached is None:
-            rows = slice(None)
-            if diag_pairs:
+    def tables(self, out_assign: tuple, diag_pairs: tuple) -> tuple:
+        """(fu, fl, rows) for one record: entry u of ``fu`` plus entry l of
+        ``fl`` is the flat position of the plan's einsum result that feeds
+        the row of upper tuple u and lower tuple l, each in the smallest
+        integer dtype that holds the result's positions; ``rows`` is
+        ``slice(None)`` without diagonal pairs, else the shared
+        (upper, lower) tuple numbers of the rows where they hold."""
+        k = len(out_assign)
+        dtype = np.min_scalar_type(self.dim ** k - 1)
+        # per group, the output axes the result's axes read, with their strides
+        fed = {"U": [], "L": []}
+        for q, a in enumerate(out_assign):
+            fed[self.out[a][0]].append((a, self.dim ** (k - 1 - q)))
+        fu, fl = (self._offsets(side, tuple(fed[side]), dtype) for side in "UL")
+        rows = slice(None)
+        if diag_pairs:
+            rows = self.diagonals.get(diag_pairs)
+            if rows is None:
                 mask = np.ones(len(self.idx), bool)
                 for a1, a2 in diag_pairs:
                     mask &= self.idx[:, a1] == self.idx[:, a2]
-                rows = np.flatnonzero(mask).astype(np.int32)
-            flat = self.idx[rows][:, list(out_assign)] @ _strides(self.dim, len(out_assign))
-            # int32 halves the cached positions; 6**8 fits easily
-            cached = self.gathers[key] = (rows, flat.astype(np.int32))
-        return cached
+                ru, rl = np.divmod(np.flatnonzero(mask), self.n_lower)
+                rows = self.diagonals[diag_pairs] = (
+                    ru.astype(np.min_scalar_type(len(self.idx) // self.n_lower - 1)),
+                    rl.astype(np.min_scalar_type(self.n_lower - 1)),
+                )
+        return fu, fl, rows
+
+    def _offsets(self, side: str, fed: tuple, dtype):
+        """Per tuple of group ``side``, the sum of its value on each output
+        axis a times stride s, over the pairs (a, s) in ``fed``, as
+        ``dtype``; one array per distinct argument set, shared by the
+        records that ask for it."""
+        key = (side, fed, dtype)
+        offsets = self.offsets.get(key)
+        if offsets is None:
+            # rows u * n_lower hold every upper tuple, rows below n_lower every lower one
+            tuples = self.idx[:: self.n_lower] if side == "U" else self.idx[: self.n_lower]
+            axes, strides = [a for a, _ in fed], np.array([s for _, s in fed], np.intp)
+            offsets = self.offsets[key] = (tuples[:, axes] @ strides).astype(dtype)
+        return offsets
 
     def _scatter_tables(self) -> tuple:
         """(src, target, sign) of the class docstring."""
@@ -723,6 +775,7 @@ def generalized_delta_contract(
     # product is rational, the sqrt(3) part
     sqrt3 = any(side for _, _, side in terms)
     accs = [np.zeros(len(layout.idx), dtype) for _ in range(1 + sqrt3)]
+    n_l = layout.n_lower
 
     parts = [t._parts(use_object) for t in operands]
     for plan in plans:
@@ -734,8 +787,14 @@ def generalized_delta_contract(
             if v is None:
                 continue
             v = v.reshape(-1)
-            for rows, flat, coeff in plan.records:
-                acc[rows] += coeff * v[flat]
+            for fu, fl, rows, coeff in plan.tables:
+                if type(rows) is slice:
+                    acc += coeff * v.take(fu[:, None] + fl).reshape(-1)
+                else:
+                    # the upper tuple numbers as intp once, for the rows and fu
+                    ru, rl = rows
+                    ru = ru.astype(np.intp)
+                    acc[ru * n_l + rl] += coeff * v.take(fu.take(ru) + fl.take(rl))
 
     den = 1
     for t in operands:

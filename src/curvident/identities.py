@@ -86,11 +86,15 @@ def _witness(residual: Tensor):
     non-zero residual, 1-based, with its value."""
     if _is_zero_part(residual._irr):
         # rational: |value| orders as |numerator| (one shared denominator),
-        # and argmax returns the first maximum in C order; exact on int64
-        # and on Python ints
+        # so the first entry of largest |value| in C order is the first
+        # maximum or the first minimum, whichever is larger in size, and the
+        # earlier of the two on a tie; exact on int64 and on Python ints,
+        # and it makes no copy of the residual
         rat = residual._rat
-        idx = np.unravel_index(int(np.argmax(np.abs(rat))), rat.shape)
-        idx = tuple(int(i) for i in idx)
+        hi, lo = int(np.argmax(rat)), int(np.argmin(rat))
+        top, bottom = int(rat.flat[hi]), -int(rat.flat[lo])
+        flat = hi if top > bottom else lo if bottom > top else min(hi, lo)
+        idx = tuple(int(i) for i in np.unravel_index(flat, rat.shape))
         return (tuple(i + 1 for i in idx), residual.item(idx))
     best_idx, best_val = None, None
     for idx in residual.nonzero_indices():

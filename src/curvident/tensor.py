@@ -615,16 +615,21 @@ def _magnitude(x, y) -> int:
     return int(max(abs(x) + 3 * abs(y)))
 
 
-def _add_into(target, v, k, tmp=None):
-    """``target += k * v`` in place; ``k * v`` goes through the scratch
-    array ``tmp`` when one is given.  ``k`` is an int or per-trial factors
-    shaped to broadcast against ``target``."""
+def _add_into(target, v, k, sliced=False):
+    """``target += k * v`` in place.  ``k`` is an int or per-trial factors
+    shaped to broadcast against ``target``.  With ``sliced``, the last axis
+    of ``target`` and of ``v`` is one tensor axis, and ``k * v`` is formed
+    one index of it at a time, so its scratch is 1/dim of ``target``."""
     if type(k) is int and k == 1:
         target += v
     elif type(k) is int and k == -1:
         target -= v
+    elif not sliced:
+        target += np.multiply(v, k)
     else:
-        target += np.multiply(v, k, out=tmp)
+        k = k if type(k) is int else k[..., 0]
+        for i in range(target.shape[-1]):
+            target[..., i] += np.multiply(v[..., i], k)
 
 
 _DELTA_SLOTS: dict = {}
@@ -848,7 +853,7 @@ def lincomb(terms) -> Tensor:
 
     # pass 2: one term at a time into the two accumulators
     shape = (batch,) * bool(batch) + (dim,) * rank
-    acc, tmp = [None, None], None
+    acc = [None, None]
     for x, y, q, _, subscripts, ops, products, view, trail in plan:
         parts = [t._parts(use_object) for t in ops]
         if subscripts is None:
@@ -882,11 +887,10 @@ def lincomb(terms) -> Tensor:
                     first = np.array(np.broadcast_to(first, shape))
                 acc[side] = first
             else:
-                if tmp is None and not (type(k) is int and abs(k) == 1):
-                    # made only when a term needs it: a rank-6 scratch array
-                    # made for every call is fresh memory to fault in again
-                    tmp = np.empty(shape, dtype)
-                _add_into(acc[side], v, k, tmp)
+                # scaled a slice at a time: a rank-6 term, such as a
+                # transpose of A times 8, needs no rank-6 scratch beside
+                # its operand and the accumulator
+                _add_into(acc[side], v, k, sliced=rank > 0)
         del parts, a, b
     rat, irr = (_zero_part(shape, dtype) if v is None else v for v in acc)
     return Tensor(dim, rat, irr, den, batched=bool(batch))

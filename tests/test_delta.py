@@ -640,17 +640,48 @@ def test_nonzero_generic_operand_stays_dense():
 def test_vanishing_contraction_builds_no_scatter_tables(monkeypatch):
     """With N above the dimension the result is zero, so the fresh layout of
     a Patterson contraction never builds its scatter tables; its index
-    table holds one byte per entry and its gathers int32 positions."""
+    table holds one byte per entry, each record's position tables one entry
+    per tuple of a group in the smallest dtype that holds its einsum's
+    positions, and its diagonal rows one byte per tuple number."""
     monkeypatch.setattr(delta_mod, "_LAYOUT_CACHE", {})
+    monkeypatch.setattr(delta_mod, "_PLAN_CACHE", {})
     R = random_curvature(5, 3, 4)
     binding = _patterson_binding(5, 1, "free")
     assert generalized_delta_contract(6, 5, [R.tensor], binding).is_zero()
     layout = delta_mod._LAYOUT_CACHE[(5, binding.out)]
     assert layout.scatter is None
     assert layout.idx.dtype.itemsize == 1
-    for rows, flat in layout.gathers.values():
-        assert flat.dtype == np.int32
-        assert isinstance(rows, slice) or rows.dtype == np.int32
+    n_u = len(layout.idx) // layout.n_lower
+    (plans,) = delta_mod._PLAN_CACHE.values()
+    for plan in plans:
+        size = 5 ** len(plan.subscripts.partition("->")[2])
+        for fu, fl, rows, _ in plan.tables:
+            assert fu.dtype == fl.dtype == np.min_scalar_type(size - 1)
+            assert (len(fu), len(fl)) == (n_u, layout.n_lower)
+            assert max(fu) + max(fl) < size
+            assert isinstance(rows, slice) or [r.dtype.itemsize for r in rows] == [1, 1]
+
+
+@pytest.mark.parametrize("dim,r,limit", [(6, 2, 128 * 1024), (5, 1, 169_160)])
+def test_patterson_layout_holds_small_index_tables(monkeypatch, dim, r, limit):
+    """After a free Patterson call, the index tables its layout holds (the
+    representative tuples, the records' position tables and the diagonal
+    rows) stay within ``limit`` bytes; per-record gathers of every row's
+    position held 466,336 bytes at dim 6, r = 2 and 169,160 at dim 5, r = 1.
+    Every record reads the layout's shared tables."""
+    monkeypatch.setattr(delta_mod, "_LAYOUT_CACHE", {})
+    monkeypatch.setattr(delta_mod, "_PLAN_CACHE", {})
+    R = random_curvature(dim, 3, 4).tensor
+    binding = _patterson_binding(dim, r, "free")
+    assert generalized_delta_contract(dim + 1, dim, [R] * r, binding).is_zero()
+    layout = delta_mod._LAYOUT_CACHE[(dim, binding.out)]
+    shared = list(layout.offsets.values()) + [a for rows in layout.diagonals.values() for a in rows]
+    assert layout.idx.nbytes + sum(a.nbytes for a in shared) <= limit
+    (plans,) = delta_mod._PLAN_CACHE.values()
+    for plan in plans:
+        for fu, fl, rows, _ in plan.tables:
+            held = [fu, fl] + ([] if isinstance(rows, slice) else list(rows))
+            assert all(any(a is b for b in shared) for a in held)
 
 
 @pytest.mark.parametrize("dim,r,mode", [(4, 1, "free"), (5, 1, "traced"), (5, 2, "free")])

@@ -3,10 +3,14 @@ negative controls, transvection derivations, scaling covariance."""
 
 import hashlib
 import json
+import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvident.scalar import Scalar
 from curvident.tensor import ShapeError, Tensor, ein, lincomb
@@ -639,6 +643,31 @@ def test_witness_matches_exact_scan(rank, entries):
     assert _witness(t) == _loop_witness(t)
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_witness_is_the_first_argmax_of_abs(data):
+    """A rational residual's witness is its first entry of largest |value|
+    in C order, as ``np.argmax(np.abs(numerators))`` finds it: on entries
+    drawn around +-m, so that +m and -m tie, on Python-int (object) parts
+    and on the trials split from a batched residual."""
+    dim, rank, batch, m = (data.draw(st.integers(*r)) for r in ((2, 4), (0, 3), (0, 3), (1, 4)))
+    scale = 2 ** 70 if data.draw(st.booleans()) else 1
+    shape = (batch,) * bool(batch) + (dim,) * rank
+    entry = st.sampled_from([-m, m, 0]) | st.integers(-m, m)
+    n = math.prod(shape)
+    drawn = data.draw(st.lists(entry, min_size=n, max_size=n))
+    numerators = np.array([v * scale for v in drawn], object).reshape(shape)
+    den = data.draw(st.integers(1, 6))
+    t = Tensor(dim, numerators, np.zeros(shape, np.int64), den, batched=bool(batch))
+    for trial in t.split() if batch else [t]:
+        if trial.is_zero():
+            continue
+        rat = trial._rat
+        assert (rat.dtype == object) == (scale > 1)
+        idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(np.abs(rat))), rat.shape))
+        assert _witness(trial) == (tuple(i + 1 for i in idx), trial.item(idx))
+
+
 @pytest.mark.parametrize("dim", range(2, 7))
 def test_identity_table_consistency(dim):
     """Every id runs exactly in the dimensions its table entry names, and
@@ -815,6 +844,26 @@ def _dense_rank6_pieces(R: CurvatureTensor) -> list:
                         _is_zero_part(t._rat) and _is_zero_part(t._irr)):
                     found.append(f"{label}.{name}")
     return found
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: example_6d(1), lambda: random_curvature(6, 3)],
+    ids=["example_6d", "random_curvature(6, 3)"],
+)
+def test_weyl_expansion_needs_no_rank6_scratch(make):
+    """The dim-6 W-expansion adds eight transposes of W's A tensor, times
+    +-8, into its rank-6 accumulator.  Its traced allocations peak below
+    three rank-6 int64 arrays above where they start: A, the accumulator
+    and a rank-6 scratch for 8 x A would reach that."""
+    R = make()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert weyl_expansion_residual(R).is_zero
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 3 * 6 ** 6 * 8
 
 
 @pytest.mark.parametrize(
