@@ -38,6 +38,15 @@ the Python sources under ``src/`` in the parent and in the change, and
 taken before its first run; a later invocation whose trees hash
 otherwise is refused, as one against another base is.
 
+``setup_s`` is the median of perfbench's fresh ``--help`` starts, and on a
+busy host those starts can cluster at two levels, so ten pairs can read a
+verdict with no change on the start-up path.  When a workload's
+``setup_s`` reads "worse" or "unresolved", the script therefore times
+``HELP_STARTS`` more ``python -m curvident.cli --help`` starts of each
+tree, alternating the trees, with perfbench's child environment, and
+stores each side's wall times and quartiles in that entry as
+``setup_check``.  The verdict itself is left as the rule gives it.
+
 perfbench's children run with ``PYTHONDONTWRITEBYTECODE`` unset, so each
 tree writes its bytecode and delta plan files in its warm-up run.  A
 command timed by hand should run the same way: with the variable set, a
@@ -50,15 +59,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNNER = Path("perfbench") / "run.py"
+HELP_STARTS = 30
 
 
 def export_tree(rev: str, dest: Path) -> str:
@@ -117,6 +129,24 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int):
         raise SystemExit(f"{tree}: {workload} seed {seed} reported incorrect output\n{proc.stderr}")
     machine = next((json.loads(line[9:]) for line in lines if line.startswith("machine: ")), {})
     return result, machine
+
+
+def help_starts(trees: dict, n: int) -> dict:
+    """Wall times of n ``python -m curvident.cli --help`` starts of each
+    tree, alternating which tree starts first, in perfbench's child
+    environment (bytecode written, hash seed 0); per side, the times and
+    their quartiles."""
+    times = {side: [] for side in trees}
+    for i in range(n):
+        for side in list(trees)[:: 1 if i % 2 == 0 else -1]:
+            env = dict(os.environ, PYTHONPATH=str(trees[side] / "src"), PYTHONHASHSEED="0")
+            env.pop("PYTHONDONTWRITEBYTECODE", None)
+            env.pop("CURVIDENT_THREADS", None)
+            t0 = time.perf_counter()
+            subprocess.run([sys.executable, "-m", "curvident.cli", "--help"], cwd=trees[side],
+                           env=env, stdout=subprocess.DEVNULL, check=True)
+            times[side].append(time.perf_counter() - t0)
+    return {side: {**quartiles(t), "runs": t} for side, t in times.items()}
 
 
 def quartiles(values: list) -> dict:
@@ -216,12 +246,20 @@ def main(argv=None) -> int:
                         for name in ("units_per_s", "peak_rss_mb", "delta.gdc.warm_s")
                         if name in pair["parent"]["metrics"]
                     ), file=sys.stderr)
-                entries.append({
+                summary = summarize(runs, better, bounds)
+                entry = {
                     "workload": workload, "seed": seed, "trace": args.trace,
                     "pairs": args.pairs, "seconds": args.seconds,
-                    "summary": summarize(runs, better, bounds), "runs": runs,
+                    "summary": summary, "runs": runs,
                     **({"warmup": warmup} if seed == args.seed[0] else {}),
-                })
+                }
+                if summary.get("setup_s", {}).get("regression") in ("worse", "unresolved"):
+                    check = entry["setup_check"] = help_starts(trees, HELP_STARTS)
+                    print(f"{workload} seed {seed} setup_s {summary['setup_s']['regression']}: "
+                          f"{HELP_STARTS} --help starts a side, median " + " -> ".join(
+                              f"{check[side]['median']:.4g}" for side in trees) + " s",
+                          file=sys.stderr)
+                entries.append(entry)
     finally:
         for tree in trees.values():
             shutil.rmtree(tree, ignore_errors=True)

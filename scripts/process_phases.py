@@ -30,10 +30,16 @@ which the command reached that peak: the probe wraps
 and after each call and at its atexit mark (``(start)``: before the
 first call; ``(end)``: after the last, in ``main``; ``(exit)``: after
 the mark; ``-``: in ``main`` of a command that made no call, as a
-batched ``random-check`` of a non-delta id does).  Per workload, the
-table gives the sum of those medians and the largest peak with its
-identity, which is the command that sets the workload's
-``peak_rss_mb``.  Times are wall clock; nothing is gated on them.
+batched ``random-check`` of a non-delta id does).  At the same points the
+probe reads its ``RssAnon`` and ``RssFile`` from ``/proc/self/status``,
+and the table gives both, in MB, at the reading that follows the peak
+(after the call that reached it, or at the mark): the anonymous memory
+(the heap and numpy's arrays) and the file-backed pages (the interpreter's
+and numpy's shared libraries, whose code pages no array-lifetime change
+can release).  Per workload, the table gives the sum of those medians and
+the largest peak with its split and identity, which is the command that
+sets the workload's ``peak_rss_mb``.  Times are wall clock; nothing is
+gated on them.
 """
 
 from __future__ import annotations
@@ -57,13 +63,24 @@ import time
 t_start = time.monotonic()
 import atexit, json, resource, sys
 marks_path = sys.argv[1]
-identities = []  # per report.run_identity call: id, ru_maxrss before and after (KB)
+# per report.run_identity call: id, ru_maxrss before and after (KB), and
+# [RssAnon, RssFile] (KB) before and after
+identities = []
+
+def split():
+    try:
+        with open("/proc/self/status") as fh:
+            fields = dict(line.split(":", 1) for line in fh if ":" in line)
+        return [int(fields[name].split()[0]) for name in ("RssAnon", "RssFile")]
+    except (OSError, KeyError, ValueError):
+        return None
 
 def mark():
     t_last = time.monotonic()
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     with open(marks_path, "w") as fh:
-        json.dump({"t": [t_start, t_imported, t_last], "identities": identities, "rss": rss}, fh)
+        json.dump({"t": [t_start, t_imported, t_last], "identities": identities, "rss": rss,
+                   "split": split()}, fh)
 
 atexit.register(mark)
 import curvident.cli as cli
@@ -72,11 +89,12 @@ t_imported = time.monotonic()
 run_identity = report.run_identity
 
 def probed(ident, *args, **kwargs):
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    before, split_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, split()
     try:
         return run_identity(ident, *args, **kwargs)
     finally:
-        identities.append((ident, before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))
+        identities.append((ident, before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+                           split_before, split()))
 
 report.run_identity = probed
 sys.argv = ["curvident", *sys.argv[2:]]
@@ -84,19 +102,30 @@ sys.exit(cli.main())
 """
 
 
-def peak_identity(identities: list, at_mark: int, peak_kb: int) -> str:
+def peak_identity(identities: list, at_mark: int, peak_kb: int, mark_split=None) -> tuple:
     """The identity during whose ``run_identity`` call a process's RSS
     reached its peak ``peak_kb``, from the ``ru_maxrss`` readings around
     each call and at the atexit mark (``at_mark``): ``(start)`` when it
     was reached before the first call, ``(end)`` after the last but before
     the mark, ``(exit)`` after the mark, ``-`` in a command without a
-    call."""
+    call; with the [RssAnon, RssFile] reading (KB) that follows the peak:
+    the one before the first call, after the call, or at the mark
+    (``mark_split``)."""
     if not identities:
-        return "-" if at_mark >= peak_kb else "(exit)"
+        return ("-" if at_mark >= peak_kb else "(exit)"), mark_split
     if identities[0][1] >= peak_kb:
-        return "(start)"
-    reached = (ident for ident, _, after in identities if after >= peak_kb)
-    return next(reached, "(end)" if at_mark >= peak_kb else "(exit)")
+        return "(start)", identities[0][3]
+    reached = ((ident, after_split) for ident, _, after, _, after_split in identities
+               if after >= peak_kb)
+    return next(reached, ("(end)" if at_mark >= peak_kb else "(exit)", mark_split))
+
+
+def split_mb(split) -> str:
+    """RssAnon and RssFile in MB as two table columns; '-' where the
+    platform gave none."""
+    if split is None:
+        return f"{'-':>7}{'-':>7}"
+    return "".join(f"{kb / 1024.0:7.2f}" for kb in split)
 
 
 def workloads() -> tuple:
@@ -109,7 +138,8 @@ def workloads() -> tuple:
 
 def run_command(cmd, work: Path, env: dict) -> tuple:
     """One command under the probe: its phases in seconds, its peak RSS in
-    MB and the identity during which it reached that peak."""
+    MB, and the identity during which it reached that peak with the
+    [RssAnon, RssFile] reading that follows it."""
     marks = work / "marks.txt"
     with open(work / "out", "wb") as out, open(work / "err", "wb") as err:
         t_spawn = time.monotonic()
@@ -130,7 +160,7 @@ def run_command(cmd, work: Path, env: dict) -> tuple:
     t_start, t_imported, t_last = data["t"]
     phases = dict(zip(PHASES, (t_start - t_spawn, t_imported - t_start,
                                t_last - t_imported, t_reaped - t_last)))
-    ident = peak_identity(data["identities"], data["rss"], usage.ru_maxrss)
+    ident = peak_identity(data["identities"], data["rss"], usage.ru_maxrss, data["split"])
     return phases, usage.ru_maxrss / 1024.0, ident
 
 
@@ -146,11 +176,12 @@ def main(argv=None) -> int:
         ap.error("-n must be >= 1")
     names = args.workload or list(table)
     print(f"{'workload / command':<72}" + "".join(f"{p:>9}" for p in PHASES)
-          + f"{'rss':>9}  peak at   (ms; rss: peak MB; peak at: its identity)")
+          + f"{'rss':>9}{'anon':>7}{'file':>7}  peak at   (ms; rss: peak MB; anon, file: "
+          "RssAnon, RssFile MB after the peak; peak at: its identity)")
     for name in names:
         cmds = table[name](args.seed)
         samples = [{p: [] for p in PHASES} for _ in cmds]
-        peaks = [(0.0, "-")] * len(cmds)
+        peaks = [(0.0, ("-", None))] * len(cmds)
         with tempfile.TemporaryDirectory(prefix="process-phases-") as tmp:
             work = Path(tmp)
             for i in range(args.n + 1):
@@ -161,12 +192,14 @@ def main(argv=None) -> int:
                             sample[p].append(phases[p])
                         peaks[c] = max(peaks[c], (rss, ident), key=lambda x: x[0])
         medians = [{p: statistics.median(s[p]) for p in PHASES} for s in samples]
-        for cmd, med, (peak, ident) in zip(cmds, medians, peaks):
+        for cmd, med, (peak, (ident, split)) in zip(cmds, medians, peaks):
             print(f"  {' '.join(cmd.argv)[:70]:<70}"
-                  + "".join(f"{med[p] * 1e3:9.1f}" for p in PHASES) + f"{peak:9.2f}  {ident}")
-        top, ident = max(peaks, key=lambda x: x[0])
+                  + "".join(f"{med[p] * 1e3:9.1f}" for p in PHASES)
+                  + f"{peak:9.2f}{split_mb(split)}  {ident}")
+        top, (ident, split) = max(peaks, key=lambda x: x[0])
         print(f"{name + ' pass':<72}" + "".join(
-            f"{sum(m[p] for m in medians) * 1e3:9.1f}" for p in PHASES) + f"{top:9.2f}  {ident}")
+            f"{sum(m[p] for m in medians) * 1e3:9.1f}" for p in PHASES)
+            + f"{top:9.2f}{split_mb(split)}  {ident}")
     return 0
 
 

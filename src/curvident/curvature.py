@@ -30,10 +30,11 @@ once on first use: ``g``, ``ricci``, ``tau``, ``t_check``, ``r_norm_sq``,
 ``ricci_norm_sq``, the five cubic contractions above, ``einstein``,
 ``super_einstein``, ``t_quad``, ``s_quad`` (T, S; ``tsa`` groups them with
 A), ``f`` (F) and ``weyl`` (validated once).  ``a_quad`` (A) is the one
-piece that is not cached: it is a dense rank-6 array read by one
-assembly per tensor (lemma6's form, which ``identities`` memoizes on R in
-its place, and the dim-6 W-identity), so it is built there and dropped
-with that assembly's terms.  The pieces are
+piece that is not cached: it is a dense rank-6 array, built on each read,
+and only ``tsa`` and the test-only ``identities.einstein6_blocks`` read
+it.  The identities' A rows contract R with itself instead, one slice of
+their leading index at a time (``identities._a_rows``), so no evaluator
+builds A.  The pieces are
 shared, not only cheap: ``lincomb`` merges terms with the same subscripts
 and the same operand objects before evaluating any, so terms built from
 one R's pieces in different evaluators cancel unevaluated, and terms that

@@ -29,7 +29,7 @@ from .scalar import Scalar
 from .tensor import lincomb
 from .curvature import CurvatureTensor, _kn_terms, _t_terms
 from .identities import (
-    _a_terms,
+    _a_rows,
     _check_dim,
     _einstein6_terms,
     _f_terms,
@@ -43,7 +43,7 @@ from .identities import (
 def _group_terms(R: CurvatureTensor) -> list:
     """The 34 groups as (raw lhs terms, simplified rhs terms) lists of
     ``lincomb`` terms, free indices ordered (i,h,j,k,l,m), each side of
-    group 34 without the A rows 8 x ``_a_terms(R.a_quad)`` that both
+    group 34 without the A rows 8 x ``_a_rows(R.tensor)`` that both
     carry."""
     t, g, ricci, tau, tt = R.tensor, R.g, R.ricci, R.tau, R.t_check
 
@@ -80,7 +80,7 @@ def term_groups(R: CurvatureTensor) -> list:
     free indices ordered (i,h,j,k,l,m)."""
     _check_dim(R, 6, "the term-group expansion")
     groups = _group_terms(R)
-    rr = _scaled(8, _a_terms(R.a_quad))
+    rr = _scaled(8, _a_rows(R.tensor))
     lhs, rhs = groups[-1]
     groups[-1] = rr + lhs, rr + rhs
     return [(k, lincomb(lhs), lincomb(rhs)) for k, (lhs, rhs) in enumerate(groups, start=1)]
@@ -93,12 +93,12 @@ def group_residuals(R: CurvatureTensor) -> list:
 
     The A rows are left out: group 34 carries 8 x them on both sides, and
     the simplified groups and 8 x the form carry them with opposite signs,
-    so they cancel in every residual, and R's rank-6 A tensor is never
-    built.  The rest is built from R's cached pieces, so ``lincomb`` merges
-    the terms that share operands before any is evaluated: a group's two
-    sides differ in one kernel (k0 - k0r, k2 - k2r, k4 - k4r or
-    8 rho - (4/3) tau g), which is exactly zero on Einstein input, so no
-    rank-6 einsum runs there.  In the sum check, the nine F rows' kernels
+    so they cancel in every residual and are never contracted.  The rest
+    is built from R's cached pieces, so ``lincomb`` merges the terms that
+    share operands before any is evaluated: a group's two sides differ in
+    one kernel (k0 - k0r, k2 - k2r, k4 - k4r or 8 rho - (4/3) tau g),
+    which is exactly zero on Einstein input, so no rank-6 einsum runs
+    there.  In the sum check, the nine F rows' kernels
     are one rank-4 tensor up to sign, and ``lincomb`` builds it once."""
     _check_dim(R, 6, "the term-group expansion")
     groups = _group_terms(R)

@@ -347,7 +347,7 @@ def _f_terms(x4: Tensor, y2: Tensor) -> list:
     return [(sign, f"{pqrs},{xy}->ihjklm", x4, y2) for sign, pqrs, xy in _F_ROWS]
 
 
-# A block: signed axis labels of A_pqrstu
+# A block: signed axis labels of A_pqrstu = R_apqr R_astu
 _A_ROWS = (
     (1, "hjkmil"),
     (-1, "ljkmih"),
@@ -362,13 +362,24 @@ _A_ROWS = (
 
 
 def _a_terms(a6: Tensor) -> list:
+    """The A rows as transposes of a materialized A."""
     return [(sign, f"{labels}->ihjklm", a6) for sign, labels in _A_ROWS]
+
+
+def _a_rows(t: Tensor) -> list:
+    """The A rows as contractions of two copies of R's components ``t``,
+    so no rank-6 A is built: ``lincomb`` streams a rank-6 result over i,
+    and its slice at i = v reads A's two rank-5 slices, sum_a R_avqr R_astu
+    for the three rows with i in A's first slot and sum_a R_apqr R_asvu for
+    the six with i in its fifth, each contracted once and shared by its
+    rows."""
+    return [(sign, f"a{p}{q}{r},a{s}{u}{w}->ihjklm", t, t) for sign, (p, q, r, s, u, w) in _A_ROWS]
 
 
 def _einstein6_block_terms(R: CurvatureTensor) -> tuple:
     """The terms of the first three blocks of the rank-6 Einstein identity:
     the metric triples, the norm rows and the F rows.  The fourth, the A
-    rows, is ``_a_terms(R.a_quad)``."""
+    rows, is ``_a_rows(R.tensor)``."""
     g, tau = R.g, R.tau
     return (
         _scaled((R.r_norm_sq + tau * tau * Fraction(1, 3)) * Fraction(1, 8), _g3_terms(g)),
@@ -379,13 +390,15 @@ def _einstein6_block_terms(R: CurvatureTensor) -> tuple:
 
 def _einstein6_terms(R: CurvatureTensor) -> list:
     """The terms of the rank-6 Einstein identity form but its A rows; with
-    ``_a_terms(R.a_quad)``, their lincomb is the lemma6 residual."""
+    ``_a_rows(R.tensor)``, their lincomb is the lemma6 residual."""
     return [term for block in _einstein6_block_terms(R) for term in block]
 
 
 def einstein6_blocks(R: CurvatureTensor):
     """The four blocks of the rank-6 Einstein identity, plus the
-    individual second/third/A-block terms for the transvection tables."""
+    individual second/third/A-block terms for the transvection tables.
+    The A rows are transposes of R's materialized A here, so these blocks
+    check the streamed A rows of the lemma6 form independently."""
     _check_dim(R, 6, "lemma6")
     g3, tt, f = _einstein6_block_terms(R)
     tt_rows = [lincomb(tt[k : k + 2]) for k in range(0, len(tt), 2)]
@@ -394,14 +407,15 @@ def einstein6_blocks(R: CurvatureTensor):
 
 
 def _einstein6_form(R: CurvatureTensor) -> Tensor:
-    """The rank-6 Einstein identity form, its four blocks streamed into one
-    lincomb: the lemma6 residual.  It is the one reader of R's A tensor,
-    and it is memoized in R's instance dict, as R's cached pieces are, in
-    A's place: eq42 reads it again, and on Einstein input it is a zero
-    part, while A is a dense rank-6 array."""
+    """The rank-6 Einstein identity form, its four blocks in one lincomb:
+    the lemma6 residual.  Its A rows contract R with itself one slice of
+    i at a time, so no rank-6 A is built, and on Einstein input every
+    slice is zero, so the form is a zero part with no rank-6 array behind
+    it.  It is memoized in R's instance dict, as R's cached pieces are:
+    eq42 reads it again."""
     form = vars(R).get("einstein6_form")
     if form is None:
-        form = vars(R)["einstein6_form"] = lincomb(_einstein6_terms(R) + _a_terms(R.a_quad))
+        form = vars(R)["einstein6_form"] = lincomb(_einstein6_terms(R) + _a_rows(R.tensor))
     return form
 
 
@@ -417,8 +431,7 @@ def super6_residual(R: CurvatureTensor) -> ResidualReport:
     form with its g-block flipped to -(1/8)(||R||^2 - tau^2/3) and its
     tt-block dropped.  It is evaluated as the lemma6 form plus the two
     blocks where the forms differ, -(||R||^2/4) g3 + (1/2) tt(t_check, g),
-    so it adds no F or A row, and R's A tensor is read once for both
-    ids."""
+    so it adds no F or A row, and the A rows run once for both ids."""
     _check_dim(R, 6, "eq42")
     g = R.g
     res = lincomb(
@@ -520,7 +533,7 @@ def _weyl_identity_block_terms(W: CurvatureTensor) -> list:
         _scaled(-4, _tt_terms(tw, g)),
         _scaled(8, _f_terms(lincomb(_t_terms(W.t_quad)), g)),
         _scaled(4, _f_terms(W.s_quad, g)),
-        _scaled(8, _a_terms(W.a_quad)),
+        _scaled(8, _a_rows(W.tensor)),
     ]
 
 

@@ -105,8 +105,10 @@ _IDENTITIES = {
 IDENTITY_IDS = tuple(_IDENTITIES)
 
 # random-check evaluates its trials in chunks of B trials, with B * dim**rank
-# at most this many entries for the id's largest tensor: a chunk holds about
-# as much as two dim-6 rank-6 trials, whatever the number of trials
+# at most this many entries for the id's largest tensor, its rank-6
+# residual for lemma6, eq42 and appendix34 (B = 2 in dim 6).  A rank-6
+# lincomb streams over its leading index, so such a chunk holds one
+# B * 6**5 slice at a time and a rank-6 array only for a non-zero residual
 CHUNK_ENTRIES = 2 * 6 ** 6
 
 

@@ -35,6 +35,24 @@ rational and one sqrt(3) accumulator and drops it before the next; one
 Tensor is built at the end, with one gcd and one max scan.  ``ein``, +, -,
 negation and ``scale`` are lincombs of one or two terms.
 
+A result of rank 6 or more (``_STREAM_RANK``) is streamed: pass 1 runs
+once, and pass 2 runs once per index v of the leading output letter, into
+accumulators that hold that one slice.  A term whose value holds the
+leading letter and would be as large as a streamed result (an einsum of
+two rank-4 operands onto six letters, say) is evaluated per slice, on its
+operands' parts read at v; any other term is evaluated once, its value
+read at v in each slice, or, when a c * I operand's token holds the
+leading letter, added at its partner letter's index v (``_step``).  A
+slice that comes out zero is dropped; the first non-zero one allocates the
+whole result and each later one is copied into it, so a result that is
+zero is a zero part with no array of its rank behind it, and any other
+result is the Tensor the whole evaluation would give.  Every entry of a
+slice is an entry of the result, so the bound and the int64/object
+choice hold slice by slice.  Einsums over the same operands that differ
+only by a renaming of their letters (``_canonical``: the A rows of the
+rank-6 identities, read at v, are two such cores) are contracted once per
+slice, and each term reads the shared value through a transpose.
+
 Before pass 1, like terms merge (``_merge_like_terms``).  Terms with the
 same subscripts and the same operand objects become one term by adding
 their coefficients' numerators exactly; a term whose coefficients cancel
@@ -72,13 +90,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .scalar import Scalar, _coerce
 
 _INT64_LIMIT = 2 ** 62
+
+# lincomb evaluates a result of this rank or more one slice at a time
+_STREAM_RANK = 6
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -633,7 +654,8 @@ def _add_into(target, v, k, sliced=False):
 
 
 _DELTA_SLOTS: dict = {}
-_DELTA_SPLITS: dict = {}
+_STEPS: dict = {}
+_CANONICAL: dict = {}
 _BATCHED: dict = {}
 
 
@@ -671,26 +693,105 @@ def _delta_slots(subscripts: str) -> tuple:
     return slots
 
 
-def _delta_split(subscripts: str, deltas: tuple) -> tuple:
-    """(view, reduced) subscripts for an einsum whose operands at positions
-    ``deltas`` (from ``_delta_slots``) are multiples of the identity.  Each
-    such token pq forces q = p, so the term lives on the diagonal
-    ``view`` of the output, which lists the kept letters p first and then
-    the other output letters; ``reduced`` is the einsum of the other
-    operands onto those other letters, which broadcasts over the view."""
-    key = (subscripts, deltas)
-    split = _DELTA_SPLITS.get(key)
-    if split is None:
+class _Step(NamedTuple):
+    """How pass 2 evaluates one einsum term (``_step``)."""
+
+    keep: tuple  # the positions of the operands of the reduced einsum
+    index: Optional[tuple]  # per kept operand, its axes read at v; None: run once
+    reduced: Optional[str]  # that einsum, trial letter included; None: the constant 1
+    core: Optional[str]  # ``_canonical`` of reduced: the key its sharers agree on
+    perm: Optional[tuple]  # the transpose from the core's axes to reduced's
+    view: Optional[str]  # the einsum view of the accumulator the value is added into
+    pin: bool  # whether the view's first axis is read at v
+    at: Optional[int]  # the axis of a value evaluated once that is read at v
+    trail: int  # the number of tensor axes of the value added
+
+
+def _step(subscripts: str, deltas: tuple, batched: tuple, acc_batched: bool, streamed: bool):
+    """The ``_Step`` of an einsum term whose operands at positions
+    ``deltas`` (from ``_delta_slots``) are multiples of the identity, into
+    an accumulator that is ``acc_batched`` and holds the whole result or,
+    when ``streamed``, one index v of its leading letter at a time;
+    ``batched`` flags the batched operands.  The string work is cached.
+
+    Each identity token pq forces q = p, so the term lives on a diagonal
+    ``view`` that lists the kept letters p first (then the trial axis) and
+    then the other output letters, and the reduced einsum over those
+    other letters broadcasts over it.  When streamed, the leading letter
+    leaves the accumulator.  An identity token that holds it pins its
+    partner letter to v: the view lists the partner first, and the reduced
+    einsum reads no slice.  Otherwise the leading letter stays in the
+    reduced einsum, which runs once if its value is smaller than a
+    streamed result or is a view of its one operand, and is read at v;
+    else it runs once per slice on its operands read at v."""
+    key = (subscripts, deltas, batched, acc_batched, streamed)
+    step = _STEPS.get(key)
+    if step is None:
         lhs, out = subscripts.split("->")
         tokens = lhs.split(",")
+        lead, partner, gone = "", "", set(deltas)
+        if streamed:
+            lead, out = out[0], out[1:]
+            for i in deltas:
+                if lead in tokens[i]:
+                    partner = tokens[i].replace(lead, "")
+                    deltas = tuple(j for j in deltas if j != i)
         dropped = [tokens[i] for i in deltas]
         to_kept = {tok[1]: tok[0] for tok in dropped}
-        rest = "".join(c for c in out if not any(c in tok for tok in dropped))
-        view = "".join(to_kept.get(c, c) for c in out) + "->" + "".join(t[0] for t in dropped) + rest
-        others = [t for i, t in enumerate(tokens) if i not in deltas]
-        split = view, ",".join(others) + "->" + rest
-        _DELTA_SPLITS[key] = split
-    return split
+        front = partner + "".join(t[0] for t in dropped)
+        rest = "".join(c for c in out if c != partner and not any(c in t for t in dropped))
+        view = None
+        if front:
+            view = "".join(to_kept.get(c, c) for c in out) + "->" + front + rest
+            if acc_batched:
+                view = _batched(view, (True,), len(front))
+        keep = tuple(i for i in range(len(tokens)) if i not in gone)
+        kept = [tokens[i] for i in keep]
+        # when streamed, the value holds the leading letter unless it is pinned
+        holds = bool(lead) and not partner
+        whole = lead + rest if holds else rest
+        per_slice = holds and len(whole) >= _STREAM_RANK and not (
+            len(kept) == 1 and set(kept[0]) == set(whole))
+        index = reduced = core = perm = at = None
+        if per_slice:
+            index = tuple(tuple(batched[i] + p for p, c in enumerate(tokens[i]) if c == lead)
+                          for i in keep)
+        if keep:
+            reduced = ",".join(t.replace(lead, "") if per_slice else t for t in kept)
+            reduced += "->" + (rest if per_slice else whole)
+            flags = tuple(batched[i] for i in keep)
+            if any(flags):
+                reduced = _batched(reduced, flags)
+            if holds and not per_slice:
+                at = int(any(flags))
+            core, perm = _canonical(reduced)
+        step = _STEPS[key] = _Step(keep, index, reduced, core, perm, view, bool(partner), at,
+                                   len(rest))
+    return step
+
+
+def _canonical(subscripts: str) -> tuple:
+    """(core, perm): ``subscripts`` with its letters renamed in the order
+    they first appear in its inputs and its output letters in that order,
+    and the axes that take the core's result to this einsum's, as
+    ``transpose`` takes them.  Einsums of one core over the same operands
+    differ only by that transpose."""
+    found = _CANONICAL.get(subscripts)
+    if found is None:
+        lhs, out = subscripts.split("->")
+        names: dict = {}
+        for c in lhs.replace(",", ""):
+            names.setdefault(c, _LETTERS[len(names)])
+        core_out = "".join(sorted((names[c] for c in out), key=_LETTERS.index))
+        core = "".join(names.get(c, c) for c in lhs) + "->" + core_out
+        found = _CANONICAL[subscripts] = core, tuple(core_out.index(names[c]) for c in out)
+    return found
+
+
+def _at(axes: tuple, v: int) -> tuple:
+    """The index that fixes ``axes`` at v and keeps every axis before the
+    last of them whole."""
+    return tuple(v if a in axes else slice(None) for a in range(max(axes) + 1))
 
 
 def _merge_like_terms(terms) -> list:
@@ -772,6 +873,36 @@ def _kernel_key(members, pos: int, sign: int = 1) -> tuple:
     return tuple(key)
 
 
+def _term_value(step, ops, products, parts, key, uses, held, left, v):
+    """[rat, irr] of a term's reduced einsum (its ``_Step``) in slice v, its
+    operands' ``parts`` read at v on the ``step.index`` axes (made
+    contiguous, which halves the einsum's time on a slice of a middle
+    axis).  A value that ``uses`` says is read again is kept in ``held``,
+    in its core's axis order, until its last read; each read transposes it
+    to the term's own."""
+    cached = key if uses[key] > 1 else None
+    if cached is not None and step.index:
+        cached = key, v
+    sides = held.get(cached) if cached is not None else None
+    if sides is None:
+        args = [parts[id(t)] for t in ops]
+        if step.index:
+            args = [
+                tuple(np.ascontiguousarray(p[_at(i, v)]) for p in pair) if i else pair
+                for pair, i in zip(args, step.index)
+            ]
+        sides = _contract_terms(step.reduced, args, products)
+        if cached is None:
+            return sides
+        inverse = tuple(sorted(range(len(step.perm)), key=step.perm.__getitem__))
+        sides = held[cached] = [p if p is None else p.transpose(inverse) for p in sides]
+        left[cached] = uses[key]
+    left[cached] -= 1
+    if not left[cached]:
+        del held[cached], left[cached]
+    return [p if p is None else p.transpose(step.perm) for p in sides]
+
+
 def lincomb(terms) -> Tensor:
     """sum_k c_k * T_k, exactly, as one Tensor (see the module docstring).
 
@@ -804,7 +935,13 @@ def lincomb(terms) -> Tensor:
     trial's slice of its term.  The bound takes each term's largest
     coefficient and operand over the trials, so it bounds every trial's
     partial sums; a batched operand is c * I when every trial holds the same
-    c * I."""
+    c * I.
+
+    Streaming: a result of rank 6 or more is evaluated one index of its
+    leading output letter at a time (module docstring), whatever its size;
+    a slice that is zero is dropped, so a rank-6 residual that vanishes
+    never holds a rank-6 array, and the terms that read one contraction up
+    to a transpose share it."""
     # pass 1: metadata only
     plan, shapes, batches, den = [], set(), set(), 1
     for x, y, q, *spec in _merge_like_terms(terms):
@@ -824,22 +961,13 @@ def lincomb(terms) -> Tensor:
         if (_nonzero(x) or _nonzero(y)) and all(t._max for t in ops):
             for t in ops:
                 q *= t._den
-            view, trail, slots = None, rank, subscripts and _delta_slots(subscripts)
-            deltas = slots and tuple(i for i in slots if ops[i]._delta_numerator())
+            slots = subscripts and _delta_slots(subscripts)
+            deltas = tuple(i for i in slots if ops[i]._delta_numerator()) if slots else ()
             if deltas:
                 # bound counts max(|n_i|, 1) = |n_i| for each multiple of I
                 n = math.prod(ops[i]._delta_numerator() for i in deltas)
                 x, y, bound = x * n, y * n, bound // abs(n)
-                view, subscripts = _delta_split(subscripts, deltas)
-                # each dropped token pq turns two output letters into one
-                # view axis; the reduced einsum fills the trailing axes
-                trail = rank - 2 * len(deltas)
-                keep = [i for i in range(len(ops)) if i not in deltas]
-                ops = [ops[i] for i in keep]
-                products = [(tuple(c[i] for i in keep), w, side) for c, w, side in products]
-            if subscripts and any(t.batch for t in ops):
-                subscripts = _batched(subscripts, tuple(bool(t.batch) for t in ops))
-            plan.append((x, y, q, _magnitude(x, y) * bound, subscripts, ops, products, view, trail))
+            plan.append((x, y, q, _magnitude(x, y) * bound, subscripts, ops, products, deltas))
             den = math.lcm(den, q)
     if len(shapes) != 1:
         raise ShapeError(f"lincomb needs terms of one (dim, rank), got {sorted(shapes)}")
@@ -850,49 +978,117 @@ def lincomb(terms) -> Tensor:
     total = sum(den // q * b for _, _, q, b, *_ in plan)
     use_object = total >= _INT64_LIMIT
     dtype = object if use_object else np.int64
+    streamed = rank >= _STREAM_RANK
 
-    # pass 2: one term at a time into the two accumulators
+    # each term as (operands, products, step, key, factors), its factors
+    # (part, k, side) read (x + y sqrt3)(a + b sqrt3) = (x a + 3 y b) +
+    # (y a + x b) sqrt3 on the parts a (0) and b (1) of its value; key
+    # names its reduced einsum's core, which terms with equal keys share
+    work, uses = [], {}
+    for x, y, q, _, subscripts, ops, products, deltas in plan:
+        step = key = None
+        trail = rank - streamed
+        if subscripts is not None:
+            flags = tuple(bool(t.batch) for t in ops)
+            step = _step(subscripts, deltas, flags, bool(batch), streamed)
+            trail = step.trail
+            ops = [ops[i] for i in step.keep]
+            products = [(tuple(c[i] for i in step.keep), w, side) for c, w, side in products]
+            if step.reduced is not None:
+                key = (step.core, *map(id, ops), step.index)
+                uses[key] = uses.get(key, 0) + 1
+        f, nx, ny = den // q, _nonzero(x), _nonzero(y)
+        factors = []
+        for part, k, side in ((0, f * x, 0), (1, 3 * f * y, 0), (0, f * y, 1), (1, f * x, 1)):
+            if nx if part == side else ny:
+                if type(k) is not int:
+                    # one factor per trial, broadcast over the trial's entries
+                    k = np.asarray(k, dtype).reshape((batch,) + (1,) * trail)
+                factors.append((part, k, side))
+        work.append((ops, products, step, key, factors))
+    # the terms that share a core run together, at the place of the first,
+    # so one shared core per slice is held at a time (an exact sum has no
+    # order)
+    if any(u > 1 for u in uses.values()):
+        place: dict = {}
+        work.sort(key=lambda w: place.setdefault(w[3] if uses.get(w[3], 0) > 1 else id(w), len(place)))
+    parts = {}
+    for ops, *_ in work:
+        for t in ops:
+            if id(t) not in parts:
+                parts[id(t)] = t._parts(use_object)
+
+    # pass 2: one term at a time into one rational and one sqrt(3)
+    # accumulator, of the whole result or of one slice of it
     shape = (batch,) * bool(batch) + (dim,) * rank
-    acc = [None, None]
-    for x, y, q, _, subscripts, ops, products, view, trail in plan:
-        parts = [t._parts(use_object) for t in ops]
-        if subscripts is None:
-            a, b = (None if _is_zero_part(p) else p for p in parts[0])
-        elif not ops:
-            a, b = np.ones((), dtype), None
-        else:
-            a, b = _contract_terms(subscripts, parts, products)
-        if view is not None and batch:
-            # the trial axis sits after the (rank - trail) / 2 kept axes,
-            # before the ones the reduced einsum fills
-            view = _batched(view, (True,), (rank - trail) // 2)
-        f = den // q
-        # (x + y sqrt3)(a + b sqrt3) = (x a + 3 y b) + (y a + x b) sqrt3
-        for v, k, side in ((a, f * x, 0), (b, 3 * f * y, 0), (a, f * y, 1), (b, f * x, 1)):
-            if v is None or not _nonzero(k):
-                continue
-            if type(k) is not int:
-                # one factor per trial, broadcast over the trial's entries
-                k = np.asarray(k, dtype).reshape((batch,) + (1,) * trail)
-            if view is not None:
-                if acc[side] is None:
-                    acc[side] = np.zeros(shape, dtype)
-                _add_into(np.einsum(view, acc[side]), v, k)
-            elif acc[side] is None:
-                # a new array, never ``v`` itself, which may be a view of an
-                # operand; 0-d arithmetic decays to a scalar, so re-wrap it;
-                # an unbatched first term is broadcast over the trials
-                first = np.asarray(k * v, dtype)
-                if first.shape != shape:
-                    first = np.array(np.broadcast_to(first, shape))
-                acc[side] = first
+    trials = (slice(None),) * bool(batch)
+    acc_shape = shape[: len(trials)] + shape[len(trials) + 1 :] if streamed else shape
+    out, acc, views, held, left, values = [None, None], [None, None], {}, {}, {}, {}
+    for v in range(dim) if streamed else (None,):
+        for n, (ops, products, step, key, factors) in enumerate(work):
+            if step is None:
+                a, b = parts[id(ops[0])]
+                if streamed:
+                    at = (slice(None),) * bool(ops[0].batch) + (v,)
+                    a, b = a[at], b[at]
+                a, b = (None if _is_zero_part(p) else p for p in (a, b))
+                view = None
             else:
-                # scaled a slice at a time: a rank-6 term, such as a
-                # transpose of A times 8, needs no rank-6 scratch beside
-                # its operand and the accumulator
-                _add_into(acc[side], v, k, sliced=rank > 0)
-        del parts, a, b
-    rat, irr = (_zero_part(shape, dtype) if v is None else v for v in acc)
+                view, pin, at = step.view, step.pin, step.at
+                if step.reduced is None:
+                    a, b = np.ones((), dtype), None
+                elif step.index:
+                    a, b = _term_value(step, ops, products, parts, key, uses, held, left, v)
+                else:
+                    # evaluated once: small, or a view of its operand; its
+                    # axis ``at`` moved first, so a slice reads index v
+                    a, b = values.get(n) or [
+                        p if p is None or at is None else np.moveaxis(p, at, 0)
+                        for p in _term_value(step, ops, products, parts, key, uses, held, left, v)
+                    ]
+                    if streamed:
+                        values[n] = a, b
+                    if at is not None:
+                        a, b = (p if p is None else p[v] for p in (a, b))
+            for part, k, side in factors:
+                w = b if part else a
+                if w is None:
+                    continue
+                target = acc[side]
+                if view is not None:
+                    if target is None:
+                        target = acc[side] = np.zeros(acc_shape, dtype)
+                    target = views.get((n, side))
+                    if target is None:
+                        target = views[n, side] = np.einsum(view, acc[side])
+                    if pin:
+                        target = target[v]
+                elif target is None:
+                    # a new array, never ``w`` itself, which may be a view of an
+                    # operand; 0-d arithmetic decays to a scalar, so re-wrap it;
+                    # an unbatched first term is broadcast over the trials
+                    first = np.asarray(k * w, dtype)
+                    if first.shape != acc_shape:
+                        first = np.array(np.broadcast_to(first, acc_shape))
+                    acc[side] = first
+                    continue
+                # a full-shape term is scaled a slice at a time: a batch of
+                # rank-4 terms times 8, say, needs no full-shape scratch (a
+                # streamed term's value is one slice already)
+                _add_into(target, w, k, sliced=view is None and 0 < rank < _STREAM_RANK)
+            a = b = w = None
+        if not streamed:
+            out = acc
+            break
+        for side, s in enumerate(acc):
+            # a zero slice is dropped; the first non-zero one allocates the result
+            if s is not None and np.count_nonzero(s):
+                if out[side] is None:
+                    out[side] = np.zeros(shape, dtype)
+                out[side][trials + (v,)] = s
+                s[...] = 0
+    acc = views = values = s = None
+    rat, irr = (_zero_part(shape, dtype) if v is None else v for v in out)
     return Tensor(dim, rat, irr, den, batched=bool(batch))
 
 

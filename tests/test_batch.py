@@ -365,3 +365,201 @@ def test_delta_ids_run_the_engine_per_trial():
     for ident in ("patterson", "weyl-patterson"):
         assert [list(reps) for reps in report.run_trials(ident, batch, 2, "free")] == [
             report.run_identity(ident, R, 2, "free") for R in trials]
+
+
+# -- rank-6 results, streamed over their leading index, against a reference ----
+
+
+class _Q3:
+    """a + b*sqrt(3) with integer a and b: the reference's own arithmetic,
+    for object-dtype ``np.einsum`` (which starts its sums from int 0)."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            return _Q3(self.a + other, self.b)
+        return _Q3(self.a + other.a, self.b + other.b)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _Q3(self.a * other, self.b * other)
+        return _Q3(self.a * other.a + 3 * self.b * other.b, self.a * other.b + self.b * other.a)
+
+    __rmul__ = __mul__
+
+
+# (subscripts, operand ranks), every output "abcdef"; the first letter, a,
+# is the one lincomb streams over.  Rank-2 tokens may hold c * I: "ab",
+# "ba" and "ae" hold a (it pins its partner), "cd" does not; the rank-4
+# pairs contract a letter x, like the A rows of the rank-6 identities, and
+# are read at a = v in one operand or the other
+_RANK6 = (
+    (None, (6,)),
+    ("abcdef->abcdef", (6,)),
+    ("bacdfe->abcdef", (6,)),
+    ("ab,cdef->abcdef", (2, 4)),
+    ("ba,cdef->abcdef", (2, 4)),
+    ("ae,bcdf->abcdef", (2, 4)),
+    ("cd,abef->abcdef", (2, 4)),
+    ("ab,cd,ef->abcdef", (2, 2, 2)),
+    ("ae,cd,bf->abcdef", (2, 2, 2)),
+    ("xabc,xdef->abcdef", (4, 4)),
+    ("xacb,xdef->abcdef", (4, 4)),
+    ("xdbc,xaef->abcdef", (4, 4)),
+    ("xfeb,xadc->abcdef", (4, 4)),
+)
+# the same einsums over the same operands, with every letter renamed: not
+# merged with the originals, so a sum with them cancels only in pass 2
+_RENAMED = str.maketrans("abcdefx", "ABCDEFX")
+
+
+def _reference(terms, dim, batch):
+    """Each trial's value of sum_k c_k * T_k, as (numerators (a, b) by
+    index, denominator): object einsums over ``_Q3`` of each operand's
+    stored numerators, one trial at a time."""
+    trials = []
+    for b in range(max(batch, 1)):
+        total, den = None, 1
+        for coeff, *spec in terms:
+            subscripts, ops = (None, spec) if len(spec) == 1 else (spec[0], spec[1:])
+            ops = [t.split()[b] if t.batch else t for t in ops]
+            values = []
+            for t in ops:
+                arr = np.empty(t._rat.shape, object)
+                for idx in np.ndindex(*t._rat.shape):
+                    arr[idx] = _Q3(int(t._rat[idx]), int(t._irr[idx]))
+                values.append(arr)
+            value = values[0] if subscripts is None else np.einsum(subscripts, *values)
+            c = coeff.split()[b].to_scalar() if isinstance(coeff, Tensor) else coeff
+            c = c if isinstance(c, Scalar) else Scalar(c)
+            q = math.lcm(c.rat.denominator, c.irr.denominator)
+            term_den = q * math.prod(t._den for t in ops)
+            scaled = value * _Q3(int(c.rat * q), int(c.irr * q))
+            lcm = math.lcm(den, term_den)
+            total = scaled * (lcm // term_den) if total is None else (
+                total * (lcm // den) + scaled * (lcm // term_den))
+            den = lcm
+        trials.append((total, den))
+    return trials
+
+
+def _witness_of(values, den):
+    """The first index (1-based, C order) of the largest |value| and that
+    value, or None for all zero."""
+    best = None
+    for idx in np.ndindex(*values.shape):
+        v = Scalar(Fraction(values[idx].a, den), Fraction(values[idx].b, den))
+        if v != 0 and (best is None or abs(v) > abs(best[1])):
+            best = tuple(i + 1 for i in idx), v
+    return best
+
+
+@st.composite
+def _rank6_terms(draw):
+    """(dim, batch, terms) with rank-6 results in dim 2 or 3: terms from
+    ``_RANK6``, in some of which two rank-4 operands repeat across the
+    templates (their contractions share a core); some einsum terms come
+    with terms that differ from them in one operand, and then with a
+    sign-flipped repeat (kernels equal up to sign); some sums come with the
+    negation of every term, renamed (they cancel)."""
+    dim = draw(st.sampled_from([2, 2, 3]))
+    batch = draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = Tensor.identity(dim)
+
+    def tensor(kind, rank):
+        shape = (dim,) * rank
+        if kind == "g":
+            return g
+        if kind == "identity":
+            return g.scale(draw(st.sampled_from([2, -3, Fraction(5, 2), LIMIT + 1])))
+        if kind == "trials":
+            parts = [rng.integers(-4, 5, shape) for _ in range(batch)]
+            return Tensor(dim, np.stack(parts), np.zeros((batch,) + shape, np.int64), 2, batched=True)
+        if kind == "trial identities":
+            eye = np.eye(dim, dtype=np.int64)
+            return Tensor(dim, np.stack([(k + 1) * eye for k in range(batch)]),
+                          np.zeros((batch, dim, dim), np.int64), batched=True)
+        rat = rng.integers(-4, 5, shape)
+        irr = rng.integers(-2, 3, shape) if kind == "sqrt3" else np.zeros(shape, np.int64)
+        if kind == "big":
+            rat = np.asarray(rat, object) * (LIMIT // 4 + 1)
+        return Tensor(dim, rat, irr, int(rng.integers(1, 4)))
+
+    def operand(rank):
+        kinds = ["int", "sqrt3", "big"] + ["trials"] * bool(batch)
+        if rank == 2:
+            kinds += ["g", "identity"] + ["trial identities"] * bool(batch)
+        return tensor(draw(st.sampled_from(kinds)), rank)
+
+    coeffs = [st.integers(-4, 4).filter(bool), st.fractions(-3, 3, max_denominator=5).filter(bool),
+              _SCALARS.filter(lambda s: s != 0), st.integers(LIMIT, 2 * LIMIT)]
+    if batch:
+        coeffs.append(st.lists(_SCALARS, min_size=batch, max_size=batch).map(_per_trial))
+    coeff = st.one_of(*coeffs)
+    terms = []
+    shared = [operand(4), operand(4)]
+    for _ in range(draw(st.integers(1, 4))):
+        subscripts, ranks = draw(st.sampled_from(_RANK6))
+        if ranks == (4, 4) and draw(st.booleans()):
+            ops = list(shared)
+        else:
+            ops = [operand(rank) for rank in ranks]
+        head = () if subscripts is None else (subscripts,)
+        block = [(draw(coeff), *head, *ops)]
+        if len(ops) > 1 and draw(st.booleans()):
+            p = draw(st.integers(0, len(ops) - 1))
+            for _ in range(draw(st.integers(1, 2))):
+                block.append((draw(coeff), subscripts, *ops[:p], operand(ranks[p]), *ops[p + 1:]))
+            if draw(st.booleans()):
+                sign = draw(st.sampled_from([1, -1]))
+                q = (p + 1) % len(ops)
+                other = operand(ranks[q])
+                block += [(sign * c, s, *o[:q], other, *o[q + 1:]) for c, s, *o in block]
+        terms += block
+    if draw(st.booleans()):
+        terms += [(-c, "abcdef->abcdef".translate(_RENAMED), *spec) if len(spec) == 1 else
+                  (-c, spec[0].translate(_RENAMED), *spec[1:]) for c, *spec in terms]
+    return dim, batch, terms
+
+
+@_examples(30)
+@given(_rank6_terms())
+def test_streamed_rank6_lincomb_equals_a_reference(case):
+    """A rank-6 lincomb, evaluated one index of its leading letter at a
+    time, holds exactly the reference's values: the canonical numerators,
+    dtype, zero parts and denominator of the whole batch, and each trial's
+    witness."""
+    from curvident.identities import _witness
+
+    dim, batch, terms = case
+    batch = max([t.batch for _, *spec in terms for t in spec if isinstance(t, Tensor)]
+                + [c.batch for c, *_ in terms if isinstance(c, Tensor)])
+    result = lincomb(terms)
+    reference = _reference(terms, dim, batch)
+    den = math.lcm(*(d for _, d in reference))
+    rat, irr = ([[getattr(x, side) * (den // d) for x in values.flat] for values, d in reference]
+                for side in ("a", "b"))
+    g = math.gcd(den, *(x for trial in rat + irr for x in trial))
+    den //= g
+    shape = (batch,) * bool(batch) + (dim,) * 6
+    rat, irr = ([x // g for trial in numerators for x in trial] for numerators in (rat, irr))
+    # both parts are Python ints exactly when some numerator reaches 2**62
+    dtype = object if max(map(abs, rat + irr)) >= LIMIT else np.int64
+    for part, flat in ((result._rat, rat), (result._irr, irr)):
+        if not any(flat):
+            assert tensor_mod._is_zero_part(part) and part.shape == shape
+        else:
+            assert part.dtype == dtype
+            assert np.array_equal(part, np.array(flat, dtype).reshape(shape))
+    assert result._den == den
+    trials = result.split() if batch else [result]
+    for trial, (values, d) in zip(trials, reference):
+        expected = _witness_of(values, d)
+        assert (None if trial.is_zero() else _witness(trial)) == expected

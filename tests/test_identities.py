@@ -13,14 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvident.scalar import Scalar
-from curvident.tensor import ShapeError, Tensor, ein, lincomb
+from curvident.tensor import ShapeError, Tensor, _is_zero_part, ein, lincomb
 from curvident.curvature import CurvatureTensor, invariants, weyl
 from curvident.delta import (
     DeltaBinding,
     generalized_delta_contract,
     reference_delta_contract,
 )
-from curvident.expansion6 import term_groups
+from curvident.expansion6 import group_residuals, term_groups
 from curvident.identities import (
     IdentityArgumentError,
     _patterson_binding,
@@ -739,33 +739,43 @@ def test_appendix34_on_einstein_input_runs_no_rank6_einsum(monkeypatch, seeds):
 
 def test_weyl_expansion_evaluates_each_f_row_once(monkeypatch):
     """The dim-6 W-identity's two F families share each row's subscripts
-    and g, so each row's two einsums run as one."""
+    and g, so each row's two einsums run as one; the nine merged rows are
+    transposes of one kernel, which is read once for all slices."""
     from curvident import tensor as tensor_mod
     from curvident.identities import _F_ROWS, _weyl_identity_block_terms
 
     terms = [t for block in _weyl_identity_block_terms(weyl(random_curvature(6, 3))) for t in block]
     calls = []
     real = tensor_mod._einsum_exact
-    monkeypatch.setattr(tensor_mod, "_einsum_exact", lambda s, ops: calls.append(s) or real(s, ops))
+
+    def einsum(s, ops):
+        # an F row leaves g out of the einsum: one rank-4 operand
+        if [op.ndim for op in ops] == [4]:
+            calls.append(s)
+        return real(s, ops)
+
+    monkeypatch.setattr(tensor_mod, "_einsum_exact", einsum)
     for term in terms:
         lincomb([term])
-    apart = len(calls)
+    assert len(calls) == 2 * len(_F_ROWS)
     calls.clear()
     assert lincomb(terms).is_zero()
-    assert len(calls) == apart - len(_F_ROWS)
+    assert len(calls) == 1
 
 
 def test_evaluate_model_computes_each_piece_once(monkeypatch):
     """Every dim-6 id reads R's pieces from R: over one evaluate_model each
-    cubic contraction and the Ricci contraction run once, T, S and A once
-    per tensor (R and its Weyl part W), and W is validated once.  thmB-a
-    still reports both arrangements of the trace identity and their
+    cubic contraction and the Ricci contraction run once, T and S once
+    per tensor (R and its Weyl part W), A's two rank-5 slices once per
+    index of i per tensor and A itself never, and W is validated once.
+    thmB-a still reports both arrangements of the trace identity and their
     difference."""
     from curvident import curvature as curvature_mod
     from curvident import tensor as tensor_mod
     from curvident.curvature import _R_CHECK, _R_HAT0, _R_HAT2, _R_RING0, _R_RING2
     from curvident.models import explicit_spec
     from curvident.report import evaluate_model
+    from curvident.tensor import _canonical
 
     R = example_6d(1)
     calls, checked = [], []
@@ -779,8 +789,13 @@ def test_evaluate_model_computes_each_piece_once(monkeypatch):
     run = evaluate_model(explicit_spec(R), R, applicable_identities(6))
     for subscripts in (_R_CHECK, _R_HAT2, _R_RING2, _R_HAT0, _R_RING0, "iaaj->ij"):
         assert calls.count(subscripts) == 1, subscripts
-    for subscripts in ("pabq,rabs->pqrs", "abpq,abrs->pqrs", "apqr,astu->pqrstu"):
+    for subscripts in ("pabq,rabs->pqrs", "abpq,abrs->pqrs"):
         assert calls.count(subscripts) == 2, subscripts
+    cores = [_canonical(s)[0] for s in calls]
+    # sum_a R_apqr R_astu whole, and read at p = v and at t = v
+    assert _canonical("apqr,astu->pqrstu")[0] not in cores
+    for slice_core in ("abc,adef->bcdef", "abcd,aef->bcdef"):
+        assert cores.count(slice_core) == 2 * 6, slice_core
     assert len(checked) == 1 and checked[0] is R.weyl.tensor
     reports = [r for r in run.residuals if r.identity.startswith(("thmB-a", "thm22"))]
     assert [r.identity for r in reports] == ["thmB-a", "thm22", "thmB-a-vs-thm22"]
@@ -799,9 +814,10 @@ _RR_PIECES = ("pabq,rabs->pqrs", "abpq,abrs->pqrs", "iabc,jabc->ij", "ijkl,ijkl-
 )
 def test_quadratic_pieces_run_once_per_tensor(monkeypatch, make):
     """Over one evaluate_model with every applicable id, T and S run once
-    per tensor (R and its Weyl part W), A once per tensor in dim 6 and
-    never in dim 5, F is built once, and no other contraction of two
-    rank-4 operands runs outside the delta engine."""
+    per tensor (R and its Weyl part W), F is built once, and no other
+    contraction of two rank-4 operands runs outside the delta engine.  In
+    dim 6, A's two rank-5 slices, R against R read at v, run once per
+    index v per tensor, and never in dim 5."""
     from collections import Counter
     from functools import cached_property
 
@@ -810,12 +826,15 @@ def test_quadratic_pieces_run_once_per_tensor(monkeypatch, make):
     from curvident.report import evaluate_model
 
     R = make()
-    contracted, built = Counter(), []
+    contracted, sliced, built = Counter(), Counter(), []
     real_contract, real_f = tensor_mod._contract_terms, CurvatureTensor.f.func
 
     def contract(subscripts, parts, terms):
-        if [p[0].ndim for p in parts] == [4, 4]:
+        ndims = [p[0].ndim for p in parts]
+        if ndims == [4, 4]:
             contracted[subscripts] += 1
+        if sorted(ndims) == [3, 4]:
+            sliced[tensor_mod._canonical(subscripts)[0]] += 1
         return real_contract(subscripts, parts, terms)
 
     f = cached_property(lambda self: built.append(self) or real_f(self))
@@ -823,10 +842,8 @@ def test_quadratic_pieces_run_once_per_tensor(monkeypatch, make):
     monkeypatch.setattr(tensor_mod, "_contract_terms", contract)
     monkeypatch.setattr(CurvatureTensor, "f", f)
     evaluate_model(explicit_spec(R), R, applicable_identities(R.dim))
-    expected = dict.fromkeys(_RR_PIECES, 2)
-    if R.dim == 6:
-        expected["apqr,astu->pqrstu"] = 2
-    assert contracted == expected
+    assert contracted == dict.fromkeys(_RR_PIECES, 2)
+    assert sliced == ({"abc,adef->bcdef": 2 * 6, "abcd,aef->bcdef": 2 * 6} if R.dim == 6 else {})
     assert built == ([R] if R.dim == 6 else [])
     assert not _dense_rank6_pieces(R)
 
@@ -881,3 +898,44 @@ def test_no_rank6_piece_outlives_evaluate_model(make):
     evaluate_model(explicit_spec(R), R, applicable_identities(6))
     assert "einstein6_form" in vars(R) and "a_quad" not in vars(R)
     assert _dense_rank6_pieces(R) == []
+
+
+def _super_einstein_batch() -> CurvatureTensor:
+    """example6d at k = 1 and k = 2 as one batch of two trials: a batch on
+    which eq42's residual is zero."""
+    trials = [example_6d(k).tensor for k in (1, 2)]
+    assert all(t._den == 1 and _is_zero_part(t._irr) for t in trials)
+    rat = np.stack([t._rat for t in trials])
+    return CurvatureTensor(Tensor(6, rat, np.zeros_like(rat), batched=True), _validated=True)
+
+
+@pytest.mark.parametrize(
+    "evaluate,make",
+    [
+        (einstein6_residual, lambda: einsteinize(random_curvature(6, [3, 4]), 1)),
+        (super6_residual, _super_einstein_batch),
+        (group_residuals, lambda: einsteinize(random_curvature(6, [3, 4]), 1)),
+        (weyl_expansion_residual, lambda: einsteinize(random_curvature(6, [3, 4]), 1)),
+    ],
+    ids=["lemma6", "eq42", "appendix34", "weyl-expansion"],
+)
+def test_rank6_zero_residuals_need_less_than_one_rank6_array(evaluate, make):
+    """On a batch of two trials where the identity holds, a dim-6 rank-6
+    residual is proved zero one slice of i at a time: the traced
+    allocations of its evaluation, R's pieces included, peak below one
+    B x 6**6 int64 array above where they start.  A materialized A tensor
+    or a rank-6 accumulator alone would reach that.  eq42 is checked on a
+    super-Einstein batch, since on an Einstein batch its residual is itself
+    a non-zero rank-6 tensor."""
+    R = make()
+    assert R.tensor.batch == 2
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = evaluate(R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    reports = out if isinstance(out, list) else [out]
+    assert all(r.is_zero() if isinstance(r, Tensor) else r.is_zero for r in reports)
+    assert peak - start < 2 * 6 ** 6 * 8
