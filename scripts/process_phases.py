@@ -29,8 +29,9 @@ which the command reached that peak: the probe wraps
 ``report.run_identity`` and reads the process's ``ru_maxrss`` before
 and after each call and at its atexit mark (``(start)``: before the
 first call; ``(end)``: after the last, in ``main``; ``(exit)``: after
-the mark; ``-``: in ``main`` of a command that made no call, as a
-batched ``random-check`` of a non-delta id does).  At the same points the
+the mark; ``-``: in ``main`` of a command that made no call, which no
+benchmark command is, as ``random-check`` evaluates each chunk through
+``run_identity``).  At the same points the
 probe reads its ``RssAnon`` and ``RssFile`` from ``/proc/self/status``,
 and the table gives both, in MB, at the reading that follows the peak
 (after the call that reached it, or at the mark): the anonymous memory

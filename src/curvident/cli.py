@@ -197,7 +197,7 @@ def _cmd_random_check(args) -> int:
 
     n_zero = 0
     failure = None  # (seed, nonzero reports) of the first failing trial
-    seeds, chunk = range(args.seed, args.seed + args.n), chunk_size(ident, dim)
+    seeds, chunk = range(args.seed, args.seed + args.n), chunk_size(ident, dim, runs)
     for start in range(0, args.n, chunk):
         # one batched model per chunk of seeds, evaluated at once
         batch = seeds[start : start + chunk]

@@ -121,13 +121,6 @@ class CurvatureTensor:
     def __repr__(self):
         return f"CurvatureTensor(dim={self.dim})"
 
-    def split(self) -> list:
-        """The trials of a batched curvature tensor, each validated as a
-        trial of a validated batch is; an unbatched one is its one trial."""
-        if not self.tensor.batch:
-            return [self]
-        return [CurvatureTensor(t, _validated=True) for t in self.tensor.split()]
-
     # -- derived pieces, each computed once ----------------------------------
 
     @cached_property

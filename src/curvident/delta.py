@@ -51,8 +51,11 @@ of a plan's einsum result that feeds it is ``fu[u] + fl[l]``: a record
 holds those two tables, one entry per tuple of a group, in the smallest
 integer dtype that holds the result's positions, and forms its positions
 on each call.  Records share equal tables, and records with the same
-diagonal pairs share the rows where those hold.  The layout keeps its
-representative index tuples in one byte per entry.
+diagonal pairs share the rows where those hold.
+
+A batch is contracted at once: each plan's einsum gets the trial letter
+when it is evaluated (``tensor._batched``), unbatched operands broadcast
+over it, and a symmetry is used only when it holds in every trial.
 
 Compiled plans persist across processes.  A key missing from the
 in-process cache is looked up in a plan file beside this module's
@@ -90,6 +93,7 @@ import numpy as np
 from .tensor import (
     _INT64_LIMIT,
     _LETTERS,
+    _batched,
     _contract_terms,
     _is_zero_part,
     _product_bound,
@@ -221,30 +225,25 @@ class _Plan:
         return out
 
 
-def _strides(dim: int, k: int):
-    return dim ** np.arange(k - 1, -1, -1, dtype=np.intp)
-
-
 def _group_tuples(dim: int, k: int):
     """One antisymmetric group of ``k`` output axes: its non-decreasing
-    value tuples, and whether each is strictly increasing."""
+    value tuples (smallest dtype) and whether each is strictly increasing."""
     tuples = list(combinations_with_replacement(range(dim), k))
     reps = np.array(tuples, np.intp).reshape(len(tuples), k)
-    return reps, np.all(np.diff(reps, axis=1) > 0, axis=1)
+    return reps.astype(np.min_scalar_type(dim - 1)), np.all(np.diff(reps, axis=1) > 0, axis=1)
 
 
 class _Layout:
     """Representatives of the antisymmetry orbits of the free output axes.
 
-    Row ``r`` of ``idx`` is one output index tuple whose upper-group values
-    and lower-group values are each non-decreasing: the upper tuple
-    ``r // n_lower`` with the lower tuple ``r % n_lower``.  The entries are
-    below ``dim``, so ``idx`` holds the smallest integer dtype that fits
-    them.  ``repeated`` lists the rows with a repeated index inside a group
-    (their value must be zero).  ``offsets`` holds the records' position
-    tables (``tables``) and ``diagonals``, per set of diagonal pairs, the
-    (upper, lower) tuple numbers of the rows where the pairs hold; records
-    that ask for the same one share it.
+    ``groups[side == 'L']`` holds the upper or lower group's output axes,
+    its non-decreasing value tuples and whether each is strictly increasing.
+    Row ``r`` pairs upper tuple ``r // n_lower`` with lower tuple
+    ``r % n_lower``; ``repeated`` flags the rows with a repeated index
+    inside a group (their value must be zero).  ``offsets`` holds the
+    records' position tables (``tables``) and ``diagonals``, per set of
+    diagonal pairs, the (upper, lower) tuple numbers of the rows where the
+    pairs hold; records share them.
 
     ``scatter`` is None until ``expand`` first meets a non-zero
     accumulator; then it holds (src, target, sign): every other row, once
@@ -255,7 +254,8 @@ class _Layout:
     """
 
     __slots__ = (
-        "dim", "out", "shape", "idx", "n_lower", "repeated", "scatter", "offsets", "diagonals"
+        "dim", "out", "shape", "groups", "values", "n_upper", "n_lower", "repeated",
+        "scatter", "offsets", "diagonals",
     )
 
     def __init__(self, dim: int, out: tuple):
@@ -265,16 +265,20 @@ class _Layout:
         self.offsets = {}
         self.diagonals = {}
         self.scatter = None
-        ax_u, ax_l = _group_axes(out)
-        g_u, d_u = _group_tuples(dim, len(ax_u))
-        g_l, d_l = _group_tuples(dim, len(ax_l))
-        self.n_lower = len(g_l)
-        # column-major, as the tables read whole axes
-        dtype = np.min_scalar_type(dim - 1)
-        self.idx = np.empty((len(g_u) * len(g_l), len(out)), dtype, order="F")
-        self.idx[:, ax_u] = np.repeat(g_u, len(g_l), axis=0)
-        self.idx[:, ax_l] = np.tile(g_l, (len(g_u), 1))
-        self.repeated = np.flatnonzero(~np.outer(d_u, d_l))
+        self.groups = tuple(
+            (axes, *_group_tuples(dim, len(axes)))
+            for axes in ([a for a, (s, _) in enumerate(out) if s == side] for side in "UL")
+        )
+        (_, g_u, d_u), (_, g_l, d_l) = self.groups
+        # each output axis's value per upper tuple, as a column, or per lower
+        # tuple, as a row: the diagonal masks compare them
+        self.values = []
+        for a, (side, _) in enumerate(out):
+            axes, tuples, _ = self.groups[side == "L"]
+            values = tuples[:, axes.index(a)]
+            self.values.append(values if side == "L" else values[:, None])
+        self.n_upper, self.n_lower = len(g_u), len(g_l)
+        self.repeated = ~np.outer(d_u, d_l).reshape(-1)
 
     def tables(self, out_assign: tuple, diag_pairs: tuple) -> tuple:
         """(fu, fl, rows) for one record: entry u of ``fu`` plus entry l of
@@ -294,12 +298,12 @@ class _Layout:
         if diag_pairs:
             rows = self.diagonals.get(diag_pairs)
             if rows is None:
-                mask = np.ones(len(self.idx), bool)
+                mask = np.ones((self.n_upper, self.n_lower), bool)
                 for a1, a2 in diag_pairs:
-                    mask &= self.idx[:, a1] == self.idx[:, a2]
+                    mask &= self.values[a1] == self.values[a2]
                 ru, rl = np.divmod(np.flatnonzero(mask), self.n_lower)
                 rows = self.diagonals[diag_pairs] = (
-                    ru.astype(np.min_scalar_type(len(self.idx) // self.n_lower - 1)),
+                    ru.astype(np.min_scalar_type(self.n_upper - 1)),
                     rl.astype(np.min_scalar_type(self.n_lower - 1)),
                 )
         return fu, fl, rows
@@ -312,23 +316,21 @@ class _Layout:
         key = (side, fed, dtype)
         offsets = self.offsets.get(key)
         if offsets is None:
-            # rows u * n_lower hold every upper tuple, rows below n_lower every lower one
-            tuples = self.idx[:: self.n_lower] if side == "U" else self.idx[: self.n_lower]
-            axes, strides = [a for a, _ in fed], np.array([s for _, s in fed], np.intp)
-            offsets = self.offsets[key] = (tuples[:, axes] @ strides).astype(dtype)
+            axes, tuples, _ = self.groups[side == "L"]
+            cols = [axes.index(a) for a, _ in fed]
+            strides = np.array([s for _, s in fed], np.intp)
+            offsets = self.offsets[key] = (tuples[:, cols] @ strides).astype(dtype)
         return offsets
 
     def _scatter_tables(self) -> tuple:
         """(src, target, sign) of the class docstring."""
-        rows = np.ones(len(self.idx), bool)
-        rows[self.repeated] = False
-        rows = np.flatnonzero(rows)
-        strides = _strides(self.dim, len(self.out))
+        rows = np.flatnonzero(~self.repeated)
+        strides = self.dim ** np.arange(len(self.out) - 1, -1, -1, dtype=np.intp)
         offsets, signs = [], []
-        for axes in _group_axes(self.out):
+        for (axes, tuples, _), numbers in zip(self.groups, np.divmod(rows, self.n_lower)):
             perms, sign = _signed_permutations(len(axes))
             # per row, the flat offset of each permutation of the group's values
-            offsets.append(self.idx[np.ix_(rows, axes)][:, perms] @ strides[axes])
+            offsets.append(tuples[numbers][:, perms] @ strides[axes])
             signs.append(sign)
         (off_u, off_l), (s_u, s_l) = offsets, signs
         src = np.repeat(rows, len(s_u) * len(s_l))
@@ -337,26 +339,24 @@ class _Layout:
         return src, target, sign
 
     def expand(self, acc):
-        """The dense output array from the accumulated representative
-        values; a zero part when they are all zero."""
-        if np.any(acc[self.repeated] != 0):
+        """The dense output array, a batch's trials first, from the values
+        accumulated per representative row (a batch's trials last); a zero
+        part when they are all zero."""
+        acc = acc.T
+        if np.any(acc[..., self.repeated] != 0):
             raise EngineInvariantError(
                 "delta contraction is nonzero at a representative with a "
                 "repeated antisymmetric index"
             )
+        lead = acc.shape[:-1]
         if not np.count_nonzero(acc):
-            return _zero_part(self.shape, acc.dtype)
+            return _zero_part(lead + self.shape, acc.dtype)
         if self.scatter is None:
             self.scatter = self._scatter_tables()
         src, target, sign = self.scatter
-        dense = np.zeros(math.prod(self.shape), acc.dtype)
-        dense[target] = acc[src] * sign
-        return dense.reshape(self.shape)
-
-
-def _group_axes(out: tuple) -> tuple:
-    """The output axes of the upper and of the lower antisymmetric group."""
-    return tuple([a for a, (side, _) in enumerate(out) if side == g] for g in "UL")
+        dense = np.zeros(lead + (math.prod(self.shape),), acc.dtype)
+        dense[..., target] = acc[..., src] * sign
+        return dense.reshape(lead + self.shape)
 
 
 def _layout(dim: int, out: tuple) -> _Layout:
@@ -428,12 +428,13 @@ def _slot_symmetries(t: Tensor) -> tuple:
     """The slot symmetries of ``t`` read from its data: each transposition
     or double transposition ``perm`` of its slots, with a sign s, such that
     ``np.transpose(part, perm) == s * part`` holds exactly for its rational
-    and its sqrt(3) part.  Nothing else is assumed of an operand."""
+    and its sqrt(3) part in every trial.  Nothing else is assumed of it."""
     parts = [p for p in (t._rat, t._irr) if not _is_zero_part(p)]
     negated = [-p for p in parts]
     found = []
     for perm in _slot_involutions(t.rank):
-        moved = [np.transpose(p, perm) for p in parts]
+        axes = (0, *(k + 1 for k in perm)) if t.batch else perm
+        moved = [np.transpose(p, axes) for p in parts]
         for sign, targets in ((1, parts), (-1, negated)):
             if all(np.array_equal(m, q) for m, q in zip(moved, targets)):
                 found.append((perm, sign))
@@ -746,10 +747,13 @@ def generalized_delta_contract(
 
     Free slots (per ``binding.out``) become output axes; traced slot pairs
     are summed against each other.  Exact; permutation order never affects
-    the result.
+    the result.  Batched operands share one trial count; the rest broadcast.
     """
     operands = list(operands)
     _validate(n_upper, dim, operands, binding)
+    batch = max((t.batch for t in operands), default=0)
+    if any(t.batch not in (0, batch) for t in operands):
+        raise ShapeError("batched operands hold different numbers of trials")
     terms = _product_terms(operands)
     n = n_upper
 
@@ -772,36 +776,42 @@ def generalized_delta_contract(
     dtype = object if use_object else np.int64
 
     # accumulators for the rational part and, unless every term of the
-    # product is rational, the sqrt(3) part
+    # product is rational, the sqrt(3) part; a batch's trials are the last
+    # axis, so a record indexes rows as it does without a batch
     sqrt3 = any(side for _, _, side in terms)
-    accs = [np.zeros(len(layout.idx), dtype) for _ in range(1 + sqrt3)]
+    trials = (batch,) if batch else ()
     n_l = layout.n_lower
+    accs = [np.zeros((layout.n_upper * n_l,) + trials, dtype) for _ in range(1 + sqrt3)]
 
     parts = [t._parts(use_object) for t in operands]
+    flags = tuple(bool(t.batch) for t in operands)
     for plan in plans:
         if operands:
-            vals = _contract_terms(plan.subscripts, parts, terms)
+            subscripts = _batched(plan.subscripts, flags) if batch else plan.subscripts
+            vals = _contract_terms(subscripts, parts, terms)
         else:
             vals = (np.ones(1, dtype),)  # the pure delta
         for acc, v in zip(accs, vals):
             if v is None:
                 continue
-            v = v.reshape(-1)
+            # records gather along the last axis, as numpy's take copies a
+            # non-contiguous source whole
+            v = v.reshape(trials + (-1,))
             for fu, fl, rows, coeff in plan.tables:
                 if type(rows) is slice:
-                    acc += coeff * v.take(fu[:, None] + fl).reshape(-1)
+                    acc += coeff * v.take(fu[:, None] + fl, axis=-1).reshape(trials + (-1,)).T
                 else:
                     # the upper tuple numbers as intp once, for the rows and fu
                     ru, rl = rows
                     ru = ru.astype(np.intp)
-                    acc[ru * n_l + rl] += coeff * v.take(fu.take(ru) + fl.take(rl))
+                    acc[ru * n_l + rl] += coeff * v.take(fu.take(ru) + fl.take(rl), axis=-1).T
 
     den = 1
     for t in operands:
         den *= t._den
     rat = layout.expand(accs[0])
     irr = layout.expand(accs[1]) if sqrt3 else _zero_part(rat.shape, dtype)
-    return Tensor(dim, rat, irr, den)
+    return Tensor(dim, rat, irr, den, batched=bool(batch))
 
 
 # ---------------------------------------------------------------------------
@@ -820,8 +830,10 @@ def reference_delta_contract(
     adds sign(p) times the operand entries it selects.  Exponentially slow;
     for certification only.  ``out_indices`` restricts evaluation to the
     given output tuples (other components stay zero in the returned
-    tensor)."""
+    tensor).  It takes unbatched operands only: one trial."""
     operands = list(operands)
+    if any(t.batch for t in operands):
+        raise ShapeError("the oracle takes one trial")
     _validate(n_upper, dim, operands, binding)
     n = n_upper
     traced = binding.traced

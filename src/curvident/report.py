@@ -48,7 +48,7 @@ class _Identity(NamedTuple):
     """An id's dimensions, the hypothesis its random inputs need, and its
     evaluator: R -> reports, or (R, (r, mode) runs) -> reports if ``delta``;
     ``rank`` is the largest rank of a tensor the evaluator builds on a
-    batch (R and its Weyl part for a delta id, whose engine runs per trial)."""
+    batch, bar a delta id's residuals, whose runs set theirs (chunk_size)."""
 
     dims: range
     hypothesis: str  # universal | einstein | super_einstein
@@ -105,16 +105,23 @@ _IDENTITIES = {
 IDENTITY_IDS = tuple(_IDENTITIES)
 
 # random-check evaluates its trials in chunks of B trials, with B * dim**rank
-# at most this many entries for the id's largest tensor, its rank-6
-# residual for lemma6, eq42 and appendix34 (B = 2 in dim 6).  A rank-6
-# lincomb streams over its leading index, so such a chunk holds one
-# B * 6**5 slice at a time and a rank-6 array only for a non-zero residual
+# at most this many entries for the id's largest tensor: the rank-6 residual
+# of lemma6, eq42 and appendix34 (B = 2 in dim 6) or a delta id's residual at
+# its run.  A rank-6 lincomb streams over its leading index, so a non-delta
+# id's chunk holds a rank-6 array only for a non-zero residual
 CHUNK_ENTRIES = 2 * 6 ** 6
 
 
-def chunk_size(ident: str, dim: int) -> int:
-    """The trials per chunk of a random-check of ``ident`` in ``dim``."""
-    return max(1, CHUNK_ENTRIES // dim ** _IDENTITIES[ident].rank)
+def _run_rank(dim: int, r: int, mode: str) -> int:
+    """A delta id's residual rank at ``r``: 2, and 2 per leftover pair left free."""
+    return 2 + 2 * (dim - 2 * r) if mode == "free" else 2
+
+
+def chunk_size(ident: str, dim: int, runs=()) -> int:
+    """The trials per chunk of a random-check of ``ident`` in ``dim``, at a
+    delta id's (r, mode) ``runs``."""
+    rank = max([_IDENTITIES[ident].rank, *(_run_rank(dim, *run) for run in runs)])
+    return max(1, CHUNK_ENTRIES // dim ** rank)
 
 
 def applicable_identities(dim: int) -> list:
@@ -144,8 +151,7 @@ def _resolve(ident: str, dim: int, r=None, mode=None):
         raise IdentityArgumentError(f"--r {r} out of range 1..{max_r(dim)} for dim {dim}")
     runs = []
     for k in range(1, max_r(dim) + 1) if r is None else [r]:
-        # the residual's rank with the leftover index pairs free
-        free_rank = 2 + 2 * (dim - 2 * k)
+        free_rank = _run_rank(dim, k, "free")
         if mode == "free" and free_rank > Tensor.MAX_RANK:
             raise IdentityArgumentError(
                 f"--mode free at dim {dim}, r={k} gives rank {free_rank}"
@@ -165,20 +171,13 @@ def run_identity(ident: str, R: CurvatureTensor, r=None, mode=None) -> list:
 
 
 def run_trials(ident: str, R: CurvatureTensor, r=None, mode=None):
-    """The report lists of the trials of ``R``, in trial order, each what
-    run_identity gives on that trial's own tensor; an unbatched R is one
-    trial.  A non-delta id is evaluated once on a whole batch, and each
-    batched residual is split into its trials' residuals; a delta id runs
-    the delta engine on one trial at a time, and this generator drops a
-    trial's residuals before it evaluates the next."""
-    entry, runs = _resolve(ident, R.dim, r, mode)
-    if entry.delta or not R.tensor.batch:
-        for trial in R.split():
-            yield run_identity(ident, trial, r, mode)
-        return
-    yield from zip(*(
+    """The report lists of the trials of a batched ``R``, in trial order,
+    each what run_identity gives on that trial's own tensor: the id is
+    evaluated once on the whole batch, and each batched residual is split
+    into its trials' residuals."""
+    return zip(*(
         [make_report(rep.identity, rep.hypothesis, t) for t in rep.residual.split()]
-        for rep in entry.evaluate(R)
+        for rep in run_identity(ident, R, r, mode)
     ))
 
 

@@ -2,11 +2,10 @@
 
 A batched Tensor stacks trials along a leading axis, a batched rank-0
 Tensor holds one value per trial (a coefficient such as tau), and
-``lincomb``, every non-delta evaluator and ``random_curvature`` run once
-on a whole batch.  Each test compares a
-batched result, split into its trials, with the same computation run on
-each trial alone, by Tensor equality: the split tensors must be the
-canonical ones too.
+``lincomb``, the delta engine, every evaluator and ``random_curvature``
+run once on a whole batch.  Each test compares a batched result, split
+into its trials, with the same computation run on each trial alone, by
+Tensor equality: the split tensors must be the canonical ones too.
 """
 
 import math
@@ -16,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from curvident import report
+from curvident import identities, report
+from curvident.delta import DeltaBinding, generalized_delta_contract, reference_delta_contract
 from curvident.identities import gauss_bonnet_integrand_6, weyl_expansion_residual
 from curvident.models import einsteinize, random_curvature
 from curvident import tensor as tensor_mod
@@ -336,14 +336,14 @@ _SEEDS = st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=3)
 _K = st.sampled_from([None, Scalar(1), Scalar(Fraction(-2, 3)), Scalar(1, 1)])
 
 
-@pytest.mark.parametrize(
-    "ident", sorted(i for i, e in report._IDENTITIES.items() if not e.delta))
+@pytest.mark.parametrize("ident", sorted(report._IDENTITIES))
 @_examples(4)
 @given(seeds=_SEEDS, k=_K)
 def test_every_evaluator_on_a_batch_equals_it_on_each_trial(ident, seeds, k):
     """run_trials on a batch gives, trial by trial, the reports run_identity
-    gives on each trial's own tensor: residuals, verdicts and witnesses."""
-    batch, trials = _models(report._IDENTITIES[ident].dims[0], seeds, k)
+    gives on each trial's own tensor: residuals, verdicts and witnesses.
+    A delta id runs in dim 4, the least that ``einsteinize`` takes."""
+    batch, trials = _models(max(report._IDENTITIES[ident].dims[0], 4), seeds, k)
     assert batch.tensor.split() == [R.tensor for R in trials]
     assert [list(reps) for reps in report.run_trials(ident, batch)] == [
         report.run_identity(ident, R) for R in trials]
@@ -360,11 +360,85 @@ def test_weyl_expansion_and_euler_integrand_on_a_batch(seeds, k, dim):
         assert _trials(integrand) == [gauss_bonnet_integrand_6(R) for R in trials]
 
 
-def test_delta_ids_run_the_engine_per_trial():
+def test_delta_ids_run_the_engine_once_per_batch(monkeypatch):
+    """A delta id at one r and mode contracts the whole batch in one engine
+    call, and its split residuals are each trial's own."""
+    real, calls = identities.generalized_delta_contract, []
+    monkeypatch.setattr(identities, "generalized_delta_contract",
+                        lambda *a: calls.append(a[2][0].batch) or real(*a))
     batch, trials = _models(4, [3, 4], None)
     for ident in ("patterson", "weyl-patterson"):
-        assert [list(reps) for reps in report.run_trials(ident, batch, 2, "free")] == [
-            report.run_identity(ident, R, 2, "free") for R in trials]
+        calls.clear()
+        got = [list(reps) for reps in report.run_trials(ident, batch, 2, "free")]
+        assert calls == [2]
+        assert got == [report.run_identity(ident, R, 2, "free") for R in trials]
+
+
+# -- the delta engine on a batch, against each trial's call and the oracle ----
+
+
+def _delta_operand(rng, dim, kind):
+    """A rank-4 operand of one trial: a curvature tensor (a + b*sqrt 3 with
+    a and b curvature tensors, so it has every slot symmetry of R), one
+    antisymmetric in its first slot pair only, or a generic one."""
+    if kind == "curvature":
+        a, b = (random_curvature(dim, int(rng.integers(2 ** 32)), 2).tensor for _ in range(2))
+        return lincomb([(1, a), (Scalar(0, 1), b)])
+    shape = (dim,) * 4
+    rat, irr = rng.integers(-3, 4, shape), rng.integers(-2, 3, shape)
+    if kind == "pair":
+        rat, irr = (p - p.transpose(1, 0, 2, 3) for p in (rat, irr))
+    return Tensor(dim, rat, irr, int(rng.integers(1, 4)))
+
+
+@st.composite
+def _delta_cases(draw):
+    """(N, dim, operands, binding, B): the order-N delta, N = dim (a non-zero
+    result) or dim + 1 (zero), against r rank-4 operands bound pairwise to
+    its first 2r slots, its other slots free or traced.  At least one
+    operand is batched, over B = 1..3 trials of drawn kinds (so a symmetry
+    may hold in some trials only); each further operand repeats the one
+    before it (the same object) or is drawn afresh, batched or not."""
+    dim = draw(st.integers(2, 6))
+    n = draw(st.sampled_from([dim, dim + 1]))
+    mode = draw(st.sampled_from(["free", "traced"]))
+    r = draw(st.integers(1, n // 2))
+    free = 0 if mode == "traced" else 2 * (n - 2 * r)
+    # a free result of at most 4**8 entries per trial
+    assume(dim ** free <= 4 ** 8)
+    batch = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = st.sampled_from(["curvature", "pair", "generic"])
+    operands = []
+    for k in range(r):
+        how = draw(st.sampled_from(["batched", "unbatched", "repeat"])) if k else "batched"
+        if how == "repeat":
+            operands.append(operands[-1])
+        elif how == "batched":
+            operands.append(_stack([_delta_operand(rng, dim, draw(kinds)) for _ in range(batch)]))
+        else:
+            operands.append(_delta_operand(rng, dim, draw(kinds)))
+    lower = {s: (k, s - 2 * k) for k in range(r) for s in (2 * k, 2 * k + 1)}
+    upper = {s: (k, s - 2 * k + 2) for k in range(r) for s in (2 * k, 2 * k + 1)}
+    traced = range(2 * r, n) if mode == "traced" else ()
+    return n, dim, operands, DeltaBinding.make(n, lower, upper, traced=traced), batch
+
+
+@_examples(20)
+@given(_delta_cases())
+def test_delta_engine_on_a_batch_equals_it_on_each_trial(case):
+    """Each trial of a batched delta contraction equals the engine's call on
+    that trial's operands (an identical operand stays one object) and, at
+    dim <= 4, the oracle's."""
+    n, dim, operands, binding, batch = case
+    result = generalized_delta_contract(n, dim, operands, binding)
+    assert result.batch == batch
+    split = {id(t): t.split() for t in operands if t.batch}
+    for b, trial in enumerate(result.split()):
+        ops = [split[id(t)][b] if t.batch else t for t in operands]
+        assert trial == generalized_delta_contract(n, dim, ops, binding)
+        if dim <= 4:
+            assert trial == reference_delta_contract(n, dim, ops, binding)
 
 
 # -- rank-6 results, streamed over their leading index, against a reference ----

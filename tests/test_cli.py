@@ -165,6 +165,24 @@ def test_random_check_universal(capsys):
     assert "zero: 3" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("ident", ["patterson", "weyl-patterson"])
+@pytest.mark.parametrize(
+    "dim, r, n, chunk, batches", [(3, 1, 30, 1152, [30]), (4, 1, 24, 22, [22, 2])])
+def test_random_check_delta_id_in_batched_chunks(
+        monkeypatch, capsys, ident, dim, r, n, chunk, batches):
+    """A delta id's chunk is sized by its run's residual: rank 4 in dim 3
+    (r = 1, free), so 30 trials are one engine call, and rank 6 in dim 4
+    (r = 1, free), 22 trials a chunk, so 24 trials end on a chunk of 2."""
+    real, calls = identities.generalized_delta_contract, []
+    monkeypatch.setattr(identities, "generalized_delta_contract",
+                        lambda *a: calls.append(a[2][0].batch) or real(*a))
+    assert report.chunk_size(ident, dim, [(r, "free")]) == chunk
+    rc = run_cli("random-check", "--dim", str(dim), "--identity", ident, "--r", str(r), "-n", str(n))
+    assert rc == 0
+    assert f"trials: {n}  zero: {n}  nonzero: 0" in capsys.readouterr().out
+    assert calls == batches
+
+
 def test_random_check_einstein_hypothesis(capsys):
     rc = run_cli(
         "random-check", "--dim", "5", "--identity", "lemma5", "-n", "2", "--seed", "7"

@@ -262,6 +262,23 @@ def test_engine_matches_oracle_rank0_output():
     assert generalized_delta_contract(2, 3, [], pure).to_scalar() == Scalar(6)
 
 
+def test_oracle_takes_one_trial_and_the_engine_one_trial_count():
+    """The oracle is per trial: a batched operand is a ShapeError, not a
+    failure inside its loop.  The engine takes batched operands of one
+    trial count, beside unbatched ones."""
+    trials = random_curvature(3, [1, 2, 3], 2).tensor
+    pair = random_curvature(3, [4, 5], 2).tensor
+    b = DeltaBinding.make(2, {0: (0, 0), 1: (0, 1)}, {0: (0, 2), 1: (0, 3)}, out=[])
+    with pytest.raises(ShapeError, match="the oracle takes one trial"):
+        reference_delta_contract(2, 3, [trials], b)
+    assert generalized_delta_contract(2, 3, [trials], b).batch == 3
+    two = _patterson_binding(4, 2, "traced")
+    with pytest.raises(ShapeError, match="different numbers of trials"):
+        generalized_delta_contract(5, 3, [trials, pair], two)
+    single = random_curvature(3, 6, 2).tensor
+    assert generalized_delta_contract(5, 3, [trials, single], two).batch == 3
+
+
 @pytest.mark.parametrize("r,mode", [(2, "free"), (2, "traced"), (1, "traced"), (1, "free")])
 def test_engine_matches_oracle_sl3so3_order_dim(r, mode):
     """The order-5 delta in dimension 5 has support, so on the sqrt(3)-valued
@@ -278,8 +295,8 @@ def test_engine_matches_oracle_sl3so3_order_dim(r, mode):
 
 def test_expansion_rejects_nonzero_repeated_representative():
     layout = _layout(3, (("U", 0), ("L", 0), ("U", 1), ("L", 1)))
-    acc = np.zeros(len(layout.idx), np.int64)
-    acc[layout.repeated[-1]] = 1
+    acc = np.zeros(layout.n_upper * layout.n_lower, np.int64)
+    acc[np.flatnonzero(layout.repeated)[-1]] = 1
     with pytest.raises(EngineInvariantError):
         layout.expand(acc)
     assert not issubclass(EngineInvariantError, ValueError)
@@ -621,7 +638,7 @@ def test_zero_result_is_a_zero_part(operand, r):
 @pytest.mark.parametrize("dtype", [np.int64, object])
 def test_all_zero_expansion_allocates_no_dense_array(dtype):
     layout = _layout(5, _patterson_binding(5, 1, "free").out)
-    part = layout.expand(np.zeros(len(layout.idx), dtype))
+    part = layout.expand(np.zeros(layout.n_upper * layout.n_lower, dtype))
     assert part.shape == (5,) * 8 and part.dtype == np.dtype(dtype)
     assert not any(part.strides) and part.base.size == 1 and part.flat[0] == 0
 
@@ -639,8 +656,8 @@ def test_nonzero_generic_operand_stays_dense():
 
 def test_vanishing_contraction_builds_no_scatter_tables(monkeypatch):
     """With N above the dimension the result is zero, so the fresh layout of
-    a Patterson contraction never builds its scatter tables; its index
-    table holds one byte per entry, each record's position tables one entry
+    a Patterson contraction never builds its scatter tables; its group
+    tuples hold one byte per entry, each record's position tables one entry
     per tuple of a group in the smallest dtype that holds its einsum's
     positions, and its diagonal rows one byte per tuple number."""
     monkeypatch.setattr(delta_mod, "_LAYOUT_CACHE", {})
@@ -650,8 +667,8 @@ def test_vanishing_contraction_builds_no_scatter_tables(monkeypatch):
     assert generalized_delta_contract(6, 5, [R.tensor], binding).is_zero()
     layout = delta_mod._LAYOUT_CACHE[(5, binding.out)]
     assert layout.scatter is None
-    assert layout.idx.dtype.itemsize == 1
-    n_u = len(layout.idx) // layout.n_lower
+    assert all(tuples.dtype.itemsize == 1 for _, tuples, _ in layout.groups)
+    n_u = layout.n_upper
     (plans,) = delta_mod._PLAN_CACHE.values()
     for plan in plans:
         size = 5 ** len(plan.subscripts.partition("->")[2])
@@ -665,7 +682,7 @@ def test_vanishing_contraction_builds_no_scatter_tables(monkeypatch):
 @pytest.mark.parametrize("dim,r,limit", [(6, 2, 128 * 1024), (5, 1, 169_160)])
 def test_patterson_layout_holds_small_index_tables(monkeypatch, dim, r, limit):
     """After a free Patterson call, the index tables its layout holds (the
-    representative tuples, the records' position tables and the diagonal
+    group tuples, the records' position tables and the diagonal
     rows) stay within ``limit`` bytes; per-record gathers of every row's
     position held 466,336 bytes at dim 6, r = 2 and 169,160 at dim 5, r = 1.
     Every record reads the layout's shared tables."""
@@ -676,7 +693,8 @@ def test_patterson_layout_holds_small_index_tables(monkeypatch, dim, r, limit):
     assert generalized_delta_contract(dim + 1, dim, [R] * r, binding).is_zero()
     layout = delta_mod._LAYOUT_CACHE[(dim, binding.out)]
     shared = list(layout.offsets.values()) + [a for rows in layout.diagonals.values() for a in rows]
-    assert layout.idx.nbytes + sum(a.nbytes for a in shared) <= limit
+    tuples = [t for _, t, _ in layout.groups]
+    assert sum(a.nbytes for a in tuples + shared) <= limit
     (plans,) = delta_mod._PLAN_CACHE.values()
     for plan in plans:
         for fu, fl, rows, _ in plan.tables:
