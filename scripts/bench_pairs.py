@@ -9,14 +9,12 @@ The parent is the committed tree of ``--base`` (default ``HEAD``),
 exported with ``git archive`` into a temporary directory.  The change is
 exported the same way from this working tree: every file git tracks (the
 index, so staged new files too), as it is on disk, into a second
-temporary directory.  So both sides start without bytecode, plan files or
-anything untracked.  Each pair runs ``perfbench/run.py`` once on each
+temporary directory.  So both sides start without bytecode or anything
+untracked.  Each pair runs ``perfbench/run.py`` once on each
 side, with identical arguments, and alternates which side goes first.
 Before its first pair, each workload runs once on each tree, untimed but
 checked like every run, so that every timed run finds the tree's
-bytecode and delta plan files written: a cold first pass compiles the
-dim-6 plans and reads about 2 MB more peak RSS than a warm one.  Every
-run must report ``correct: true``.
+bytecode written.  Every run must report ``correct: true``.
 
 ``BENCH_<label>.json`` (or ``--out``) holds one entry per workload, seed
 and ``--trace`` value: every run's metrics (and, in a workload's first
@@ -48,10 +46,9 @@ stores each side's wall times and quartiles in that entry as
 ``setup_check``.  The verdict itself is left as the rule gives it.
 
 perfbench's children run with ``PYTHONDONTWRITEBYTECODE`` unset, so each
-tree writes its bytecode and delta plan files in its warm-up run.  A
-command timed by hand should run the same way: with the variable set, a
-changed ``delta.py`` has no plan files and compiles its plans in every
-process.
+tree writes its bytecode in its warm-up run.  A command timed by hand
+should run the same way: with the variable set, every process on a fresh
+tree compiles the package's bytecode afresh.
 """
 
 from __future__ import annotations

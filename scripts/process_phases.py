@@ -20,8 +20,8 @@ Its wall splits into four phases, all on the monotonic clock:
 - ``exit``: the atexit mark to the parent's reap (stdio flush, the final
   collection, module and heap teardown).
 
-One pass of every workload runs first and is not timed (bytecode, plan
-files); then ``-n`` timed passes.  Every command must exit 0.  The table
+One pass of every workload runs first and is not timed (it writes the
+bytecode); then ``-n`` timed passes.  Every command must exit 0.  The table
 gives each command's median phases in ms and its peak RSS in MB (the
 largest ``ru_maxrss`` that ``os.wait4`` reports for it over the timed
 passes, as perfbench reads its children's), with the identity during

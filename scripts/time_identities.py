@@ -8,15 +8,16 @@ Each (dim, identity) runs in a fresh Python process that imports
 curvident from this tree's ``src`` and calls the CLI's ``random-check``
 in process once per seed, one trial per call (seeds ``--seed`` to
 ``--seed`` + n - 1, stdout discarded).  The first call pays the cold
-caches (einsum paths, delta plans); the later ones are warm.  Then one
+caches (einsum paths, delta plans parsed from the packaged file or
+compiled); the later ones are warm.  Then one
 more call runs the whole campaign, ``-n`` n from ``--seed``, as the
 benchmark's commands do: its trials go through random-check's chunks, so
 it shows what batching them saves against n single calls (its batched
 einsum shapes are new to the process, so it pays their path searches).
 Every call must exit 0.  The children run with ``PYTHONDONTWRITEBYTECODE``
-unset, as perfbench's do, so they write and then read the tree's bytecode
-and delta plan files.  The set timed is every identity at every dimension 5 and
-6 it applies to, with ``random-check``'s default ``--r`` and ``--mode``,
+unset, as perfbench's do, so they write and then read the tree's
+bytecode.  The set timed is every identity at every dimension 5 and 6 it
+applies to, with ``random-check``'s default ``--r`` and ``--mode``,
 except the super-Einstein ones: random Einstein trials do not satisfy
 their hypothesis.
 

@@ -57,20 +57,15 @@ A batch is contracted at once: each plan's einsum gets the trial letter
 when it is evaluated (``tensor._batched``), unbatched operands broadcast
 over it, and a symmetry is used only when it holds in every trial.
 
-Compiled plans persist across processes.  A key missing from the
-in-process cache is looked up in a plan file beside this module's
-bytecode (``__pycache__``, or under ``sys.pycache_prefix`` when that is
-set): a small JSON file named by a CRC-32 of the key's text.  It holds a
-format number, this file's size and mtime (the stamp its bytecode
-carries), the full ``repr`` of the key (delta order, dimension, binding,
-operand identity pattern, operand ranks and verified symmetries) and, per
-plan, its subscripts and records.  A file is used only when all of these
-match exactly and its contents have the shape the engine writes; anything
-else is ignored, compiled afresh and replaced.  The records' tables are
-rebuilt from this process's layout, so a loaded plan is the compiled
-one.  Files are written as bytecode is, so not under ``-B`` or
-``PYTHONDONTWRITEBYTECODE``, and not at all where the directory cannot be
-written; deleting ``__pycache__`` clears them.  There is no option.
+The plans of every key the command line reaches with a curvature
+tensor's symmetries ship with the package, compiled, in
+``delta_plans.json``: one JSON line per key, its ``repr`` and, per plan,
+its subscripts and records.  ``scripts/build_plans.py`` writes the file
+and a test pins it to a fresh compile.  A key missing from the in-process
+cache is looked up there, parsing only its own line; any other key (a
+zero Weyl part, a generic operand) is compiled in process and cached in
+memory only.  The records' tables are built from this process's layout,
+so a packaged plan is the compiled one.
 
 ``reference_delta_contract`` is the independent slow path: it sums the
 determinant definition over the delta's support (a distinct lower index
@@ -83,8 +78,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
-import zlib
 from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import NamedTuple
 
@@ -187,10 +180,8 @@ class EngineInvariantError(RuntimeError):
 _PLAN_CACHE: dict = {}
 # one orbit-representative layout per (dim, output slots)
 _LAYOUT_CACHE: dict = {}
-# where plan files live: the directory of this module's bytecode
-_PLAN_DIR = os.path.dirname(globals().get("__cached__") or "") or None
-# the layout of a plan file's contents
-_PLAN_FORMAT = 2
+# the compiled plans of the keys the command line reaches (scripts/build_plans.py)
+_PACKAGED_PLANS = os.path.join(os.path.dirname(__file__), "delta_plans.json")
 
 
 class _Plan:
@@ -624,120 +615,33 @@ def _fold_classes(keys, totals, images, signs):
 
 def _plans(key: tuple, layout: _Layout) -> list:
     """The plans of ``key`` = (n, dim, binding, groups, op_ranks,
-    symmetries): from this process's cache, else from the key's plan file,
-    else compiled and written to that file."""
+    symmetries): from this process's cache, else from the packaged plans,
+    else compiled."""
     plans = _PLAN_CACHE.get(key)
     if plans is None:
-        n, dim, binding, groups, op_ranks, symmetries = key
-        text = repr(key)
-        path, stamp = _plan_file(text)
-        if path is not None:
-            plans = _load_plans(path, stamp, text, n, dim, binding, op_ranks, layout)
-        if plans is None:
+        packaged = _packaged_plans(repr(key))
+        if packaged is None:
+            n, dim, binding, groups, op_ranks, symmetries = key
             plans = _compile_plans(n, dim, binding, groups, op_ranks, layout, symmetries)
-            if path is not None and not sys.dont_write_bytecode:
-                _save_plans(path, {
-                    "format": _PLAN_FORMAT,
-                    "stamp": stamp,
-                    "key": text,
-                    "plans": [[p.subscripts, p.specs] for p in plans],
-                })
+        else:
+            plans = [
+                _Plan(s, [(tuple(a), tuple(map(tuple, d)), c) for a, d, c in records], layout)
+                for s, records in packaged
+            ]
         _PLAN_CACHE[key] = plans
     return plans
 
 
-def _plan_file(text: str):
-    """The plan file for a key's text and the stamp it must carry, or
-    (None, None) when there is nowhere to look."""
-    if _PLAN_DIR is None:
-        return None, None
-    try:
-        st = os.stat(__file__)
-    except OSError:
-        return None, None
-    name = f"delta-plans-{zlib.crc32(text.encode()):08x}.json"
-    return os.path.join(_PLAN_DIR, name), [st.st_size, int(st.st_mtime)]
-
-
-def _load_plans(path, stamp, text, n, dim, binding, op_ranks, layout):
-    """The plans a plan file holds, or None unless its format, stamp and
-    key text match and its contents have exactly the shape ``_plans``
-    writes: per plan, subscripts with one token of the right length per
-    operand and distinct output letters, and records of in-range output
-    axes, in-range axis pairs and integer coefficients whose absolute sum
-    stays within the permutation expansion's N! * dim**(traced slots)."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-    except (OSError, ValueError, RecursionError):
-        return None
-    if not (
-        type(data) is dict
-        and data.get("format") == _PLAN_FORMAT
-        and data.get("stamp") == stamp
-        and data.get("key") == text
-        and type(data.get("plans")) is list
-    ):
-        return None
-    n_out = len(binding.out)
-    letters = set(_LETTERS)
-
-    def axes(v):
-        return type(v) is list and all(type(a) is int and 0 <= a < n_out for a in v)
-
-    total = 0
-    plans = []
-    for plan in data["plans"]:
-        if type(plan) is not list or len(plan) != 2:
-            return None
-        subscripts, records = plan
-        if type(subscripts) is not str or type(records) is not list:
-            return None
-        lhs, arrow, rhs = subscripts.partition("->")
-        used = set(lhs) - {","}
-        if not (
-            arrow == "->"
-            and [len(t) for t in lhs.split(",")] == list(op_ranks or (0,))
-            and used <= letters
-            and len(set(rhs)) == len(rhs)
-            and set(rhs) <= used
-        ):
-            return None
-        specs = []
-        for rec in records:
-            if type(rec) is not list or len(rec) != 3:
-                return None
-            out_assign, pairs, coeff = rec
-            if not (
-                axes(out_assign)
-                and len(out_assign) == len(rhs)
-                and type(pairs) is list
-                and all(axes(p) and len(p) == 2 for p in pairs)
-                and type(coeff) is int
-            ):
-                return None
-            total += abs(coeff)
-            specs.append((tuple(out_assign), tuple(map(tuple, pairs)), coeff))
-        plans.append((subscripts, specs))
-    if total > math.factorial(n) * dim ** len(binding.traced):
-        return None
-    return [_Plan(s, specs, layout) for s, specs in plans]
-
-
-def _save_plans(path, data):
-    """Write a plan file through a per-process temporary name; where the
-    directory cannot be written there is simply no file."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(json.dumps(data, separators=(",", ":")))
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
+def _packaged_plans(text: str):
+    """The [subscripts, records] pairs that ``_PACKAGED_PLANS`` holds for
+    the key whose ``repr`` is ``text``, or None; only that key's line is
+    parsed."""
+    head = json.dumps([text])[:-1] + ","
+    with open(_PACKAGED_PLANS, encoding="utf-8") as f:
+        for line in f:
+            if line.startswith(head):
+                return json.loads(line)[1]
+    return None
 
 
 def generalized_delta_contract(

@@ -249,7 +249,7 @@ def test_entry_point_export_needs_no_finalizer(tmp_path, capsys):
     # the child runs in tmp_path, so it finds curvident by absolute path
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    # -B: the child writes no plan files beside the package
+    # -B: the child writes no bytecode beside the package
     proc = subprocess.run(
         [sys.executable, "-B", "-X", "dev", "-W", "error::ResourceWarning",
          "-m", "curvident.cli", *argv, "F"],

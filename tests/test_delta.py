@@ -2,10 +2,9 @@
 oracle, and the dimension-exceeding vanishing that drives everything."""
 
 import hashlib
-import json
+import importlib.util
 import math
-import sys
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import curvident.delta as delta_mod
+import curvident.report as report
 import curvident.tensor as tensor_mod
+from curvident.curvature import weyl
 from curvident.scalar import Scalar
 from curvident.tensor import ContractionSpecError, ShapeError, Tensor
 from curvident.delta import (
@@ -27,8 +28,21 @@ from curvident.delta import (
     generalized_delta_contract,
     reference_delta_contract,
 )
-from curvident.identities import _patterson_binding, max_r, patterson_residual
-from curvident.models import random_curvature, sl3_so3
+from curvident.identities import (
+    IdentityArgumentError,
+    _patterson_binding,
+    max_r,
+    patterson_residual,
+    weyl_patterson_residual,
+)
+from curvident.models import (
+    constant_curvature,
+    example_5d,
+    example_6d,
+    nikolayevsky,
+    random_curvature,
+    sl3_so3,
+)
 
 
 def _all_free(n):
@@ -720,21 +734,30 @@ def test_nonvanishing_contraction_builds_scatter_tables_on_first_expand(monkeypa
     assert eng == reference_delta_contract(dim, dim, [R] * r, binding)
 
 
-# -- plan files -----------------------------------------------------------------
-
-
-@pytest.fixture
-def plan_dir(tmp_path, monkeypatch):
-    """Plan files go to an empty directory, bytecode writing is on and the
-    in-process plan cache starts empty."""
-    monkeypatch.setattr(delta_mod, "_PLAN_DIR", str(tmp_path))
-    monkeypatch.setattr(delta_mod, "_PLAN_CACHE", {})
-    monkeypatch.setattr(sys, "dont_write_bytecode", False)
-    return tmp_path
+# -- packaged plans ---------------------------------------------------------------
 
 
 def _no_compile(*args, **kwargs):
-    raise AssertionError("compiled although a plan file matched")
+    raise AssertionError("compiled a key the packaged plans hold")
+
+
+def _build_plans():
+    """scripts/build_plans.py as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "build_plans.py"
+    spec = importlib.util.spec_from_file_location("build_plans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_packaged_plans_are_a_fresh_compile():
+    """The packaged plan file is byte for byte what scripts/build_plans.py
+    renders from a fresh compile, and it holds the key of every folded
+    golden digest (each checked against the file below)."""
+    build = _build_plans()
+    assert Path(delta_mod._PACKAGED_PLANS).read_bytes() == build.render()
+    folded = {key for name, key, _ in _golden_keys() if name.endswith("-folded")}
+    assert folded <= set(build.plan_keys())
 
 
 def _golden_keys():
@@ -751,126 +774,86 @@ def _golden_keys():
 
 
 @pytest.mark.parametrize("name,key,golden", _golden_keys(), ids=[k[0] for k in _golden_keys()])
-def test_plans_loaded_from_a_file_equal_the_compiled_ones(plan_dir, monkeypatch, name, key, golden):
-    dim, out = key[1], key[2].out
-    assert _digest(_plans(key, _Layout(dim, out))) == golden
-    assert len(list(plan_dir.iterdir())) == 1
-    delta_mod._PLAN_CACHE.clear()
+def test_plans_loaded_from_a_file_equal_the_compiled_ones(monkeypatch, name, key, golden):
+    """``_plans`` gives each golden key's compiled plans: a curvature
+    tensor's Patterson key (the folded ones) parsed from the packaged file,
+    with no compile, and every other key, which the file does not hold,
+    compiled."""
+    monkeypatch.setattr(delta_mod, "_PLAN_CACHE", {})
+    packaged = name.endswith("-folded")
+    if packaged:
+        monkeypatch.setattr(delta_mod, "_compile_plans", _no_compile)
+    assert (delta_mod._packaged_plans(repr(key)) is not None) == packaged
+    assert _digest(_plans(key, _Layout(key[1], key[2].out))) == golden
+
+
+def test_command_line_delta_keys_are_packaged(monkeypatch):
+    """With compiling forbidden, patterson and weyl-patterson run on a
+    random curvature tensor at every (dim, r, mode) the identity table
+    allows, and every ``--set all`` id runs on the catalog models: the
+    packaged plans hold each key they reach.  Where the table refuses a
+    free rank above Tensor.MAX_RANK, the evaluator raises ShapeError before
+    it looks for plans.  The Weyl part is zero in dim 3, so
+    weyl-patterson's dim-3 keys compile (see the next test)."""
+    monkeypatch.setattr(delta_mod, "_PLAN_CACHE", {})
     monkeypatch.setattr(delta_mod, "_compile_plans", _no_compile)
-    assert _digest(_plans(key, _Layout(dim, out))) == golden
+    for ident, evaluate in (("patterson", patterson_residual), ("weyl-patterson", weyl_patterson_residual)):
+        for dim in report._IDENTITIES[ident].dims:
+            if ident == "weyl-patterson" and dim == 3:
+                continue
+            R = random_curvature(dim, dim)
+            for r, mode in product(range(1, max_r(dim) + 1), ("free", "traced")):
+                try:
+                    report._resolve(ident, dim, r, mode)
+                except IdentityArgumentError:
+                    with pytest.raises(ShapeError):
+                        evaluate(R, r, mode)
+                    continue
+                assert evaluate(R, r, mode).is_zero
+    for R in (example_5d(1), sl3_so3(), nikolayevsky(1, 1), example_6d(1)):
+        for ident in report.applicable_identities(R.dim):
+            report.run_identity(ident, R)
 
 
-def _oracle_case():
-    t = random_curvature(4, 5, 2).tensor
+def _package_files():
+    root = Path(delta_mod.__file__).parent
+    return sorted((p, p.stat().st_mtime_ns) for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize("model", ["constant-5", "dim-3"])
+def test_zero_weyl_part_compiles_in_process(monkeypatch, model):
+    """A zero Weyl part (constant curvature; any tensor in dim 3) verifies
+    all 9 slot involutions with both signs, a key the packaged plans do not
+    hold: weyl-patterson compiles it in process, once per key, gives an
+    exact zero and writes no file."""
+    R = constant_curvature(5, 1) if model == "constant-5" else random_curvature(3, 5)
+    monkeypatch.setattr(delta_mod, "_PLAN_CACHE", {})
+    assert len(_slot_symmetries(weyl(R).tensor)) == 18
+    compiled = []
+    real = delta_mod._compile_plans
+    monkeypatch.setattr(delta_mod, "_compile_plans", lambda *a: compiled.append(a) or real(*a))
+    files = _package_files()
+    for _ in range(2):
+        for r in range(1, max_r(R.dim) + 1):
+            assert weyl_patterson_residual(R, r, "traced").residual.is_zero()
+    assert len(compiled) == max_r(R.dim)
+    assert _package_files() == files
+
+
+def test_operand_with_other_symmetries_compiles_its_own_plans(monkeypatch):
+    """A generic operand's key is in no packaged line: it compiles once,
+    equals the oracle, and a second call takes its plans from the
+    in-process cache."""
+    monkeypatch.setattr(delta_mod, "_PLAN_CACHE", {})
     b = DeltaBinding.make(
         4, {0: (0, 0), 1: (0, 1)}, {0: (0, 2), 1: (0, 3)}, out=[("U", 2), ("L", 2), ("U", 3), ("L", 3)]
     )
-    return t, b, reference_delta_contract(4, 4, [t], b)
-
-
-def _edit(field, value):
-    def edit(data: bytes) -> bytes:
-        obj = json.loads(data)
-        if field == "stamp":
-            obj["stamp"][1] += value
-        elif field == "plans":
-            value(obj["plans"])
-        else:
-            obj[field] = value
-        return json.dumps(obj, separators=(",", ":")).encode()
-
-    return edit
-
-
-def _set_record(plan, rec, slot, value):
-    def change(plans):
-        plans[plan][1][rec][slot] = value
-
-    return change
-
-
-def _other_key_file(data: bytes) -> bytes:
-    rng = np.random.default_rng(43)
-    generic = Tensor(4, rng.integers(-5, 6, (4,) * 4), np.zeros((4,) * 4, np.int64))
-    _, b, _ = _oracle_case()
-    layout = _layout(4, b.out)
-    text = repr((4, 4, b, (0,), (4,), (_slot_symmetries(generic),)))
-    path, stamp = delta_mod._plan_file(text)
-    plans = _compile_plans(4, 4, b, (0,), (4,), layout, (_slot_symmetries(generic),))
-    obj = {"format": 2, "stamp": stamp, "key": text,
-           "plans": [[p.subscripts, p.specs] for p in plans]}
-    return json.dumps(obj).encode()
-
-
-_BAD_FILES = {
-    "truncated": lambda data: data[: len(data) // 2],
-    "not-json": lambda data: b"\x00\xff not json",
-    "deeply-nested": lambda data: b"[" * 100000,
-    "another-key": _other_key_file,
-    "stale-stamp": _edit("stamp", -1),
-    "wrong-format": _edit("format", 1),
-    "not-an-object": lambda data: b"[1, 2]",
-    "axis-out-of-range": _edit("plans", _set_record(0, 0, 0, [4, 0])),
-    "not-a-pair": _edit("plans", _set_record(0, 0, 1, [[0, 1, 2]])),
-    "float-coefficient": _edit("plans", _set_record(0, 0, 2, 1.0)),
-    "huge-coefficient": _edit("plans", _set_record(0, 0, 2, 2 ** 70)),
-    "bad-subscripts": _edit("plans", lambda plans: plans[0].__setitem__(0, "ab->ab")),
-}
-
-
-@pytest.mark.parametrize("bad", sorted(_BAD_FILES))
-def test_bad_plan_file_is_ignored_and_replaced(plan_dir, bad):
-    t, b, want = _oracle_case()
-    assert generalized_delta_contract(4, 4, [t], b) == want
-    (path,) = plan_dir.iterdir()
-    good = path.read_bytes()
-    path.write_bytes(_BAD_FILES[bad](good))
-    delta_mod._PLAN_CACHE.clear()
-    assert generalized_delta_contract(4, 4, [t], b) == want
-    assert path.read_bytes() == good
-    assert sorted(plan_dir.iterdir()) == [path]
-
-
-def test_operand_with_other_symmetries_compiles_its_own_plans(plan_dir, monkeypatch):
-    """After a curvature tensor's plans are written, a generic operand on
-    the same binding compiles its own, into a second file, even when the
-    curvature tensor's file sits under its name."""
-    t, b, _ = _oracle_case()
-    generalized_delta_contract(4, 4, [t], b)
-    (curvature_file,) = plan_dir.iterdir()
     rng = np.random.default_rng(47)
     generic = Tensor(4, rng.integers(-5, 6, (4,) * 4), rng.integers(-5, 6, (4,) * 4), 3)
     want = reference_delta_contract(4, 4, [generic], b)
     compiled = []
     real = delta_mod._compile_plans
-    monkeypatch.setattr(
-        delta_mod, "_compile_plans", lambda *a: compiled.append(a) or real(*a)
-    )
-    for squat in (False, True):
-        delta_mod._PLAN_CACHE.clear()
-        text = repr((4, 4, b, (0,), (4,), (_slot_symmetries(generic),)))
-        generic_file = Path(delta_mod._plan_file(text)[0])
-        if squat:
-            generic_file.write_bytes(curvature_file.read_bytes())
+    monkeypatch.setattr(delta_mod, "_compile_plans", lambda *a: compiled.append(a) or real(*a))
+    for _ in range(2):
         assert generalized_delta_contract(4, 4, [generic], b) == want
-        assert sorted(plan_dir.iterdir()) == sorted([curvature_file, generic_file])
-        assert json.loads(generic_file.read_bytes())["key"] == text
-    assert len(compiled) == 2
-
-
-def test_no_plan_file_without_bytecode_writing(plan_dir, monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    t, b, want = _oracle_case()
-    assert generalized_delta_contract(4, 4, [t], b) == want
-    assert list(plan_dir.iterdir()) == []
-
-
-def test_unwritable_plan_directory(plan_dir, monkeypatch):
-    """A plan directory that cannot be made (its parent is a file) leaves
-    no file and no error, and the result is still the oracle's."""
-    blocker = plan_dir / "blocker"
-    blocker.write_bytes(b"")
-    monkeypatch.setattr(delta_mod, "_PLAN_DIR", str(blocker / "pycache"))
-    t, b, want = _oracle_case()
-    assert generalized_delta_contract(4, 4, [t], b) == want
-    assert list(plan_dir.iterdir()) == [blocker]
+    assert len(compiled) == 1
