@@ -5,12 +5,15 @@ Usage (from the repository root)::
     python3 scripts/build_plans.py
 
 The file holds the compiled plans of every plan key the command line
-reaches with a non-zero curvature operand: ``patterson`` and
-``weyl-patterson`` at each dimension, r and mode that the identity table
-allows (``report._resolve``), each r copies of one operand whose slot
-symmetries are a curvature tensor's (read off ``random_curvature(dim,
-1)``).  weyl-patterson's keys are patterson's: the Weyl part of a
-generic curvature tensor has the same symmetries.  A key is one line,
+reaches: ``patterson`` and ``weyl-patterson`` at each dimension, r and
+mode that the identity table allows (``report._resolve``), each r copies
+of one operand whose slot symmetries are a curvature tensor's (read off
+``random_curvature(dim, 1)``) and then, after all of those, each r copies
+of a zero operand, whose data verify every slot involution with both
+signs (the Weyl part of a constant-curvature or dim-3 tensor, the flat
+model's R).  weyl-patterson's keys are patterson's: the Weyl part of a
+generic curvature tensor has the same symmetries.  A zero operand's plans
+all fold away, so its lines hold no plans.  A key is one line,
 ``[key repr, [[subscripts, records], ...]]``, in the order ``plan_keys``
 lists them; the engine parses only the line of the key it needs
 (``delta._plans``).
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,19 +40,19 @@ from curvident import delta  # noqa: E402
 from curvident.identities import IdentityArgumentError, _patterson_binding, max_r  # noqa: E402
 from curvident.models import random_curvature  # noqa: E402
 from curvident.report import _IDENTITIES, _resolve  # noqa: E402
+from curvident.tensor import Tensor  # noqa: E402
 
 
 def plan_keys() -> list:
     """The plan keys (n, dim, binding, groups, op_ranks, symmetries) the
-    delta ids reach with a curvature tensor's symmetries, without repeats."""
+    delta ids reach with a curvature tensor's symmetries and then with a
+    zero operand's, without repeats."""
     keys = {}
-    for ident, entry in _IDENTITIES.items():
-        if not entry.delta:
-            continue
-        for dim in entry.dims:
-            symmetries = (delta._slot_symmetries(random_curvature(dim, 1).tensor),)
-            for r in range(1, max_r(dim) + 1):
-                for mode in ("free", "traced"):
+    for operand in (lambda dim: random_curvature(dim, 1).tensor, lambda dim: Tensor.zeros(dim, 4)):
+        for ident, entry in _IDENTITIES.items():
+            for dim in entry.dims if entry.delta else ():
+                symmetries = (delta._slot_symmetries(operand(dim)),)
+                for r, mode in product(range(1, max_r(dim) + 1), ("free", "traced")):
                     try:
                         _resolve(ident, dim, r, mode)
                     except IdentityArgumentError:

@@ -3,11 +3,19 @@
 Usage (from the repository root)::
 
     python3 scripts/process_phases.py -n 5 --seed 1
+    python3 scripts/process_phases.py -n 8 --workload delta-campaign --base HEAD
 
 Each command of the perfbench workloads (read from ``perfbench/run.py``'s
 ``WORKLOADS``, in pass order) runs in a fresh process against this tree's
 ``src``, with the benchmark's child environment, in a temporary working
-directory.  The process runs a small probe program in place of
+directory.  With ``--base REV`` it runs against two trees instead, each
+exported as ``scripts/bench_pairs.py`` exports them: the committed files
+of REV (``git archive``) and every file git tracks in this working tree,
+as it is on disk.  The trees then alternate pass by pass, REV first in
+the first timed pass, and the table gives each command's row for each
+tree one under the other, so the two read side by side: phase times
+taken from runs of one tree at a time drift with the host and do not
+compare across trees.  The process runs a small probe program in place of
 ``python -m curvident.cli``: it registers an atexit mark before
 ``import curvident.cli``, sets ``sys.argv`` and calls
 ``sys.exit(cli.main())``, so the command goes through the real entry.
@@ -20,12 +28,12 @@ Its wall splits into four phases, all on the monotonic clock:
 - ``exit``: the atexit mark to the parent's reap (stdio flush, the final
   collection, module and heap teardown).
 
-One pass of every workload runs first and is not timed (it writes the
-bytecode); then ``-n`` timed passes.  Every command must exit 0.  The table
-gives each command's median phases in ms and its peak RSS in MB (the
-largest ``ru_maxrss`` that ``os.wait4`` reports for it over the timed
-passes, as perfbench reads its children's), with the identity during
-which the command reached that peak: the probe wraps
+One pass of every workload runs first on each tree and is not timed (it
+writes the bytecode); then ``-n`` timed passes.  Every command must
+exit 0.  The table gives each command's median phases in ms and its peak
+RSS in MB (the largest ``ru_maxrss`` that ``os.wait4`` reports for it
+over the timed passes, as perfbench reads its children's), with the
+identity during which the command reached that peak: the probe wraps
 ``report.run_identity`` and reads the process's ``ru_maxrss`` before
 and after each call and at its atexit mark (``(start)``: before the
 first call; ``(end)``: after the last, in ``main``; ``(exit)``: after
@@ -165,6 +173,32 @@ def run_command(cmd, work: Path, env: dict) -> tuple:
     return phases, usage.ru_maxrss / 1024.0, ident
 
 
+def run_passes(cmds: list, trees: dict, n: int, env: dict) -> dict:
+    """Per tree, each command's phase samples and its (peak RSS, identity)
+    over ``n`` timed passes of ``cmds``, after one untimed pass on each
+    tree; the trees alternate pass by pass."""
+    results = {name: ([{p: [] for p in PHASES} for _ in cmds], [(0.0, ("-", None))] * len(cmds))
+               for name in trees}
+    with tempfile.TemporaryDirectory(prefix="process-phases-") as tmp:
+        work = Path(tmp)
+        for i in range(n + 1):
+            for name in list(trees)[:: 1 if i % 2 else -1]:
+                samples, peaks = results[name]
+                tree_env = dict(env, PYTHONPATH=str(trees[name] / "src"))
+                for c, cmd in enumerate(cmds):
+                    phases, rss, ident = run_command(cmd, work, tree_env)
+                    if i:
+                        for p in PHASES:
+                            samples[c][p].append(phases[p])
+                        peaks[c] = max(peaks[c], (rss, ident), key=lambda x: x[0])
+    return results
+
+
+def row(label: str, med: dict, peak: float, split, ident) -> str:
+    return (f"{label:<72}" + "".join(f"{med[p] * 1e3:9.1f}" for p in PHASES)
+            + f"{peak:9.2f}{split_mb(split)}  {ident}")
+
+
 def main(argv=None) -> int:
     table, env = workloads()
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -172,35 +206,44 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1, help="workload seed")
     ap.add_argument("--workload", action="append", choices=list(table),
                     help="repeat to run several (default: every workload)")
+    ap.add_argument("--base", help="also run the committed tree of this revision, "
+                    "alternating with this working tree pass by pass")
     args = ap.parse_args(argv)
     if args.n < 1:
         ap.error("-n must be >= 1")
     names = args.workload or list(table)
-    print(f"{'workload / command':<72}" + "".join(f"{p:>9}" for p in PHASES)
-          + f"{'rss':>9}{'anon':>7}{'file':>7}  peak at   (ms; rss: peak MB; anon, file: "
-          "RssAnon, RssFile MB after the peak; peak at: its identity)")
-    for name in names:
-        cmds = table[name](args.seed)
-        samples = [{p: [] for p in PHASES} for _ in cmds]
-        peaks = [(0.0, ("-", None))] * len(cmds)
-        with tempfile.TemporaryDirectory(prefix="process-phases-") as tmp:
-            work = Path(tmp)
-            for i in range(args.n + 1):
-                for c, (cmd, sample) in enumerate(zip(cmds, samples)):
-                    phases, rss, ident = run_command(cmd, work, env)
-                    if i:
-                        for p in PHASES:
-                            sample[p].append(phases[p])
-                        peaks[c] = max(peaks[c], (rss, ident), key=lambda x: x[0])
-        medians = [{p: statistics.median(s[p]) for p in PHASES} for s in samples]
-        for cmd, med, (peak, (ident, split)) in zip(cmds, medians, peaks):
-            print(f"  {' '.join(cmd.argv)[:70]:<70}"
-                  + "".join(f"{med[p] * 1e3:9.1f}" for p in PHASES)
-                  + f"{peak:9.2f}{split_mb(split)}  {ident}")
-        top, (ident, split) = max(peaks, key=lambda x: x[0])
-        print(f"{name + ' pass':<72}" + "".join(
-            f"{sum(m[p] for m in medians) * 1e3:9.1f}" for p in PHASES)
-            + f"{top:9.2f}{split_mb(split)}  {ident}")
+    with tempfile.TemporaryDirectory(prefix="process-phases-trees-") as tmp:
+        trees = {"": ROOT}
+        if args.base:
+            from bench_pairs import export_tree, export_working_tree
+
+            trees = {args.base: Path(tmp) / "base", "change": Path(tmp) / "change"}
+            for tree in trees.values():
+                tree.mkdir()
+            export_tree(args.base, trees[args.base])
+            export_working_tree(trees["change"])
+        # a tree's name, when there are two, ends each row's label
+        width = max(map(len, trees))
+        room = 70 - width - bool(width)
+        tag = lambda tree: f" {tree:>{width}}" if width else ""  # noqa: E731
+        print(f"{'workload / command':<72}" + "".join(f"{p:>9}" for p in PHASES)
+              + f"{'rss':>9}{'anon':>7}{'file':>7}  peak at   (ms; rss: peak MB; anon, file: "
+              "RssAnon, RssFile MB after the peak; peak at: its identity)")
+        for name in names:
+            cmds = table[name](args.seed)
+            results = run_passes(cmds, trees, args.n, env)
+            medians = {tree: [{p: statistics.median(s[p]) for p in PHASES} for s in samples]
+                       for tree, (samples, _) in results.items()}
+            for c, cmd in enumerate(cmds):
+                text = " ".join(cmd.argv)[:room]
+                for tree, (_, peaks) in results.items():
+                    peak, (ident, split) = peaks[c]
+                    print(row(f"  {text:<{room}}{tag(tree)}", medians[tree][c], peak, split, ident))
+                    text = ""
+            for tree, (_, peaks) in results.items():
+                top, (ident, split) = max(peaks, key=lambda x: x[0])
+                total = {p: sum(m[p] for m in medians[tree]) for p in PHASES}
+                print(row(f"{name + ' pass':<{room + 2}}{tag(tree)}", total, top, split, ident))
     return 0
 
 

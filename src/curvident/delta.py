@@ -53,18 +53,31 @@ integer dtype that holds the result's positions, and forms its positions
 on each call.  Records share equal tables, and records with the same
 diagonal pairs share the rows where those hold.
 
+A plan whose einsum result has rank ``tensor._STREAM_RANK`` (6) or more
+is streamed, by the rule ``lincomb`` streams by: the plan runs once per
+index v of its result's leading letter, on the one operand that carries
+the letter read at v, and each record adds that slice into the rows
+whose value is v on the output axis the letter feeds.  The layout orders
+each group's tuple numbers, and a record's diagonal rows, by that value
+once, so the rows of slice v are one run of them; an unstreamed plan is
+the one-slice case of the same loop.  Every entry of a slice is an entry
+of the whole result, so the int64/object bound holds slice by slice, and
+a batched dim-6 r = 2 free Patterson call holds one B x 6**5 slice at a
+time where it held a B x 6**6 result.
+
 A batch is contracted at once: each plan's einsum gets the trial letter
 when it is evaluated (``tensor._batched``), unbatched operands broadcast
 over it, and a symmetry is used only when it holds in every trial.
 
-The plans of every key the command line reaches with a curvature
-tensor's symmetries ship with the package, compiled, in
-``delta_plans.json``: one JSON line per key, its ``repr`` and, per plan,
-its subscripts and records.  ``scripts/build_plans.py`` writes the file
-and a test pins it to a fresh compile.  A key missing from the in-process
-cache is looked up there, parsing only its own line; any other key (a
-zero Weyl part, a generic operand) is compiled in process and cached in
-memory only.  The records' tables are built from this process's layout,
+The plans of every key the command line reaches, with a curvature
+tensor's symmetries or with a zero operand's (a zero Weyl part, the flat
+model's R, whose plans all fold away), ship with the package, compiled,
+in ``delta_plans.json``: one JSON line per key, its ``repr`` and, per
+plan, its subscripts and records.  ``scripts/build_plans.py`` writes the
+file and a test pins it to a fresh compile.  A key missing from the
+in-process cache is looked up there, parsing only its own line; any other
+key (a generic operand) is compiled in process and cached in memory
+only.  The records' tables are built from this process's layout,
 so a packaged plan is the compiled one.
 
 ``reference_delta_contract`` is the independent slow path: it sums the
@@ -86,6 +99,7 @@ import numpy as np
 from .tensor import (
     _INT64_LIMIT,
     _LETTERS,
+    _STREAM_RANK,
     _batched,
     _contract_terms,
     _is_zero_part,
@@ -188,9 +202,13 @@ class _Plan:
     """One einsum and its records.  ``specs`` lists each record as
     (output assignment, diagonal pairs, coefficient); ``tables`` holds the
     same as the layout's (fu, fl, rows) (``_Layout.tables``) and the
-    coefficient."""
+    coefficient.  ``lead`` is None, or for a result of rank
+    ``_STREAM_RANK`` or more, which is evaluated one index of its leading
+    letter at a time: the operand that carries the letter, the letter's
+    axis in it, the subscripts without the letter and the letter's stride
+    in the whole result."""
 
-    __slots__ = ("subscripts", "n_sum_letters", "specs", "tables", "layout")
+    __slots__ = ("subscripts", "n_sum_letters", "specs", "tables", "layout", "lead")
 
     def __init__(self, subscripts, specs, layout):
         lhs, _, rhs = subscripts.partition("->")
@@ -198,7 +216,15 @@ class _Plan:
         self.n_sum_letters = len(set(lhs) - {","}) - len(rhs)
         self.specs = specs
         self.layout = layout
-        self.tables = [layout.tables(a, d) + (c,) for a, d, c in specs]
+        self.lead = None
+        if len(rhs) >= _STREAM_RANK:
+            tokens = lhs.split(",")
+            op = next(i for i, tok in enumerate(tokens) if rhs[0] in tok)
+            reduced = lhs.replace(rhs[0], "") + "->" + rhs[1:]
+            self.lead = op, tokens[op].index(rhs[0]), reduced, layout.dim ** (len(rhs) - 1)
+        self.tables = [
+            layout.tables(a, d, a[0] if self.lead else None) + (c,) for a, d, c in specs
+        ]
 
     @property
     def records(self) -> list:
@@ -207,11 +233,11 @@ class _Plan:
         einsum result that feed those rows, formed from ``tables``."""
         n_l = self.layout.n_lower
         out = []
-        for fu, fl, rows, coeff in self.tables:
-            if type(rows) is slice:
-                out.append((rows, (fu[:, None] + fl).reshape(-1), coeff))
+        for (_, diag_pairs, _), (fu, fl, rows, coeff) in zip(self.specs, self.tables):
+            if not diag_pairs:
+                out.append((slice(None), (fu[:, None] + fl).reshape(-1), coeff))
             else:
-                ru, rl = rows
+                ru, rl = (np.concatenate(n) for n in zip(*rows))
                 out.append((ru.astype(np.intp) * n_l + rl, fu[ru] + fl[rl], coeff))
         return out
 
@@ -232,9 +258,9 @@ class _Layout:
     Row ``r`` pairs upper tuple ``r // n_lower`` with lower tuple
     ``r % n_lower``; ``repeated`` flags the rows with a repeated index
     inside a group (their value must be zero).  ``offsets`` holds the
-    records' position tables (``tables``) and ``diagonals``, per set of
-    diagonal pairs, the (upper, lower) tuple numbers of the rows where the
-    pairs hold; records share them.
+    records' position tables and ``rows``, per set of diagonal pairs and
+    streamed output axis, the rows they feed slice by slice (``tables``);
+    records share them.
 
     ``scatter`` is None until ``expand`` first meets a non-zero
     accumulator; then it holds (src, target, sign): every other row, once
@@ -246,7 +272,7 @@ class _Layout:
 
     __slots__ = (
         "dim", "out", "shape", "groups", "values", "n_upper", "n_lower", "repeated",
-        "scatter", "offsets", "diagonals",
+        "scatter", "offsets", "rows",
     )
 
     def __init__(self, dim: int, out: tuple):
@@ -254,7 +280,7 @@ class _Layout:
         self.out = out
         self.shape = (dim,) * len(out)
         self.offsets = {}
-        self.diagonals = {}
+        self.rows = {}
         self.scatter = None
         self.groups = tuple(
             (axes, *_group_tuples(dim, len(axes)))
@@ -271,13 +297,12 @@ class _Layout:
         self.n_upper, self.n_lower = len(g_u), len(g_l)
         self.repeated = ~np.outer(d_u, d_l).reshape(-1)
 
-    def tables(self, out_assign: tuple, diag_pairs: tuple) -> tuple:
+    def tables(self, out_assign: tuple, diag_pairs: tuple, lead=None) -> tuple:
         """(fu, fl, rows) for one record: entry u of ``fu`` plus entry l of
         ``fl`` is the flat position of the plan's einsum result that feeds
         the row of upper tuple u and lower tuple l, each in the smallest
-        integer dtype that holds the result's positions; ``rows`` is
-        ``slice(None)`` without diagonal pairs, else the shared
-        (upper, lower) tuple numbers of the rows where they hold."""
+        integer dtype that holds the result's positions; ``rows`` is the
+        shared ``_rows(diag_pairs, lead)``."""
         k = len(out_assign)
         dtype = np.min_scalar_type(self.dim ** k - 1)
         # per group, the output axes the result's axes read, with their strides
@@ -285,19 +310,50 @@ class _Layout:
         for q, a in enumerate(out_assign):
             fed[self.out[a][0]].append((a, self.dim ** (k - 1 - q)))
         fu, fl = (self._offsets(side, tuple(fed[side]), dtype) for side in "UL")
-        rows = slice(None)
-        if diag_pairs:
-            rows = self.diagonals.get(diag_pairs)
-            if rows is None:
-                mask = np.ones((self.n_upper, self.n_lower), bool)
-                for a1, a2 in diag_pairs:
-                    mask &= self.values[a1] == self.values[a2]
-                ru, rl = np.divmod(np.flatnonzero(mask), self.n_lower)
-                rows = self.diagonals[diag_pairs] = (
-                    ru.astype(np.min_scalar_type(self.n_upper - 1)),
-                    rl.astype(np.min_scalar_type(self.n_lower - 1)),
-                )
+        rows = self.rows.get((diag_pairs, lead))
+        if rows is None:
+            rows = self.rows[diag_pairs, lead] = self._rows(diag_pairs, lead)
         return fu, fl, rows
+
+    def _rows(self, diag_pairs: tuple, lead) -> tuple:
+        """The rows a record with ``diag_pairs`` feeds, per slice of its
+        plan's result, as (ru, rl): upper and lower tuple numbers, each
+        ``slice(None)`` for all of its group's tuples.  Without diagonal
+        pairs the record feeds every pair of them; with diagonal pairs, the
+        pairs (ru[i], rl[i]) where they hold (one byte per tuple number).
+        An unstreamed result is one slice.  A streamed one is ``dim``
+        slices, whose leading letter feeds output axis ``lead``: slice v
+        holds the rows whose value on that axis is v, read off the tuple
+        numbers ordered by that value once (a range of them when they come
+        in that order)."""
+        numbers = [slice(None), slice(None)]
+        if diag_pairs:
+            mask = np.ones((self.n_upper, self.n_lower), bool)
+            for a1, a2 in diag_pairs:
+                mask &= self.values[a1] == self.values[a2]
+            ru, rl = np.divmod(np.flatnonzero(mask), self.n_lower)
+            numbers = [
+                ru.astype(np.min_scalar_type(self.n_upper - 1)),
+                rl.astype(np.min_scalar_type(self.n_lower - 1)),
+            ]
+        if lead is None:
+            return (tuple(numbers),)
+        side = int(self.out[lead][0] == "L")
+        values = self.values[lead].reshape(-1)
+        if diag_pairs:
+            values = values[numbers[side]]
+        order = np.argsort(values, kind="stable")
+        bounds = np.searchsorted(values[order], np.arange(self.dim + 1)).tolist()
+        spans = list(zip(bounds, bounds[1:]))
+        if diag_pairs:
+            ru, rl = (n[order] for n in numbers)
+            return tuple((ru[lo:hi], rl[lo:hi]) for lo, hi in spans)
+        if np.array_equal(order, np.arange(len(order))):
+            runs = [slice(lo, hi) for lo, hi in spans]  # in order already
+        else:
+            order = order.astype(np.min_scalar_type(len(order) - 1))
+            runs = [order[lo:hi] for lo, hi in spans]
+        return tuple((slice(None), run) if side else (run, slice(None)) for run in runs)
 
     def _offsets(self, side: str, fed: tuple, dtype):
         """Per tuple of group ``side``, the sum of its value on each output
@@ -680,41 +736,59 @@ def generalized_delta_contract(
     dtype = object if use_object else np.int64
 
     # accumulators for the rational part and, unless every term of the
-    # product is rational, the sqrt(3) part; a batch's trials are the last
-    # axis, so a record indexes rows as it does without a batch
+    # product is rational, the sqrt(3) part, one row per upper and lower
+    # tuple number; a batch's trials are the last axis, so a record indexes
+    # rows as it does without a batch
     sqrt3 = any(side for _, _, side in terms)
     trials = (batch,) if batch else ()
     n_l = layout.n_lower
-    accs = [np.zeros((layout.n_upper * n_l,) + trials, dtype) for _ in range(1 + sqrt3)]
+    accs = [np.zeros((layout.n_upper, n_l) + trials, dtype) for _ in range(1 + sqrt3)]
+    flats = [acc.reshape((-1,) + trials) for acc in accs]
+    # a gathered block of tuple pairs with its trials moved last
+    last = (1, 2, 0) if batch else (0, 1)
 
     parts = [t._parts(use_object) for t in operands]
     flags = tuple(bool(t.batch) for t in operands)
     for plan in plans:
-        if operands:
-            subscripts = _batched(plan.subscripts, flags) if batch else plan.subscripts
-            vals = _contract_terms(subscripts, parts, terms)
-        else:
-            vals = (np.ones(1, dtype),)  # the pure delta
-        for acc, v in zip(accs, vals):
-            if v is None:
-                continue
-            # records gather along the last axis, as numpy's take copies a
-            # non-contiguous source whole
-            v = v.reshape(trials + (-1,))
-            for fu, fl, rows, coeff in plan.tables:
-                if type(rows) is slice:
-                    acc += coeff * v.take(fu[:, None] + fl, axis=-1).reshape(trials + (-1,)).T
-                else:
-                    # the upper tuple numbers as intp once, for the rows and fu
-                    ru, rl = rows
-                    ru = ru.astype(np.intp)
-                    acc[ru * n_l + rl] += coeff * v.take(fu.take(ru) + fl.take(rl), axis=-1).T
+        # a streamed result one index v of its leading letter at a time, into
+        # the rows whose value is v on the output axis the letter feeds; any
+        # other result as one slice
+        for v in range(dim if plan.lead else 1):
+            subscripts, args, shift = plan.subscripts, parts, 0
+            if plan.lead:
+                op, axis, subscripts, stride = plan.lead
+                at = (slice(None),) * (axis + flags[op]) + (v,)
+                args = parts[:op] + [tuple(p[at] for p in parts[op])] + parts[op + 1 :]
+                shift = v * stride  # where slice v starts in the whole result
+            if operands:
+                vals = _contract_terms(_batched(subscripts, flags) if batch else subscripts, args, terms)
+            else:
+                vals = (np.ones(1, dtype),)  # the pure delta
+            for acc, flat, w in zip(accs, flats, vals):
+                if w is None:
+                    continue
+                # records gather along the last axis, as numpy's take copies a
+                # non-contiguous source whole
+                w = w.reshape(trials + (-1,))
+                for fu, fl, rows, coeff in plan.tables:
+                    ru, rl = rows[v]
+                    if type(ru) is slice or type(rl) is slice:
+                        # every pair of some upper and some lower tuples
+                        pos = fu[ru, None] + fl[rl]
+                        pos -= shift
+                        acc[ru, rl] += coeff * w.take(pos, axis=-1).transpose(last)
+                    else:
+                        # the upper tuple numbers as intp once, for the rows and fu
+                        ru = ru.astype(np.intp)
+                        pos = fu.take(ru) + fl.take(rl)
+                        pos -= shift
+                        flat[ru * n_l + rl] += coeff * w.take(pos, axis=-1).T
 
     den = 1
     for t in operands:
         den *= t._den
-    rat = layout.expand(accs[0])
-    irr = layout.expand(accs[1]) if sqrt3 else _zero_part(rat.shape, dtype)
+    rat = layout.expand(flats[0])
+    irr = layout.expand(flats[1]) if sqrt3 else _zero_part(rat.shape, dtype)
     return Tensor(dim, rat, irr, den, batched=bool(batch))
 
 
@@ -753,6 +827,10 @@ def reference_delta_contract(
         den *= t._den
 
     wanted = None if out_indices is None else {tuple(v) for v in out_indices}
+    # a lower output slot reads the lower tuple alone, so a lower tuple that
+    # no wanted output tuple agrees with there feeds none of them
+    lower_out = [(k, s) for k, (side, s) in enumerate(out) if side == "L"]
+    wanted_lower = None if wanted is None else {tuple(w[k] for k, _ in lower_out) for w in wanted}
     out_shape = (dim,) * len(out)
     acc_rat = np.zeros(out_shape, dtype=object)
     acc_irr = np.zeros(out_shape, dtype=object)
@@ -760,6 +838,8 @@ def reference_delta_contract(
     # its own sign table, shared with nothing the engine compiles from
     signed = [(p, _perm_sign(p)) for p in permutations(range(n))]
     for i_tuple in permutations(range(dim), n):
+        if wanted_lower is not None and tuple(i_tuple[s] for _, s in lower_out) not in wanted_lower:
+            continue
         for p, sign in signed:
             j_tuple = [0] * n
             for r in range(n):

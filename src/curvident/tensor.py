@@ -98,7 +98,9 @@ from .scalar import Scalar, _coerce
 
 _INT64_LIMIT = 2 ** 62
 
-# lincomb evaluates a result of this rank or more one slice at a time
+# lincomb evaluates a result of this rank or more, and the delta engine
+# (delta.generalized_delta_contract) a plan's einsum result of this rank or
+# more, one index of its leading letter at a time
 _STREAM_RANK = 6
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"

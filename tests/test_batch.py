@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from curvident import identities, report
+from curvident import delta as delta_mod, identities, report
 from curvident.delta import DeltaBinding, generalized_delta_contract, reference_delta_contract
 from curvident.identities import gauss_bonnet_integrand_6, weyl_expansion_residual
 from curvident.models import einsteinize, random_curvature
@@ -439,6 +439,83 @@ def test_delta_engine_on_a_batch_equals_it_on_each_trial(case):
         assert trial == generalized_delta_contract(n, dim, ops, binding)
         if dim <= 4:
             assert trial == reference_delta_contract(n, dim, ops, binding)
+
+
+# -- delta plans streamed over their leading letter, on non-zero results -------
+
+
+def _streamed_operand(rng, rank, kind, sqrt3):
+    """A dim-6 operand of one trial: a curvature tensor (rank 4), a
+    symmetric or antisymmetric one (rank 2) or a generic one, rational or
+    with a sqrt(3) part of the same kind."""
+    def part():
+        if kind == "curvature":
+            return random_curvature(6, int(rng.integers(2 ** 32)), 2).tensor._rat
+        x = rng.integers(-3, 4, (6,) * rank)
+        return {"symmetric": x + x.T, "antisymmetric": x - x.T}.get(kind, x)
+
+    irr = part() if sqrt3 else np.zeros((6,) * rank, np.int64)
+    return Tensor(6, part(), irr, int(rng.integers(1, 4)))
+
+
+@st.composite
+def _streamed_delta_cases(draw):
+    """(operands, binding, B, stream, spots): the order-6 delta in dim 6
+    against a rank-4 operand bound to its slots 0 and 1 and a rank-2
+    operand bound to its slot 2, in either operand order, slots 3..5 free:
+    a non-zero rank-6 result, and the plan that carries all six operand
+    slots out has a rank-6 einsum result.  Each operand is
+    rational or sqrt(3)-valued, over B = 1..3 trials or unbatched (at least
+    one batched).  ``stream`` is the rank from which plans stream: 6, as
+    the engine has it, or 4, which streams the plans that trace the rank-2
+    operand, whose records have diagonal pairs.  ``spots`` are output
+    tuples for the oracle, one with distinct indices."""
+    batch = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    flags = draw(st.sampled_from([(True, True), (True, False), (False, True)]))
+    operands = []
+    for rank, kinds, batched in zip((4, 2), (["curvature", "generic"],
+                                             ["symmetric", "antisymmetric", "generic"]), flags):
+        kind, sqrt3 = draw(st.sampled_from(kinds)), draw(st.booleans())
+        trials = [_streamed_operand(rng, rank, kind, sqrt3) for _ in range(batch if batched else 1)]
+        operands.append(_stack(trials) if batched else trials[0])
+    r, s = (0, 1) if draw(st.booleans()) else (1, 0)
+    if r:
+        operands.reverse()
+    binding = DeltaBinding.make(6, {0: (r, 0), 1: (r, 1), 2: (s, 0)}, {0: (r, 2), 1: (r, 3), 2: (s, 1)})
+    index = st.integers(0, 5)
+    spots = draw(st.lists(st.tuples(*[index] * 6), min_size=2, max_size=2))
+    spots.append(tuple(draw(st.permutations(range(6)))))
+    return operands, binding, batch, draw(st.sampled_from([6, 4])), spots
+
+
+@_examples(6)
+@given(_streamed_delta_cases())
+def test_streamed_delta_plans_equal_whole_ones_and_the_oracle(case):
+    """Plans evaluated one index of their leading letter at a time give the
+    result that the same plans evaluated whole give, to the canonical
+    numerators of the batch, and each trial's spot components are the
+    oracle's.  The call streams some plan, and with streaming from rank 4
+    some streamed plan has a record with diagonal pairs."""
+    operands, binding, batch, stream, spots = case
+    results = []
+    with pytest.MonkeyPatch.context() as mp:
+        for rank in (stream, 9):
+            mp.setattr(delta_mod, "_STREAM_RANK", rank)
+            mp.setattr(delta_mod, "_PLAN_CACHE", {})
+            results.append(generalized_delta_contract(6, 6, operands, binding))
+            (plans,) = delta_mod._PLAN_CACHE.values()
+            streamed = [p for p in plans if p.lead]
+            assert bool(streamed) == (rank == stream)
+            if rank == 4:
+                assert any(diagonals for p in streamed for _, diagonals, _ in p.specs)
+    result, whole = results
+    assert result.batch == batch and not result.is_zero()
+    assert result == whole
+    for b, trial in enumerate(result.split()):
+        ops = [t.split()[b] if t.batch else t for t in operands]
+        oracle = reference_delta_contract(6, 6, ops, binding, out_indices=spots)
+        assert [trial[idx] for idx in spots] == [oracle[idx] for idx in spots]
 
 
 # -- rank-6 results, streamed over their leading index, against a reference ----

@@ -39,6 +39,7 @@ from curvident.models import (
     constant_curvature,
     example_5d,
     example_6d,
+    flat,
     nikolayevsky,
     random_curvature,
     sl3_so3,
@@ -690,29 +691,31 @@ def test_vanishing_contraction_builds_no_scatter_tables(monkeypatch):
             assert fu.dtype == fl.dtype == np.min_scalar_type(size - 1)
             assert (len(fu), len(fl)) == (n_u, layout.n_lower)
             assert max(fu) + max(fl) < size
-            assert isinstance(rows, slice) or [r.dtype.itemsize for r in rows] == [1, 1]
+            (numbers,) = rows
+            assert all(isinstance(r, slice) or r.dtype.itemsize == 1 for r in numbers)
 
 
 @pytest.mark.parametrize("dim,r,limit", [(6, 2, 128 * 1024), (5, 1, 169_160)])
 def test_patterson_layout_holds_small_index_tables(monkeypatch, dim, r, limit):
     """After a free Patterson call, the index tables its layout holds (the
-    group tuples, the records' position tables and the diagonal
-    rows) stay within ``limit`` bytes; per-record gathers of every row's
-    position held 466,336 bytes at dim 6, r = 2 and 169,160 at dim 5, r = 1.
-    Every record reads the layout's shared tables."""
+    group tuples, the records' position tables and their rows, per slice
+    of a streamed plan) stay within ``limit`` bytes; per-record gathers of
+    every row's position held 466,336 bytes at dim 6, r = 2 and 169,160 at
+    dim 5, r = 1.  Every record reads the layout's shared tables."""
     monkeypatch.setattr(delta_mod, "_LAYOUT_CACHE", {})
     monkeypatch.setattr(delta_mod, "_PLAN_CACHE", {})
     R = random_curvature(dim, 3, 4).tensor
     binding = _patterson_binding(dim, r, "free")
     assert generalized_delta_contract(dim + 1, dim, [R] * r, binding).is_zero()
     layout = delta_mod._LAYOUT_CACHE[(dim, binding.out)]
-    shared = list(layout.offsets.values()) + [a for rows in layout.diagonals.values() for a in rows]
+    rows = [a for runs in layout.rows.values() for run in runs for a in run]
+    shared = list(layout.offsets.values()) + [a for a in rows if isinstance(a, np.ndarray)]
     tuples = [t for _, t, _ in layout.groups]
     assert sum(a.nbytes for a in tuples + shared) <= limit
     (plans,) = delta_mod._PLAN_CACHE.values()
     for plan in plans:
         for fu, fl, rows, _ in plan.tables:
-            held = [fu, fl] + ([] if isinstance(rows, slice) else list(rows))
+            held = [fu, fl] + [a for run in rows for a in run if isinstance(a, np.ndarray)]
             assert all(any(a is b for b in shared) for a in held)
 
 
@@ -794,13 +797,11 @@ def test_command_line_delta_keys_are_packaged(monkeypatch):
     packaged plans hold each key they reach.  Where the table refuses a
     free rank above Tensor.MAX_RANK, the evaluator raises ShapeError before
     it looks for plans.  The Weyl part is zero in dim 3, so
-    weyl-patterson's dim-3 keys compile (see the next test)."""
+    weyl-patterson's dim-3 keys are a zero operand's (see the next test)."""
     monkeypatch.setattr(delta_mod, "_PLAN_CACHE", {})
     monkeypatch.setattr(delta_mod, "_compile_plans", _no_compile)
     for ident, evaluate in (("patterson", patterson_residual), ("weyl-patterson", weyl_patterson_residual)):
         for dim in report._IDENTITIES[ident].dims:
-            if ident == "weyl-patterson" and dim == 3:
-                continue
             R = random_curvature(dim, dim)
             for r, mode in product(range(1, max_r(dim) + 1), ("free", "traced")):
                 try:
@@ -820,23 +821,34 @@ def _package_files():
     return sorted((p, p.stat().st_mtime_ns) for p in root.rglob("*"))
 
 
-@pytest.mark.parametrize("model", ["constant-5", "dim-3"])
-def test_zero_weyl_part_compiles_in_process(monkeypatch, model):
-    """A zero Weyl part (constant curvature; any tensor in dim 3) verifies
-    all 9 slot involutions with both signs, a key the packaged plans do not
-    hold: weyl-patterson compiles it in process, once per key, gives an
-    exact zero and writes no file."""
-    R = constant_curvature(5, 1) if model == "constant-5" else random_curvature(3, 5)
+@pytest.mark.parametrize("model", ["constant-5", "constant-6", "dim-3", "flat-2"])
+def test_zero_operand_plans_are_packaged(monkeypatch, model):
+    """A zero operand (the Weyl part of a constant-curvature tensor or of
+    any tensor in dim 3, the flat model's R) verifies all 9 slot
+    involutions with both signs.  Its keys are packaged with no plans (they
+    all fold away), so patterson and weyl-patterson on it compile nothing,
+    give an exact zero at every r and mode the table allows and write no
+    file."""
+    R, ident = {
+        "constant-5": (constant_curvature(5, 1), "weyl-patterson"),
+        "constant-6": (constant_curvature(6, 1), "weyl-patterson"),
+        "dim-3": (random_curvature(3, 5), "weyl-patterson"),
+        "flat-2": (flat(2), "patterson"),
+    }[model]
+    evaluate, part = (
+        (patterson_residual, R.tensor) if ident == "patterson" else (weyl_patterson_residual, weyl(R).tensor)
+    )
     monkeypatch.setattr(delta_mod, "_PLAN_CACHE", {})
-    assert len(_slot_symmetries(weyl(R).tensor)) == 18
-    compiled = []
-    real = delta_mod._compile_plans
-    monkeypatch.setattr(delta_mod, "_compile_plans", lambda *a: compiled.append(a) or real(*a))
+    monkeypatch.setattr(delta_mod, "_compile_plans", _no_compile)
+    assert len(_slot_symmetries(part)) == 18
     files = _package_files()
-    for _ in range(2):
-        for r in range(1, max_r(R.dim) + 1):
-            assert weyl_patterson_residual(R, r, "traced").residual.is_zero()
-    assert len(compiled) == max_r(R.dim)
+    for r, mode in product(range(1, max_r(R.dim) + 1), ("free", "traced")):
+        try:
+            report._resolve(ident, R.dim, r, mode)
+        except IdentityArgumentError:
+            continue
+        assert evaluate(R, r, mode).residual.is_zero()
+    assert all(plans == [] for plans in delta_mod._PLAN_CACHE.values())
     assert _package_files() == files
 
 

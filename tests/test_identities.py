@@ -939,3 +939,23 @@ def test_rank6_zero_residuals_need_less_than_one_rank6_array(evaluate, make):
     reports = out if isinstance(out, list) else [out]
     assert all(r.is_zero() if isinstance(r, Tensor) else r.is_zero for r in reports)
     assert peak - start < 2 * 6 ** 6 * 8
+
+
+@pytest.mark.parametrize("evaluate", [patterson_residual, weyl_patterson_residual])
+def test_rank6_delta_plans_hold_less_than_one_rank6_plan_result(evaluate):
+    """dim 6, r = 2, free on a batch of two trials: the delta engine
+    evaluates its rank-6 plan results one index of their leading letter at
+    a time, so the traced allocations of a warm call peak below one whole
+    B x 6**6 int64 plan result above where they start.  Holding whole plan
+    results reached 974 KB (patterson) and 999 KB (weyl-patterson)."""
+    R = random_curvature(6, [3, 4])
+    evaluate(R, 2, "free")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = evaluate(R, 2, "free")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.is_zero
+    assert peak - start < 2 * 6 ** 6 * 8
