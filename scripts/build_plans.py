@@ -8,12 +8,11 @@ The file holds the compiled plans of every plan key the command line
 reaches: ``patterson`` and ``weyl-patterson`` at each dimension, r and
 mode that the identity table allows (``report._resolve``), each r copies
 of one operand whose slot symmetries are a curvature tensor's (read off
-``random_curvature(dim, 1)``) and then, after all of those, each r copies
-of a zero operand, whose data verify every slot involution with both
-signs (the Weyl part of a constant-curvature or dim-3 tensor, the flat
-model's R).  weyl-patterson's keys are patterson's: the Weyl part of a
-generic curvature tensor has the same symmetries.  A zero operand's plans
-all fold away, so its lines hold no plans.  A key is one line,
+``random_curvature(dim, 1)``).  weyl-patterson's keys are patterson's:
+the Weyl part of a generic curvature tensor has the same symmetries.  A
+zero operand (the Weyl part of a constant-curvature or dim-3 tensor, the
+flat model's R) needs no plans: the engine returns zero before it looks
+for any (``delta.generalized_delta_contract``).  A key is one line,
 ``[key repr, [[subscripts, records], ...]]``, in the order ``plan_keys``
 lists them; the engine parses only the line of the key it needs
 (``delta._plans``).
@@ -40,25 +39,22 @@ from curvident import delta  # noqa: E402
 from curvident.identities import IdentityArgumentError, _patterson_binding, max_r  # noqa: E402
 from curvident.models import random_curvature  # noqa: E402
 from curvident.report import _IDENTITIES, _resolve  # noqa: E402
-from curvident.tensor import Tensor  # noqa: E402
 
 
 def plan_keys() -> list:
     """The plan keys (n, dim, binding, groups, op_ranks, symmetries) the
-    delta ids reach with a curvature tensor's symmetries and then with a
-    zero operand's, without repeats."""
+    delta ids reach with a curvature tensor's symmetries, without repeats."""
     keys = {}
-    for operand in (lambda dim: random_curvature(dim, 1).tensor, lambda dim: Tensor.zeros(dim, 4)):
-        for ident, entry in _IDENTITIES.items():
-            for dim in entry.dims if entry.delta else ():
-                symmetries = (delta._slot_symmetries(operand(dim)),)
-                for r, mode in product(range(1, max_r(dim) + 1), ("free", "traced")):
-                    try:
-                        _resolve(ident, dim, r, mode)
-                    except IdentityArgumentError:
-                        continue
-                    binding = _patterson_binding(dim, r, mode)
-                    keys[(dim + 1, dim, binding, (0,) * r, (4,) * r, symmetries)] = None
+    for ident, entry in _IDENTITIES.items():
+        for dim in entry.dims if entry.delta else ():
+            symmetries = (delta._slot_symmetries(random_curvature(dim, 1).tensor),)
+            for r, mode in product(range(1, max_r(dim) + 1), ("free", "traced")):
+                try:
+                    _resolve(ident, dim, r, mode)
+                except IdentityArgumentError:
+                    continue
+                binding = _patterson_binding(dim, r, mode)
+                keys[(dim + 1, dim, binding, (0,) * r, (4,) * r, symmetries)] = None
     return list(keys)
 
 

@@ -19,15 +19,18 @@ unset, as perfbench's do, so they write and then read the tree's
 bytecode.  The set timed is every identity at every dimension 5 and 6 it
 applies to, with ``random-check``'s default ``--r`` and ``--mode``,
 except the super-Einstein ones: random Einstein trials do not satisfy
-their hypothesis.
+their hypothesis; and then patterson at each shape of the delta-campaign
+workload of ``perfbench/run.py``, at its ``--r`` and ``--mode``, keyed
+"dim:patterson:r:mode".
 
-One JSON line goes to stdout: per "dim:identity", ``first_s`` (the first
-call), ``warm_s`` (the median of the other single calls, null when n is
-1), ``campaign_s`` (the whole campaign) and ``maxrss_mb`` (the child
+One JSON line goes to stdout: per key, ``first_s`` (the first call),
+``warm_s`` (the median of the other single calls, null when n is 1),
+``campaign_s`` (the whole campaign) and ``maxrss_mb`` (the child
 process's peak resident set size after all its calls, from
-``getrusage``), plus, over the identities the einstein-campaign workload
-of ``perfbench/run.py`` runs, the sums of the times and the largest
-``maxrss_mb``.  Times are wall clock; nothing is gated on them.
+``getrusage``), plus, over the keys the einstein-campaign and the
+delta-campaign workloads run, the sums of the times and the largest
+``maxrss_mb`` (``einstein_campaign``, ``delta_campaign``).  Times are
+wall clock; nothing is gated on them.
 """
 
 from __future__ import annotations
@@ -47,24 +50,31 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def einstein_campaign_ids() -> list:
-    """The "dim:identity" keys of the einstein-campaign workload, read from
-    the benchmark runner's command table."""
+def campaign_ids() -> dict:
+    """The keys of the einstein-campaign ("dim:identity") and the
+    delta-campaign ("dim:patterson:r:mode") workloads, read from the
+    benchmark runner's command tables."""
     sys.path.insert(0, str(ROOT))
-    from perfbench.run import _EINSTEIN_IDS
+    from perfbench.run import _DELTA_SHAPES, _EINSTEIN_IDS
 
-    return [f"{dim}:{ident}" for dim, ident, _ in _EINSTEIN_IDS]
+    return {
+        "einstein_campaign": [f"{dim}:{ident}" for dim, ident, _ in _EINSTEIN_IDS],
+        "delta_campaign": [f"{dim}:patterson:{r}:{mode}" for dim, r, mode, _ in _DELTA_SHAPES],
+    }
 
 
-def time_one(dim: int, ident: str, n: int, seed: int) -> dict:
-    """Wall times of n single-trial ``random-check`` calls in this process,
-    then of one call running all n trials."""
+def time_one(key: str, n: int, seed: int) -> dict:
+    """Wall times of n single-trial ``random-check`` calls of ``key`` in
+    this process, then of one call running all n trials."""
     from curvident.cli import main
 
+    dim, ident, *shape = key.split(":")
     walls = []
     for s, trials in [(s, 1) for s in range(seed, seed + n)] + [(seed, n)]:
-        argv = ["random-check", "--dim", str(dim), "--identity", ident,
+        argv = ["random-check", "--dim", dim, "--identity", ident,
                 "-n", str(trials), "--seed", str(s)]
+        if shape:
+            argv += ["--r", shape[0], "--mode", shape[1]]
         with contextlib.redirect_stdout(io.StringIO()):
             t0 = time.perf_counter()
             code = main(argv)
@@ -93,19 +103,19 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("-n", type=int, default=5, help="calls per identity (first + warm)")
     ap.add_argument("--seed", type=int, default=1, help="seed of the first call")
-    ap.add_argument("--child", metavar="DIM:ID", help=argparse.SUPPRESS)
+    ap.add_argument("--child", metavar="KEY", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.n < 1:
         ap.error("-n must be >= 1")
     sys.path.insert(0, str(ROOT / "src"))
     if args.child:
-        dim, ident = args.child.split(":")
-        print(json.dumps(time_one(int(dim), ident, args.n, args.seed)))
+        print(json.dumps(time_one(args.child, args.n, args.seed)))
         return 0
 
     out = {"n": args.n, "seed": args.seed, "ids": {}}
     env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-    for key in timed_ids():
+    campaigns = campaign_ids()
+    for key in timed_ids() + campaigns["delta_campaign"]:
         proc = subprocess.run(
             [sys.executable, __file__, "--child", key, "-n", str(args.n), "--seed", str(args.seed)],
             capture_output=True, text=True, env=env,
@@ -113,13 +123,14 @@ def main(argv=None) -> int:
         if proc.returncode != 0:
             raise SystemExit(f"{key}: exited {proc.returncode}\n{proc.stderr}")
         out["ids"][key] = json.loads(proc.stdout.strip().splitlines()[-1])
-    rows = [out["ids"][k] for k in einstein_campaign_ids()]
-    out["einstein_campaign"] = {
-        "first_s": sum(r["first_s"] for r in rows),
-        "warm_s": sum(r["warm_s"] for r in rows) if args.n > 1 else None,
-        "campaign_s": sum(r["campaign_s"] for r in rows),
-        "maxrss_mb": max(r["maxrss_mb"] for r in rows),
-    }
+    for name, keys in campaigns.items():
+        rows = [out["ids"][k] for k in keys]
+        out[name] = {
+            "first_s": sum(r["first_s"] for r in rows),
+            "warm_s": sum(r["warm_s"] for r in rows) if args.n > 1 else None,
+            "campaign_s": sum(r["campaign_s"] for r in rows),
+            "maxrss_mb": max(r["maxrss_mb"] for r in rows),
+        }
     print(json.dumps(out))
     return 0
 

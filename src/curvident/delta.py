@@ -49,31 +49,33 @@ Patterson residuals, with N = dim + 1, are all zero.  A representative
 pairs an upper-group tuple u with a lower-group tuple l, so the position
 of a plan's einsum result that feeds it is ``fu[u] + fl[l]``: a record
 holds those two tables, one entry per tuple of a group, in the smallest
-integer dtype that holds the result's positions, and forms its positions
-on each call.  Records share equal tables, and records with the same
-diagonal pairs share the rows where those hold.
+integer dtype that holds the result's positions, and its rows, the
+pairs (u, l) where its diagonal pairs hold (every pair without any).
+Records share equal tables and rows, and every record adds the entries
+of its rows' positions into one flat accumulator row per pair (u, l).
 
 A plan whose einsum result has rank ``tensor._STREAM_RANK`` (6) or more
 is streamed, by the rule ``lincomb`` streams by: the plan runs once per
 index v of its result's leading letter, on the one operand that carries
 the letter read at v, and each record adds that slice into the rows
 whose value is v on the output axis the letter feeds.  The layout orders
-each group's tuple numbers, and a record's diagonal rows, by that value
-once, so the rows of slice v are one run of them; an unstreamed plan is
-the one-slice case of the same loop.  Every entry of a slice is an entry
-of the whole result, so the int64/object bound holds slice by slice, and
-a batched dim-6 r = 2 free Patterson call holds one B x 6**5 slice at a
-time where it held a B x 6**6 result.
+a record's rows by that value once, so the rows of slice v are one run
+of them; an unstreamed plan is the one-slice case of the same loop.
+Every entry of a slice is an entry of the whole result, so the
+int64/object bound holds slice by slice, and a batched dim-6 r = 2 free
+Patterson call holds one B x 6**5 slice at a time where it held a
+B x 6**6 result.
 
 A batch is contracted at once: each plan's einsum gets the trial letter
 when it is evaluated (``tensor._batched``), unbatched operands broadcast
-over it, and a symmetry is used only when it holds in every trial.
+over it, and a symmetry is used only when it holds in every trial.  An
+operand that is zero in every trial (a zero Weyl part, the flat model's
+R) gives a zero result before any plan is looked up.
 
-The plans of every key the command line reaches, with a curvature
-tensor's symmetries or with a zero operand's (a zero Weyl part, the flat
-model's R, whose plans all fold away), ship with the package, compiled,
-in ``delta_plans.json``: one JSON line per key, its ``repr`` and, per
-plan, its subscripts and records.  ``scripts/build_plans.py`` writes the
+The plans of every key the command line reaches with a curvature
+tensor's symmetries ship with the package, compiled, in
+``delta_plans.json``: one JSON line per key, its ``repr`` and, per plan,
+its subscripts and records.  ``scripts/build_plans.py`` writes the
 file and a test pins it to a fresh compile.  A key missing from the
 in-process cache is looked up there, parsing only its own line; any other
 key (a generic operand) is compiled in process and cached in memory
@@ -317,43 +319,26 @@ class _Layout:
 
     def _rows(self, diag_pairs: tuple, lead) -> tuple:
         """The rows a record with ``diag_pairs`` feeds, per slice of its
-        plan's result, as (ru, rl): upper and lower tuple numbers, each
-        ``slice(None)`` for all of its group's tuples.  Without diagonal
-        pairs the record feeds every pair of them; with diagonal pairs, the
-        pairs (ru[i], rl[i]) where they hold (one byte per tuple number).
-        An unstreamed result is one slice.  A streamed one is ``dim``
-        slices, whose leading letter feeds output axis ``lead``: slice v
-        holds the rows whose value on that axis is v, read off the tuple
-        numbers ordered by that value once (a range of them when they come
-        in that order)."""
-        numbers = [slice(None), slice(None)]
-        if diag_pairs:
-            mask = np.ones((self.n_upper, self.n_lower), bool)
-            for a1, a2 in diag_pairs:
-                mask &= self.values[a1] == self.values[a2]
-            ru, rl = np.divmod(np.flatnonzero(mask), self.n_lower)
-            numbers = [
-                ru.astype(np.min_scalar_type(self.n_upper - 1)),
-                rl.astype(np.min_scalar_type(self.n_lower - 1)),
-            ]
+        plan's result, as (ru, rl): the pairs (ru[i], rl[i]) of upper and
+        lower tuple numbers where its diagonal pairs hold (every pair
+        without any), each in the smallest dtype of its group (one byte up
+        to 256 tuples).  An unstreamed result is one slice.  A streamed one
+        is ``dim`` slices, whose leading letter feeds output axis ``lead``:
+        slice v holds the rows whose value on that axis is v, read off the
+        pairs ordered by that value once."""
+        mask = np.ones((self.n_upper, self.n_lower), bool)
+        for a1, a2 in diag_pairs:
+            mask &= self.values[a1] == self.values[a2]
+        ru, rl = np.divmod(np.flatnonzero(mask), self.n_lower)
+        ru = ru.astype(np.min_scalar_type(self.n_upper - 1))
+        rl = rl.astype(np.min_scalar_type(self.n_lower - 1))
         if lead is None:
-            return (tuple(numbers),)
-        side = int(self.out[lead][0] == "L")
-        values = self.values[lead].reshape(-1)
-        if diag_pairs:
-            values = values[numbers[side]]
+            return ((ru, rl),)
+        values = self.values[lead].reshape(-1)[rl if self.out[lead][0] == "L" else ru]
         order = np.argsort(values, kind="stable")
         bounds = np.searchsorted(values[order], np.arange(self.dim + 1)).tolist()
-        spans = list(zip(bounds, bounds[1:]))
-        if diag_pairs:
-            ru, rl = (n[order] for n in numbers)
-            return tuple((ru[lo:hi], rl[lo:hi]) for lo, hi in spans)
-        if np.array_equal(order, np.arange(len(order))):
-            runs = [slice(lo, hi) for lo, hi in spans]  # in order already
-        else:
-            order = order.astype(np.min_scalar_type(len(order) - 1))
-            runs = [order[lo:hi] for lo, hi in spans]
-        return tuple((slice(None), run) if side else (run, slice(None)) for run in runs)
+        ru, rl = ru[order], rl[order]
+        return tuple((ru[lo:hi], rl[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
     def _offsets(self, side: str, fed: tuple, dtype):
         """Per tuple of group ``side``, the sum of its value on each output
@@ -599,7 +584,10 @@ def _compile_plans(n, dim, binding, op_groups, op_ranks, layout, symmetries=()):
     images, signs = [], []
     for o, g in enumerate(op_groups if symmetries else ()):
         for perm, sign in symmetries[g]:
-            # the relabelling of all path ends that applies perm to operand o's slots
+            # the relabelling of all path ends that applies perm to operand o's
+            # slots; move[terms[:, move]] is a term's image only because every
+            # verified symmetry is an involution (_slot_involutions): any
+            # other permutation needs move[terms[:, np.argsort(move)]]
             move = np.arange(n_slots + n_out, dtype=np.int8)
             move[offsets[o] : offsets[o + 1]] = offsets[o] + np.array(perm)
             images.append(move[terms[:, move]])
@@ -714,6 +702,10 @@ def generalized_delta_contract(
     batch = max((t.batch for t in operands), default=0)
     if any(t.batch not in (0, batch) for t in operands):
         raise ShapeError("batched operands hold different numbers of trials")
+    if any(not t._max for t in operands):
+        # every plan's einsum reads a zero operand: nothing to contract
+        zero = _zero_part((batch,) * bool(batch) + (dim,) * len(binding.out), np.int64)
+        return Tensor(dim, zero, zero, batched=bool(batch))
     terms = _product_terms(operands)
     n = n_upper
 
@@ -736,16 +728,12 @@ def generalized_delta_contract(
     dtype = object if use_object else np.int64
 
     # accumulators for the rational part and, unless every term of the
-    # product is rational, the sqrt(3) part, one row per upper and lower
-    # tuple number; a batch's trials are the last axis, so a record indexes
-    # rows as it does without a batch
+    # product is rational, the sqrt(3) part, one row per pair of upper and
+    # lower tuple numbers, a batch's trials last, so records index them alike
     sqrt3 = any(side for _, _, side in terms)
     trials = (batch,) if batch else ()
     n_l = layout.n_lower
-    accs = [np.zeros((layout.n_upper, n_l) + trials, dtype) for _ in range(1 + sqrt3)]
-    flats = [acc.reshape((-1,) + trials) for acc in accs]
-    # a gathered block of tuple pairs with its trials moved last
-    last = (1, 2, 0) if batch else (0, 1)
+    accs = [np.zeros((layout.n_upper * n_l,) + trials, dtype) for _ in range(1 + sqrt3)]
 
     parts = [t._parts(use_object) for t in operands]
     flags = tuple(bool(t.batch) for t in operands)
@@ -764,31 +752,23 @@ def generalized_delta_contract(
                 vals = _contract_terms(_batched(subscripts, flags) if batch else subscripts, args, terms)
             else:
                 vals = (np.ones(1, dtype),)  # the pure delta
-            for acc, flat, w in zip(accs, flats, vals):
+            for acc, w in zip(accs, vals):
                 if w is None:
                     continue
                 # records gather along the last axis, as numpy's take copies a
                 # non-contiguous source whole
                 w = w.reshape(trials + (-1,))
                 for fu, fl, rows, coeff in plan.tables:
+                    # the upper tuple numbers as intp once, for the rows and fu
                     ru, rl = rows[v]
-                    if type(ru) is slice or type(rl) is slice:
-                        # every pair of some upper and some lower tuples
-                        pos = fu[ru, None] + fl[rl]
-                        pos -= shift
-                        acc[ru, rl] += coeff * w.take(pos, axis=-1).transpose(last)
-                    else:
-                        # the upper tuple numbers as intp once, for the rows and fu
-                        ru = ru.astype(np.intp)
-                        pos = fu.take(ru) + fl.take(rl)
-                        pos -= shift
-                        flat[ru * n_l + rl] += coeff * w.take(pos, axis=-1).T
+                    ru = ru.astype(np.intp)
+                    pos = fu.take(ru) + fl.take(rl)
+                    pos -= shift
+                    acc[ru * n_l + rl] += coeff * w.take(pos, axis=-1).T
 
-    den = 1
-    for t in operands:
-        den *= t._den
-    rat = layout.expand(flats[0])
-    irr = layout.expand(flats[1]) if sqrt3 else _zero_part(rat.shape, dtype)
+    den = math.prod(t._den for t in operands)
+    rat = layout.expand(accs[0])
+    irr = layout.expand(accs[1]) if sqrt3 else _zero_part(rat.shape, dtype)
     return Tensor(dim, rat, irr, den, batched=bool(batch))
 
 

@@ -159,10 +159,10 @@ class _CheckedComponents(tuple):
 
 def _require_params(spec: ModelSpec, pointer: str = ""):
     """The spec names a kind, exactly that kind's parameters, a dim (if it
-    takes one) in 2..6 (4..6 for random_einstein), an n_terms (if it takes
-    one) in 1..MAX_TERMS, the one field (factors or
+    takes one) in 2..Tensor.MAX_DIM (from 4 for random_einstein), an
+    n_terms (if it takes one) in 1..MAX_TERMS, the one field (factors or
     components) the kind takes, if any, and factors that pass these checks
-    and whose dimensions add up to at most 6.  No tensor is built."""
+    and whose dimensions add up to at most that cap.  No tensor is built."""
     if spec.kind not in _KINDS:
         raise ModelSpecError(f"{pointer}/kind", f"unknown kind {spec.kind!r}")
     names, takes, _, _ = _KINDS[spec.kind]
@@ -175,8 +175,8 @@ def _require_params(spec: ModelSpec, pointer: str = ""):
         if key not in spec.params:
             raise ModelSpecError(f"{pointer}/params/{key}", "missing required parameter")
     dim = spec.params.get("dim")
-    if "dim" in names and not (_is_integer(dim) and 2 <= dim <= 6):
-        raise ModelSpecError(f"{pointer}/params/dim", f"dim must be in 2..6, got {dim!r}")
+    if "dim" in names and not (_is_integer(dim) and 2 <= dim <= Tensor.MAX_DIM):
+        raise ModelSpecError(f"{pointer}/params/dim", f"dim must be in 2..{Tensor.MAX_DIM}, got {dim!r}")
     for name in _FIELDS:
         given = getattr(spec, name) is not None
         if given != (name == takes):
@@ -192,8 +192,8 @@ def _require_params(spec: ModelSpec, pointer: str = ""):
     if takes == "factors":
         for i, f in enumerate(spec.factors):
             _require_params(f, f"{pointer}/factors/{i}")
-        if _spec_dim(spec) > 6:
-            raise ModelSpecError(f"{pointer}/factors", f"product dim {_spec_dim(spec)} exceeds 6")
+        if _spec_dim(spec) > Tensor.MAX_DIM:
+            raise ModelSpecError(f"{pointer}/factors", f"product dim {_spec_dim(spec)} exceeds {Tensor.MAX_DIM}")
 
 
 def _spec_dim(spec: ModelSpec) -> int:
@@ -280,8 +280,8 @@ def product(a: CurvatureTensor, b: CurvatureTensor) -> CurvatureTensor:
     """Block-diagonal curvature of a Riemannian product; mixed components
     vanish."""
     m = a.dim + b.dim
-    if m > 6:
-        raise ShapeError(f"product dim {m} exceeds 6")
+    if m > Tensor.MAX_DIM:
+        raise ShapeError(f"product dim {m} exceeds {Tensor.MAX_DIM}")
     comps: dict = {}
     for t, offset in ((a.tensor, 0), (b.tensor, a.dim)):
         for idx in t.nonzero_indices():

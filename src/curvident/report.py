@@ -89,8 +89,8 @@ def _appendix34(R: CurvatureTensor) -> list:
 # evaluators are looked up as module globals at call time, so a patched or
 # wrapped ``*_residual`` function is the one that runs
 _IDENTITIES = {
-    "patterson": _Identity(range(2, 7), "universal", _patterson, delta=True),
-    "weyl-patterson": _Identity(range(3, 7), "universal", _weyl_patterson, delta=True),
+    "patterson": _Identity(range(2, Tensor.MAX_DIM + 1), "universal", _patterson, delta=True),
+    "weyl-patterson": _Identity(range(3, Tensor.MAX_DIM + 1), "universal", _weyl_patterson, delta=True),
     "lemma5": _Identity(range(5, 6), "einstein", lambda R: [einstein5_residual(R)]),
     "thmA-a": _Identity(range(5, 6), "einstein", lambda R: [einstein5_trace_residual(R)]),
     "pa5": _Identity(range(5, 6), "super_einstein", lambda R: [super5_residual(R)]),

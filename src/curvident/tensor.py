@@ -51,7 +51,8 @@ slice is an entry of the result, so the bound and the int64/object
 choice hold slice by slice.  Einsums over the same operands that differ
 only by a renaming of their letters (``_canonical``: the A rows of the
 rank-6 identities, read at v, are two such cores) are contracted once per
-slice, and each term reads the shared value through a transpose.
+slice: the terms that share a core run one after another, each reads it
+through a transpose, and it is kept only while the next term shares it.
 
 Before pass 1, like terms merge (``_merge_like_terms``).  Terms with the
 same subscripts and the same operand objects become one term by adding
@@ -229,10 +230,11 @@ class Tensor:
     __slots__ = ("dim", "rank", "batch", "_rat", "_irr", "_den", "_max", "_delta")
 
     MAX_RANK = 8
+    MAX_DIM = 6
 
     def __init__(self, dim: int, rat, irr, den: int = 1, batched: bool = False):
-        if not 2 <= dim <= 6:
-            raise ShapeError(f"dim must be in 2..6, got {dim}")
+        if not 2 <= dim <= self.MAX_DIM:
+            raise ShapeError(f"dim must be in 2..{self.MAX_DIM}, got {dim}")
         rat = np.asarray(rat)
         irr = np.asarray(irr)
         if rat.shape != irr.shape:
@@ -875,34 +877,21 @@ def _kernel_key(members, pos: int, sign: int = 1) -> tuple:
     return tuple(key)
 
 
-def _term_value(step, ops, products, parts, key, uses, held, left, v):
-    """[rat, irr] of a term's reduced einsum (its ``_Step``) in slice v, its
+def _term_value(step, ops, products, parts, v):
+    """[rat, irr] of a term's reduced einsum (its ``_Step``) in slice v, in
+    its core's axis order (``step.perm`` takes it to the term's own), its
     operands' ``parts`` read at v on the ``step.index`` axes (made
     contiguous, which halves the einsum's time on a slice of a middle
-    axis).  A value that ``uses`` says is read again is kept in ``held``,
-    in its core's axis order, until its last read; each read transposes it
-    to the term's own."""
-    cached = key if uses[key] > 1 else None
-    if cached is not None and step.index:
-        cached = key, v
-    sides = held.get(cached) if cached is not None else None
-    if sides is None:
-        args = [parts[id(t)] for t in ops]
-        if step.index:
-            args = [
-                tuple(np.ascontiguousarray(p[_at(i, v)]) for p in pair) if i else pair
-                for pair, i in zip(args, step.index)
-            ]
-        sides = _contract_terms(step.reduced, args, products)
-        if cached is None:
-            return sides
-        inverse = tuple(sorted(range(len(step.perm)), key=step.perm.__getitem__))
-        sides = held[cached] = [p if p is None else p.transpose(inverse) for p in sides]
-        left[cached] = uses[key]
-    left[cached] -= 1
-    if not left[cached]:
-        del held[cached], left[cached]
-    return [p if p is None else p.transpose(step.perm) for p in sides]
+    axis)."""
+    args = [parts[id(t)] for t in ops]
+    if step.index:
+        args = [
+            tuple(np.ascontiguousarray(p[_at(i, v)]) for p in pair) if i else pair
+            for pair, i in zip(args, step.index)
+        ]
+    inverse = tuple(sorted(range(len(step.perm)), key=step.perm.__getitem__))
+    sides = _contract_terms(step.reduced, args, products)
+    return [p if p is None else p.transpose(inverse) for p in sides]
 
 
 def lincomb(terms) -> Tensor:
@@ -986,7 +975,7 @@ def lincomb(terms) -> Tensor:
     # (part, k, side) read (x + y sqrt3)(a + b sqrt3) = (x a + 3 y b) +
     # (y a + x b) sqrt3 on the parts a (0) and b (1) of its value; key
     # names its reduced einsum's core, which terms with equal keys share
-    work, uses = [], {}
+    work = []
     for x, y, q, _, subscripts, ops, products, deltas in plan:
         step = key = None
         trail = rank - streamed
@@ -998,7 +987,6 @@ def lincomb(terms) -> Tensor:
             products = [(tuple(c[i] for i in step.keep), w, side) for c, w, side in products]
             if step.reduced is not None:
                 key = (step.core, *map(id, ops), step.index)
-                uses[key] = uses.get(key, 0) + 1
         f, nx, ny = den // q, _nonzero(x), _nonzero(y)
         factors = []
         for part, k, side in ((0, f * x, 0), (1, 3 * f * y, 0), (0, f * y, 1), (1, f * x, 1)):
@@ -1008,12 +996,13 @@ def lincomb(terms) -> Tensor:
                     k = np.asarray(k, dtype).reshape((batch,) + (1,) * trail)
                 factors.append((part, k, side))
         work.append((ops, products, step, key, factors))
-    # the terms that share a core run together, at the place of the first,
-    # so one shared core per slice is held at a time (an exact sum has no
-    # order)
-    if any(u > 1 for u in uses.values()):
-        place: dict = {}
-        work.sort(key=lambda w: place.setdefault(w[3] if uses.get(w[3], 0) > 1 else id(w), len(place)))
+    # the terms that share a core run together, at the place of the first
+    # (an exact sum has no order), and each is flagged when the next one
+    # shares its core, so one core per slice is held at a time
+    place: dict = {}
+    work.sort(key=lambda w: place.setdefault(w[3] or id(w), len(place)))
+    keys = [w[3] for w in work] + [None]
+    work = [(*w[:3], k is not None and k == nxt, w[4]) for w, k, nxt in zip(work, keys, keys[1:])]
     parts = {}
     for ops, *_ in work:
         for t in ops:
@@ -1025,9 +1014,9 @@ def lincomb(terms) -> Tensor:
     shape = (batch,) * bool(batch) + (dim,) * rank
     trials = (slice(None),) * bool(batch)
     acc_shape = shape[: len(trials)] + shape[len(trials) + 1 :] if streamed else shape
-    out, acc, views, held, left, values = [None, None], [None, None], {}, {}, {}, {}
+    out, acc, views, values, core = [None, None], [None, None], {}, {}, None
     for v in range(dim) if streamed else (None,):
-        for n, (ops, products, step, key, factors) in enumerate(work):
+        for n, (ops, products, step, shared, factors) in enumerate(work):
             if step is None:
                 a, b = parts[id(ops[0])]
                 if streamed:
@@ -1039,19 +1028,19 @@ def lincomb(terms) -> Tensor:
                 view, pin, at = step.view, step.pin, step.at
                 if step.reduced is None:
                     a, b = np.ones((), dtype), None
-                elif step.index:
-                    a, b = _term_value(step, ops, products, parts, key, uses, held, left, v)
+                elif n in values:
+                    a, b = values[n]
                 else:
-                    # evaluated once: small, or a view of its operand; its
-                    # axis ``at`` moved first, so a slice reads index v
-                    a, b = values.get(n) or [
-                        p if p is None or at is None else np.moveaxis(p, at, 0)
-                        for p in _term_value(step, ops, products, parts, key, uses, held, left, v)
-                    ]
-                    if streamed:
+                    # the core is kept while the next term shares it
+                    core = core or _term_value(step, ops, products, parts, v)
+                    a, b = (p if p is None else p.transpose(step.perm) for p in core)
+                    core = core if shared else None
+                    if streamed and not step.index:
+                        # evaluated once: small, or a view of its operand
                         values[n] = a, b
-                    if at is not None:
-                        a, b = (p if p is None else p[v] for p in (a, b))
+                if at is not None:
+                    # a value evaluated once, read at index v of its axis ``at``
+                    a, b = (p if p is None else p[_at((at,), v)] for p in (a, b))
             for part, k, side in factors:
                 w = b if part else a
                 if w is None:

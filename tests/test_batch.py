@@ -441,6 +441,24 @@ def test_delta_engine_on_a_batch_equals_it_on_each_trial(case):
             assert trial == reference_delta_contract(n, dim, ops, binding)
 
 
+def test_a_batch_with_an_all_zero_trial_still_contracts(monkeypatch):
+    """Only an operand that is zero in every trial skips the contraction.
+    A batch of an all-zero and a non-zero trial is contracted, and each of
+    its trials equals the engine's call on that trial alone and the
+    oracle's."""
+    dim = 4
+    R = _delta_operand(np.random.default_rng(53), dim, "curvature")
+    operand = _stack([Tensor.zeros(dim, 4), R])
+    binding = DeltaBinding.make(4, {0: (0, 0), 1: (0, 1)}, {0: (0, 2), 1: (0, 3)})
+    monkeypatch.setattr(delta_mod, "_PLAN_CACHE", {})
+    result = generalized_delta_contract(4, dim, [operand], binding)
+    assert delta_mod._PLAN_CACHE
+    assert [t.is_zero() for t in result.split()] == [True, False]
+    for trial, t in zip(result.split(), operand.split()):
+        assert trial == generalized_delta_contract(4, dim, [t], binding)
+        assert trial == reference_delta_contract(4, dim, [t], binding)
+
+
 # -- delta plans streamed over their leading letter, on non-zero results -------
 
 

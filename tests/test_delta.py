@@ -797,7 +797,7 @@ def test_command_line_delta_keys_are_packaged(monkeypatch):
     packaged plans hold each key they reach.  Where the table refuses a
     free rank above Tensor.MAX_RANK, the evaluator raises ShapeError before
     it looks for plans.  The Weyl part is zero in dim 3, so
-    weyl-patterson's dim-3 keys are a zero operand's (see the next test)."""
+    weyl-patterson's dim-3 calls need no plans (see the next test)."""
     monkeypatch.setattr(delta_mod, "_PLAN_CACHE", {})
     monkeypatch.setattr(delta_mod, "_compile_plans", _no_compile)
     for ident, evaluate in (("patterson", patterson_residual), ("weyl-patterson", weyl_patterson_residual)):
@@ -822,13 +822,13 @@ def _package_files():
 
 
 @pytest.mark.parametrize("model", ["constant-5", "constant-6", "dim-3", "flat-2"])
-def test_zero_operand_plans_are_packaged(monkeypatch, model):
+def test_zero_operand_looks_up_no_plans(monkeypatch, model):
     """A zero operand (the Weyl part of a constant-curvature tensor or of
     any tensor in dim 3, the flat model's R) verifies all 9 slot
-    involutions with both signs.  Its keys are packaged with no plans (they
-    all fold away), so patterson and weyl-patterson on it compile nothing,
-    give an exact zero at every r and mode the table allows and write no
-    file."""
+    involutions with both signs, and the engine contracts nothing for it:
+    patterson and weyl-patterson on it look up no plans (the plan cache
+    stays empty), compile nothing, give an exact zero at every r and mode
+    the table allows and write no file."""
     R, ident = {
         "constant-5": (constant_curvature(5, 1), "weyl-patterson"),
         "constant-6": (constant_curvature(6, 1), "weyl-patterson"),
@@ -848,7 +848,7 @@ def test_zero_operand_plans_are_packaged(monkeypatch, model):
         except IdentityArgumentError:
             continue
         assert evaluate(R, r, mode).residual.is_zero()
-    assert all(plans == [] for plans in delta_mod._PLAN_CACHE.values())
+    assert delta_mod._PLAN_CACHE == {}
     assert _package_files() == files
 
 
