@@ -56,7 +56,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import shutil
 import statistics
 import subprocess
@@ -131,14 +130,16 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int):
 def help_starts(trees: dict, n: int) -> dict:
     """Wall times of n ``python -m curvident.cli --help`` starts of each
     tree, alternating which tree starts first, in perfbench's child
-    environment (bytecode written, hash seed 0); per side, the times and
-    their quartiles."""
+    environment (``perfbench.run.child_env``: bytecode written, hash seed
+    0) with the tree's own sources; per side, the times and their
+    quartiles."""
+    sys.path.insert(0, str(ROOT))
+    from perfbench.run import child_env
+
     times = {side: [] for side in trees}
     for i in range(n):
         for side in list(trees)[:: 1 if i % 2 == 0 else -1]:
-            env = dict(os.environ, PYTHONPATH=str(trees[side] / "src"), PYTHONHASHSEED="0")
-            env.pop("PYTHONDONTWRITEBYTECODE", None)
-            env.pop("CURVIDENT_THREADS", None)
+            env = dict(child_env(), PYTHONPATH=str(trees[side] / "src"))
             t0 = time.perf_counter()
             subprocess.run([sys.executable, "-m", "curvident.cli", "--help"], cwd=trees[side],
                            env=env, stdout=subprocess.DEVNULL, check=True)

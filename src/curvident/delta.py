@@ -210,14 +210,13 @@ class _Plan:
     axis in it, the subscripts without the letter and the letter's stride
     in the whole result."""
 
-    __slots__ = ("subscripts", "n_sum_letters", "specs", "tables", "layout", "lead")
+    __slots__ = ("subscripts", "n_sum_letters", "specs", "tables", "lead")
 
     def __init__(self, subscripts, specs, layout):
         lhs, _, rhs = subscripts.partition("->")
         self.subscripts = subscripts
         self.n_sum_letters = len(set(lhs) - {","}) - len(rhs)
         self.specs = specs
-        self.layout = layout
         self.lead = None
         if len(rhs) >= _STREAM_RANK:
             tokens = lhs.split(",")
@@ -227,21 +226,6 @@ class _Plan:
         self.tables = [
             layout.tables(a, d, a[0] if self.lead else None) + (c,) for a, d, c in specs
         ]
-
-    @property
-    def records(self) -> list:
-        """Each record as (rows, flat, coefficient): the representative rows
-        it feeds (``slice(None)`` for all of them) and the positions of the
-        einsum result that feed those rows, formed from ``tables``."""
-        n_l = self.layout.n_lower
-        out = []
-        for (_, diag_pairs, _), (fu, fl, rows, coeff) in zip(self.specs, self.tables):
-            if not diag_pairs:
-                out.append((slice(None), (fu[:, None] + fl).reshape(-1), coeff))
-            else:
-                ru, rl = (np.concatenate(n) for n in zip(*rows))
-                out.append((ru.astype(np.intp) * n_l + rl, fu[ru] + fl[rl], coeff))
-        return out
 
 
 def _group_tuples(dim: int, k: int):

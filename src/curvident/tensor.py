@@ -31,9 +31,12 @@ sum_k (L/d_k) * (|x_k| + 3|y_k|) * bound_k, where bound_k is the Tensor's
 largest numerator or, for an einsum, dim**(summed letters) times
 ``_product_bound``; below 2**62 everything runs on int64, else on Python
 ints.  Pass 2 evaluates one term at a time, adds it in place into one
-rational and one sqrt(3) accumulator and drops it before the next; one
-Tensor is built at the end, with one gcd and one max scan.  ``ein``, +, -,
-negation and ``scale`` are lincombs of one or two terms.
+rational and one sqrt(3) accumulator, each started as zeros by the first
+term that reaches it, and drops it before the next; one Tensor is built at
+the end, with one gcd and one max scan.  ``ein``, +, -, negation and
+``scale`` are lincombs of one or two terms.  The string work on a term's
+subscripts (``_delta_slots``, ``_step``, ``_canonical``, ``_batched``) is
+memoised by ``functools.cache``.
 
 A result of rank 6 or more (``_STREAM_RANK``) is streamed: pass 1 runs
 once, and pass 2 runs once per index v of the leading output letter, into
@@ -79,15 +82,16 @@ token uses, leaves the einsum: n joins the coefficient and d its
 denominator, the other operands are contracted into the output letters
 the term does not tie together (or give the constant 1), and pass 2 adds
 that lower-rank result, broadcast, into the writable diagonal view q = p
-of each accumulator (an einsum view; the accumulator starts as zeros
-when such a term comes first).  The overflow argument is unchanged: the
-full einsum's entries are zero off that diagonal and n times the reduced
-einsum's entries on it, so every partial sum is one the full einsum
-would reach, and the bound, computed with every operand, is the same.
+of each accumulator (an einsum view).  The overflow argument is
+unchanged: the full einsum's entries are zero off that diagonal and n
+times the reduced einsum's entries on it, so every partial sum is one the
+full einsum would reach, and the bound, computed with every operand, is
+the same.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import product
@@ -127,15 +131,13 @@ def _product_terms(tensors) -> list:
     ``weight`` = 3**(j // 2) times its product to the rational side
     (``side`` 0) for even j and to the sqrt(3) side (1) for odd j.  A
     rational operand contributes one choice, so a rational product is one
-    term; an all-zero operand keeps its zero rational part, so the product
-    still has its shape."""
+    term."""
     if len(tensors) > _MAX_OPERANDS:
         raise ContractionSpecError(
             f"at most {_MAX_OPERANDS} operands per contraction, got {len(tensors)}"
         )
     options = [
-        [c for c, p in enumerate((t._rat, t._irr)) if not _is_zero_part(p)] or [0]
-        for t in tensors
+        [c for c, p in enumerate((t._rat, t._irr)) if not _is_zero_part(p)] for t in tensors
     ]
     return [(c, 3 ** (sum(c) // 2), sum(c) % 2) for c in product(*options)]
 
@@ -657,44 +659,32 @@ def _add_into(target, v, k, sliced=False):
             target[..., i] += np.multiply(v[..., i], k)
 
 
-_DELTA_SLOTS: dict = {}
-_STEPS: dict = {}
-_CANONICAL: dict = {}
-_BATCHED: dict = {}
-
-
+@functools.cache
 def _batched(subscripts: str, batched: tuple, lead: int = 0) -> str:
     """``subscripts`` with a new letter, the trial axis, put in front of the
     token of every operand flagged in ``batched`` and at position ``lead``
     of the output; unflagged operands broadcast over it."""
-    key = (subscripts, batched, lead)
-    out = _BATCHED.get(key)
-    if out is None:
-        lhs, rhs = subscripts.split("->")
-        z = next(c for c in _LETTERS if c not in subscripts)
-        tokens = [z + tok if b else tok for tok, b in zip(lhs.split(","), batched)]
-        out = _BATCHED[key] = ",".join(tokens) + "->" + rhs[:lead] + z + rhs[lead:]
-    return out
+    lhs, rhs = subscripts.split("->")
+    z = next(c for c in _LETTERS if c not in subscripts)
+    tokens = [z + tok if b else tok for tok, b in zip(lhs.split(","), batched)]
+    return ",".join(tokens) + "->" + rhs[:lead] + z + rhs[lead:]
 
 
+@functools.cache
 def _delta_slots(subscripts: str) -> tuple:
     """Positions of the tokens of ``subscripts`` whose operand, if it is a
     multiple of the identity, can leave the einsum: two distinct letters,
     both in the output and in no other token."""
-    slots = _DELTA_SLOTS.get(subscripts)
-    if slots is None:
-        lhs, out = subscripts.split("->")
-        tokens = lhs.split(",")
-        slots = tuple(
-            i
-            for i, tok in enumerate(tokens)
-            if len(tok) == 2
-            and tok[0] != tok[1]
-            and set(tok) <= set(out)
-            and not any(c in other for j, other in enumerate(tokens) if j != i for c in tok)
-        )
-        _DELTA_SLOTS[subscripts] = slots
-    return slots
+    lhs, out = subscripts.split("->")
+    tokens = lhs.split(",")
+    return tuple(
+        i
+        for i, tok in enumerate(tokens)
+        if len(tok) == 2
+        and tok[0] != tok[1]
+        and set(tok) <= set(out)
+        and not any(c in other for j, other in enumerate(tokens) if j != i for c in tok)
+    )
 
 
 class _Step(NamedTuple):
@@ -711,12 +701,13 @@ class _Step(NamedTuple):
     trail: int  # the number of tensor axes of the value added
 
 
+@functools.cache
 def _step(subscripts: str, deltas: tuple, batched: tuple, acc_batched: bool, streamed: bool):
     """The ``_Step`` of an einsum term whose operands at positions
     ``deltas`` (from ``_delta_slots``) are multiples of the identity, into
     an accumulator that is ``acc_batched`` and holds the whole result or,
     when ``streamed``, one index v of its leading letter at a time;
-    ``batched`` flags the batched operands.  The string work is cached.
+    ``batched`` flags the batched operands.
 
     Each identity token pq forces q = p, so the term lives on a diagonal
     ``view`` that lists the kept letters p first (then the trial axis) and
@@ -728,68 +719,61 @@ def _step(subscripts: str, deltas: tuple, batched: tuple, acc_batched: bool, str
     reduced einsum, which runs once if its value is smaller than a
     streamed result or is a view of its one operand, and is read at v;
     else it runs once per slice on its operands read at v."""
-    key = (subscripts, deltas, batched, acc_batched, streamed)
-    step = _STEPS.get(key)
-    if step is None:
-        lhs, out = subscripts.split("->")
-        tokens = lhs.split(",")
-        lead, partner, gone = "", "", set(deltas)
-        if streamed:
-            lead, out = out[0], out[1:]
-            for i in deltas:
-                if lead in tokens[i]:
-                    partner = tokens[i].replace(lead, "")
-                    deltas = tuple(j for j in deltas if j != i)
-        dropped = [tokens[i] for i in deltas]
-        to_kept = {tok[1]: tok[0] for tok in dropped}
-        front = partner + "".join(t[0] for t in dropped)
-        rest = "".join(c for c in out if c != partner and not any(c in t for t in dropped))
-        view = None
-        if front:
-            view = "".join(to_kept.get(c, c) for c in out) + "->" + front + rest
-            if acc_batched:
-                view = _batched(view, (True,), len(front))
-        keep = tuple(i for i in range(len(tokens)) if i not in gone)
-        kept = [tokens[i] for i in keep]
-        # when streamed, the value holds the leading letter unless it is pinned
-        holds = bool(lead) and not partner
-        whole = lead + rest if holds else rest
-        per_slice = holds and len(whole) >= _STREAM_RANK and not (
-            len(kept) == 1 and set(kept[0]) == set(whole))
-        index = reduced = core = perm = at = None
-        if per_slice:
-            index = tuple(tuple(batched[i] + p for p, c in enumerate(tokens[i]) if c == lead)
-                          for i in keep)
-        if keep:
-            reduced = ",".join(t.replace(lead, "") if per_slice else t for t in kept)
-            reduced += "->" + (rest if per_slice else whole)
-            flags = tuple(batched[i] for i in keep)
-            if any(flags):
-                reduced = _batched(reduced, flags)
-            if holds and not per_slice:
-                at = int(any(flags))
-            core, perm = _canonical(reduced)
-        step = _STEPS[key] = _Step(keep, index, reduced, core, perm, view, bool(partner), at,
-                                   len(rest))
-    return step
+    lhs, out = subscripts.split("->")
+    tokens = lhs.split(",")
+    lead, partner, gone = "", "", set(deltas)
+    if streamed:
+        lead, out = out[0], out[1:]
+        for i in deltas:
+            if lead in tokens[i]:
+                partner = tokens[i].replace(lead, "")
+                deltas = tuple(j for j in deltas if j != i)
+    dropped = [tokens[i] for i in deltas]
+    to_kept = {tok[1]: tok[0] for tok in dropped}
+    front = partner + "".join(t[0] for t in dropped)
+    rest = "".join(c for c in out if c != partner and not any(c in t for t in dropped))
+    view = None
+    if front:
+        view = "".join(to_kept.get(c, c) for c in out) + "->" + front + rest
+        if acc_batched:
+            view = _batched(view, (True,), len(front))
+    keep = tuple(i for i in range(len(tokens)) if i not in gone)
+    kept = [tokens[i] for i in keep]
+    # when streamed, the value holds the leading letter unless it is pinned
+    holds = bool(lead) and not partner
+    whole = lead + rest if holds else rest
+    per_slice = holds and len(whole) >= _STREAM_RANK and not (
+        len(kept) == 1 and set(kept[0]) == set(whole))
+    index = reduced = core = perm = at = None
+    if per_slice:
+        index = tuple(tuple(batched[i] + p for p, c in enumerate(tokens[i]) if c == lead)
+                      for i in keep)
+    if keep:
+        reduced = ",".join(t.replace(lead, "") if per_slice else t for t in kept)
+        reduced += "->" + (rest if per_slice else whole)
+        flags = tuple(batched[i] for i in keep)
+        if any(flags):
+            reduced = _batched(reduced, flags)
+        if holds and not per_slice:
+            at = int(any(flags))
+        core, perm = _canonical(reduced)
+    return _Step(keep, index, reduced, core, perm, view, bool(partner), at, len(rest))
 
 
+@functools.cache
 def _canonical(subscripts: str) -> tuple:
     """(core, perm): ``subscripts`` with its letters renamed in the order
     they first appear in its inputs and its output letters in that order,
     and the axes that take the core's result to this einsum's, as
     ``transpose`` takes them.  Einsums of one core over the same operands
     differ only by that transpose."""
-    found = _CANONICAL.get(subscripts)
-    if found is None:
-        lhs, out = subscripts.split("->")
-        names: dict = {}
-        for c in lhs.replace(",", ""):
-            names.setdefault(c, _LETTERS[len(names)])
-        core_out = "".join(sorted((names[c] for c in out), key=_LETTERS.index))
-        core = "".join(names.get(c, c) for c in lhs) + "->" + core_out
-        found = _CANONICAL[subscripts] = core, tuple(core_out.index(names[c]) for c in out)
-    return found
+    lhs, out = subscripts.split("->")
+    names: dict = {}
+    for c in lhs.replace(",", ""):
+        names.setdefault(c, _LETTERS[len(names)])
+    core_out = "".join(sorted((names[c] for c in out), key=_LETTERS.index))
+    core = "".join(names.get(c, c) for c in lhs) + "->" + core_out
+    return core, tuple(core_out.index(names[c]) for c in out)
 
 
 def _at(axes: tuple, v: int) -> tuple:
@@ -901,7 +885,10 @@ def lincomb(terms) -> Tensor:
     the latter standing for ``ein(subscripts, *operands)``; a coefficient is
     an int, Fraction or Scalar, or per trial a batched rank-0 Tensor (see
     below).  Every term must have the same dim and rank (ShapeError); an
-    einsum term is checked as ``ein`` checks it.
+    einsum term is checked as ``ein`` checks it.  Each side of the result
+    starts as zeros on the first term that reaches it, and every term is
+    added into it in place, so the result never shares memory with an
+    operand.
 
     Like terms are merged first (``_merge_like_terms``): terms with the
     same subscripts and operand objects on the coefficients' numerators,
@@ -1045,24 +1032,15 @@ def lincomb(terms) -> Tensor:
                 w = b if part else a
                 if w is None:
                     continue
+                if acc[side] is None:
+                    acc[side] = np.zeros(acc_shape, dtype)
                 target = acc[side]
                 if view is not None:
-                    if target is None:
-                        target = acc[side] = np.zeros(acc_shape, dtype)
                     target = views.get((n, side))
                     if target is None:
                         target = views[n, side] = np.einsum(view, acc[side])
                     if pin:
                         target = target[v]
-                elif target is None:
-                    # a new array, never ``w`` itself, which may be a view of an
-                    # operand; 0-d arithmetic decays to a scalar, so re-wrap it;
-                    # an unbatched first term is broadcast over the trials
-                    first = np.asarray(k * w, dtype)
-                    if first.shape != acc_shape:
-                        first = np.array(np.broadcast_to(first, acc_shape))
-                    acc[side] = first
-                    continue
                 # a full-shape term is scaled a slice at a time: a batch of
                 # rank-4 terms times 8, say, needs no full-shape scratch (a
                 # streamed term's value is one slice already)

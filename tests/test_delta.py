@@ -328,12 +328,28 @@ def _plan_digest(n, dim, binding, groups, ranks, symmetries=()) -> str:
     return _digest(_compile_plans(n, dim, binding, groups, ranks, layout, symmetries))
 
 
+def _records(plan) -> list:
+    """Each record of ``plan`` as (rows, flat, coefficient): the
+    representative rows it feeds (``slice(None)`` for all of them) and the
+    positions of the einsum result that feed those rows, formed from
+    ``plan.tables``."""
+    out = []
+    for (_, diag_pairs, _), (fu, fl, rows, coeff) in zip(plan.specs, plan.tables):
+        if not diag_pairs:
+            out.append((slice(None), (fu[:, None] + fl).reshape(-1), coeff))
+        else:
+            # fl holds one entry per lower tuple
+            ru, rl = (np.concatenate(n) for n in zip(*rows))
+            out.append((ru.astype(np.intp) * len(fl) + rl, fu[ru] + fl[rl], coeff))
+    return out
+
+
 def _digest(plans) -> str:
     h = hashlib.sha256()
     for plan in sorted(plans, key=lambda p: p.subscripts):
-        h.update(f"{plan.subscripts};{plan.n_sum_letters};{len(plan.records)}\n".encode())
+        h.update(f"{plan.subscripts};{plan.n_sum_letters};{len(plan.specs)}\n".encode())
         records = []
-        for rows, flat, coeff in plan.records:
+        for rows, flat, coeff in _records(plan):
             rows_b = b"all" if isinstance(rows, slice) else np.asarray(rows, np.int64).tobytes()
             records.append((rows_b, np.asarray(flat, np.int64).tobytes(), int(coeff)))
         for rows_b, flat_b, coeff in sorted(records):
@@ -500,7 +516,7 @@ def test_folded_coefficients_within_int64_bound(name):
     must keep that sum within the same bound."""
     n, dim, b, groups, ranks = _patterson_golden()[name]
     plans = _compile_plans(n, dim, b, groups, ranks, _layout(dim, b.out), (_R_SYMMETRIES,))
-    total = sum(abs(coeff) for p in plans for _, _, coeff in p.records)
+    total = sum(abs(coeff) for p in plans for _, _, coeff in p.specs)
     assert total <= math.factorial(n) * dim ** len(b.traced)
 
 

@@ -302,6 +302,46 @@ def test_lincomb_full_cancellation_is_the_canonical_zero():
     assert out == Tensor.zeros(DIM, 2) and hash(out) == hash(Tensor.zeros(DIM, 2))
 
 
+def _dense_operand(rank, big, batch):
+    """A Tensor with no zero entry in its rational or its sqrt(3) part,
+    its rational entries past 2**62 when ``big``."""
+    rng = np.random.default_rng(rank)
+    shape = (batch,) * bool(batch) + (DIM,) * rank
+    rat = rng.integers(1, 10, shape).astype(object) + (LIMIT if big else 0)
+    return Tensor(DIM, rat, rng.integers(1, 10, shape), batched=bool(batch))
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["int64", "object"])
+@pytest.mark.parametrize("mode", ["unbatched", "batched", "per-trial-coefficient"])
+@pytest.mark.parametrize("case", ["tensor", "transpose", "identity-multiple", "rank6"])
+def test_lincomb_result_shares_no_memory_with_an_operand(case, mode, big):
+    """A lincomb result is a new array even where a term's value is a view
+    of an operand's part: a one-term sum of a Tensor, a transposing einsum,
+    the rest of a term whose c * I operand leaves the einsum and a rank-6
+    Tensor, which streams.  Each runs unbatched, batched, and unbatched
+    under a per-trial coefficient, whose result is batched."""
+    batch = 2 if mode == "batched" else 0
+    t = _dense_operand(6 if case == "rank6" else 2, big, batch)
+    g2 = Tensor.identity(DIM).scale(2)
+    spec = {
+        "tensor": (t,),
+        "transpose": ("ab->ba", t),
+        "identity-multiple": ("ab,cd->abcd", g2, t),
+        "rank6": (t,),
+    }[case]
+    coeff = 1
+    if mode == "per-trial-coefficient":
+        coeff = Tensor(DIM, np.array([1, 2]), np.zeros(2, np.int64), batched=True)
+    out = lincomb([(coeff, *spec)])
+    assert out.batch == (0 if mode == "unbatched" else 2)
+    assert out._rat.dtype == (object if big else np.int64)
+    for part in (out._rat, out._irr):
+        assert not _is_zero_part(part)
+        for op in (t, g2):
+            for p in (op._rat, op._irr):
+                assert not np.shares_memory(part, p)
+
+
 def test_lincomb_skips_zero_coefficients(monkeypatch):
     """A zero coefficient leaves its term unevaluated and out of the
     bound: Python-int operands under a zero coefficient keep the one
